@@ -3,10 +3,18 @@
 All concurrent claimants (one per session per assigned path) rise together
 in normalized rate (rate divided by policy weight).  Whenever a link fills,
 everything crossing it freezes at its current rate; whenever a claimant
-reaches its demand cap it freezes there.  The loop repeats on the survivors
-until nothing can rise further.  Arithmetic is exact rationals internally
-so the per-link conservation identity holds to the last bit; rates convert
-to floats only at the reporting boundary.
+reaches its demand cap it freezes there (a cap is a link only its claimant
+crosses).  Rising claimants share one fill level: with weights scaled to
+integers ``w`` by the lcm of their denominators, each rate is ``level * w``,
+and a link saturates at ``(capacity - frozen rate on it) / rising w on it``.
+Each round takes the lowest saturation level, freezes the claimants still
+rising on that link, and updates only the links they cross; links tied at
+one level go in successive rounds at that level.
+
+Arithmetic is exact rationals, so these are the same rates as adding each
+round's increment to every rising rate (``sum(delta_i * w) == level * w``)
+and the per-link conservation identity holds to the last bit; rates
+convert to floats only at the reporting boundary.
 
 The resulting allocation has the classic bottleneck property: a claimant
 not at its demand cap sits on at least one saturated link where no other
@@ -15,13 +23,17 @@ claimant holds a strictly larger normalized rate.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
+from math import lcm
 from typing import Mapping, Optional, Sequence, Union
 
 from .addressing import ScienceDomainTag
 
 Rate = Union[int, float, Fraction]
+Key = Union[str, int]
 
 
 class UnknownLink(KeyError):
@@ -111,45 +123,56 @@ def water_fill(capacities: Mapping[str, Rate], demands: DemandMatrix) -> FlowAll
                 f"demand {demand.session_id!r} crosses no links and has no cap; rate unbounded"
             )
 
-    rates: dict[str, Fraction] = {d.session_id: Fraction(0) for d in demands.sessions}
-    remaining = dict(caps)
-    active: list[Demand] = list(demands.sessions)
+    sessions = demands.sessions
+    scale = lcm(*(d.weight.denominator for d in sessions))
+    weight = [d.weight.numerator * (scale // d.weight.denominator) for d in sessions]
+    # Links by id; a demand cap is a private link keyed by its claimant's index.
+    room: dict[Key, Fraction] = dict(caps)
+    room.update((i, d.demand_cap_mbps) for i, d in enumerate(sessions) if d.demand_cap_mbps is not None)
+    keys = [list(d.links) + ([i] if i in room else []) for i, d in enumerate(sessions)]
+    members: dict[Key, list[int]] = {}
+    for i, crossed in enumerate(keys):
+        for key in crossed:
+            members.setdefault(key, []).append(i)
+    rising = {key: sum(weight[i] for i in ids) for key, ids in members.items()}
 
-    while active:
-        link_load: dict[str, Fraction] = {}
-        for demand in active:
-            for lid in demand.links:
-                link_load[lid] = link_load.get(lid, Fraction(0)) + demand.weight
+    # Saturation levels, each led by floor(level * 2**32): an int, cheap to
+    # compare and monotone, so it orders two levels whenever it differs.  An
+    # entry is live while its serial is the key's latest.
+    heap: list[tuple[int, Fraction, int, Key]] = []
+    live: dict[Key, int] = {}
+    serial = count()
 
-        increments: list[Fraction] = []
-        for lid, load in link_load.items():
-            increments.append(remaining[lid] / load)
-        for demand in active:
-            if demand.demand_cap_mbps is not None:
-                headroom = demand.demand_cap_mbps - rates[demand.session_id]
-                increments.append(headroom / demand.weight)
-        delta = min(increments)
+    def push(key: Key) -> None:
+        live[key] = next(serial)
+        if rising[key]:
+            at = room[key] / rising[key]
+            heapq.heappush(heap, ((at.numerator << 32) // at.denominator, at, live[key], key))
 
-        for demand in active:
-            rates[demand.session_id] += delta * demand.weight
-        for lid, load in link_load.items():
-            remaining[lid] -= delta * load
-
-        saturated = {lid for lid, load in link_load.items() if remaining[lid] == 0}
-        still_active = []
-        for demand in active:
-            capped = (
-                demand.demand_cap_mbps is not None
-                and rates[demand.session_id] >= demand.demand_cap_mbps
-            )
-            if capped or demand.links & saturated:
-                continue
-            still_active.append(demand)
-        if len(still_active) == len(active):
+    for key in rising:
+        push(key)
+    rates: list[Optional[Fraction]] = [None] * len(sessions)
+    while heap:
+        _, level, n, key = heapq.heappop(heap)
+        if live[key] != n:
+            continue
+        freezing = [i for i in members[key] if rates[i] is None]
+        if not freezing:
             raise AssertionError("progressive filling failed to freeze any session")
-        active = still_active
+        gained: dict[Key, int] = {}
+        for i in freezing:
+            rates[i] = level * weight[i]
+            for touched in keys[i]:
+                gained[touched] = gained.get(touched, 0) + weight[i]
+        for touched, w in gained.items():
+            room[touched] -= level * w
+            rising[touched] -= w
+            push(touched)
 
-    return FlowAllocation(rates_exact=rates, residuals_exact=remaining)
+    return FlowAllocation(
+        rates_exact={d.session_id: rates[i] for i, d in enumerate(sessions)},
+        residuals_exact={lid: room[lid] for lid in caps},
+    )
 
 
 def domain_shares(

@@ -259,8 +259,8 @@ class Simulation:
         self.senders: dict[tuple[int, str], dict[int, SenderSession]] = {}
         self.receivers: dict[tuple[int, str], ReceiverSession] = {}
         self.path_hops: dict[tuple[int, int], tuple[str, ...]] = {}
+        self.path_links: dict[tuple[int, int], frozenset[str]] = {}
         self.alloc_epochs: list[dict[str, Any]] = []
-        self._demand_targets: dict[str, tuple[SenderSession, int]] = {}
         self._sweep_armed = False
         self._trees_by_object: dict[str, int] = {}
 
@@ -275,6 +275,7 @@ class Simulation:
     def _build_substrate(self) -> None:
         cfg = self.config
         self.links = {l.id: l for l in cfg.links}
+        self.link_avail = {l.id: l.available_mbps for l in cfg.links}
         self.link_up = {l.id: True for l in cfg.links}
         self.link_counters = {l.id: LinkCounters() for l in cfg.links}
         self._domain_graph: dict[str, dict[str, list[tuple[str, str]]]] = {}
@@ -325,7 +326,7 @@ class Simulation:
             )
         latency = sum(self.links[lid].latency_us for lid in chain)
         raw = min(self.links[lid].capacity_mbps for lid in chain)
-        avail = min(self.links[lid].available_mbps for lid in chain)
+        avail = min(self.link_avail[lid] for lid in chain)
         cost = sum((self.links[lid].cost for lid in chain), Fraction(0))
         return Leg(chain, L3Locator(domain, dst_att), latency, raw, avail, cost)
 
@@ -540,7 +541,7 @@ class Simulation:
         if link.loss_prob > 0 and self.queue.rng.random() < link.loss_prob:
             counters.dropped += 1
             return
-        serialization = ceil(Fraction(len(segment.payload) * 8) / link.available_mbps)
+        serialization = ceil(Fraction(len(segment.payload) * 8) / self.link_avail[lid])
         arrival = now + link.latency_us + int(serialization)
         if len(links) > 1:
             self.queue.push(arrival, LinkHop(segment, lid, links[1:], dest_node))
@@ -652,20 +653,14 @@ class Simulation:
             return endpoint
         return self.host_anchor[endpoint]
 
-    def _path_substrate_links(self, hops: tuple[str, ...]) -> frozenset[str]:
-        found: set[str] = set()
-        for u, v in zip(hops, hops[1:]):
-            found.update(self.legs[(u, v)].links)
-        return frozenset(found)
-
     def _path_raw_bottleneck(self, hops: tuple[str, ...]) -> Fraction:
-        caps = []
-        for u, v in zip(hops, hops[1:]):
-            caps.append(self.legs[(u, v)].raw_mbps)
-        return min(caps)
+        return min(self.legs[(u, v)].raw_mbps for u, v in zip(hops, hops[1:]))
 
     def _register_path(self, sid: int, path: L5Path) -> None:
         self.path_hops[(sid, path.path_id)] = path.hops
+        self.path_links[(sid, path.path_id)] = frozenset(
+            lid for u, v in zip(path.hops, path.hops[1:]) for lid in self.legs[(u, v)].links
+        )
         for name in path.hops:
             if name in self.anchors:
                 self.anchors[name].install_path(sid, path)
@@ -761,6 +756,8 @@ class Simulation:
         fresh = k_disjoint_paths(db, transfer.src, transfer.dst, transfer.k)
         if not fresh:
             transfer.status = "no_path"
+            # Disarm the sender: a wake already queued finds no group and fires nothing.
+            del self.senders[(transfer.sid, transfer.src)]
             self._reallocate(now)
             return
         fresh = fresh[:1] if self.mode == MODE_BASELINE else fresh
@@ -877,6 +874,7 @@ class Simulation:
         pub.edges.append(edge)
         pub.downstream.setdefault(parent, []).append(edge)
         self.path_hops[(pub.sid, pid)] = (parent, child)
+        self.path_links[(pub.sid, pid)] = frozenset(leg.links)
         self.senders.setdefault((pub.sid, parent), {})[pid] = sender
         receiver = ReceiverSession(
             pub.sid, pub.tag, {pid: self.legs[(child, parent)].dest},
@@ -1085,7 +1083,7 @@ class Simulation:
     def _reallocate(self, now: int) -> None:
         """Central control epoch: rebuild demands, water-fill, push rates."""
         demands: list[Demand] = []
-        self._demand_targets = {}
+        targets: dict[str, tuple[SenderSession, int]] = {}
         for sid in sorted(self.transfers):
             transfer = self.transfers[sid]
             if transfer.status != "active":
@@ -1096,12 +1094,12 @@ class Simulation:
                     Demand(
                         key,
                         self.policy[transfer.tag],
-                        self._path_substrate_links(path.hops),
+                        self.path_links[(sid, path.path_id)],
                         demand_cap_mbps=transfer.rate_cap_mbps,
                         tag=transfer.tag,
                     )
                 )
-                self._demand_targets[key] = (transfer.sender, path.path_id)
+                targets[key] = (transfer.sender, path.path_id)
         for sid in sorted(self.pubs):
             pub = self.pubs[sid]
             if pub.status != "active":
@@ -1114,26 +1112,25 @@ class Simulation:
                     Demand(
                         key,
                         self.policy[pub.tag],
-                        frozenset(self.legs[(edge.parent, edge.child)].links),
+                        self.path_links[(sid, edge.pid)],
                         tag=pub.tag,
                     )
                 )
-                self._demand_targets[key] = (edge.sender, edge.pid)
+                targets[key] = (edge.sender, edge.pid)
 
         # Down links keep their capacity entry: a demand may still reference
         # one for the short window between the failure and its repath.
-        capacities = {lid: link.available_mbps for lid, link in self.links.items()}
         matrix = DemandMatrix(tuple(demands))
-        alloc = water_fill(capacities, matrix) if capacities else None
+        alloc = water_fill(self.link_avail, matrix) if self.link_avail else None
         rates: dict[str, float] = {}
-        grouped: dict[int, dict[int, Fraction]] = {}
+        grouped: dict[SenderSession, dict[int, Fraction]] = {}
         if alloc is not None:
-            for key, (sender, pid) in self._demand_targets.items():
+            for key, (sender, pid) in targets.items():
                 exact = alloc.rates_exact[key]
                 rates[key] = float(exact)
-                grouped.setdefault(id(sender), {})[pid] = exact
-            for key, (sender, pid) in self._demand_targets.items():
-                sender.set_rates({**{p: sender.rates[p] for p in sender.paths}, **grouped[id(sender)]})
+                grouped.setdefault(sender, {})[pid] = exact
+            for sender, fresh in grouped.items():
+                sender.set_rates({**{p: sender.rates[p] for p in sender.paths}, **fresh})
         shares = (
             domain_shares(alloc, matrix, self.config.policy)
             if alloc is not None and demands
@@ -1172,7 +1169,7 @@ class Simulation:
                 "acks": c.acks,
                 "payload_bytes": c.payload_bytes,
                 "capacity_mbps": float(link.capacity_mbps),
-                "available_mbps": float(link.available_mbps),
+                "available_mbps": float(self.link_avail[lid]),
                 "up": self.link_up[lid],
                 "utilization": c.payload_bytes * 8 / (float(link.capacity_mbps) * duration),
             }

@@ -2,8 +2,9 @@
 
 These deliberately share no code with the package: brute-force enumeration
 instead of Dijkstra, float bisection instead of exact progressive filling,
-a set-union fixpoint instead of message flooding, and an explicit
-token-bucket replay instead of slot arithmetic.
+round-by-round exact filling instead of a shared fill level, a set-union
+fixpoint instead of message flooding, and an explicit token-bucket replay
+instead of slot arithmetic.
 """
 
 from __future__ import annotations
@@ -148,6 +149,73 @@ def bisect_water_fill(
         if not progressed:
             raise AssertionError("bisection oracle failed to converge")
     return rates
+
+
+def progressive_fill_exact(
+    capacities: Mapping[str, Fraction], demands: Sequence[dict]
+) -> tuple[dict[str, Fraction], dict[str, Fraction]]:
+    """Weighted max-min by per-round progressive filling, in exact rationals.
+
+    ``demands`` entries as for ``bisect_water_fill``, with ``Fraction``
+    weights and caps.  Each round every rising session grows by the same
+    normalized increment ``delta``, the smallest that fills a link or meets a
+    cap; every link load and every rate is rebuilt anew each round.
+    Returns (rates, residuals).
+    """
+    rates = {d["id"]: Fraction(0) for d in demands}
+    remaining = dict(capacities)
+    active = list(demands)
+    while active:
+        link_load: dict[str, Fraction] = {}
+        for d in active:
+            for link in d["links"]:
+                link_load[link] = link_load.get(link, Fraction(0)) + d["weight"]
+        increments = [remaining[link] / load for link, load in link_load.items()]
+        for d in active:
+            if d["cap"] is not None:
+                increments.append((d["cap"] - rates[d["id"]]) / d["weight"])
+        delta = min(increments)
+        for d in active:
+            rates[d["id"]] += delta * d["weight"]
+        for link, load in link_load.items():
+            remaining[link] -= delta * load
+        saturated = {link for link in link_load if remaining[link] == 0}
+        still = [
+            d
+            for d in active
+            if not (d["cap"] is not None and rates[d["id"]] >= d["cap"])
+            and not d["links"] & saturated
+        ]
+        if len(still) == len(active):
+            raise AssertionError("exact filling oracle failed to freeze any session")
+        active = still
+    return rates, remaining
+
+
+def random_exact_instance(rng: random.Random) -> tuple[dict[str, Fraction], list[dict]]:
+    """A random exact allocation instance.
+
+    Capacities and caps come from small grids so that links and caps often
+    bind at the same level; weights include 1/3 and 3/2; caps include zero;
+    a capped session may cross no links; the session list may be empty.
+    """
+    n_links = rng.randint(0, 6)
+    links = {f"l{i}": Fraction(rng.choice([6, 12, 18, 30, 45])) for i in range(n_links)}
+    demands = []
+    for i in range(rng.randint(0, 7)):
+        crossed = set(rng.sample(sorted(links), rng.randint(0, n_links)))
+        cap = rng.choice([None, None, Fraction(0), Fraction(2), Fraction(6), Fraction(9, 2)])
+        if not crossed and cap is None:
+            cap = Fraction(rng.randint(0, 12))
+        demands.append(
+            {
+                "id": f"s{i}",
+                "weight": rng.choice([Fraction(1), Fraction(2), Fraction(1, 3), Fraction(3, 2)]),
+                "links": crossed,
+                "cap": cap,
+            }
+        )
+    return links, demands
 
 
 def random_fill_instance(rng: random.Random) -> tuple[dict[str, int], list[dict]]:

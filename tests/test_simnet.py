@@ -201,6 +201,20 @@ def test_horizon_stops_execution():
     assert report["sessions"]["bulk"]["status"] == "active"
 
 
+def test_session_without_path_stops_pacing():
+    # every west trunk fails: no route is left from h1 to h2
+    raw = three_path_lossy()
+    raw["events"] += [
+        {"time_us": 30_000, "kind": "link_down", "link": f"trunk-{i}w"} for i in (1, 2, 3)
+    ]
+    report = run_scenario(build(raw))
+    assert report["sessions"]["bulk"]["status"] == "no_path"
+    # the queue drains once the segments in flight land, long before the
+    # 10 s horizon, and the sender stops pushing into removed paths
+    assert report["clock_end_us"] < 100_000
+    assert report["faults"]["dropped_unknown"] <= 50
+
+
 def test_multi_link_internal_domain_path():
     # the wan domain routes between its edge attachments over an
     # intermediate hop, so one overlay leg crosses two substrate links
@@ -307,6 +321,23 @@ def test_report_peak_rates_and_shares_share_one_epoch(fixture_paths, name):
     assert alloc["domain_shares_mbps"] == peak.get("domain_shares_mbps", {})
     claimed = [e["rates_mbps"] for e in epochs if e["rates_mbps"]]
     assert alloc["final_rates_mbps"] == (claimed[-1] if claimed else {})
+
+
+# Each fixture's event trace at its own seed.  A change that is only meant to
+# make the simulator faster keeps these; one that changes behaviour on
+# purpose updates them and says why in CHANGES.md.
+FIXTURE_TRACE_HASHES = {
+    "dual-path": "30de405dd747fe091e49ad54948015f9d5070fc1edee21b5a021dc483064cf57",
+    "flooding-20": "35ca91e0fba83555e8d0278383f0875498d82f4e483af2c0a5572160fc390243",
+    "transatlantic-pubsub": "b5ae7b846ce2e019ebd7205e3a83792c9284279d27993fa8aad3d72c41f297d2",
+    "two-domains-weighted": "a09ff0659cbbd1099ad39dd0ab47d38d41fc315dc38eaaaacf8733cc92960c09",
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURE_TRACE_HASHES))
+def test_fixture_trace_hash_is_pinned(fixture_paths, name):
+    report = run_scenario(load_scenario(fixture_paths[name]))
+    assert report["trace_hash"] == FIXTURE_TRACE_HASHES[name]
 
 
 # -- gateway integration ------------------------------------------------------------
