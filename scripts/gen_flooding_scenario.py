@@ -1,13 +1,19 @@
 #!/usr/bin/env python3
-"""Generate the flooding-20 fixture: 20 anchors on a random connected graph.
+"""Generate a flooding scenario: N anchors on a random connected graph.
 
 Each anchor adjacency gets its own two-attachment transit domain, so the
-fixture exercises pure control-plane behavior (origination, flooding,
-convergence) with no hosts and no data sessions.  Regenerate with:
+scenario exercises pure control-plane behavior (origination, flooding,
+convergence) with no hosts and no data sessions.  With no arguments it
+writes the flooding-20 fixture; regenerate it with:
 
     python3 scripts/gen_flooding_scenario.py > scenarios/flooding-20.json
+
+Larger meshes for timing the control plane, for example:
+
+    python3 scripts/gen_flooding_scenario.py --anchors 200 --extra-edges 120
 """
 
+import argparse
 import json
 import random
 
@@ -16,9 +22,15 @@ EXTRA_EDGES = 12
 SEED = 2024
 
 
-def main() -> None:
+def scenario(n_anchors: int = N_ANCHORS, extra_edges: int = EXTRA_EDGES) -> dict:
+    """The scenario as a JSON-ready dict; the graph depends only on the sizes."""
+    if n_anchors < 2:
+        raise ValueError(f"need at least 2 anchors, got {n_anchors}")
+    max_extra = n_anchors * (n_anchors - 1) // 2 - (n_anchors - 1)
+    if not 0 <= extra_edges <= max_extra:
+        raise ValueError(f"extra edges must be in [0, {max_extra}] for {n_anchors} anchors")
     rng = random.Random(SEED)
-    names = [f"anchor-{i:02d}" for i in range(N_ANCHORS)]
+    names = [f"anchor-{i:02d}" for i in range(n_anchors)]
 
     edges: set[tuple[str, str]] = set()
     # random spanning tree first, then extra chords
@@ -27,7 +39,7 @@ def main() -> None:
     for i in range(1, len(shuffled)):
         other = shuffled[rng.randrange(i)]
         edges.add(tuple(sorted((shuffled[i], other))))
-    while len(edges) < N_ANCHORS - 1 + EXTRA_EDGES:
+    while len(edges) < n_anchors - 1 + extra_edges:
         a, b = rng.sample(names, 2)
         edges.add(tuple(sorted((a, b))))
 
@@ -51,9 +63,9 @@ def main() -> None:
         ports[b].append({"domain": dom, "attachment": att_b})
         peers[a].append({"anchor": b, "domain": dom})
 
-    scenario = {
-        "name": "flooding-20",
-        "seed": 20,
+    return {
+        "name": f"flooding-{n_anchors}",
+        "seed": n_anchors,
         "mode": "l5-multipath",
         "horizon_us": 1000000,
         "domains": domains,
@@ -65,7 +77,21 @@ def main() -> None:
         "policy": [{"tag": "ops", "weight": 1}],
         "events": [],
     }
-    print(json.dumps(scenario, indent=2))
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--anchors", type=int, default=N_ANCHORS, help="number of anchors")
+    parser.add_argument(
+        "--extra-edges", type=int, default=EXTRA_EDGES,
+        help="peerings added beyond the random spanning tree",
+    )
+    args = parser.parse_args()
+    try:
+        doc = scenario(args.anchors, args.extra_edges)
+    except ValueError as exc:
+        parser.error(str(exc))
+    print(json.dumps(doc, indent=2))
 
 
 if __name__ == "__main__":

@@ -27,6 +27,7 @@ from typing import Mapping, Optional, Sequence
 
 from .addressing import L3Locator
 from .allocator import as_fraction
+from .topology import _pstr, _u64
 
 SEGMENT_PAYLOAD_BYTES = 8192
 RTT_INITIAL_FLOOR_US = 10_000
@@ -43,15 +44,6 @@ class MissingRate(ValueError):
 class SegmentKind(Enum):
     DATA = 0
     ACK = 1
-
-
-def _pstr(s: str) -> bytes:
-    raw = s.encode()
-    return len(raw).to_bytes(2, "big") + raw
-
-
-def _u64(n: int) -> bytes:
-    return int(n).to_bytes(8, "big")
 
 
 @dataclass(frozen=True)
@@ -164,6 +156,9 @@ class SenderSession:
         self.set_paths(paths, rates_mbps, now)
 
         self.acked: set[int] = set()
+        # Every seq below the floor is in ``acked``; ACKs can raise it out of
+        # order across paths, so it only ever moves up.
+        self._ack_floor = start_seq
         self.retx_deadline: dict[int, int] = {}
         self._retx_ready: dict[int, int] = {}
         self._ever_retransmitted: set[int] = set()
@@ -318,8 +313,11 @@ class SenderSession:
                 self.rtt_estimate_us[pid] = sample
                 self._rtt_sampled.add(pid)
             self.rtt_estimate_us[pid] = max(self.rtt_estimate_us[pid], 1)
-        acked = set(range(self.start_seq, ack.ack_cum)) | set(ack.ack_sacks) | {ack.seq}
-        for seq in acked:
+        newly = [*ack.ack_sacks, ack.seq]
+        if ack.ack_cum > self._ack_floor:
+            newly.extend(range(self._ack_floor, ack.ack_cum))
+            self._ack_floor = ack.ack_cum
+        for seq in newly:
             self.acked.add(seq)
             self.retx_deadline.pop(seq, None)
             self._retx_ready.pop(seq, None)

@@ -277,6 +277,8 @@ class Simulation:
         self.links = {l.id: l for l in cfg.links}
         self.link_avail = {l.id: l.available_mbps for l in cfg.links}
         self.link_up = {l.id: True for l in cfg.links}
+        # Serialization delay in microseconds per (link, payload bytes), filled on first use.
+        self._serialization_us: dict[tuple[str, int], int] = {}
         self.link_counters = {l.id: LinkCounters() for l in cfg.links}
         self._domain_graph: dict[str, dict[str, list[tuple[str, str]]]] = {}
         for dom in cfg.domains:
@@ -541,8 +543,12 @@ class Simulation:
         if link.loss_prob > 0 and self.queue.rng.random() < link.loss_prob:
             counters.dropped += 1
             return
-        serialization = ceil(Fraction(len(segment.payload) * 8) / self.link_avail[lid])
-        arrival = now + link.latency_us + int(serialization)
+        key = (lid, len(segment.payload))
+        serialization = self._serialization_us.get(key)
+        if serialization is None:
+            serialization = ceil(Fraction(key[1] * 8) / self.link_avail[lid])
+            self._serialization_us[key] = serialization
+        arrival = now + link.latency_us + serialization
         if len(links) > 1:
             self.queue.push(arrival, LinkHop(segment, lid, links[1:], dest_node))
         else:
@@ -781,10 +787,15 @@ class Simulation:
         self._arm(transfer.sid, transfer.src, transfer.sender, now)
 
     def _check_repath(self, anchor_name: str, now: int) -> None:
+        homed = [
+            t for _, t in sorted(self.transfers.items())
+            if t.status == "active" and t.home_anchor == anchor_name
+        ]
+        if not homed:
+            return
         graph = self.anchors[anchor_name].db.graph()
-        for sid in sorted(self.transfers):
-            transfer = self.transfers[sid]
-            if transfer.status != "active" or transfer.home_anchor != anchor_name:
+        for transfer in homed:
+            if transfer.status != "active":
                 continue
             broken = False
             for path in transfer.used:

@@ -6,6 +6,12 @@ are suppressed, so one origination crosses each adjacency at most once per
 direction.  At quiescence all anchors in a connected component hold
 byte-identical databases.  Deliberately single-area and deliberately much
 simpler than an inter-domain path-vector protocol.
+
+Advertisements and databases are immutable, so their derived views -- the
+canonical encoding, the digest and the weighted graph -- are computed
+lazily, on first read, and cached on the object.  Accepting an
+advertisement builds a new database with an empty cache: an anchor that
+never routes from its database never pays for the graph.
 """
 
 from __future__ import annotations
@@ -14,6 +20,8 @@ import hashlib
 from collections import deque
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cached_property
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 
@@ -84,6 +92,10 @@ class LinkStateAdvertisement:
     def encode(self) -> bytes:
         """Canonical byte form: fixed field order, big-endian integers,
         length-prefixed strings.  Used for database equality and hashing."""
+        return self._encoded
+
+    @cached_property
+    def _encoded(self) -> bytes:
         body = _pstr(self.origin) + _u64(self.seq)
         body += len(self.adjacencies).to_bytes(4, "big")
         for adj in self.adjacencies:
@@ -112,7 +124,11 @@ def originate_lsa(state: AnchorLinkState) -> tuple[AnchorLinkState, LinkStateAdv
 
 @dataclass(frozen=True)
 class TopologyDatabase:
-    """Newest advertisement per origin, plus the derived weighted digraph."""
+    """Newest advertisement per origin, plus the derived weighted digraph.
+
+    ``lsas`` must not be mutated after construction: the derived views are
+    cached on first read.
+    """
 
     lsas: Mapping[str, LinkStateAdvertisement] = field(default_factory=dict)
 
@@ -128,7 +144,7 @@ class TopologyDatabase:
             if lsa.seq < stored.seq:
                 return self, False
             if lsa.seq == stored.seq:
-                if lsa.encode() != stored.encode():
+                if lsa is not stored and lsa.encode() != stored.encode():
                     raise LsaContentMismatch(
                         f"origin {lsa.origin!r} seq {lsa.seq} advertised twice with different content"
                     )
@@ -138,13 +154,23 @@ class TopologyDatabase:
         return TopologyDatabase(lsas), True
 
     def encode(self) -> bytes:
-        body = b""
-        for origin in sorted(self.lsas):
-            body += self.lsas[origin].encode()
-        return body
+        return self._encoded
+
+    @cached_property
+    def _encoded(self) -> bytes:
+        return b"".join([self.lsas[origin].encode() for origin in sorted(self.lsas)])
 
     def digest(self) -> str:
-        return hashlib.sha256(self.encode()).hexdigest()
+        return self._digest
+
+    @cached_property
+    def _digest(self) -> str:
+        # Streams the advertisements rather than caching the whole encoding,
+        # so taking every anchor's digest does not hold every database's bytes.
+        h = hashlib.sha256()
+        for origin in sorted(self.lsas):
+            h.update(self.lsas[origin].encode())
+        return h.hexdigest()
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, TopologyDatabase):
@@ -158,14 +184,19 @@ class TopologyDatabase:
     def anchors(self) -> frozenset[str]:
         return frozenset(self.lsas)
 
-    def graph(self) -> dict[str, tuple[Adjacency, ...]]:
-        """Derived digraph of anchors and hosts.
+    def graph(self) -> Mapping[str, tuple[Adjacency, ...]]:
+        """Derived digraph of anchors and hosts, read-only and shared by
+        every caller.
 
         Anchor-to-anchor edges come from each endpoint's own advertisement.
         Hosts never advertise, so they are recognized as neighbors without
         an advertisement of their own and get the mirror edge back to their
         anchor, making them routable leaves.
         """
+        return self._graph
+
+    @cached_property
+    def _graph(self) -> Mapping[str, tuple[Adjacency, ...]]:
         nodes: dict[str, list[Adjacency]] = {origin: [] for origin in self.lsas}
         for origin in sorted(self.lsas):
             for adj in self.lsas[origin].adjacencies:
@@ -175,7 +206,9 @@ class TopologyDatabase:
                     nodes[adj.neighbor].append(
                         Adjacency(origin, adj.capacity_mbps, adj.latency_us, adj.domain_id)
                     )
-        return {name: tuple(sorted(edges)) for name, edges in sorted(nodes.items())}
+        return MappingProxyType(
+            {name: tuple(sorted(edges)) for name, edges in sorted(nodes.items())}
+        )
 
 
 EMPTY_DATABASE = TopologyDatabase({})

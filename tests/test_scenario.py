@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -15,6 +17,32 @@ def test_shipped_fixtures_validate(fixture_paths):
     for name, path in fixture_paths.items():
         config = load_scenario(str(path))
         assert config.name == name
+
+
+def _gen_flooding(scenario_dir, *args):
+    script = scenario_dir.parent / "scripts" / "gen_flooding_scenario.py"
+    return subprocess.run(
+        [sys.executable, str(script), *args],
+        capture_output=True, check=False, timeout=60,
+    )
+
+
+def test_flooding_generator_defaults_reproduce_fixture(scenario_dir):
+    out = _gen_flooding(scenario_dir)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == (scenario_dir / "flooding-20.json").read_bytes()
+
+
+def test_flooding_generator_sizes(scenario_dir):
+    out = _gen_flooding(scenario_dir, "--anchors", "100", "--extra-edges", "60")
+    assert out.returncode == 0, out.stderr
+    config = parse_scenario(out.stdout.decode())
+    assert config.name == "flooding-100"
+    assert len(config.anchors) == 100
+    assert len(config.links) == 99 + 60
+    too_many = _gen_flooding(scenario_dir, "--anchors", "3", "--extra-edges", "2")
+    assert too_many.returncode == 2
+    assert b"extra edges must be in [0, 1]" in too_many.stderr
 
 
 def test_parse_error_carries_position(tmp_path):

@@ -1,4 +1,5 @@
 import hashlib
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -261,6 +262,76 @@ def test_mid_stream_start_seq():
     assert rx.complete
     assert rx.delivered_bytes == 3 * SEGMENT_PAYLOAD_BYTES
     assert rx.delivered_digest() == hashlib.sha256(stream[3 * SEGMENT_PAYLOAD_BYTES:]).hexdigest()
+
+
+def _on_ack_rebuilding_range(sender, ack, now):
+    """The ACK rule as first written, kept as the reference: the whole
+    cumulative range from ``start_seq`` is rebuilt on every ACK."""
+    newly_sampled = (
+        ack.seq not in sender.acked
+        and not ack.is_retransmit
+        and ack.seq not in sender._ever_retransmitted
+        and ack.seq in sender._last_send
+    )
+    if newly_sampled:
+        sample = now - sender._last_send[ack.seq]
+        pid = ack.path_id
+        if pid in sender._rtt_sampled:
+            sender.rtt_estimate_us[pid] = (7 * sender.rtt_estimate_us[pid] + sample) // 8
+        else:
+            sender.rtt_estimate_us[pid] = sample
+            sender._rtt_sampled.add(pid)
+        sender.rtt_estimate_us[pid] = max(sender.rtt_estimate_us[pid], 1)
+    acked = set(range(sender.start_seq, ack.ack_cum)) | set(ack.ack_sacks) | {ack.seq}
+    for seq in acked:
+        sender.acked.add(seq)
+        sender.retx_deadline.pop(seq, None)
+        sender._retx_ready.pop(seq, None)
+
+
+def test_ack_floor_matches_rebuilt_range_under_reordering_and_loss():
+    stale_cums = 0
+    for seed in range(40):
+        rng = random.Random(seed)
+        start = rng.choice([0, 2, 5])
+        total = (start + rng.randint(1, 25)) * SEGMENT_PAYLOAD_BYTES - rng.randrange(100)
+        stream = rng.randbytes(total)
+        n_paths = rng.randint(1, 3)
+        rates = {pid: rng.choice([40, 80, 200]) for pid in range(n_paths)}
+
+        def open_sender():
+            return SenderSession(
+                1, "atlas", [ref(pid) for pid in range(n_paths)], rates, total,
+                payload=stream[start * SEGMENT_PAYLOAD_BYTES:], start_seq=start, now=0,
+            )
+
+        fast, slow = open_sender(), open_sender()
+        rx = ReceiverSession(1, "atlas", {pid: HOP_B for pid in range(n_paths)}, total,
+                             start_seq=start)
+        data, acks = [], []
+        now = 0
+        while not fast.complete and now < 10_000_000:
+            emitted = fast.schedule(now)
+            assert emitted == slow.schedule(now)
+            data.extend(seg for seg, _ in emitted if rng.random() > 0.2)
+            for _ in range(rng.randint(0, len(data))):
+                _, out = rx.on_receive(data.pop(rng.randrange(len(data))), now)
+                acks.extend(out)
+            for _ in range(rng.randint(0, len(acks))):
+                ack = acks.pop(rng.randrange(len(acks)))
+                if rng.random() < 0.1:
+                    continue
+                stale_cums += ack.ack_cum < fast._ack_floor
+                fast.on_ack(ack, now)
+                _on_ack_rebuilding_range(slow, ack, now)
+                assert fast.acked == slow.acked
+                assert fast.retx_deadline == slow.retx_deadline
+                assert fast.complete == slow.complete
+            now += rng.randint(1, 4000)
+        assert fast.complete, seed
+    # ACKs taking different paths overtake each other, so some carry a
+    # cumulative floor below one the sender has already applied.
+    assert stale_cums > 0
 
 
 def test_segment_payload_bounds():

@@ -18,6 +18,7 @@ from anchornet.simnet import (
     _peak_epoch,
     run_scenario,
 )
+from anchornet.topology import TopologyDatabase
 from scenario_builders import build, gateway_chain, three_path_lossy
 
 
@@ -192,6 +193,20 @@ def test_link_down_triggers_repath_and_completion(fixture_paths):
     assert report["faults"]["l3_dest_violations"] == 0
     # the dead link dropped whatever was on the wire when it failed
     assert report["links"]["nw-trunk"]["up"] is False
+
+
+def test_flooding_without_sessions_never_builds_a_graph(fixture_paths, monkeypatch):
+    calls = []
+    graph = TopologyDatabase.graph
+
+    def counting_graph(db):
+        calls.append(db)
+        return graph(db)
+
+    monkeypatch.setattr(TopologyDatabase, "graph", counting_graph)
+    report = run_scenario(load_scenario(fixture_paths["flooding-20"]))
+    assert report["events_processed"] > 0
+    assert calls == []
 
 
 def test_horizon_stops_execution():

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -61,6 +62,14 @@ def test_receive_stale_seq_is_ignored():
     assert db2.lsas["a"].seq == 5
 
 
+def test_reflooded_same_advertisement_is_duplicate():
+    lsa = LinkStateAdvertisement("a", 1, (adj("b"),))
+    db, _ = TopologyDatabase().receive(lsa)
+    db2, flood = db.receive(lsa)
+    assert not flood
+    assert db2 is db
+
+
 def test_equal_seq_content_mismatch_is_a_fault():
     db, _ = TopologyDatabase().receive(LinkStateAdvertisement("a", 1, (adj("b"),)))
     with pytest.raises(LsaContentMismatch):
@@ -89,6 +98,54 @@ def test_graph_anchor_edges_need_both_advertisements():
     graph = db.graph()
     assert any(e.neighbor == "b" for e in graph["a"])
     assert any(e.neighbor == "a" for e in graph["b"])
+
+
+def test_graph_is_read_only():
+    db, _ = TopologyDatabase().receive(LinkStateAdvertisement("a", 1, (adj("b"),)))
+    graph = db.graph()
+    with pytest.raises(TypeError):
+        graph["c"] = ()
+    with pytest.raises(TypeError):
+        del graph["a"]
+    assert db.graph() is graph
+    assert set(db.graph()) == {"a", "b"}
+
+
+def _fresh_views(db):
+    """Graph, encoding and digest of ``db`` computed on new, uncached objects."""
+    lsas = {
+        origin: LinkStateAdvertisement(lsa.origin, lsa.seq, lsa.adjacencies)
+        for origin, lsa in db.lsas.items()
+    }
+    copy = TopologyDatabase(lsas)
+    encoded = b"".join(lsas[origin].encode() for origin in sorted(lsas))
+    return dict(copy.graph()), encoded, hashlib.sha256(encoded).hexdigest()
+
+
+def _views(db):
+    return dict(db.graph()), db.encode(), db.digest()
+
+
+def test_cached_views_match_fresh_computation():
+    rng = random.Random(17)
+    for _ in range(20):
+        configs = random_connected_adjacency(rng, max_nodes=12)
+        result = converge(configs)
+        # Replay the converged advertisements into one database in a random
+        # order, reading every view of each intermediate database so that
+        # its cache is filled before the next one is derived from it.
+        lsas = list(next(iter(result.databases.values())).lsas.values())
+        rng.shuffle(lsas)
+        db = TopologyDatabase()
+        history = [db]
+        for lsa in lsas:
+            _views(db)
+            db, _ = db.receive(lsa)
+            history.append(db)
+        for db in history + list(result.databases.values()):
+            fresh = _fresh_views(db)
+            assert _views(db) == fresh
+            assert _views(db) == fresh  # second read comes from the cache
 
 
 def test_three_anchor_line_converges():
