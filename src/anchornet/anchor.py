@@ -9,7 +9,7 @@ statistics follow the science groups wherever the substrate carries them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .addressing import L3Locator
@@ -35,7 +35,7 @@ class Anchor:
     peer_names: tuple[str, ...] = ()
     link_state: AnchorLinkState = None  # type: ignore[assignment]
     db: TopologyDatabase = EMPTY_DATABASE
-    next_hop: dict[tuple[int, int], tuple[str, ...]] = field(default_factory=dict)
+    next_hop: dict[tuple[int, int], str] = field(default_factory=dict)
     prev_hop: dict[tuple[int, int], str] = field(default_factory=dict)
     counters: dict[str, list[int]] = field(default_factory=dict)
     dropped_unknown: int = 0
@@ -44,10 +44,6 @@ class Anchor:
     def __post_init__(self) -> None:
         if self.link_state is None:
             self.link_state = AnchorLinkState(self.name)
-
-    @property
-    def is_gateway(self) -> bool:
-        return self.catalog is not None
 
     def primary_port(self) -> L3Locator:
         return min(self.ports)
@@ -62,13 +58,9 @@ class Anchor:
         idx = path.hops.index(self.name)
         key = (session_id, path.path_id)
         if idx + 1 < len(path.hops):
-            self.next_hop[key] = (path.hops[idx + 1],)
+            self.next_hop[key] = path.hops[idx + 1]
         if idx > 0:
             self.prev_hop[key] = path.hops[idx - 1]
-
-    def install_fanout(self, session_id: int, path_id: int, children: tuple[str, ...]) -> None:
-        """Program a distribution-tree branch: one copy per child edge."""
-        self.next_hop[(session_id, path_id)] = tuple(children)
 
     def remove_path(self, session_id: int, path_id: int) -> None:
         self.next_hop.pop((session_id, path_id), None)
@@ -77,35 +69,28 @@ class Anchor:
     # -- data plane ----------------------------------------------------------
 
     def forward(self, segment: Segment, locator_for: LocatorFor) -> list[Segment]:
-        """Re-address a transit segment to its next hop(s).
+        """Re-address a transit segment to its next hop.
 
-        Data segments follow the forward table (fanning out at branch
-        entries); acknowledgements retrace the reverse entry.  Unknown
-        (session, path) pairs are counted and dropped, never raised: a
-        teardown racing with a late segment is normal, not a fault.
+        Data segments follow the forward table; acknowledgements retrace
+        the reverse entry.  Unknown (session, path) pairs are counted and
+        dropped, never raised: a teardown racing with a late segment is
+        normal, not a fault.
         """
-        key = (segment.session_id, segment.path_id)
-        if segment.kind is SegmentKind.ACK:
-            prev = self.prev_hop.get(key)
-            if prev is None:
-                self.dropped_unknown += 1
-                return []
-            return [replace(segment, l3_dest=locator_for(prev))]
-        hops = self.next_hop.get(key)
-        if not hops:
+        is_ack = segment.kind is SegmentKind.ACK
+        hop = (self.prev_hop if is_ack else self.next_hop).get((segment.session_id, segment.path_id))
+        if hop is None:
             self.dropped_unknown += 1
             return []
-        self._account(segment, copies=len(hops))
-        return [replace(segment, l3_dest=locator_for(hop)) for hop in hops]
+        if not is_ack:
+            self.account_relay(segment)
+        return [segment.readdressed(locator_for(hop))]
 
     def account_relay(self, segment: Segment) -> None:
-        """Count a locally re-emitted distribution-tree segment."""
-        self._account(segment, copies=1)
-
-    def _account(self, segment: Segment, copies: int) -> None:
+        """Count one data segment this anchor sends on: forwarded, or
+        re-emitted by a distribution-tree relay."""
         row = self.counters.setdefault(segment.tag, [0, 0])
-        row[0] += copies
-        row[1] += copies * len(segment.payload)
+        row[0] += 1
+        row[1] += len(segment.payload)
 
     def tag_report(self) -> dict[str, tuple[int, int]]:
         """Per-science-tag (segments, bytes) snapshot.  Pure read."""

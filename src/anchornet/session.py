@@ -19,7 +19,9 @@ the exact set of buffered sequence numbers.
 from __future__ import annotations
 
 import hashlib
+import heapq
 import math
+import struct
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -27,10 +29,13 @@ from typing import Mapping, Optional, Sequence
 
 from .addressing import L3Locator
 from .allocator import as_fraction
-from .topology import _pstr, _u64
+from .topology import _pstr
 
 SEGMENT_PAYLOAD_BYTES = 8192
 RTT_INITIAL_FLOOR_US = 10_000
+
+# session, seq, path, kind, retransmit flag, ack_cum, payload length, SACK count
+_HEADER = struct.Struct(">QQIBBQII")
 
 
 class NoPaths(ValueError):
@@ -75,23 +80,44 @@ class Segment:
         if len(self.payload) > SEGMENT_PAYLOAD_BYTES:
             raise ValueError(f"payload exceeds {SEGMENT_PAYLOAD_BYTES} bytes")
 
+    def header(self) -> bytes:
+        """Fixed-layout record of the fields other than ``tag``, ``l3_dest`` and
+        the payload bytes.  No hop changes it, so it is computed once and
+        :meth:`readdressed` copies keep it."""
+        head = self.__dict__.get("_header")
+        if head is None:
+            sacks = self.ack_sacks
+            head = _HEADER.pack(
+                self.session_id, self.seq, self.path_id, self.kind.value, self.is_retransmit,
+                self.ack_cum, len(self.payload), len(sacks),
+            ) + struct.pack(f">{len(sacks)}Q", *sacks)
+            self.__dict__["_header"] = head
+        return head
+
     def encode(self) -> bytes:
-        """Canonical byte form (big-endian, fixed field order) for trace
-        hashing and determinism checks."""
-        head = (
-            _u64(self.session_id)
-            + _u64(self.seq)
-            + self.path_id.to_bytes(4, "big")
+        """Canonical byte form for trace hashing and determinism checks:
+        the header record, the tag, the ``l3_dest`` and, for data, the
+        payload's SHA-256 in place of the payload itself."""
+        return (
+            self.header()
             + _pstr(self.tag)
-            + bytes([self.kind.value, 1 if self.is_retransmit else 0])
-            + _pstr(self.l3_dest.domain_id)
-            + _pstr(self.l3_dest.attachment_id)
-            + _u64(self.ack_cum)
-            + len(self.ack_sacks).to_bytes(4, "big")
+            + locator_bytes(self.l3_dest)
+            + (hashlib.sha256(self.payload).digest() if self.payload else b"")
         )
-        for s in self.ack_sacks:
-            head += _u64(s)
-        return head + len(self.payload).to_bytes(4, "big") + self.payload
+
+    def readdressed(self, l3_dest: L3Locator) -> "Segment":
+        """A copy bound for ``l3_dest``.  Every other field is copied as it
+        is, without re-validation: the segment was checked when its source
+        built it, and re-addressing changes nothing else."""
+        copy = object.__new__(Segment)
+        fields = copy.__dict__
+        fields.update(self.__dict__)
+        fields["l3_dest"] = l3_dest
+        return copy
+
+
+def locator_bytes(locator: L3Locator) -> bytes:
+    return _pstr(locator.domain_id) + _pstr(locator.attachment_id)
 
 
 @dataclass(frozen=True)
@@ -109,8 +135,6 @@ class PathStats:
     emitted_segments: int = 0
     emitted_bytes: int = 0
     retransmitted_segments: int = 0
-    first_emit_us: Optional[int] = None
-    last_emit_us: Optional[int] = None
 
 
 class SenderSession:
@@ -159,8 +183,13 @@ class SenderSession:
         # Every seq below the floor is in ``acked``; ACKs can raise it out of
         # order across paths, so it only ever moves up.
         self._ack_floor = start_seq
+        # seq -> deadline, for segments in flight and for expired ones waiting
+        # to go again.  Each has a heap of (deadline, seq), pruned lazily: an
+        # entry counts only while its dict still maps seq to that deadline.
         self.retx_deadline: dict[int, int] = {}
         self._retx_ready: dict[int, int] = {}
+        self._deadline_heap: list[tuple[int, int]] = []
+        self._ready_heap: list[tuple[int, int]] = []
         self._ever_retransmitted: set[int] = set()
         self._last_send: dict[int, int] = {}
         self._scheduled_wakes: set[int] = set()
@@ -216,10 +245,12 @@ class SenderSession:
     # -- scheduling -------------------------------------------------------
 
     def _take_work(self) -> Optional[tuple[int, bool]]:
-        if self._retx_ready:
-            seq = min(self._retx_ready, key=lambda s: (self._retx_ready[s], s))
-            del self._retx_ready[seq]
-            return seq, True
+        ready, heap = self._retx_ready, self._ready_heap
+        while ready:
+            deadline, seq = heapq.heappop(heap)
+            if ready.get(seq) == deadline:
+                del ready[seq]
+                return seq, True
         if self.send_next < self.total_segments and self._segment_available(self.send_next):
             seq = self.send_next
             self.send_next += 1
@@ -228,10 +259,14 @@ class SenderSession:
 
     def expire(self, now: int) -> None:
         """Move timed-out in-flight segments onto the retransmission queue."""
-        for seq, deadline in sorted(self.retx_deadline.items()):
-            if deadline <= now:
-                del self.retx_deadline[seq]
+        pending, heap = self.retx_deadline, self._deadline_heap
+        while heap and heap[0][0] <= now:
+            entry = heapq.heappop(heap)
+            deadline, seq = entry
+            if pending.get(seq) == deadline:
+                del pending[seq]
                 self._retx_ready[seq] = deadline
+                heapq.heappush(self._ready_heap, entry)
 
     def schedule(self, now: int) -> list[tuple[Segment, int]]:
         """Emit every segment due at this instant.
@@ -254,17 +289,13 @@ class SenderSession:
             _, pid = min(free)
             payload = self._segment_payload(seq)
             segment = Segment(
-                session_id=self.session_id,
-                seq=seq,
-                path_id=pid,
-                tag=self.tag,
-                l3_dest=self.paths[pid].first_hop,
-                payload=payload,
-                is_retransmit=is_retx,
+                self.session_id, seq, pid, self.tag, self.paths[pid].first_hop, payload, is_retx
             )
             gap = math.ceil(Fraction(len(payload) * 8) / self.rates[pid])
             self.next_free[pid] = now + gap
-            self.retx_deadline[seq] = now + 2 * self.rtt_estimate_us[pid]
+            deadline = now + 2 * self.rtt_estimate_us[pid]
+            self.retx_deadline[seq] = deadline
+            heapq.heappush(self._deadline_heap, (deadline, seq))
             self._last_send[seq] = now
             if is_retx:
                 self._ever_retransmitted.add(seq)
@@ -273,9 +304,6 @@ class SenderSession:
             st.emitted_bytes += len(payload)
             if is_retx:
                 st.retransmitted_segments += 1
-            if st.first_emit_us is None:
-                st.first_emit_us = now
-            st.last_emit_us = now
             out.append((segment, now))
         return out
 
@@ -287,8 +315,11 @@ class SenderSession:
         has_new = self.send_next < self.total_segments and self._segment_available(self.send_next)
         if self._retx_ready or has_new:
             candidates.append(min(self.next_free[pid] for pid in self.paths))
-        if self.retx_deadline:
-            candidates.append(min(self.retx_deadline.values()))
+        pending, heap = self.retx_deadline, self._deadline_heap
+        if pending:
+            while pending.get(heap[0][1]) != heap[0][0]:
+                heapq.heappop(heap)
+            candidates.append(heap[0][0])
         if not candidates:
             return None
         return max(min(candidates), now)
@@ -370,7 +401,6 @@ class ReceiverSession:
         self.buffer: dict[int, bytes] = {}
         self.delivered_bytes = 0
         self._hash = hashlib.sha256()
-        self.first_delivery_us: Optional[int] = None
         self.last_delivery_us: Optional[int] = None
 
     def set_reverse_hop(self, path_id: int, locator: L3Locator) -> None:
@@ -394,20 +424,11 @@ class ReceiverSession:
         if delivered:
             self.delivered_bytes += len(delivered)
             self._hash.update(bytes(delivered))
-            if self.first_delivery_us is None:
-                self.first_delivery_us = now
             self.last_delivery_us = now
         ack = Segment(
-            session_id=self.session_id,
-            seq=segment.seq,
-            path_id=segment.path_id,
-            tag=self.tag,
-            l3_dest=self.reverse_hops[segment.path_id],
-            payload=b"",
-            is_retransmit=segment.is_retransmit,
-            kind=SegmentKind.ACK,
-            ack_cum=self.next_expected,
-            ack_sacks=tuple(sorted(self.buffer)),
+            self.session_id, segment.seq, segment.path_id, self.tag,
+            self.reverse_hops[segment.path_id], is_retransmit=segment.is_retransmit,
+            kind=SegmentKind.ACK, ack_cum=self.next_expected, ack_sacks=tuple(sorted(self.buffer)),
         )
         return bytes(delivered), [ack]
 

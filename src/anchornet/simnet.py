@@ -11,6 +11,10 @@ One event queue drives everything.  Events pop in (time, insertion-rank)
 order, the queue owns the single seeded RNG (consumed only for loss draws,
 in event order), and scheduling into the past is a hard fault.  The same
 (config, seed) therefore always yields the same event trace, byte for byte.
+
+Each event type has one handler and one trace encoder.  ``trace_hash`` (trace
+v2, see the README) covers a segment's header, tag, ``l3_dest`` and payload
+SHA-256, computed once per (session, seq), never the payload bytes.
 """
 
 from __future__ import annotations
@@ -18,10 +22,12 @@ from __future__ import annotations
 import hashlib
 import heapq
 import random
-from dataclasses import dataclass, field, replace
+import struct
+from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
+from functools import cache
 from math import ceil
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 from .addressing import AddressKind, L3Locator, ResolverTable, parse_address
 from .allocator import Demand, DemandMatrix, domain_shares, water_fill
@@ -35,7 +41,7 @@ from .gateway import (
 )
 from .pathfinder import L5Path, k_disjoint_paths
 from .pubsub import DistributionTree, build_tree, unicast_cost_crossings
-from .scenario import MODE_BASELINE, EventCfg, ScenarioConfig
+from .scenario import MODE_BASELINE, ScenarioConfig
 from .session import (
     SEGMENT_PAYLOAD_BYTES,
     PathRef,
@@ -43,11 +49,13 @@ from .session import (
     Segment,
     SegmentKind,
     SenderSession,
+    locator_bytes,
     segment_count,
 )
-from .topology import Adjacency, AnchorLinkState, LinkStateAdvertisement, originate_lsa
+from .topology import Adjacency, AnchorLinkState, LinkStateAdvertisement, _pstr, originate_lsa
 
-TRACE_SALT = b"anchornet-trace-v1"
+TRACE_SALT = b"anchornet-trace-v2"
+_STAMP = struct.Struct(">QQ")  # time, insertion rank
 
 
 class CausalityViolation(RuntimeError):
@@ -150,7 +158,6 @@ class Leg:
     latency_us: int
     raw_mbps: Fraction
     avail_mbps: Fraction
-    cost: Fraction
 
 
 @dataclass
@@ -247,6 +254,11 @@ class Simulation:
         self.mode = config.mode if mode is None else mode
         self.queue = EventQueue(self.seed)
         self._trace = hashlib.sha256(TRACE_SALT)
+        # Byte forms for the trace, each encoded once per simulation.
+        self._name_bytes = cache(_pstr)
+        self._locator_bytes = cache(locator_bytes)
+        # sid -> seq -> payload SHA-256, kept only while the session or tree is active.
+        self._digests: dict[int, dict[int, bytes]] = {}
         self.events_processed = 0
         self.clock_end = 0
 
@@ -329,8 +341,7 @@ class Simulation:
         latency = sum(self.links[lid].latency_us for lid in chain)
         raw = min(self.links[lid].capacity_mbps for lid in chain)
         avail = min(self.link_avail[lid] for lid in chain)
-        cost = sum((self.links[lid].cost for lid in chain), Fraction(0))
-        return Leg(chain, L3Locator(domain, dst_att), latency, raw, avail, cost)
+        return Leg(chain, L3Locator(domain, dst_att), latency, raw, avail)
 
     def _build_overlay(self) -> None:
         cfg = self.config
@@ -447,27 +458,17 @@ class Simulation:
     # -- event loop -----------------------------------------------------------
 
     def step(self) -> None:
-        """Pop exactly one event and dispatch it to its owning machine."""
+        """Pop exactly one event, add it to the trace and dispatch it to its
+        owning machine."""
         now, rank, event = self.queue.pop()
         self.clock_end = now
         self.events_processed += 1
-        self._hash_event(now, rank, event)
-        if isinstance(event, LsaFlood):
-            self._handle_lsa(event, now)
-        elif isinstance(event, LinkHop):
-            self.link_counters[event.crossed].delivered += 1
-            self._enter_link(event.segment, event.remaining, event.dest_node, now)
-        elif isinstance(event, NodeArrival):
-            self.link_counters[event.crossed].delivered += 1
-            self._dispatch(event.segment, event.node, now)
-        elif isinstance(event, SessionWake):
-            self._session_wake(event.sid, event.node, now)
-        elif isinstance(event, ScenarioAction):
-            self._scenario_action(self.config.events[event.index], now)
-        elif isinstance(event, GatewaySweep):
-            self._gateway_sweep(now)
-        else:  # pragma: no cover
+        entry = _EVENTS.get(type(event))
+        if entry is None:
             raise SimFault(f"unknown event {event!r}")
+        handle, encode = entry
+        self._trace.update(_STAMP.pack(now, rank) + encode(self, event))
+        handle(self, event, now)
 
     def run(self) -> dict[str, Any]:
         """Execute until the queue drains or the horizon passes; report."""
@@ -479,24 +480,34 @@ class Simulation:
             self.step()
         return self._report()
 
-    def _hash_event(self, now: int, rank: int, event: Any) -> None:
-        h = self._trace
-        h.update(now.to_bytes(8, "big") + rank.to_bytes(8, "big"))
-        if isinstance(event, LsaFlood):
-            h.update(b"lsa" + event.to_anchor.encode() + b"|" + event.from_anchor.encode())
-            h.update(event.lsa.encode())
-        elif isinstance(event, LinkHop):
-            h.update(b"hop" + event.crossed.encode())
-            h.update(event.segment.encode())
-        elif isinstance(event, NodeArrival):
-            h.update(b"arr" + event.node.encode())
-            h.update(event.segment.encode())
-        elif isinstance(event, SessionWake):
-            h.update(b"wak" + event.sid.to_bytes(8, "big") + event.node.encode())
-        elif isinstance(event, ScenarioAction):
-            h.update(b"act" + event.index.to_bytes(8, "big"))
-        elif isinstance(event, GatewaySweep):
-            h.update(b"swp")
+    def _handle_hop(self, event: LinkHop, now: int) -> None:
+        self.link_counters[event.crossed].delivered += 1
+        self._enter_link(event.segment, event.remaining, event.dest_node, now)
+
+    def _handle_arrival(self, event: NodeArrival, now: int) -> None:
+        self.link_counters[event.crossed].delivered += 1
+        self._dispatch(event.segment, event.node, now)
+
+    def _segment_record(self, name: str, segment: Segment) -> bytes:
+        """The length-prefixed ``name`` followed by ``segment.encode()``,
+        built from cached pieces."""
+        names = self._name_bytes
+        return (names(name) + segment.header() + names(segment.tag)
+                + self._locator_bytes(segment.l3_dest) + self._payload_digest(segment))
+
+    def _payload_digest(self, segment: Segment) -> bytes:
+        """SHA-256 of a data segment's payload, computed once per (session,
+        seq) while the session is active; ``b""`` for an acknowledgement."""
+        payload = segment.payload
+        if not payload:
+            return b""
+        digests = self._digests.get(segment.session_id)
+        if digests is None:  # a late copy of an ended session: nothing is kept for it
+            return hashlib.sha256(payload).digest()
+        digest = digests.get(segment.seq)
+        if digest is None:
+            digest = digests[segment.seq] = hashlib.sha256(payload).digest()
+        return digest
 
     # -- substrate data plane ---------------------------------------------------
 
@@ -519,7 +530,7 @@ class Simulation:
         leg = self.legs.get((emitter, next_l5))
         if leg is None:
             raise SimFault(f"no substrate leg {emitter!r} -> {next_l5!r}")
-        if leg.dest != segment.l3_dest:
+        if leg.dest is not segment.l3_dest and leg.dest != segment.l3_dest:
             self.l3_dest_violations += 1
         self._enter_link(segment, leg.links, next_l5, now)
 
@@ -596,16 +607,13 @@ class Simulation:
 
     # -- session machinery ------------------------------------------------------
 
-    def _session_wake(self, sid: int, node: str, now: int) -> None:
+    def _session_wake(self, event: SessionWake, now: int) -> None:
+        sid, node = event.sid, event.node
         group = self.senders.get((sid, node))
         if not group:
             return
-        distinct: list[SenderSession] = []
-        for pid in sorted(group):
-            sender = group[pid]
-            if all(sender is not s for s in distinct):
-                distinct.append(sender)
-        for sender in distinct:
+        # Each distinct sender once, in the order of its lowest path id.
+        for sender in dict.fromkeys(group[pid] for pid in sorted(group)):
             sender.release_wake(now)
             self._pump(sid, node, sender, now)
 
@@ -635,6 +643,7 @@ class Simulation:
             if pub is not None and pub.status == "active":
                 if all(edge.sender.complete for edge in pub.edges):
                     pub.status = "complete"
+                    del self._digests[sid]
                     self._reallocate(now)
                 return
         self._arm(sid, node, sender, now)
@@ -671,6 +680,12 @@ class Simulation:
             if name in self.anchors:
                 self.anchors[name].install_path(sid, path)
 
+    def _unregister_paths(self, transfer: Transfer) -> None:
+        for path in transfer.used:
+            for name in path.hops:
+                if name in self.anchors:
+                    self.anchors[name].remove_path(transfer.sid, path.path_id)
+
     def _open_unicast(
         self,
         id_str: str,
@@ -694,20 +709,13 @@ class Simulation:
         used = discovered[:1] if self.mode == MODE_BASELINE else list(discovered)
         for path in used:
             self._register_path(sid, path)
-        refs = [
-            _path_ref(path, self.legs)
-            for path in used
-        ]
+        refs = [_path_ref(path, self.legs) for path in used]
         sender = SenderSession(
             sid, tag, refs, {r.path_id: Fraction(1) for r in refs}, total_bytes,
             payload=payload, now=now,
         )
-        receiver = ReceiverSession(
-            sid,
-            tag,
-            {path.path_id: self.legs[(path.hops[-1], path.hops[-2])].dest for path in used},
-            total_bytes,
-        )
+        reverse = {path.path_id: self.legs[(path.hops[-1], path.hops[-2])].dest for path in used}
+        receiver = ReceiverSession(sid, tag, reverse, total_bytes)
         transfer = Transfer(
             id_str=id_str,
             sid=sid,
@@ -722,9 +730,7 @@ class Simulation:
             used=used,
             sender=sender,
             receiver=receiver,
-            potential_mbps=sum(
-                (self._path_raw_bottleneck(p.hops) for p in discovered), Fraction(0)
-            ),
+            potential_mbps=sum((self._path_raw_bottleneck(p.hops) for p in discovered), Fraction(0)),
             residual_potential_mbps=sum(
                 (p.min_capacity_mbps or Fraction(0) for p in discovered), Fraction(0)
             ),
@@ -734,6 +740,7 @@ class Simulation:
             on_complete=on_complete,
         )
         self.transfers[sid] = transfer
+        self._digests[sid] = {}
         group = self.senders.setdefault((sid, src), {})
         for ref in refs:
             group[ref.path_id] = sender
@@ -745,23 +752,19 @@ class Simulation:
     def _finish_transfer(self, transfer: Transfer, now: int) -> None:
         transfer.status = "complete"
         transfer.t_complete = now
-        for path in transfer.used:
-            for name in path.hops:
-                if name in self.anchors:
-                    self.anchors[name].remove_path(transfer.sid, path.path_id)
+        del self._digests[transfer.sid]
+        self._unregister_paths(transfer)
         if transfer.on_complete is not None:
             transfer.on_complete(now)
         self._reallocate(now)
 
     def _repath(self, transfer: Transfer, now: int) -> None:
         db = self.anchors[transfer.home_anchor].db
-        for path in transfer.used:
-            for name in path.hops:
-                if name in self.anchors:
-                    self.anchors[name].remove_path(transfer.sid, path.path_id)
+        self._unregister_paths(transfer)
         fresh = k_disjoint_paths(db, transfer.src, transfer.dst, transfer.k)
         if not fresh:
             transfer.status = "no_path"
+            del self._digests[transfer.sid]
             # Disarm the sender: a wake already queued finds no group and fires nothing.
             del self.senders[(transfer.sid, transfer.src)]
             self._reallocate(now)
@@ -797,15 +800,11 @@ class Simulation:
         for transfer in homed:
             if transfer.status != "active":
                 continue
-            broken = False
-            for path in transfer.used:
-                for u, v in zip(path.hops, path.hops[1:]):
-                    if not any(adj.neighbor == v for adj in graph.get(u, ())):
-                        broken = True
-                        break
-                if broken:
-                    break
-            if broken:
+            if any(
+                all(adj.neighbor != v for adj in graph.get(u, ()))
+                for path in transfer.used
+                for u, v in zip(path.hops, path.hops[1:])
+            ):
                 self._repath(transfer, now)
 
     # -- pubsub -------------------------------------------------------------------
@@ -841,6 +840,7 @@ class Simulation:
             stage_ttl_us=stage_ttl_us,
         )
         self.pubs[sid] = pub
+        self._digests[sid] = {}
         if object_name is not None:
             self._trees_by_object[object_name] = sid
 
@@ -848,10 +848,8 @@ class Simulation:
         # leg that is itself a reliable hop.
         if publisher != tree.root:
             self._add_pub_edge(pub, publisher, tree.root, 0, payload=payload, now=now)
-        ordered = _tree_edges_top_down(tree)
-        for parent, child in ordered:
-            start = 0
-            self._add_pub_edge(pub, parent, child, start, now=now)
+        for parent, child in _tree_edges_top_down(tree):
+            self._add_pub_edge(pub, parent, child, 0, now=now)
         for sub in sorted(tree.subscribers):
             self._attach_subscriber(pub, sub, 0, now)
         if publisher == tree.root:
@@ -969,7 +967,7 @@ class Simulation:
             self.queue.push(next_tick, GatewaySweep())
             self._sweep_armed = True
 
-    def _gateway_sweep(self, now: int) -> None:
+    def _gateway_sweep(self, event: GatewaySweep, now: int) -> None:
         self._sweep_armed = False
         any_left = False
         for name in sorted(self.anchors):
@@ -1027,7 +1025,8 @@ class Simulation:
 
     # -- scenario script -----------------------------------------------------------
 
-    def _scenario_action(self, event: EventCfg, now: int) -> None:
+    def _scenario_action(self, action: ScenarioAction, now: int) -> None:
+        event = self.config.events[action.index]
         fields = event.fields
         if event.kind == "open_session":
             tag = fields["tag"]
@@ -1101,15 +1100,10 @@ class Simulation:
                 continue
             for path in transfer.used:
                 key = f"{transfer.id_str}:{path.path_id}"
-                demands.append(
-                    Demand(
-                        key,
-                        self.policy[transfer.tag],
-                        self.path_links[(sid, path.path_id)],
-                        demand_cap_mbps=transfer.rate_cap_mbps,
-                        tag=transfer.tag,
-                    )
-                )
+                demands.append(Demand(
+                    key, self.policy[transfer.tag], self.path_links[(sid, path.path_id)],
+                    demand_cap_mbps=transfer.rate_cap_mbps, tag=transfer.tag,
+                ))
                 targets[key] = (transfer.sender, path.path_id)
         for sid in sorted(self.pubs):
             pub = self.pubs[sid]
@@ -1120,12 +1114,7 @@ class Simulation:
                     continue
                 key = f"{pub.id_str}:{edge.parent}>{edge.child}"
                 demands.append(
-                    Demand(
-                        key,
-                        self.policy[pub.tag],
-                        self.path_links[(sid, edge.pid)],
-                        tag=pub.tag,
-                    )
+                    Demand(key, self.policy[pub.tag], self.path_links[(sid, edge.pid)], tag=pub.tag)
                 )
                 targets[key] = (edge.sender, edge.pid)
 
@@ -1171,14 +1160,8 @@ class Simulation:
             link = self.links[lid]
             duration = max(self.clock_end, 1)
             links[lid] = {
-                "transmitted": c.transmitted,
-                "delivered": c.delivered,
-                "dropped": c.dropped,
+                **asdict(c),
                 "in_flight_at_end": in_flight[lid],
-                "data_original": c.data_original,
-                "data_retransmit": c.data_retransmit,
-                "acks": c.acks,
-                "payload_bytes": c.payload_bytes,
                 "capacity_mbps": float(link.capacity_mbps),
                 "available_mbps": float(self.link_avail[lid]),
                 "up": self.link_up[lid],
@@ -1357,6 +1340,20 @@ class Simulation:
             },
         }
         return report
+
+
+# Per event type: its handler and its trace encoder (the bytes it adds after its time
+# and rank).  Plain functions, so a simulation is freed as soon as it is dropped.
+_EVENTS: dict[type, tuple[Callable[..., None], Callable[[Simulation, Any], bytes]]] = {
+    LsaFlood: (Simulation._handle_lsa, lambda sim, e: b"lsa" + sim._name_bytes(e.to_anchor)
+               + sim._name_bytes(e.from_anchor) + e.lsa.encode()),
+    LinkHop: (Simulation._handle_hop, lambda sim, e: b"hop" + sim._segment_record(e.crossed, e.segment)),
+    NodeArrival: (Simulation._handle_arrival, lambda sim, e: b"arr" + sim._segment_record(e.node, e.segment)),
+    SessionWake: (Simulation._session_wake,
+                  lambda sim, e: b"wak" + e.sid.to_bytes(8, "big") + sim._name_bytes(e.node)),
+    ScenarioAction: (Simulation._scenario_action, lambda sim, e: b"act" + e.index.to_bytes(8, "big")),
+    GatewaySweep: (Simulation._gateway_sweep, lambda sim, e: b"swp"),
+}
 
 
 def _peak_epoch(epochs: list[dict[str, Any]]) -> dict[str, Any]:

@@ -220,9 +220,6 @@ class ConvergeResult:
     transmissions: dict[tuple[str, int], int]
     messages_processed: int
 
-    def transmissions_per_origination(self) -> dict[tuple[str, int], int]:
-        return dict(self.transmissions)
-
 
 def converge(
     configs: Mapping[str, Sequence[Adjacency]],

@@ -8,7 +8,6 @@ from anchornet.session import Segment, SegmentKind
 PORT = L3Locator("core", "a-port")
 LOCATORS = {
     "anchor-b": L3Locator("core", "b-port"),
-    "anchor-c": L3Locator("core", "c-port"),
     "host.h2": L3Locator("site", "h2-port"),
 }
 
@@ -44,13 +43,6 @@ def test_forward_ack_retraces_reverse_entry():
     ack = Segment(1, 0, 0, "atlas", PORT, b"", kind=SegmentKind.ACK, ack_cum=1)
     out = anchor.forward(ack, locator_for)
     assert out and out[0].l3_dest == LOCATORS["anchor-b"]
-
-
-def test_branch_fanout_emits_one_copy_per_child():
-    anchor = make_anchor()
-    anchor.install_fanout(1, 0, ("anchor-b", "anchor-c"))
-    out = anchor.forward(data_segment(), locator_for)
-    assert [s.l3_dest for s in out] == [LOCATORS["anchor-b"], LOCATORS["anchor-c"]]
 
 
 def test_unknown_session_counts_drop_and_emits_nothing():

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import random
 
@@ -348,3 +349,108 @@ def test_segment_encoding_round_trip_stability():
     assert s.encode() == s.encode()
     s2 = Segment(7, 3, 1, "cms", HOP_A, b"abd", ack_cum=0)
     assert s.encode() != s2.encode()
+
+
+@pytest.mark.parametrize(
+    "segment",
+    [
+        Segment(7, 3, 1, "cms", HOP_A, b"abc"),
+        Segment(7, 3, 1, "cms", HOP_A, b"abc", is_retransmit=True),
+        Segment(7, 3, 1, "cms", HOP_A, kind=SegmentKind.ACK, ack_cum=2, ack_sacks=(4, 6)),
+    ],
+    ids=["data", "retransmit", "ack-with-sacks"],
+)
+def test_readdressed_equals_replace_and_leaves_original(segment):
+    before = dataclasses.astuple(segment)
+    segment.header()  # a cached header must not go stale on the copy
+    copy = segment.readdressed(HOP_B)
+    assert copy == dataclasses.replace(segment, l3_dest=HOP_B)
+    assert dataclasses.astuple(copy) == dataclasses.astuple(
+        dataclasses.replace(segment, l3_dest=HOP_B)
+    )
+    assert copy.header() == dataclasses.replace(segment, l3_dest=HOP_B).header()
+    assert copy.encode() == dataclasses.replace(segment, l3_dest=HOP_B).encode()
+    assert dataclasses.astuple(segment) == before
+    assert segment.l3_dest == HOP_A
+
+
+def test_encode_digests_the_payload():
+    s = Segment(7, 3, 1, "cms", HOP_A, b"abc" * 1000)
+    assert s.encode().endswith(hashlib.sha256(s.payload).digest())
+    assert len(s.encode()) < len(s.payload)
+
+
+class _SortAndMinSender(SenderSession):
+    """The retransmit rule as first written, kept as the reference: ``expire``
+    sorts every deadline, and ``_take_work`` and ``next_wake`` scan with
+    ``min``.  Its heaps are filled by ``schedule`` but never read."""
+
+    def _take_work(self):
+        if self._retx_ready:
+            seq = min(self._retx_ready, key=lambda s: (self._retx_ready[s], s))
+            del self._retx_ready[seq]
+            return seq, True
+        if self.send_next < self.total_segments and self._segment_available(self.send_next):
+            seq = self.send_next
+            self.send_next += 1
+            return seq, False
+        return None
+
+    def expire(self, now):
+        for seq, deadline in sorted(self.retx_deadline.items()):
+            if deadline <= now:
+                del self.retx_deadline[seq]
+                self._retx_ready[seq] = deadline
+
+    def next_wake(self, now):
+        if self.complete:
+            return None
+        candidates = []
+        has_new = self.send_next < self.total_segments and self._segment_available(self.send_next)
+        if self._retx_ready or has_new:
+            candidates.append(min(self.next_free[pid] for pid in self.paths))
+        if self.retx_deadline:
+            candidates.append(min(self.retx_deadline.values()))
+        if not candidates:
+            return None
+        return max(min(candidates), now)
+
+
+def test_retransmit_heaps_match_sort_and_min_rule_on_lossy_multipath_runs():
+    retransmits = batched = 0
+    for seed in range(40):
+        rng = random.Random(seed)
+        total = rng.randint(1, 30) * SEGMENT_PAYLOAD_BYTES - rng.randrange(100)
+        stream = rng.randbytes(total)
+        n_paths = rng.randint(1, 3)
+        paths = [ref(pid, metric=rng.choice([50, 100, 400])) for pid in range(n_paths)]
+        rates = {pid: rng.choice([40, 80, 200]) for pid in range(n_paths)}
+        fast = SenderSession(1, "atlas", paths, rates, total, payload=stream, now=0)
+        slow = _SortAndMinSender(1, "atlas", paths, rates, total, payload=stream, now=0)
+        rx = ReceiverSession(1, "atlas", {pid: HOP_B for pid in range(n_paths)}, total)
+        data, acks = [], []
+        now = 0
+        while not fast.complete and now < 20_000_000:
+            emitted = fast.schedule(now)
+            assert emitted == slow.schedule(now), seed
+            retx = sum(seg.is_retransmit for seg, _ in emitted)
+            retransmits += retx
+            batched += retx > 1
+            data.extend(seg for seg, _ in emitted if rng.random() > 0.3)
+            for _ in range(rng.randint(0, len(data))):
+                _, out = rx.on_receive(data.pop(rng.randrange(len(data))), now)
+                acks.extend(out)
+            for _ in range(rng.randint(0, len(acks))):
+                ack = acks.pop(rng.randrange(len(acks)))
+                if rng.random() < 0.2:
+                    continue
+                fast.on_ack(ack, now)
+                slow.on_ack(ack, now)
+            wake = fast.next_wake(now)
+            assert wake == slow.next_wake(now), seed
+            step = rng.randint(1, 30_000)
+            now = max(wake, now + 1) if wake is not None and rng.random() < 0.5 else now + step
+        assert fast.complete, seed
+        assert fast.retx_deadline == slow.retx_deadline and fast._retx_ready == slow._retx_ready
+    # Expiries happened, and several expired segments competed for one instant.
+    assert retransmits > 100 and batched > 10

@@ -1,5 +1,7 @@
+import dataclasses
 import hashlib
 import json
+import weakref
 
 import pytest
 
@@ -7,18 +9,20 @@ from anchornet.addressing import L3Locator
 from anchornet.gateway import synth_payload
 from anchornet.metrics import canonical_json
 from anchornet.scenario import load_scenario, parse_scenario
-from anchornet.session import SEGMENT_PAYLOAD_BYTES, Segment
+from anchornet.session import SEGMENT_PAYLOAD_BYTES, Segment, SegmentKind
 from anchornet.simnet import (
+    TRACE_SALT,
     CausalityViolation,
     EmptyQueue,
     EventQueue,
     ScenarioAction,
+    SimFault,
     Simulation,
     _final_rates,
     _peak_epoch,
     run_scenario,
 )
-from anchornet.topology import TopologyDatabase
+from anchornet.topology import TopologyDatabase, _pstr
 from scenario_builders import build, gateway_chain, three_path_lossy
 
 
@@ -119,7 +123,7 @@ def test_empty_scenario_yields_empty_report():
         )
     )
     assert report["events_processed"] == 0
-    assert report["trace_hash"] == hashlib.sha256(b"anchornet-trace-v1").hexdigest()
+    assert report["trace_hash"] == hashlib.sha256(TRACE_SALT).hexdigest()
     assert report["faults"] == {
         "causality_violations": 0,
         "dropped_unknown": 0,
@@ -342,10 +346,10 @@ def test_report_peak_rates_and_shares_share_one_epoch(fixture_paths, name):
 # make the simulator faster keeps these; one that changes behaviour on
 # purpose updates them and says why in CHANGES.md.
 FIXTURE_TRACE_HASHES = {
-    "dual-path": "30de405dd747fe091e49ad54948015f9d5070fc1edee21b5a021dc483064cf57",
-    "flooding-20": "35ca91e0fba83555e8d0278383f0875498d82f4e483af2c0a5572160fc390243",
-    "transatlantic-pubsub": "b5ae7b846ce2e019ebd7205e3a83792c9284279d27993fa8aad3d72c41f297d2",
-    "two-domains-weighted": "a09ff0659cbbd1099ad39dd0ab47d38d41fc315dc38eaaaacf8733cc92960c09",
+    "dual-path": "d3ef5f09925dcd6c69c224e38daa7947758c4f1d1847e56680248bd72cd3357f",
+    "flooding-20": "6645c2b3b55aeefa156adb117775778d1691cf8713d9d8c64e4ce92f9e76f0b9",
+    "transatlantic-pubsub": "7c70cf6b532cd296c68c498641603a7205cd4bc4eafebf248e5db6d663cd98e0",
+    "two-domains-weighted": "c9e8118a887d84706af99b2664e598e3224948f50d9c8a149a9038023c3299f7",
 }
 
 
@@ -353,6 +357,71 @@ FIXTURE_TRACE_HASHES = {
 def test_fixture_trace_hash_is_pinned(fixture_paths, name):
     report = run_scenario(load_scenario(fixture_paths[name]))
     assert report["trace_hash"] == FIXTURE_TRACE_HASHES[name]
+
+
+# -- trace v2 ---------------------------------------------------------------------
+
+
+def _with_field(segment, name, value):
+    """A copy of ``segment`` with one field changed and nothing re-validated
+    or carried over from the original's caches."""
+    copy = object.__new__(Segment)
+    for f in dataclasses.fields(Segment):
+        object.__setattr__(copy, f.name, value if f.name == name else getattr(segment, f.name))
+    return copy
+
+
+def test_hop_record_covers_every_header_field_the_destination_name_and_payload(fixture_paths):
+    sim = Simulation(load_scenario(fixture_paths["dual-path"]))
+    assert not sim._digests  # no session is open yet, so nothing is cached
+    data = Segment(7, 3, 1, "atlas", L3Locator("net", "pa"), b"abc" * 100, ack_cum=2)
+    ack = Segment(7, 3, 1, "atlas", L3Locator("net", "pa"), kind=SegmentKind.ACK,
+                  ack_cum=2, ack_sacks=(5, 9))
+    changes = {
+        "session_id": 8, "seq": 4, "path_id": 2, "tag": "cms",
+        "l3_dest": L3Locator("net", "pb"), "is_retransmit": True, "ack_cum": 3,
+        "ack_sacks": (5, 10),
+    }
+    for segment in (data, ack):
+        record = sim._segment_record("link-1", segment)
+        assert record == _pstr("link-1") + segment.encode()
+        assert sim._segment_record("link-2", segment) != record
+        for name, value in changes.items():
+            assert sim._segment_record("link-1", _with_field(segment, name, value)) != record, name
+        flipped = SegmentKind.ACK if segment.kind is SegmentKind.DATA else SegmentKind.DATA
+        assert sim._segment_record("link-1", _with_field(segment, "kind", flipped)) != record
+    one_byte = _with_field(data, "payload", data.payload[:-1] + b"x")
+    assert sim._segment_record("link-1", one_byte) != sim._segment_record("link-1", data)
+
+
+@pytest.mark.parametrize("name", ["dual-path", "transatlantic-pubsub", "two-domains-weighted"])
+def test_cached_payload_digest_is_sha256_of_payload_while_session_is_active(fixture_paths, name):
+    sim = Simulation(load_scenario(fixture_paths[name]))
+    checked, reused = 0, 0
+    while sim.queue.peek_time() is not None and sim.queue.peek_time() <= sim.config.horizon_us:
+        event = sim.queue._heap[0][2]  # the event step() pops next
+        segment = getattr(event, "segment", None)
+        if segment is not None and segment.payload:
+            cached = sim._digests.get(segment.session_id, {}).get(segment.seq)
+            reused += cached is not None
+            assert sim._payload_digest(segment) == hashlib.sha256(segment.payload).digest()
+            record = sim._segment_record(event.crossed, segment)
+            assert record == _pstr(event.crossed) + segment.encode()
+            checked += 1
+        sim.step()
+        active = {sid for sid, t in sim.transfers.items() if t.status == "active"}
+        active |= {sid for sid, p in sim.pubs.items() if p.status == "active"}
+        assert set(sim._digests) == active
+    assert checked > 0 and reused > 0
+    assert not sim._digests  # every session ended, and no digest outlived it
+
+
+def test_unknown_event_type_is_a_fault(fixture_paths):
+    sim = Simulation(load_scenario(fixture_paths["dual-path"]))
+    sim.queue.push(0, object())
+    with pytest.raises(SimFault):
+        while True:
+            sim.step()
 
 
 # -- gateway integration ------------------------------------------------------------
@@ -496,3 +565,14 @@ def test_pubsub_object_mid_stream_join():
     assert early["join_seq"] == 0
     assert early["delivered_sha256"] == hashlib.sha256(stream).hexdigest()
     assert obj in report["anchors"]["gw-far"]["catalog"]
+
+
+def test_dropped_simulation_is_freed_without_the_cycle_collector(fixture_paths):
+    # A reference cycle through the simulation would keep every dropped one,
+    # with its queue and sessions, alive until the collector runs.
+    sim = Simulation(load_scenario(fixture_paths["dual-path"]))
+    for _ in range(50):
+        sim.step()
+    ref = weakref.ref(sim)
+    del sim
+    assert ref() is None
