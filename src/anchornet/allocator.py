@@ -14,7 +14,13 @@ one level go in successive rounds at that level.
 Arithmetic is exact rationals, so these are the same rates as adding each
 round's increment to every rising rate (``sum(delta_i * w) == level * w``)
 and the per-link conservation identity holds to the last bit; rates
-convert to floats only at the reporting boundary.
+convert to floats only at the reporting boundary.  Inside the loop every
+room, level and rate is a ``(numerator, denominator)`` pair of ints kept
+reduced with ``math.gcd`` (no ``Fraction`` operator overhead); ``Fraction``s
+are built only for the returned allocation.  The heap orders saturation
+levels by the int ``floor(level * 2**32)``; when two of those tie, the
+levels compare exactly, ``n1 * d2 < n2 * d1``, never as pairs
+lexicographically, and equal levels go in the order they were pushed.
 
 The resulting allocation has the classic bottleneck property: a claimant
 not at its demand cap sits on at least one saturated link where no other
@@ -23,11 +29,11 @@ claimant holds a strictly larger normalized rate.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heappop, heappush
 from itertools import count
-from math import lcm
+from math import gcd, lcm
 from typing import Mapping, Optional, Sequence, Union
 
 from .addressing import ScienceDomainTag
@@ -106,11 +112,20 @@ class FlowAllocation:
         return {lid: float(r) for lid, r in self.residuals_exact.items()}
 
 
+class _Level(tuple):
+    """A reduced (numerator, denominator) level; ``<`` compares values."""
+
+    __slots__ = ()
+
+    def __lt__(self, other: tuple[int, int]) -> bool:  # type: ignore[override]
+        return self[0] * other[1] < other[0] * self[1]
+
+
 def water_fill(capacities: Mapping[str, Rate], demands: DemandMatrix) -> FlowAllocation:
     """Allocate link capacity to all demands, weighted max-min fair."""
     caps = {lid: as_fraction(c) for lid, c in capacities.items()}
     for lid, cap in caps.items():
-        if cap <= 0:
+        if cap.numerator <= 0:
             raise ValueError(f"link {lid!r}: capacity must be positive, got {cap}")
     for demand in demands.sessions:
         missing = demand.links - caps.keys()
@@ -127,8 +142,10 @@ def water_fill(capacities: Mapping[str, Rate], demands: DemandMatrix) -> FlowAll
     scale = lcm(*(d.weight.denominator for d in sessions))
     weight = [d.weight.numerator * (scale // d.weight.denominator) for d in sessions]
     # Links by id; a demand cap is a private link keyed by its claimant's index.
-    room: dict[Key, Fraction] = dict(caps)
-    room.update((i, d.demand_cap_mbps) for i, d in enumerate(sessions) if d.demand_cap_mbps is not None)
+    # Rooms, levels and rates are reduced (numerator, denominator) int pairs.
+    room: dict[Key, tuple[int, int]] = {lid: c.as_integer_ratio() for lid, c in caps.items()}
+    room.update((i, d.demand_cap_mbps.as_integer_ratio()) for i, d in enumerate(sessions)
+                if d.demand_cap_mbps is not None)
     keys = [list(d.links) + ([i] if i in room else []) for i, d in enumerate(sessions)]
     members: dict[Key, list[int]] = {}
     for i, crossed in enumerate(keys):
@@ -139,21 +156,23 @@ def water_fill(capacities: Mapping[str, Rate], demands: DemandMatrix) -> FlowAll
     # Saturation levels, each led by floor(level * 2**32): an int, cheap to
     # compare and monotone, so it orders two levels whenever it differs.  An
     # entry is live while its serial is the key's latest.
-    heap: list[tuple[int, Fraction, int, Key]] = []
+    heap: list[tuple[int, _Level, int, Key]] = []
     live: dict[Key, int] = {}
     serial = count()
 
     def push(key: Key) -> None:
         live[key] = next(serial)
         if rising[key]:
-            at = room[key] / rising[key]
-            heapq.heappush(heap, ((at.numerator << 32) // at.denominator, at, live[key], key))
+            num, den = room[key]
+            g = gcd(num, rising[key])  # room is reduced, so this reduces room / rising
+            num, den = num // g, den * (rising[key] // g)
+            heappush(heap, ((num << 32) // den, _Level((num, den)), live[key], key))
 
     for key in rising:
         push(key)
-    rates: list[Optional[Fraction]] = [None] * len(sessions)
+    rates: list[Optional[tuple[int, int]]] = [None] * len(sessions)
     while heap:
-        _, level, n, key = heapq.heappop(heap)
+        _, (num, den), n, key = heappop(heap)
         if live[key] != n:
             continue
         freezing = [i for i in members[key] if rates[i] is None]
@@ -161,17 +180,25 @@ def water_fill(capacities: Mapping[str, Rate], demands: DemandMatrix) -> FlowAll
             raise AssertionError("progressive filling failed to freeze any session")
         gained: dict[Key, int] = {}
         for i in freezing:
-            rates[i] = level * weight[i]
+            g = gcd(weight[i], den)  # the level is reduced, so this reduces level * weight
+            rates[i] = (num * (weight[i] // g), den // g)
             for touched in keys[i]:
                 gained[touched] = gained.get(touched, 0) + weight[i]
         for touched, w in gained.items():
-            room[touched] -= level * w
+            g = gcd(w, den)
+            fn, fd = num * (w // g), den // g
+            rn, rd = room[touched]
+            rn, rd = rn * fd - fn * rd, rd * fd
+            g = gcd(rn, rd)
+            room[touched] = (rn // g, rd // g)
             rising[touched] -= w
             push(touched)
 
+    # One Fraction per distinct value: many claimants share a rate.
+    exact = {pair: Fraction(*pair) for pair in {*rates, *(room[lid] for lid in caps)}}
     return FlowAllocation(
-        rates_exact={d.session_id: rates[i] for i, d in enumerate(sessions)},
-        residuals_exact={lid: room[lid] for lid in caps},
+        rates_exact={d.session_id: exact[rates[i]] for i, d in enumerate(sessions)},
+        residuals_exact={lid: exact[room[lid]] for lid in caps},
     )
 
 

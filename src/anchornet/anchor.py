@@ -10,7 +10,7 @@ statistics follow the science groups wherever the substrate carries them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Mapping, Optional
 
 from .addressing import L3Locator
 from .gateway import GatewayCatalog
@@ -21,9 +21,6 @@ from .topology import AnchorLinkState, TopologyDatabase, EMPTY_DATABASE
 
 class NotOnPath(ValueError):
     """Path installation attempted at an anchor the path does not traverse."""
-
-
-LocatorFor = Callable[[str], L3Locator]
 
 
 @dataclass
@@ -68,22 +65,25 @@ class Anchor:
 
     # -- data plane ----------------------------------------------------------
 
-    def forward(self, segment: Segment, locator_for: LocatorFor) -> list[Segment]:
-        """Re-address a transit segment to its next hop.
+    def forward(
+        self, segment: Segment, locators: Mapping[str, L3Locator]
+    ) -> Optional[tuple[str, Segment]]:
+        """Re-address a transit segment to its next hop: the hop's name and
+        the copy addressed to ``locators[name]``.
 
         Data segments follow the forward table; acknowledgements retrace
         the reverse entry.  Unknown (session, path) pairs are counted and
-        dropped, never raised: a teardown racing with a late segment is
-        normal, not a fault.
+        dropped (``None``), never raised: a teardown racing with a late
+        segment is normal, not a fault.
         """
         is_ack = segment.kind is SegmentKind.ACK
         hop = (self.prev_hop if is_ack else self.next_hop).get((segment.session_id, segment.path_id))
         if hop is None:
             self.dropped_unknown += 1
-            return []
+            return None
         if not is_ack:
             self.account_relay(segment)
-        return [segment.readdressed(locator_for(hop))]
+        return hop, segment.readdressed(locators[hop])
 
     def account_relay(self, segment: Segment) -> None:
         """Count one data segment this anchor sends on: forwarded, or

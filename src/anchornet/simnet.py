@@ -30,7 +30,8 @@ from math import ceil
 from typing import Any, Callable, Optional
 
 from .addressing import AddressKind, L3Locator, ResolverTable, parse_address
-from .allocator import Demand, DemandMatrix, domain_shares, water_fill
+# domain_shares is unused here, but anchorbench/layers.py wraps it by this name.
+from .allocator import Demand, DemandMatrix, domain_shares, water_fill  # noqa: F401
 from .anchor import Anchor
 from .gateway import (
     SWEEP_INTERVAL_US,
@@ -172,6 +173,17 @@ class LinkCounters:
 
 
 @dataclass
+class Claim:
+    """One allocator claimant, from install to teardown: a unicast path or a
+    tree edge, its demand, the sender it paces and the rate last pushed."""
+
+    demand: Demand
+    sender: SenderSession
+    pid: int
+    rate: Optional[Fraction] = None
+
+
+@dataclass
 class Transfer:
     """Runtime record for one unicast transfer."""
 
@@ -271,7 +283,9 @@ class Simulation:
         self.senders: dict[tuple[int, str], dict[int, SenderSession]] = {}
         self.receivers: dict[tuple[int, str], ReceiverSession] = {}
         self.path_hops: dict[tuple[int, int], tuple[str, ...]] = {}
-        self.path_links: dict[tuple[int, int], frozenset[str]] = {}
+        # (0 for a unicast path or 1 for a tree edge, sid, path id) -> claim;
+        # sorted, the keys give the allocator's demand order.
+        self.claims: dict[tuple[int, int, int], Claim] = {}
         self.alloc_epochs: list[dict[str, Any]] = []
         self._sweep_armed = False
         self._trees_by_object: dict[str, int] = {}
@@ -346,6 +360,8 @@ class Simulation:
     def _build_overlay(self) -> None:
         cfg = self.config
         self.policy = cfg.policy_weights()
+        # Exact allocated rate per science-domain tag, kept by delta.
+        self.tag_totals = {tag: Fraction(0) for tag in sorted(self.policy)}
         self.owner: dict[L3Locator, str] = {}
         self.anchors: dict[str, Anchor] = {}
         self.hosts: dict[str, Any] = {}
@@ -402,6 +418,12 @@ class Simulation:
             anchor_att = anchor_ports[hcfg.anchor][domain][0]
             self.legs[(hcfg.name, hcfg.anchor)] = self._make_leg(domain, hcfg.port.attachment, anchor_att)
             self.legs[(hcfg.anchor, hcfg.name)] = self._make_leg(domain, anchor_att, hcfg.port.attachment)
+
+        # Each anchor's next-hop locators, by neighbour name.
+        self.hop_locators: dict[str, dict[str, L3Locator]] = {name: {} for name in self.anchors}
+        for (u, v), leg in self.legs.items():
+            if u in self.anchors:
+                self.hop_locators[u][v] = leg.dest
 
         self.link_cost: dict[frozenset[str], Fraction] = {
             pair: sum((self.links[lid].cost for lid in chain), Fraction(0))
@@ -597,13 +619,10 @@ class Simulation:
         self.dropped_unknown_hosts += 1
 
     def _forward_at_anchor(self, segment: Segment, node: str, now: int) -> None:
-        anchor = self.anchors[node]
-
-        def locator_for(name: str) -> L3Locator:
-            return self.legs[(node, name)].dest
-
-        for copy in anchor.forward(segment, locator_for):
-            self.transmit(copy, node, self.owner[copy.l3_dest], now)
+        forwarded = self.anchors[node].forward(segment, self.hop_locators[node])
+        if forwarded is not None:
+            hop, copy = forwarded
+            self.transmit(copy, node, hop, now)
 
     # -- session machinery ------------------------------------------------------
 
@@ -671,20 +690,32 @@ class Simulation:
     def _path_raw_bottleneck(self, hops: tuple[str, ...]) -> Fraction:
         return min(self.legs[(u, v)].raw_mbps for u, v in zip(hops, hops[1:]))
 
-    def _register_path(self, sid: int, path: L5Path) -> None:
+    def _register_path(self, transfer: Transfer, path: L5Path) -> None:
+        sid = transfer.sid
         self.path_hops[(sid, path.path_id)] = path.hops
-        self.path_links[(sid, path.path_id)] = frozenset(
+        links = frozenset(
             lid for u, v in zip(path.hops, path.hops[1:]) for lid in self.legs[(u, v)].links
         )
+        demand = Demand(
+            f"{transfer.id_str}:{path.path_id}", self.policy[transfer.tag], links,
+            demand_cap_mbps=transfer.rate_cap_mbps, tag=transfer.tag,
+        )
+        self.claims[(0, sid, path.path_id)] = Claim(demand, transfer.sender, path.path_id)
         for name in path.hops:
             if name in self.anchors:
                 self.anchors[name].install_path(sid, path)
 
     def _unregister_paths(self, transfer: Transfer) -> None:
         for path in transfer.used:
+            self._drop_claim((0, transfer.sid, path.path_id))
             for name in path.hops:
                 if name in self.anchors:
                     self.anchors[name].remove_path(transfer.sid, path.path_id)
+
+    def _drop_claim(self, key: tuple[int, int, int]) -> None:
+        claim = self.claims.pop(key)
+        if claim.rate is not None:
+            self.tag_totals[claim.demand.tag] -= claim.rate
 
     def _open_unicast(
         self,
@@ -707,8 +738,6 @@ class Simulation:
         if not discovered:
             raise SimFault(f"no path from {src!r} to {dst!r} for session {id_str!r}")
         used = discovered[:1] if self.mode == MODE_BASELINE else list(discovered)
-        for path in used:
-            self._register_path(sid, path)
         refs = [_path_ref(path, self.legs) for path in used]
         sender = SenderSession(
             sid, tag, refs, {r.path_id: Fraction(1) for r in refs}, total_bytes,
@@ -740,6 +769,8 @@ class Simulation:
             on_complete=on_complete,
         )
         self.transfers[sid] = transfer
+        for path in used:
+            self._register_path(transfer, path)
         self._digests[sid] = {}
         group = self.senders.setdefault((sid, src), {})
         for ref in refs:
@@ -776,7 +807,7 @@ class Simulation:
         transfer.next_pid += len(renumbered)
         transfer.used = renumbered
         for path in renumbered:
-            self._register_path(transfer.sid, path)
+            self._register_path(transfer, path)
         refs = [_path_ref(path, self.legs) for path in renumbered]
         transfer.sender.set_paths(refs, {r.path_id: Fraction(1) for r in refs}, now)
         for path in renumbered:
@@ -883,7 +914,8 @@ class Simulation:
         pub.edges.append(edge)
         pub.downstream.setdefault(parent, []).append(edge)
         self.path_hops[(pub.sid, pid)] = (parent, child)
-        self.path_links[(pub.sid, pid)] = frozenset(leg.links)
+        demand = Demand(f"{pub.id_str}:{parent}>{child}", self.policy[pub.tag], leg.links, tag=pub.tag)
+        self.claims[(1, pub.sid, pid)] = Claim(demand, sender, pid)
         self.senders.setdefault((pub.sid, parent), {})[pid] = sender
         receiver = ReceiverSession(
             pub.sid, pub.tag, {pid: self.legs[(child, parent)].dest},
@@ -1091,57 +1123,42 @@ class Simulation:
     # -- allocation ------------------------------------------------------------------
 
     def _reallocate(self, now: int) -> None:
-        """Central control epoch: rebuild demands, water-fill, push rates."""
-        demands: list[Demand] = []
-        targets: dict[str, tuple[SenderSession, int]] = {}
-        for sid in sorted(self.transfers):
-            transfer = self.transfers[sid]
-            if transfer.status != "active":
-                continue
-            for path in transfer.used:
-                key = f"{transfer.id_str}:{path.path_id}"
-                demands.append(Demand(
-                    key, self.policy[transfer.tag], self.path_links[(sid, path.path_id)],
-                    demand_cap_mbps=transfer.rate_cap_mbps, tag=transfer.tag,
-                ))
-                targets[key] = (transfer.sender, path.path_id)
-        for sid in sorted(self.pubs):
-            pub = self.pubs[sid]
-            if pub.status != "active":
-                continue
-            for edge in pub.edges:
-                if edge.sender.complete:
-                    continue
-                key = f"{pub.id_str}:{edge.parent}>{edge.child}"
-                demands.append(
-                    Demand(key, self.policy[pub.tag], self.path_links[(sid, edge.pid)], tag=pub.tag)
-                )
-                targets[key] = (edge.sender, edge.pid)
+        """Central control epoch: water-fill over the installed claims, push
+        rates to the senders whose rates changed, and move the per-tag
+        totals by the claims' changes."""
+        live: list[Claim] = []
+        for key in sorted(self.claims):
+            if key[0] and self.claims[key].sender.complete:
+                self._drop_claim(key)  # a tree edge that delivered everything
+            else:
+                live.append(self.claims[key])
 
         # Down links keep their capacity entry: a demand may still reference
         # one for the short window between the failure and its repath.
-        matrix = DemandMatrix(tuple(demands))
+        matrix = DemandMatrix(tuple(claim.demand for claim in live))
         alloc = water_fill(self.link_avail, matrix) if self.link_avail else None
         rates: dict[str, float] = {}
-        grouped: dict[SenderSession, dict[int, Fraction]] = {}
+        shares: dict[str, float] = {}
         if alloc is not None:
-            for key, (sender, pid) in targets.items():
-                exact = alloc.rates_exact[key]
-                rates[key] = float(exact)
-                grouped.setdefault(sender, {})[pid] = exact
-            for sender, fresh in grouped.items():
+            changed: dict[SenderSession, dict[int, Fraction]] = {}
+            for claim in live:
+                demand = claim.demand
+                exact = alloc.rates_exact[demand.session_id]
+                if exact != claim.rate:
+                    self.tag_totals[demand.tag] += exact - (claim.rate or 0)
+                    claim.rate = exact
+                    changed.setdefault(claim.sender, {})[claim.pid] = exact
+                rates[demand.session_id] = float(exact)
+            for sender, fresh in changed.items():
                 sender.set_rates({**{p: sender.rates[p] for p in sender.paths}, **fresh})
-        shares = (
-            domain_shares(alloc, matrix, self.config.policy)
-            if alloc is not None and demands
-            else {}
-        )
+            if live:
+                shares = {tag: float(total) for tag, total in self.tag_totals.items()}
         self.alloc_epochs.append(
             {
                 "time_us": now,
-                "concurrent": len(demands),
+                "concurrent": len(live),
                 "rates_mbps": dict(sorted(rates.items())),
-                "domain_shares_mbps": dict(sorted(shares.items())),
+                "domain_shares_mbps": shares,
             }
         )
 

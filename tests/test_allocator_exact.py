@@ -13,6 +13,8 @@ from anchornet.allocator import Demand, DemandMatrix, water_fill
 from oracles import progressive_fill_exact, random_exact_instance
 
 F = Fraction
+THIRD = F(1, 3)
+TINY = F(1, 2**40)
 
 
 def assert_matches_oracle(capacities: dict, demands: list[dict]) -> None:
@@ -26,8 +28,9 @@ def assert_matches_oracle(capacities: dict, demands: list[dict]) -> None:
         ),
     )
     rates, residuals = progressive_fill_exact(capacities, demands)
-    assert alloc.rates_exact == rates
-    assert alloc.residuals_exact == residuals
+    # equal as Fractions and in dict order
+    assert list(alloc.rates_exact.items()) == list(rates.items())
+    assert list(alloc.residuals_exact.items()) == list(residuals.items())
 
 
 def demand(sid, weight, links, cap=None):
@@ -54,6 +57,25 @@ EDGE_CASES = {
         [demand("a", F(3, 2), set(), F(4)), demand("b", 1, {"l1"})],
     ),
     "empty-matrix": ({"l1": F(10), "l2": F(3, 7)}, []),
+    # Each link saturates at half its capacity, and 1/3 - TINY, 1/3 and
+    # 1/3 + TINY share one heap lead, floor(level * 2**32), so the exact
+    # tie-break orders them.  Below 1/3 the lower level has the larger
+    # numerator: ordering (numerator, denominator) pairs lexicographically
+    # would fill "hi" first and freeze "both" too high.
+    "lead-tie-below-a-third": (
+        {"hi": 2 * THIRD, "lo": 2 * (THIRD - TINY), "side": F(10)},
+        [demand("both", 1, {"hi", "lo"}), demand("on-hi", 1, {"hi"}), demand("on-lo", 1, {"lo", "side"})],
+    ),
+    "lead-tie-above-a-third": (
+        {"hi": 2 * (THIRD + TINY), "lo": 2 * THIRD, "side": F(10)},
+        [demand("both", 1, {"hi", "lo"}), demand("on-hi", 1, {"hi"}), demand("on-lo", 1, {"lo", "side"})],
+    ),
+    # "a" and "b" saturate at exactly 1/3, "c" just above with the same lead
+    "equal-levels-and-a-lead-tie": (
+        {"a": F(2, 3), "b": THIRD, "c": 2 * (THIRD + TINY), "d": F(5)},
+        [demand("ab", 1, {"a", "b"}), demand("a-only", 1, {"a", "c"}),
+         demand("c-only", 1, {"c", "d"}), demand("d-only", 2, {"d"})],
+    ),
     # levels far beyond float range still order exactly
     "huge-capacity": (
         {"l1": F(10**400), "l2": F(10**400 + 1)},
@@ -65,6 +87,14 @@ EDGE_CASES = {
 @pytest.mark.parametrize("name", sorted(EDGE_CASES))
 def test_edge_case_matches_oracle(name):
     assert_matches_oracle(*EDGE_CASES[name])
+
+
+def test_tie_cases_share_one_heap_lead():
+    def lead(level):
+        return (level.numerator << 32) // level.denominator
+
+    assert lead(THIRD - TINY) == lead(THIRD) == lead(THIRD + TINY)
+    assert THIRD - TINY < THIRD < THIRD + TINY
 
 
 def test_cap_and_link_bind_in_the_same_round():
@@ -90,3 +120,4 @@ def test_random_instances_match_oracle_exactly():
         seen["zero_cap"] += any(d["cap"] == 0 for d in demands)
         seen["linkless"] += any(not d["links"] for d in demands)
     assert all(seen.values()), seen
+

@@ -12,10 +12,6 @@ LOCATORS = {
 }
 
 
-def locator_for(name):
-    return LOCATORS[name]
-
-
 def make_anchor():
     return Anchor(name="anchor-a", ports=(PORT,))
 
@@ -30,10 +26,10 @@ def data_segment(payload=b"x" * 100, pid=0, tag="atlas"):
 def test_forward_rewrites_to_next_hop():
     anchor = make_anchor()
     anchor.install_path(1, PATH)
-    out = anchor.forward(data_segment(), locator_for)
-    assert len(out) == 1
-    assert out[0].l3_dest == LOCATORS["anchor-b"]
-    assert out[0].payload == b"x" * 100
+    hop, copy = anchor.forward(data_segment(), LOCATORS)
+    assert hop == "anchor-b"
+    assert copy.l3_dest == LOCATORS["anchor-b"]
+    assert copy.payload == b"x" * 100
 
 
 def test_forward_ack_retraces_reverse_entry():
@@ -41,14 +37,14 @@ def test_forward_ack_retraces_reverse_entry():
     anchor.install_path(1, L5Path(0, ("host.h2", "anchor-b", "anchor-a", "host.h1"), 3, None))
     # an ack flowing back toward host.h2's side traverses prev-hop entries
     ack = Segment(1, 0, 0, "atlas", PORT, b"", kind=SegmentKind.ACK, ack_cum=1)
-    out = anchor.forward(ack, locator_for)
-    assert out and out[0].l3_dest == LOCATORS["anchor-b"]
+    hop, copy = anchor.forward(ack, LOCATORS)
+    assert hop == "anchor-b"
+    assert copy.l3_dest == LOCATORS["anchor-b"]
 
 
 def test_unknown_session_counts_drop_and_emits_nothing():
     anchor = make_anchor()
-    out = anchor.forward(data_segment(), locator_for)
-    assert out == []
+    assert anchor.forward(data_segment(), LOCATORS) is None
     assert anchor.dropped_unknown == 1
 
 
@@ -74,7 +70,7 @@ def test_tag_report_counts_segments_and_bytes():
     anchor = make_anchor()
     anchor.install_path(1, PATH)
     for _ in range(10):
-        anchor.forward(data_segment(payload=b"z" * 8192), locator_for)
+        anchor.forward(data_segment(payload=b"z" * 8192), LOCATORS)
     assert anchor.tag_report() == {"atlas": (10, 81920)}
 
 
@@ -82,9 +78,9 @@ def test_tag_report_is_per_tag():
     anchor = make_anchor()
     anchor.install_path(1, PATH)
     anchor.install_path(2, L5Path(1, ("host.h1", "anchor-a", "anchor-b"), 2, None))
-    anchor.forward(data_segment(payload=b"z" * 10, tag="atlas"), locator_for)
+    anchor.forward(data_segment(payload=b"z" * 10, tag="atlas"), LOCATORS)
     seg = Segment(2, 0, 1, "cms", PORT, b"q" * 20)
-    anchor.forward(seg, locator_for)
+    anchor.forward(seg, LOCATORS)
     report = anchor.tag_report()
     assert report["atlas"] == (1, 10)
     assert report["cms"] == (1, 20)
@@ -95,7 +91,7 @@ def test_counters_monotone_nondecreasing():
     anchor.install_path(1, PATH)
     last = 0
     for _ in range(5):
-        anchor.forward(data_segment(payload=b"z" * 100), locator_for)
+        anchor.forward(data_segment(payload=b"z" * 100), LOCATORS)
         now = anchor.tag_report()["atlas"][1]
         assert now >= last
         last = now
@@ -105,5 +101,5 @@ def test_remove_path_then_drop():
     anchor = make_anchor()
     anchor.install_path(1, PATH)
     anchor.remove_path(1, 0)
-    assert anchor.forward(data_segment(), locator_for) == []
+    assert anchor.forward(data_segment(), LOCATORS) is None
     assert anchor.dropped_unknown == 1

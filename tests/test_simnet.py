@@ -6,6 +6,7 @@ import weakref
 import pytest
 
 from anchornet.addressing import L3Locator
+from anchornet.allocator import Demand, DemandMatrix, domain_shares, water_fill
 from anchornet.gateway import synth_payload
 from anchornet.metrics import canonical_json
 from anchornet.scenario import load_scenario, parse_scenario
@@ -414,6 +415,100 @@ def test_cached_payload_digest_is_sha256_of_payload_while_session_is_active(fixt
         assert set(sim._digests) == active
     assert checked > 0 and reused > 0
     assert not sim._digests  # every session ended, and no digest outlived it
+
+
+class _EpochCheckedSimulation(Simulation):
+    """After every allocation epoch, checks the kept claims, the pushed rates
+    and the kept domain totals against a from-scratch allocation."""
+
+    def __init__(self, config):
+        super().__init__(config)
+        self.checked = []  # the claim keys after each epoch
+
+    def _reallocate(self, now):
+        super()._reallocate(now)
+        demands, targets = [], []
+        for sid in sorted(self.transfers):
+            transfer = self.transfers[sid]
+            if transfer.status != "active":
+                continue
+            for path in transfer.used:
+                links = frozenset(
+                    lid for u, v in zip(path.hops, path.hops[1:]) for lid in self.legs[(u, v)].links
+                )
+                demands.append(Demand(
+                    f"{transfer.id_str}:{path.path_id}", self.policy[transfer.tag], links,
+                    demand_cap_mbps=transfer.rate_cap_mbps, tag=transfer.tag,
+                ))
+                targets.append(((0, sid, path.path_id), transfer.sender, path.path_id))
+        for sid in sorted(self.pubs):
+            pub = self.pubs[sid]
+            if pub.status != "active":
+                continue
+            for edge in pub.edges:
+                if edge.sender.complete:
+                    continue
+                links = frozenset(self.legs[(edge.parent, edge.child)].links)
+                demands.append(Demand(
+                    f"{pub.id_str}:{edge.parent}>{edge.child}", self.policy[pub.tag], links,
+                    tag=pub.tag,
+                ))
+                targets.append(((1, sid, edge.pid), edge.sender, edge.pid))
+
+        # The claim table holds exactly the active claimants, demands as fresh.
+        assert sorted(self.claims) == [key for key, _, _ in targets]
+        for demand, (key, sender, pid) in zip(demands, targets):
+            claim = self.claims[key]
+            assert claim.demand == demand
+            assert claim.sender is sender and claim.pid == pid
+        matrix = DemandMatrix(tuple(demands))
+        alloc = water_fill(self.link_avail, matrix)
+        for demand, (_, sender, pid) in zip(demands, targets):
+            assert sender.rates[pid] == alloc.rates_exact[demand.session_id]
+        epoch = self.alloc_epochs[-1]
+        assert epoch["rates_mbps"] == {k: float(v) for k, v in sorted(alloc.rates_exact.items())}
+        fresh = domain_shares(alloc, matrix, self.config.policy) if demands else {}
+        assert epoch["domain_shares_mbps"] == fresh
+        assert list(epoch["domain_shares_mbps"]) == list(fresh)
+        self.checked.append(set(self.claims))
+
+
+def _three_path_lossy_losing(*links):
+    raw = three_path_lossy()
+    raw["events"] += [{"time_us": 30_000, "kind": "link_down", "link": lid} for lid in links]
+    return build(raw)
+
+
+# Built scenarios beside the fixtures: a mid-run repath, and a session left with no path.
+_BUILT = {
+    "repath": lambda: _three_path_lossy_losing("trunk-1w"),
+    "no-path": lambda: _three_path_lossy_losing("trunk-1w", "trunk-2w", "trunk-3w"),
+}
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["dual-path", "transatlantic-pubsub", "two-domains-weighted", "flooding-20", "repath", "no-path"],
+)
+def test_kept_claims_rates_and_domain_totals_match_a_fresh_epoch(fixture_paths, name):
+    config = _BUILT[name]() if name in _BUILT else load_scenario(fixture_paths[name])
+    sim = _EpochCheckedSimulation(config)
+    report = sim.run()
+    assert len(sim.checked) == len(sim.alloc_epochs)
+    assert bool(sim.checked) == (name != "flooding-20")
+    seen = set().union(*sim.checked)
+    if name == "repath":
+        # the three first paths (ids 0-2) gave way to two renumbered ones
+        assert {(0, 1, 0), (0, 1, 3), (0, 1, 4)} <= seen
+        assert report["sessions"]["bulk"]["status"] == "complete"
+    if name == "no-path":
+        assert report["sessions"]["bulk"]["status"] == "no_path"
+    if name == "transatlantic-pubsub":
+        assert any(key[0] == 1 for key in seen)  # tree edges were claimed
+    # every session ended here, and no claim outlived its session
+    assert all(t.status != "active" for t in sim.transfers.values())
+    assert all(p.status != "active" for p in sim.pubs.values())
+    assert not sim.claims
 
 
 def test_unknown_event_type_is_a_fault(fixture_paths):
