@@ -38,18 +38,12 @@ def synth_payload(name: str, size: int) -> bytes:
     return random.Random(seed).randbytes(size)
 
 
-def content_digest(payload: bytes) -> int:
-    """64-bit content check value."""
-    return int.from_bytes(hashlib.sha256(payload).digest()[:8], "big")
-
-
 @dataclass(frozen=True)
 class StagedObject:
     name: str
     size: int
     staged_at_us: int
     ttl_us: int
-    content_hash: int
 
     def expired(self, now: int) -> bool:
         return now > self.staged_at_us + self.ttl_us
@@ -62,11 +56,7 @@ class GatewayCatalog:
         self.entries: dict[str, StagedObject] = {}
 
     def stage(self, name: L5Address, size: int, ttl_us: int, now: int) -> StagedObject:
-        """Create or refresh a staged-object entry.
-
-        The synthetic payload's digest is recorded so replication can be
-        verified end to end without a storage backend.
-        """
+        """Create or refresh a staged-object entry."""
         if name.kind is not AddressKind.DATA:
             raise NotDataName(f"{name.canonical!r} is an endpoint name, not a data name")
         if size <= 0:
@@ -76,7 +66,6 @@ class GatewayCatalog:
             size=size,
             staged_at_us=now,
             ttl_us=ttl_us,
-            content_hash=content_digest(synth_payload(name.canonical, size)),
         )
         self.entries[name.canonical] = entry
         return entry

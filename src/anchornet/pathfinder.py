@@ -5,7 +5,8 @@ on hop names) so two runs over the same database produce byte-identical
 path lists.  Additional paths are found by removing the anchor-to-anchor
 links already used and re-running the search; host access legs are exempt
 from the disjointness constraint because a host typically has a single
-uplink.
+uplink.  The same search, :func:`lex_shortest`, also routes substrate legs
+inside a domain and distribution trees.
 """
 
 from __future__ import annotations
@@ -13,10 +14,10 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional
+from typing import Any, Callable, Collection, Iterable, Iterator, Optional
 
 from .addressing import L3Locator, ResolverTable
-from .topology import Adjacency, TopologyDatabase
+from .topology import TopologyDatabase
 
 
 @dataclass(frozen=True)
@@ -36,54 +37,44 @@ class L5Path:
         if len(set(self.hops)) != len(self.hops):
             raise ValueError(f"path hops must be pairwise distinct: {self.hops}")
 
-    def edges(self) -> list[tuple[str, str]]:
-        return list(zip(self.hops, self.hops[1:]))
 
-
-def _edge_lookup(graph: Mapping[str, tuple[Adjacency, ...]]) -> dict[tuple[str, str], Adjacency]:
-    table: dict[tuple[str, str], Adjacency] = {}
-    for node, adjs in graph.items():
-        for adj in adjs:
-            table[(node, adj.neighbor)] = adj
-    return table
-
-
-def _dijkstra(
-    graph: Mapping[str, tuple[Adjacency, ...]],
+def lex_shortest(
     src: str,
-    dst: str,
-    banned: frozenset[frozenset[str]],
-    anchors: frozenset[str],
-) -> Optional[tuple[int, tuple[str, ...]]]:
-    """Shortest path by (latency, lexicographic hop names).
+    targets: Collection[str],
+    neighbours: Callable[[str], Iterable[tuple[str, Any]]],
+) -> dict[str, tuple[Any, tuple[str, ...]]]:
+    """Shortest path from ``src`` to each target by (distance, lexicographic
+    hop names), as ``{target: (distance, hops)}``.
 
-    The heap keys on (distance, path-so-far), which makes the tie-break
-    order-preserving under extension, so the first finalized entry for the
-    destination is the globally smallest (metric, lex) simple path.
+    ``targets`` holds distinct names; ``neighbours(node)`` yields
+    ``(next node, weight)``.  The heap keys on (distance, path so far),
+    which makes the tie-break order-preserving under extension, so the first
+    settled entry for a node is its globally smallest (distance, lex) simple
+    path.  The search stops once every target is settled; an unreachable
+    target is absent from the result.
     """
-    if src == dst:
-        return 0, (src,)
-    best: dict[str, tuple[int, tuple[str, ...]]] = {src: (0, (src,))}
-    heap: list[tuple[int, tuple[str, ...], str]] = [(0, (src,), src)]
+    best: dict[str, tuple[Any, tuple[str, ...]]] = {src: (0, (src,))}
+    heap: list[tuple[Any, tuple[str, ...]]] = [(0, (src,))]
     done: set[str] = set()
+    found: dict[str, tuple[Any, tuple[str, ...]]] = {}
     while heap:
-        dist, path, node = heapq.heappop(heap)
-        if node in done or (dist, path) != best[node]:
-            continue
-        if node == dst:
-            return dist, path
+        dist, path = heapq.heappop(heap)
+        node = path[-1]
+        if node in done:
+            continue  # a stale entry: the node settled on a smaller one
         done.add(node)
-        for adj in graph.get(node, ()):
-            nxt = adj.neighbor
+        if node in targets:
+            found[node] = (dist, path)
+        if len(found) == len(targets):
+            break
+        for nxt, weight in neighbours(node):
             if nxt in done:
                 continue
-            if node in anchors and nxt in anchors and frozenset((node, nxt)) in banned:
-                continue
-            cand = (dist + adj.latency_us, path + (nxt,))
+            cand = (dist + weight, path + (nxt,))
             if nxt not in best or cand < best[nxt]:
                 best[nxt] = cand
-                heapq.heappush(heap, (cand[0], cand[1], nxt))
-    return None
+                heapq.heappush(heap, cand)
+    return found
 
 
 def k_disjoint_paths(db: TopologyDatabase, src: str, dst: str, k: int) -> list[L5Path]:
@@ -100,15 +91,25 @@ def k_disjoint_paths(db: TopologyDatabase, src: str, dst: str, k: int) -> list[L
         if name not in graph:
             raise ValueError(f"node {name!r} not present in topology")
     anchors = db.anchors
-    edge_info = _edge_lookup(graph)
     banned: set[frozenset[str]] = set()
+
+    def neighbours(node: str) -> Iterator[tuple[str, int]]:
+        for adj in graph[node]:
+            nxt = adj.neighbor
+            if not (node in anchors and nxt in anchors and frozenset((node, nxt)) in banned):
+                yield nxt, adj.latency_us
+
     paths: list[L5Path] = []
     for path_id in range(k):
-        found = _dijkstra(graph, src, dst, frozenset(banned), anchors)
+        found = lex_shortest(src, (dst,), neighbours).get(dst)
         if found is None:
             break
         metric, hops = found
-        caps = [edge_info[(u, v)].capacity_mbps for u, v in zip(hops, hops[1:])]
+        # Of parallel adjacencies (a simulated topology has none), the widest.
+        caps = [
+            max(adj.capacity_mbps for adj in graph[u] if adj.neighbor == v)
+            for u, v in zip(hops, hops[1:])
+        ]
         paths.append(L5Path(path_id, hops, metric, min(caps) if caps else None))
         fresh = {
             frozenset((u, v))

@@ -13,11 +13,11 @@ leg, so loss on one branch never stalls the others.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
+from .pathfinder import lex_shortest
 from .topology import TopologyDatabase
 
 
@@ -52,9 +52,6 @@ class DistributionTree:
             found.add(child)
         return frozenset(found)
 
-    def children(self, node: str) -> tuple[str, ...]:
-        return tuple(sorted(child for parent, child in self.edges if parent == node))
-
     def cost_crossings(self, link_cost: LinkCost) -> Fraction:
         """Total configured cost of one full traversal of the tree."""
         total = Fraction(0)
@@ -79,38 +76,32 @@ def anchor_of(db: TopologyDatabase, name: str) -> str:
 
 def _cost_tree_paths(
     db: TopologyDatabase,
-    root: str,
-    targets: set[str],
+    publisher: str,
+    subscribers: Sequence[str],
     link_cost: LinkCost,
-) -> dict[str, tuple[str, ...]]:
-    """Cost-shortest path from the root to each target over anchors only.
+) -> tuple[str, dict[str, str], dict[str, tuple[str, ...]]]:
+    """The root anchor, each subscriber's anchor, and the cost-shortest path
+    from the root to each of those anchors over anchors only.
 
-    Single-source search keyed on (cost, lexicographic path) yields one
-    predecessor per node, so the union of the returned paths is a tree.
+    One search keyed on (cost, lexicographic path) yields one predecessor
+    per node, so the union of the returned paths is a tree.  Subscribers
+    whose anchors the search cannot reach are reported together.
     """
     anchors = db.anchors
     graph = db.graph()
-    best: dict[str, tuple[Fraction, tuple[str, ...]]] = {root: (Fraction(0), (root,))}
-    heap: list[tuple[Fraction, tuple[str, ...], str]] = [(Fraction(0), (root,), root)]
-    done: set[str] = set()
-    found: dict[str, tuple[str, ...]] = {}
-    while heap and len(found) < len(targets):
-        cost, path, node = heapq.heappop(heap)
-        if node in done or (cost, path) != best[node]:
-            continue
-        done.add(node)
-        if node in targets:
-            found[node] = path
-        for adj in graph.get(node, ()):
-            nxt = adj.neighbor
-            if nxt not in anchors or nxt in done:
-                continue
-            edge = link_cost.get(frozenset((node, nxt)), Fraction(1))
-            cand = (cost + edge, path + (nxt,))
-            if nxt not in best or cand < best[nxt]:
-                best[nxt] = cand
-                heapq.heappush(heap, (cand[0], cand[1], nxt))
-    return found
+    root = anchor_of(db, publisher)
+    sub_anchors = {sub: anchor_of(db, sub) for sub in sorted(subscribers)}
+
+    def neighbours(node: str) -> Iterator[tuple[str, Fraction]]:
+        for adj in graph[node]:
+            if adj.neighbor in anchors:
+                yield adj.neighbor, link_cost.get(frozenset((node, adj.neighbor)), Fraction(1))
+
+    found = lex_shortest(root, set(sub_anchors.values()), neighbours)
+    missing = [sub for sub, anc in sub_anchors.items() if anc not in found]
+    if missing:
+        raise Unreachable(missing)
+    return root, sub_anchors, {anc: hops for anc, (_, hops) in found.items()}
 
 
 def build_tree(
@@ -125,16 +116,9 @@ def build_tree(
     search steers shared structure toward them only once.  Subscribers whose
     anchors the search cannot reach are reported together.
     """
-    costs: LinkCost = link_cost or {}
-    root = anchor_of(db, publisher)
-    sub_anchors = {sub: anchor_of(db, sub) for sub in sorted(subscribers)}
-    targets = set(sub_anchors.values())
-    paths = _cost_tree_paths(db, root, targets, costs)
-    missing = [sub for sub, anc in sub_anchors.items() if anc not in paths]
-    if missing:
-        raise Unreachable(missing)
+    root, sub_anchors, paths = _cost_tree_paths(db, publisher, subscribers, link_cost or {})
     edges: set[tuple[str, str]] = set()
-    for anc in sorted(targets):
+    for anc in sorted(paths):
         hops = paths[anc]
         edges.update(zip(hops, hops[1:]))
     return DistributionTree(
@@ -154,13 +138,9 @@ def unicast_cost_crossings(
     """Cost of serving every subscriber with its own shortest path; the
     baseline against which tree savings are measured."""
     costs: LinkCost = link_cost or {}
-    root = anchor_of(db, publisher)
+    _, sub_anchors, paths = _cost_tree_paths(db, publisher, subscribers, costs)
     total = Fraction(0)
-    for sub in sorted(subscribers):
-        anc = anchor_of(db, sub)
-        paths = _cost_tree_paths(db, root, {anc}, costs)
-        if anc not in paths:
-            raise Unreachable([sub])
+    for anc in sub_anchors.values():
         hops = paths[anc]
         for u, v in zip(hops, hops[1:]):
             total += costs.get(frozenset((u, v)), Fraction(1))

@@ -40,8 +40,8 @@ from .gateway import (
     select_source,
     synth_payload,
 )
-from .pathfinder import L5Path, k_disjoint_paths
-from .pubsub import DistributionTree, build_tree, unicast_cost_crossings
+from .pathfinder import L5Path, k_disjoint_paths, lex_shortest
+from .pubsub import DistributionTree, Unreachable, build_tree, unicast_cost_crossings
 from .scenario import MODE_BASELINE, ScenarioConfig
 from .session import (
     SEGMENT_PAYLOAD_BYTES,
@@ -306,52 +306,34 @@ class Simulation:
         # Serialization delay in microseconds per (link, payload bytes), filled on first use.
         self._serialization_us: dict[tuple[str, int], int] = {}
         self.link_counters = {l.id: LinkCounters() for l in cfg.links}
-        self._domain_graph: dict[str, dict[str, list[tuple[str, str]]]] = {}
-        for dom in cfg.domains:
-            self._domain_graph[dom.id] = {att: [] for att in dom.attachments}
-        for link in cfg.links:
+        # domain -> attachment -> neighbour -> latency, and (domain, attachment,
+        # neighbour) -> the link between them.  Of parallel links, the lowest
+        # latency, then the lowest id, is written last and kept.
+        self._domain_graph: dict[str, dict[str, dict[str, int]]] = {
+            dom.id: {att: {} for att in dom.attachments} for dom in cfg.domains
+        }
+        self._domain_link: dict[tuple[str, str, str], str] = {}
+        for link in sorted(cfg.links, key=lambda l: (l.latency_us, l.id), reverse=True):
             a, b = link.endpoints
-            self._domain_graph[link.domain][a].append((b, link.id))
-            self._domain_graph[link.domain][b].append((a, link.id))
-        for graph in self._domain_graph.values():
-            for att in graph:
-                graph[att].sort()
+            for u, v in ((a, b), (b, a)):
+                self._domain_graph[link.domain][u][v] = link.latency_us
+                self._domain_link[(link.domain, u, v)] = link.id
 
-    def _domain_route(self, domain: str, src_att: str, dst_att: str) -> Optional[tuple[str, ...]]:
+    def _domain_route(self, domain: str, src_att: str, dst_att: str) -> tuple[str, ...]:
         """The domain's single best internal path, as a link-id chain.
 
         Shortest by latency with a lexicographic tie-break on attachment
         names; frozen for the whole run regardless of later link failures.
         """
         graph = self._domain_graph[domain]
-        best: dict[str, tuple[int, tuple[str, ...], tuple[str, ...]]] = {
-            src_att: (0, (src_att,), ())
-        }
-        heap: list[tuple[int, tuple[str, ...], str, tuple[str, ...]]] = [(0, (src_att,), src_att, ())]
-        done: set[str] = set()
-        while heap:
-            dist, path, att, chain = heapq.heappop(heap)
-            if att in done or (dist, path, chain) != best[att]:
-                continue
-            if att == dst_att:
-                return chain
-            done.add(att)
-            for nxt, lid in graph.get(att, ()):
-                if nxt in done:
-                    continue
-                link = self.links[lid]
-                cand = (dist + link.latency_us, path + (nxt,), chain + (lid,))
-                if nxt not in best or (cand[0], cand[1]) < (best[nxt][0], best[nxt][1]):
-                    best[nxt] = cand
-                    heapq.heappush(heap, (cand[0], cand[1], nxt, cand[2]))
-        return None
+        found = lex_shortest(src_att, (dst_att,), lambda att: graph[att].items()).get(dst_att)
+        if found is None:
+            raise SimFault(f"domain {domain!r} has no internal path {src_att!r} -> {dst_att!r}")
+        hops = found[1]
+        return tuple(self._domain_link[(domain, u, v)] for u, v in zip(hops, hops[1:]))
 
     def _make_leg(self, domain: str, src_att: str, dst_att: str) -> Leg:
         chain = self._domain_route(domain, src_att, dst_att)
-        if chain is None:
-            raise SimFault(
-                f"domain {domain!r} has no internal path {src_att!r} -> {dst_att!r}"
-            )
         latency = sum(self.links[lid].latency_us for lid in chain)
         raw = min(self.links[lid].capacity_mbps for lid in chain)
         avail = min(self.link_avail[lid] for lid in chain)
@@ -690,20 +672,45 @@ class Simulation:
     def _path_raw_bottleneck(self, hops: tuple[str, ...]) -> Fraction:
         return min(self.legs[(u, v)].raw_mbps for u, v in zip(hops, hops[1:]))
 
-    def _register_path(self, transfer: Transfer, path: L5Path) -> None:
-        sid = transfer.sid
-        self.path_hops[(sid, path.path_id)] = path.hops
-        links = frozenset(
-            lid for u, v in zip(path.hops, path.hops[1:]) for lid in self.legs[(u, v)].links
-        )
-        demand = Demand(
-            f"{transfer.id_str}:{path.path_id}", self.policy[transfer.tag], links,
-            demand_cap_mbps=transfer.rate_cap_mbps, tag=transfer.tag,
-        )
-        self.claims[(0, sid, path.path_id)] = Claim(demand, transfer.sender, path.path_id)
-        for name in path.hops:
-            if name in self.anchors:
-                self.anchors[name].install_path(sid, path)
+    def _claim(
+        self,
+        key: tuple[int, int, int],
+        hops: tuple[str, ...],
+        sender: SenderSession,
+        demand_id: str,
+        cap: Optional[Fraction] = None,
+    ) -> None:
+        """Install one allocator claimant, a unicast path or a tree edge: its
+        hops, its demand over the links those hops cross, and its sender's
+        registration at the first hop.  The only writer of all three."""
+        _, sid, pid = key
+        self.path_hops[(sid, pid)] = hops
+        links = frozenset(lid for u, v in zip(hops, hops[1:]) for lid in self.legs[(u, v)].links)
+        demand = Demand(demand_id, self.policy[sender.tag], links, demand_cap_mbps=cap, tag=sender.tag)
+        self.claims[key] = Claim(demand, sender, pid)
+        self.senders.setdefault((sid, hops[0]), {})[pid] = sender
+
+    def _use_paths(self, transfer: Transfer, paths: list[L5Path], now: int) -> None:
+        """Send ``transfer`` over ``paths`` (only the first in baseline mode):
+        claim each one, program the anchors on it and its reverse hop, then
+        reallocate and arm the sender."""
+        used = paths[:1] if self.mode == MODE_BASELINE else list(paths)
+        transfer.used = used
+        refs = [_path_ref(path, self.legs) for path in used]
+        transfer.sender.set_paths(refs, {r.path_id: Fraction(1) for r in refs}, now)
+        for path in used:
+            self._claim(
+                (0, transfer.sid, path.path_id), path.hops, transfer.sender,
+                f"{transfer.id_str}:{path.path_id}", transfer.rate_cap_mbps,
+            )
+            for name in path.hops:
+                if name in self.anchors:
+                    self.anchors[name].install_path(transfer.sid, path)
+            transfer.receiver.set_reverse_hop(
+                path.path_id, self.legs[(path.hops[-1], path.hops[-2])].dest
+            )
+        self._reallocate(now)
+        self._arm(transfer.sid, transfer.src, transfer.sender, now)
 
     def _unregister_paths(self, transfer: Transfer) -> None:
         for path in transfer.used:
@@ -737,14 +744,12 @@ class Simulation:
         discovered = k_disjoint_paths(self.anchors[home].db, src, dst, k)
         if not discovered:
             raise SimFault(f"no path from {src!r} to {dst!r} for session {id_str!r}")
-        used = discovered[:1] if self.mode == MODE_BASELINE else list(discovered)
-        refs = [_path_ref(path, self.legs) for path in used]
+        # The sender starts on the best path; _use_paths installs the rest.
         sender = SenderSession(
-            sid, tag, refs, {r.path_id: Fraction(1) for r in refs}, total_bytes,
+            sid, tag, [_path_ref(discovered[0], self.legs)], {0: Fraction(1)}, total_bytes,
             payload=payload, now=now,
         )
-        reverse = {path.path_id: self.legs[(path.hops[-1], path.hops[-2])].dest for path in used}
-        receiver = ReceiverSession(sid, tag, reverse, total_bytes)
+        receiver = ReceiverSession(sid, tag, {}, total_bytes)
         transfer = Transfer(
             id_str=id_str,
             sid=sid,
@@ -756,7 +761,7 @@ class Simulation:
             home_anchor=home,
             t_open=now,
             discovered=discovered,
-            used=used,
+            used=[],
             sender=sender,
             receiver=receiver,
             potential_mbps=sum((self._path_raw_bottleneck(p.hops) for p in discovered), Fraction(0)),
@@ -769,15 +774,9 @@ class Simulation:
             on_complete=on_complete,
         )
         self.transfers[sid] = transfer
-        for path in used:
-            self._register_path(transfer, path)
         self._digests[sid] = {}
-        group = self.senders.setdefault((sid, src), {})
-        for ref in refs:
-            group[ref.path_id] = sender
         self.receivers[(sid, dst)] = receiver
-        self._reallocate(now)
-        self._arm(sid, src, sender, now)
+        self._use_paths(transfer, discovered, now)
         return transfer
 
     def _finish_transfer(self, transfer: Transfer, now: int) -> None:
@@ -800,25 +799,9 @@ class Simulation:
             del self.senders[(transfer.sid, transfer.src)]
             self._reallocate(now)
             return
-        fresh = fresh[:1] if self.mode == MODE_BASELINE else fresh
-        renumbered = [
-            replace(path, path_id=transfer.next_pid + i) for i, path in enumerate(fresh)
-        ]
-        transfer.next_pid += len(renumbered)
-        transfer.used = renumbered
-        for path in renumbered:
-            self._register_path(transfer, path)
-        refs = [_path_ref(path, self.legs) for path in renumbered]
-        transfer.sender.set_paths(refs, {r.path_id: Fraction(1) for r in refs}, now)
-        for path in renumbered:
-            transfer.receiver.set_reverse_hop(
-                path.path_id, self.legs[(path.hops[-1], path.hops[-2])].dest
-            )
-        group = self.senders.setdefault((transfer.sid, transfer.src), {})
-        for ref in refs:
-            group[ref.path_id] = transfer.sender
-        self._reallocate(now)
-        self._arm(transfer.sid, transfer.src, transfer.sender, now)
+        renumbered = [replace(path, path_id=transfer.next_pid + i) for i, path in enumerate(fresh)]
+        self._use_paths(transfer, renumbered, now)
+        transfer.next_pid += len(transfer.used)
 
     def _check_repath(self, anchor_name: str, now: int) -> None:
         homed = [
@@ -905,7 +888,7 @@ class Simulation:
         pid = pub.next_pid
         pub.next_pid += 1
         leg = self.legs[(parent, child)]
-        ref = _leg_ref(pid, parent, child, leg)
+        ref = PathRef(pid, (parent, child), leg.latency_us, leg.dest)
         sender = SenderSession(
             pub.sid, pub.tag, [ref], {pid: Fraction(1)}, pub.total_bytes,
             payload=payload, start_seq=start_seq, now=now,
@@ -913,10 +896,7 @@ class Simulation:
         edge = TreeEdge(pid, parent, child, sender, start_seq)
         pub.edges.append(edge)
         pub.downstream.setdefault(parent, []).append(edge)
-        self.path_hops[(pub.sid, pid)] = (parent, child)
-        demand = Demand(f"{pub.id_str}:{parent}>{child}", self.policy[pub.tag], leg.links, tag=pub.tag)
-        self.claims[(1, pub.sid, pid)] = Claim(demand, sender, pid)
-        self.senders.setdefault((pub.sid, parent), {})[pid] = sender
+        self._claim((1, pub.sid, pid), (parent, child), sender, f"{pub.id_str}:{parent}>{child}")
         receiver = ReceiverSession(
             pub.sid, pub.tag, {pid: self.legs[(child, parent)].dest},
             pub.total_bytes, start_seq=start_seq,
@@ -1100,11 +1080,9 @@ class Simulation:
                     now, rate_cap_mbps=Fraction(str(cap)) if cap is not None else None,
                 )
         elif event.kind == "stage":
-            addr = parse_address(fields["object"], AddressKind.DATA)
-            anchor = self.anchors[fields["gateway"]]
-            anchor.catalog.stage(addr, fields["size_bytes"], fields["ttl_us"], now)
-            self.resolver = self.resolver.register(addr, anchor.primary_port())
-            self._arm_sweep(now)
+            self._stage_replica(
+                fields["gateway"], fields["object"], fields["size_bytes"], fields["ttl_us"], now
+            )
         elif event.kind == "subscribe":
             self._subscribe_object(
                 fields["gateway"], fields["object"], fields["tag"], fields.get("k_paths", 2), now
@@ -1259,6 +1237,12 @@ class Simulation:
                     "bytes_delivered": leg.receiver.delivered_bytes,
                 }
             home = self._home_anchor(pub.publisher)
+            try:
+                unicast_cost: Optional[float] = float(unicast_cost_crossings(
+                    self.anchors[home].db, pub.publisher, sorted(pub.tree.subscribers), self.link_cost,
+                ))
+            except Unreachable:  # a subscriber was cut off after the tree was built
+                unicast_cost = None
             trees[pub.id_str] = {
                 "sid": pub.sid,
                 "kind": "pubsub",
@@ -1272,12 +1256,7 @@ class Simulation:
                 "segments_total": segment_count(pub.total_bytes),
                 "source_sha256": pub.source_digest,
                 "tree_cost": float(pub.tree.cost_crossings(self.link_cost)),
-                "unicast_cost": float(
-                    unicast_cost_crossings(
-                        self.anchors[home].db, pub.publisher,
-                        sorted(pub.tree.subscribers), self.link_cost,
-                    )
-                ),
+                "unicast_cost": unicast_cost,
                 "edges": edges,
                 "subscribers": subs,
             }
@@ -1421,10 +1400,6 @@ def _path_ref(path: L5Path, legs: dict[tuple[str, str], Leg]) -> PathRef:
         metric_us=path.metric_us,
         first_hop=legs[(path.hops[0], path.hops[1])].dest,
     )
-
-
-def _leg_ref(pid: int, parent: str, child: str, leg: Leg) -> PathRef:
-    return PathRef(path_id=pid, hops=(parent, child), metric_us=leg.latency_us, first_hop=leg.dest)
 
 
 def _tree_edges_top_down(tree: DistributionTree) -> list[tuple[str, str]]:

@@ -5,7 +5,6 @@ from anchornet.gateway import (
     GatewayCatalog,
     NotDataName,
     ObjectUnavailable,
-    content_digest,
     select_source,
     synth_payload,
 )
@@ -62,12 +61,6 @@ def test_payload_is_deterministic_per_name():
     assert a == b
     assert a != c
     assert len(a) == 2048
-
-
-def test_content_digest_matches_catalog_entry():
-    catalog = GatewayCatalog()
-    entry = catalog.stage(OBJ, 4096, 1000, 0)
-    assert entry.content_hash == content_digest(synth_payload(OBJ.canonical, 4096))
 
 
 TOPO = db_from_edges(

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from anchornet.addressing import L3Locator, ResolverTable, UnknownEndpoint
-from anchornet.pathfinder import L5Path, first_hop_locator, k_disjoint_paths
+from anchornet.pathfinder import L5Path, first_hop_locator, k_disjoint_paths, lex_shortest
 from oracles import all_simple_paths, db_from_edges, reference_k_disjoint
 
 DIAMOND = {
@@ -112,6 +112,26 @@ def test_first_path_is_globally_shortest():
             assert got == []
             continue
         assert (got[0].metric_us, got[0].hops) == min(candidates)
+
+
+def test_one_search_settles_every_target_as_the_exhaustive_oracle():
+    # one search to several targets gives each the path a search to it alone
+    # would: the smallest (metric, hops); a target it cannot reach is absent
+    rng = random.Random(1009)
+    for trial in range(50):
+        names, edges = _random_graph(rng)
+        graph = {n: [] for n in names}
+        for (u, v), (cap, lat) in edges.items():
+            graph[u].append((v, lat))
+            graph[v].append((u, lat))
+        src, *targets = rng.sample(names, min(4, len(names)))
+        targets.append("island")  # in no edge
+        want = {}
+        for dst in targets:
+            candidates = all_simple_paths(graph, src, dst)
+            if candidates:
+                want[dst] = min(candidates)
+        assert lex_shortest(src, set(targets), graph.__getitem__) == want, trial
 
 
 def test_metrics_nondecreasing_and_edges_disjoint():

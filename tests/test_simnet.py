@@ -184,12 +184,15 @@ def test_seed_change_alters_only_stochastic_quantities():
     assert drops(base) != drops(other)
 
 
-def test_link_down_triggers_repath_and_completion(fixture_paths):
+def _dual_path_losing_nw_trunk(fixture_paths):
     raw = json.loads(fixture_paths["dual-path"].read_text())
     raw["events"].append({"time_us": 100000, "kind": "link_down", "link": "nw-trunk"})
     raw["horizon_us"] = 4000000
-    config = parse_scenario(json.dumps(raw))
-    report = run_scenario(config, mode="baseline-single-path")
+    return parse_scenario(json.dumps(raw))
+
+
+def test_link_down_triggers_repath_and_completion(fixture_paths):
+    report = run_scenario(_dual_path_losing_nw_trunk(fixture_paths), mode="baseline-single-path")
     session = report["sessions"]["bulk"]
     assert session["status"] == "complete"
     assert session["delivered_sha256"] == session["source_sha256"]
@@ -288,6 +291,66 @@ def test_multi_link_internal_domain_path():
     assert rate == [80.0]
 
 
+def _leg_between_two_anchors(attachments, links):
+    """The substrate leg from anchor a (at wa) to anchor b (at wb) in one domain."""
+    raw = {
+        "name": "one-domain", "seed": 1, "mode": "l5-multipath", "horizon_us": 1000,
+        "domains": [{"id": "wan", "attachments": attachments}],
+        "links": [
+            {"id": lid, "domain": "wan", "endpoints": [u, v], "capacity_mbps": 100,
+             "latency_us": latency}
+            for lid, u, v, latency in links
+        ],
+        "anchors": [
+            {"name": "a", "ports": [{"domain": "wan", "attachment": "wa"}],
+             "peers": [{"anchor": "b", "domain": "wan"}]},
+            {"name": "b", "ports": [{"domain": "wan", "attachment": "wb"}], "peers": []},
+        ],
+        "hosts": [], "policy": [{"tag": "t", "weight": 1}], "events": [],
+    }
+    return Simulation(build(raw)).legs[("a", "b")].links
+
+
+@pytest.mark.parametrize(
+    "attachments, links, leg",
+    [
+        # parallel links of equal latency: the lower link id
+        (["wa", "wb"], [("z-1", "wa", "wb", 5), ("y-2", "wa", "wb", 5)], ("y-2",)),
+        # parallel links: the lower latency before the lower id
+        (["wa", "wb"], [("a-1", "wa", "wb", 7), ("b-2", "wa", "wb", 5)], ("b-2",)),
+        # equal-latency routes: the lexicographically smaller attachment names,
+        # whatever the link ids
+        (
+            ["wa", "wb", "wm", "wn"],
+            [("l1", "wa", "wn", 3), ("l2", "wn", "wb", 3), ("l3", "wa", "wm", 3),
+             ("l4", "wm", "wb", 3)],
+            ("l3", "l4"),
+        ),
+        # the same, where the larger-named route is the one found first
+        (
+            ["wa", "wb", "wc", "wd"],
+            [("l1", "wa", "wd", 2), ("l2", "wd", "wb", 4), ("l3", "wa", "wc", 3),
+             ("l4", "wc", "wb", 3)],
+            ("l3", "l4"),
+        ),
+    ],
+)
+def test_substrate_leg_tie_breaks(attachments, links, leg):
+    assert _leg_between_two_anchors(attachments, links) == leg
+
+
+def test_report_is_written_for_an_unreachable_subscriber(fixture_paths):
+    # spur-a carries us-a's only peering: us.sub1 is cut off from the publisher
+    raw = json.loads(fixture_paths["transatlantic-pubsub"].read_text())
+    raw["events"].append({"time_us": 25_000, "kind": "link_down", "link": "spur-a"})
+    report = run_scenario(parse_scenario(json.dumps(raw)))
+    tree = report["pubsub"]["pub1"]
+    assert tree["unicast_cost"] is None
+    assert tree["tree_cost"] > 0
+    assert tree["subscribers"]["us.sub1"]["complete_at_us"] is None
+    assert canonical_json(report)
+
+
 # -- allocation summary --------------------------------------------------------------
 
 
@@ -358,6 +421,40 @@ FIXTURE_TRACE_HASHES = {
 def test_fixture_trace_hash_is_pinned(fixture_paths, name):
     report = run_scenario(load_scenario(fixture_paths[name]))
     assert report["trace_hash"] == FIXTURE_TRACE_HASHES[name]
+
+
+# Runs beside the fixtures that take the repath, no-path, baseline and late-join
+# branches, pinned the same way: (how to run it, its trace hash).
+RUN_TRACE_HASHES = {
+    "repath": (
+        lambda paths: run_scenario(_BUILT["repath"]()),
+        "1bafb53bf9ff757d09dcf10caad8f1c0c3c5775e19d0fab4e8de4bcad1d734d8",
+    ),
+    "no-path": (
+        lambda paths: run_scenario(_BUILT["no-path"]()),
+        "1b28adde91758a7fe1cfa20282fc553cc2a2af6c03065b293ab08e79fafe1580",
+    ),
+    "dual-path-failover-baseline": (
+        lambda paths: run_scenario(_dual_path_losing_nw_trunk(paths), mode="baseline-single-path"),
+        "3b0c68a5234657986d19a40a8c4f04990f7892145cb8cb5689fa40dde31554ad",
+    ),
+    "transatlantic-pubsub-baseline": (
+        lambda paths: run_scenario(
+            load_scenario(paths["transatlantic-pubsub"]), mode="baseline-single-path"
+        ),
+        "46fb5b1e4e81289e0005137497b659503e741eb8926852e925d6a20eb8363d83",
+    ),
+    "pubsub-mid-stream-join": (
+        lambda paths: run_scenario(_mid_stream_join()),
+        "96d4467abe1d69578edcf6b7d5eb3031ddce2116e999d79b2df7b288870faa05",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RUN_TRACE_HASHES))
+def test_run_trace_hash_is_pinned(fixture_paths, name):
+    run, pinned = RUN_TRACE_HASHES[name]
+    assert run(fixture_paths)["trace_hash"] == pinned
 
 
 # -- trace v2 ---------------------------------------------------------------------
@@ -629,10 +726,12 @@ def test_pubsub_loss_on_one_edge_stays_on_that_edge(fixture_paths):
         assert sub["delivered_sha256"] == tree["source_sha256"], name
 
 
-def test_pubsub_object_mid_stream_join():
-    obj = "cms.dataset.epsilon"
-    total = 40 * SEGMENT_PAYLOAD_BYTES
-    raw = gateway_chain(
+JOIN_OBJECT, JOIN_BYTES = "cms.dataset.epsilon", 40 * SEGMENT_PAYLOAD_BYTES
+
+
+def _mid_stream_join():
+    obj, total = JOIN_OBJECT, JOIN_BYTES
+    return build(gateway_chain(
         [
             {"time_us": 1000, "kind": "stage", "gateway": "gw-origin",
              "object": obj, "size_bytes": total, "ttl_us": 800_000},
@@ -642,8 +741,12 @@ def test_pubsub_object_mid_stream_join():
             {"time_us": 20_000, "kind": "subscribe", "gateway": "gw-side",
              "object": obj, "tag": "cms"},
         ]
-    )
-    report = run_scenario(build(raw))
+    ))
+
+
+def test_pubsub_object_mid_stream_join():
+    obj, total = JOIN_OBJECT, JOIN_BYTES
+    report = run_scenario(_mid_stream_join())
     tree = report["pubsub"]["feed"]
     assert tree["status"] == "complete"
     assert len(tree["subscribers"]) == 2
