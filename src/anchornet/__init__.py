@@ -18,7 +18,7 @@ from .addressing import (
     parse_address,
 )
 from .allocator import Demand, DemandMatrix, FlowAllocation, domain_shares, water_fill
-from .pathfinder import L5Path, first_hop_locator, k_disjoint_paths
+from .pathfinder import L5Path, k_disjoint_paths
 from .pubsub import DistributionTree, build_tree
 from .scenario import ScenarioConfig, load_scenario, parse_scenario, validate_text
 from .session import ReceiverSession, Segment, SenderSession
@@ -55,7 +55,6 @@ __all__ = [
     "build_tree",
     "converge",
     "domain_shares",
-    "first_hop_locator",
     "k_disjoint_paths",
     "load_scenario",
     "originate_lsa",

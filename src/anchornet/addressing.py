@@ -109,16 +109,12 @@ def parse_address(text: str, kind: AddressKind = AddressKind.ENDPOINT) -> L5Addr
     """Parse dotted text into a canonical address.
 
     Raises EmptyLabel / IllegalCharacter / TooLong, naming the offending
-    component.  Round-trips: ``format_address(parse_address(t)) == t`` for
+    component.  Round-trips: ``str(parse_address(t)) == t`` for
     every valid ``t``.
     """
     if len(text.encode()) > MAX_NAME_BYTES:
         raise TooLong(f"name of {len(text.encode())} bytes exceeds {MAX_NAME_BYTES}")
     return L5Address(tuple(text.split(".")), kind)
-
-
-def format_address(addr: L5Address) -> str:
-    return addr.canonical
 
 
 @dataclass(frozen=True, order=True)

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Collection, Iterable, Iterator, Optional
 
-from .addressing import L3Locator, ResolverTable
 from .topology import TopologyDatabase
 
 
@@ -123,24 +122,3 @@ def k_disjoint_paths(db: TopologyDatabase, src: str, dst: str, k: int) -> list[L
         banned |= fresh
     return paths
 
-
-def first_hop_locator(path: L5Path, resolver: ResolverTable) -> L3Locator:
-    """The L3 destination written on a segment when it leaves the source.
-
-    Always the locator of hops[1] -- never a hop further along -- which is
-    what forces the substrate to carry the segment to the chosen anchor
-    instead of routing straight to the far end.  When the next hop exposes
-    several locators, prefer one sharing a domain with the source's own
-    attachment; remaining ties break on the smallest locator.
-    """
-    if len(path.hops) < 2:
-        raise ValueError("path needs at least two hops to have a first hop")
-    candidates = sorted(resolver.resolve(path.hops[1]))
-    try:
-        src_domains = {loc.domain_id for loc in resolver.resolve(path.hops[0])}
-    except LookupError:
-        src_domains = set()
-    for loc in candidates:
-        if loc.domain_id in src_domains:
-            return loc
-    return candidates[0]

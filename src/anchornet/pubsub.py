@@ -45,13 +45,6 @@ class DistributionTree:
     subscribers: frozenset[str]
     subscriber_anchors: Mapping[str, str]
 
-    def nodes(self) -> frozenset[str]:
-        found = {self.root}
-        for parent, child in self.edges:
-            found.add(parent)
-            found.add(child)
-        return frozenset(found)
-
     def cost_crossings(self, link_cost: LinkCost) -> Fraction:
         """Total configured cost of one full traversal of the tree."""
         total = Fraction(0)

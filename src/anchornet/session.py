@@ -163,9 +163,7 @@ class SenderSession:
         self.session_id = session_id
         self.tag = tag
         self.total_bytes = total_bytes
-        self.total_segments = max(
-            (total_bytes + SEGMENT_PAYLOAD_BYTES - 1) // SEGMENT_PAYLOAD_BYTES, 0
-        )
+        self.total_segments = segment_count(total_bytes)
         self.start_seq = start_seq
         self.send_next = start_seq
         self._buffer = bytearray()
@@ -393,9 +391,7 @@ class ReceiverSession:
         self.tag = tag
         self.reverse_hops = dict(reverse_hops)
         self.total_bytes = total_bytes
-        self.total_segments = max(
-            (total_bytes + SEGMENT_PAYLOAD_BYTES - 1) // SEGMENT_PAYLOAD_BYTES, 0
-        )
+        self.total_segments = segment_count(total_bytes)
         self.start_seq = start_seq
         self.next_expected = start_seq
         self.buffer: dict[int, bytes] = {}

@@ -23,7 +23,7 @@ import hashlib
 import heapq
 import random
 import struct
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cache
 from math import ceil
@@ -41,7 +41,8 @@ from .gateway import (
     synth_payload,
 )
 from .pathfinder import L5Path, k_disjoint_paths, lex_shortest
-from .pubsub import DistributionTree, Unreachable, build_tree, unicast_cost_crossings
+from .metrics import build_report
+from .pubsub import DistributionTree, build_tree
 from .scenario import MODE_BASELINE, ScenarioConfig
 from .session import (
     SEGMENT_PAYLOAD_BYTES,
@@ -51,7 +52,6 @@ from .session import (
     SegmentKind,
     SenderSession,
     locator_bytes,
-    segment_count,
 )
 from .topology import Adjacency, AnchorLinkState, LinkStateAdvertisement, _pstr, originate_lsa
 
@@ -216,14 +216,12 @@ class TreeEdge:
     parent: str
     child: str
     sender: SenderSession
-    start_seq: int
 
 
 @dataclass
 class SubscriberLeg:
     name: str
     anchor: str
-    pid: int
     join_seq: int
     receiver: ReceiverSession
     complete_at: Optional[int] = None
@@ -243,7 +241,6 @@ class PubTransfer:
     t_open: int
     source_digest: str
     edges: list[TreeEdge] = field(default_factory=list)
-    relays: dict[str, ReceiverSession] = field(default_factory=dict)
     subscribers: dict[str, SubscriberLeg] = field(default_factory=dict)
     downstream: dict[str, list[TreeEdge]] = field(default_factory=dict)
     next_pid: int = 0
@@ -401,11 +398,14 @@ class Simulation:
             self.legs[(hcfg.name, hcfg.anchor)] = self._make_leg(domain, hcfg.port.attachment, anchor_att)
             self.legs[(hcfg.anchor, hcfg.name)] = self._make_leg(domain, anchor_att, hcfg.port.attachment)
 
-        # Each anchor's next-hop locators, by neighbour name.
-        self.hop_locators: dict[str, dict[str, L3Locator]] = {name: {} for name in self.anchors}
+        # Each anchor's outgoing legs and next-hop locators, by neighbour name.
+        self.out_legs: dict[str, dict[str, Leg]] = {name: {} for name in self.anchors}
         for (u, v), leg in self.legs.items():
             if u in self.anchors:
-                self.hop_locators[u][v] = leg.dest
+                self.out_legs[u][v] = leg
+        self.hop_locators: dict[str, dict[str, L3Locator]] = {
+            name: {v: leg.dest for v, leg in legs.items()} for name, legs in self.out_legs.items()
+        }
 
         self.link_cost: dict[frozenset[str], Fraction] = {
             pair: sum((self.links[lid].cost for lid in chain), Fraction(0))
@@ -415,9 +415,7 @@ class Simulation:
     def _anchor_adjacencies(self, name: str) -> tuple[Adjacency, ...]:
         """The anchor's current usable legs, for advertisement."""
         out = []
-        for (u, v), leg in sorted(self.legs.items()):
-            if u != name:
-                continue
+        for v, leg in sorted(self.out_legs[name].items()):
             if any(not self.link_up[lid] for lid in leg.links):
                 continue
             domain = leg.dest.domain_id
@@ -428,9 +426,7 @@ class Simulation:
         self.lsa_tx: dict[tuple[str, int], int] = {}
         for name in sorted(self.anchors):
             anchor = self.anchors[name]
-            anchor.peer_names = tuple(
-                sorted(v for (u, v) in self.legs if u == name and v in self.anchors)
-            )
+            anchor.peer_names = tuple(sorted(v for v in self.out_legs[name] if v in self.anchors))
             anchor.link_state = AnchorLinkState(name, self._anchor_adjacencies(name))
             self._originate(name, 0)
 
@@ -482,7 +478,7 @@ class Simulation:
             if t is None or t > horizon:
                 break
             self.step()
-        return self._report()
+        return build_report(self)
 
     def _handle_hop(self, event: LinkHop, now: int) -> None:
         self.link_counters[event.crossed].delivered += 1
@@ -637,15 +633,15 @@ class Simulation:
     ) -> None:
         if sender.complete:
             transfer = self.transfers.get(sid)
-            if transfer is not None and transfer.sender is sender and transfer.status == "active":
-                self._finish_transfer(transfer, now)
+            if transfer is not None and transfer.status == "active":
+                self._end(transfer, "complete", now)
                 return
             pub = self.pubs.get(sid)
             if pub is not None and pub.status == "active":
+                (pid,) = sender.paths
+                self._drop_claim((1, sid, pid))
                 if all(edge.sender.complete for edge in pub.edges):
-                    pub.status = "complete"
-                    del self._digests[sid]
-                    self._reallocate(now)
+                    self._end(pub, "complete", now)
                 return
         self._arm(sid, node, sender, now)
 
@@ -657,10 +653,16 @@ class Simulation:
             edge.sender.feed(delivered)
             self._arm(sid, node, edge.sender, now)
         leg = pub.subscribers.get(node)
-        if leg is not None and leg.receiver.complete and leg.complete_at is None:
+        if leg is not None:
+            self._subscriber_progress(pub, leg, now)
+
+    def _subscriber_progress(self, pub: PubTransfer, leg: SubscriberLeg, now: int) -> None:
+        """Complete ``leg`` once its receiver holds the rest of the stream, and
+        stage a replica at a subscriber that received the stream from its start."""
+        if leg.receiver.complete and leg.complete_at is None:
             leg.complete_at = now
             if pub.object_name and leg.join_seq == 0:
-                self._stage_replica(node, pub.object_name, pub.total_bytes, pub.stage_ttl_us, now)
+                self._stage_replica(leg.name, pub.object_name, pub.total_bytes, pub.stage_ttl_us, now)
 
     # -- transfers ----------------------------------------------------------------
 
@@ -682,12 +684,15 @@ class Simulation:
     ) -> None:
         """Install one allocator claimant, a unicast path or a tree edge: its
         hops, its demand over the links those hops cross, and its sender's
-        registration at the first hop.  The only writer of all three."""
+        registration at the first hop.  The only writer of all three.  A
+        sender born complete (a tree edge grafted at the stream's end) claims
+        no rate."""
         _, sid, pid = key
         self.path_hops[(sid, pid)] = hops
-        links = frozenset(lid for u, v in zip(hops, hops[1:]) for lid in self.legs[(u, v)].links)
-        demand = Demand(demand_id, self.policy[sender.tag], links, demand_cap_mbps=cap, tag=sender.tag)
-        self.claims[key] = Claim(demand, sender, pid)
+        if not sender.complete:
+            links = frozenset(lid for u, v in zip(hops, hops[1:]) for lid in self.legs[(u, v)].links)
+            demand = Demand(demand_id, self.policy[sender.tag], links, demand_cap_mbps=cap, tag=sender.tag)
+            self.claims[key] = Claim(demand, sender, pid)
         self.senders.setdefault((sid, hops[0]), {})[pid] = sender
 
     def _use_paths(self, transfer: Transfer, paths: list[L5Path], now: int) -> None:
@@ -720,8 +725,10 @@ class Simulation:
                     self.anchors[name].remove_path(transfer.sid, path.path_id)
 
     def _drop_claim(self, key: tuple[int, int, int]) -> None:
-        claim = self.claims.pop(key)
-        if claim.rate is not None:
+        """Release a claim; one already released (a completed tree edge that
+        hears a late duplicate ACK) is left as it is."""
+        claim = self.claims.pop(key, None)
+        if claim is not None and claim.rate is not None:
             self.tag_totals[claim.demand.tag] -= claim.rate
 
     def _open_unicast(
@@ -779,26 +786,31 @@ class Simulation:
         self._use_paths(transfer, discovered, now)
         return transfer
 
-    def _finish_transfer(self, transfer: Transfer, now: int) -> None:
-        transfer.status = "complete"
-        transfer.t_complete = now
-        del self._digests[transfer.sid]
-        self._unregister_paths(transfer)
-        if transfer.on_complete is not None:
-            transfer.on_complete(now)
+    def _end(self, session: Transfer | PubTransfer, status: str, now: int) -> None:
+        """Move an active transfer or tree to its terminal ``status``
+        (``complete`` or ``no_path``); the only writer of a terminal status.
+        A transfer's path claims are released here; a tree's edge claims
+        were released as each edge's sender completed."""
+        session.status = status
+        del self._digests[session.sid]
+        if isinstance(session, Transfer):
+            self._unregister_paths(session)
+            if status == "complete":
+                session.t_complete = now
+                if session.on_complete is not None:
+                    session.on_complete(now)
+            else:
+                # Disarm the sender: a wake already queued finds no group and fires nothing.
+                del self.senders[(session.sid, session.src)]
         self._reallocate(now)
 
     def _repath(self, transfer: Transfer, now: int) -> None:
         db = self.anchors[transfer.home_anchor].db
-        self._unregister_paths(transfer)
         fresh = k_disjoint_paths(db, transfer.src, transfer.dst, transfer.k)
         if not fresh:
-            transfer.status = "no_path"
-            del self._digests[transfer.sid]
-            # Disarm the sender: a wake already queued finds no group and fires nothing.
-            del self.senders[(transfer.sid, transfer.src)]
-            self._reallocate(now)
+            self._end(transfer, "no_path", now)
             return
+        self._unregister_paths(transfer)
         renumbered = [replace(path, path_id=transfer.next_pid + i) for i, path in enumerate(fresh)]
         self._use_paths(transfer, renumbered, now)
         transfer.next_pid += len(transfer.used)
@@ -812,8 +824,6 @@ class Simulation:
             return
         graph = self.anchors[anchor_name].db.graph()
         for transfer in homed:
-            if transfer.status != "active":
-                continue
             if any(
                 all(adj.neighbor != v for adj in graph.get(u, ()))
                 for path in transfer.used
@@ -893,7 +903,7 @@ class Simulation:
             pub.sid, pub.tag, [ref], {pid: Fraction(1)}, pub.total_bytes,
             payload=payload, start_seq=start_seq, now=now,
         )
-        edge = TreeEdge(pid, parent, child, sender, start_seq)
+        edge = TreeEdge(pid, parent, child, sender)
         pub.edges.append(edge)
         pub.downstream.setdefault(parent, []).append(edge)
         self._claim((1, pub.sid, pid), (parent, child), sender, f"{pub.id_str}:{parent}>{child}")
@@ -901,25 +911,22 @@ class Simulation:
             pub.sid, pub.tag, {pid: self.legs[(child, parent)].dest},
             pub.total_bytes, start_seq=start_seq,
         )
-        pub.relays[child] = receiver
         self.receivers[(pub.sid, child)] = receiver
         return edge
 
     def _attach_subscriber(self, pub: PubTransfer, sub: str, join_seq: int, now: int) -> None:
         anchor = pub.tree.subscriber_anchors.get(sub) or self._home_anchor(sub)
-        if sub == anchor:
-            # Subscriber is the anchor itself (a gateway); its relay receiver
-            # doubles as the delivery point.
-            receiver = pub.relays.get(anchor)
-            if receiver is None:
-                receiver = ReceiverSession(pub.sid, pub.tag, {}, pub.total_bytes, start_seq=join_seq)
-                pub.relays[anchor] = receiver
-                self.receivers[(pub.sid, anchor)] = receiver
-            pub.subscribers[sub] = SubscriberLeg(sub, anchor, -1, join_seq, receiver)
-            return
-        edge = self._add_pub_edge(pub, anchor, sub, join_seq, now=now)
-        receiver = self.receivers[(pub.sid, sub)]
-        pub.subscribers[sub] = SubscriberLeg(sub, anchor, edge.pid, join_seq, receiver)
+        if sub != anchor:
+            self._add_pub_edge(pub, anchor, sub, join_seq, now=now)
+        elif (pub.sid, anchor) not in self.receivers:
+            # Subscriber is the anchor itself (a gateway); its relay receiver,
+            # if it has one, doubles as the delivery point.
+            self.receivers[(pub.sid, anchor)] = ReceiverSession(
+                pub.sid, pub.tag, {}, pub.total_bytes, start_seq=join_seq
+            )
+        leg = SubscriberLeg(sub, anchor, join_seq, self.receivers[(pub.sid, sub)])
+        pub.subscribers[sub] = leg
+        self._subscriber_progress(pub, leg, now)
 
     def _join_tree(self, pub: PubTransfer, sub: str, now: int) -> None:
         """Graft a new subscriber onto an active tree; no history replay."""
@@ -931,7 +938,7 @@ class Simulation:
         pub.tree = tree
         if pub.object_name is not None:
             self._trees_by_object[pub.object_name] = pub.sid
-        existing_nodes = set(pub.relays) | {tree.root}
+        existing_nodes = {edge.child for edge in pub.edges} | {tree.root}
         for parent, child in _tree_edges_top_down(tree):
             if (parent, child) in old_edges or child in existing_nodes:
                 continue
@@ -941,7 +948,7 @@ class Simulation:
                 siblings = [e.sender.send_next for e in pub.downstream.get(parent, [])]
                 join_seq = min(siblings) if siblings else 0
             else:
-                upstream = pub.relays.get(parent)
+                upstream = self.receivers.get((pub.sid, parent))
                 join_seq = upstream.next_expected if upstream is not None else 0
             edge = self._add_pub_edge(pub, parent, child, join_seq, now=now)
             if parent == tree.root and pub.publisher == tree.root and pub.object_name:
@@ -949,7 +956,7 @@ class Simulation:
                 edge.sender.feed(stream[join_seq * SEGMENT_PAYLOAD_BYTES :])
             self._arm(pub.sid, parent, edge.sender, now)
             existing_nodes.add(child)
-        sub_anchor_receiver = pub.relays.get(anchor)
+        sub_anchor_receiver = self.receivers.get((pub.sid, anchor))
         join_seq = sub_anchor_receiver.next_expected if sub_anchor_receiver is not None else 0
         if sub == anchor and sub_anchor_receiver is not None:
             join_seq = sub_anchor_receiver.start_seq
@@ -1092,9 +1099,10 @@ class Simulation:
 
     def _link_down(self, lid: str, now: int) -> None:
         self.link_up[lid] = False
-        affected = sorted(
-            {u for (u, v), leg in self.legs.items() if lid in leg.links and u in self.anchors}
-        )
+        affected = [
+            name for name, legs in sorted(self.out_legs.items())
+            if any(lid in leg.links for leg in legs.values())
+        ]
         for name in affected:
             self._originate(name, now)
 
@@ -1104,13 +1112,7 @@ class Simulation:
         """Central control epoch: water-fill over the installed claims, push
         rates to the senders whose rates changed, and move the per-tag
         totals by the claims' changes."""
-        live: list[Claim] = []
-        for key in sorted(self.claims):
-            if key[0] and self.claims[key].sender.complete:
-                self._drop_claim(key)  # a tree edge that delivered everything
-            else:
-                live.append(self.claims[key])
-
+        live = [self.claims[key] for key in sorted(self.claims)]
         # Down links keep their capacity entry: a demand may still reference
         # one for the short window between the failure and its repath.
         matrix = DemandMatrix(tuple(claim.demand for claim in live))
@@ -1140,204 +1142,6 @@ class Simulation:
             }
         )
 
-    # -- reporting -----------------------------------------------------------------
-
-    def _report(self) -> dict[str, Any]:
-        cfg = self.config
-        in_flight: dict[str, int] = {lid: 0 for lid in self.links}
-        for _, _, event in self.queue.snapshot():
-            if isinstance(event, (LinkHop, NodeArrival)):
-                in_flight[event.crossed] += 1
-
-        links: dict[str, Any] = {}
-        for lid in sorted(self.links):
-            c = self.link_counters[lid]
-            link = self.links[lid]
-            duration = max(self.clock_end, 1)
-            links[lid] = {
-                **asdict(c),
-                "in_flight_at_end": in_flight[lid],
-                "capacity_mbps": float(link.capacity_mbps),
-                "available_mbps": float(self.link_avail[lid]),
-                "up": self.link_up[lid],
-                "utilization": c.payload_bytes * 8 / (float(link.capacity_mbps) * duration),
-            }
-
-        sessions: dict[str, Any] = {}
-        total_throughput = Fraction(0)
-        total_potential = Fraction(0)
-        total_residual = Fraction(0)
-        for sid in sorted(self.transfers):
-            t = self.transfers[sid]
-            delivered = t.receiver.delivered_bytes
-            end = t.receiver.last_delivery_us
-            throughput = (
-                Fraction(delivered * 8, max(end - t.t_open, 1)) if end is not None else Fraction(0)
-            )
-            total_throughput += throughput
-            total_potential += t.potential_mbps
-            total_residual += t.residual_potential_mbps
-            per_path: dict[str, Any] = {}
-            for pid in sorted(t.sender.stats):
-                st = t.sender.stats[pid]
-                span = max((t.t_complete or self.clock_end) - t.t_open, 1)
-                per_path[str(pid)] = {
-                    "emitted_segments": st.emitted_segments,
-                    "emitted_bytes": st.emitted_bytes,
-                    "retransmitted_segments": st.retransmitted_segments,
-                    "rate_mbps": float(t.sender.rates.get(pid, 0)),
-                    "measured_mbps": st.emitted_bytes * 8 / span,
-                }
-            sessions[t.id_str] = {
-                "sid": t.sid,
-                "kind": "unicast",
-                "src": t.src,
-                "dst": t.dst,
-                "tag": t.tag,
-                "status": t.status,
-                "bytes_total": t.total_bytes,
-                "bytes_delivered": delivered,
-                "t_open_us": t.t_open,
-                "t_complete_us": t.t_complete,
-                "source_sha256": t.source_digest,
-                "delivered_sha256": t.receiver.delivered_digest(),
-                "throughput_mbps": float(throughput),
-                "potential_mbps": float(t.potential_mbps),
-                "residual_potential_mbps": float(t.residual_potential_mbps),
-                "paths": [list(p.hops) for p in t.used],
-                "discovered_paths": [list(p.hops) for p in t.discovered],
-                "per_path": per_path,
-            }
-
-        trees: dict[str, Any] = {}
-        for sid in sorted(self.pubs):
-            pub = self.pubs[sid]
-            edges = []
-            for edge in pub.edges:
-                st = edge.sender.stats[edge.pid]
-                edges.append(
-                    {
-                        "from": edge.parent,
-                        "to": edge.child,
-                        "tree_edge": edge.parent in self.anchors and edge.child in self.anchors,
-                        "start_seq": edge.start_seq,
-                        "original_segments": st.emitted_segments - st.retransmitted_segments,
-                        "retransmitted_segments": st.retransmitted_segments,
-                        "rate_mbps": float(edge.sender.rates.get(edge.pid, 0)),
-                    }
-                )
-            subs = {}
-            for name in sorted(pub.subscribers):
-                leg = pub.subscribers[name]
-                subs[name] = {
-                    "anchor": leg.anchor,
-                    "join_seq": leg.join_seq,
-                    "complete_at_us": leg.complete_at,
-                    "delivered_sha256": leg.receiver.delivered_digest(),
-                    "bytes_delivered": leg.receiver.delivered_bytes,
-                }
-            home = self._home_anchor(pub.publisher)
-            try:
-                unicast_cost: Optional[float] = float(unicast_cost_crossings(
-                    self.anchors[home].db, pub.publisher, sorted(pub.tree.subscribers), self.link_cost,
-                ))
-            except Unreachable:  # a subscriber was cut off after the tree was built
-                unicast_cost = None
-            trees[pub.id_str] = {
-                "sid": pub.sid,
-                "kind": "pubsub",
-                "publisher": pub.publisher,
-                "object": pub.object_name,
-                "tag": pub.tag,
-                "status": pub.status,
-                "root": pub.tree.root,
-                "tree_edges": [list(e) for e in pub.tree.edges],
-                "bytes_total": pub.total_bytes,
-                "segments_total": segment_count(pub.total_bytes),
-                "source_sha256": pub.source_digest,
-                "tree_cost": float(pub.tree.cost_crossings(self.link_cost)),
-                "unicast_cost": unicast_cost,
-                "edges": edges,
-                "subscribers": subs,
-            }
-
-        anchors: dict[str, Any] = {}
-        components = _components(sorted(self.anchors), self.peerings)
-        db_identical = True
-        for members in components:
-            digests = {self.anchors[m].db.digest() for m in members}
-            if len(digests) > 1:
-                db_identical = False
-        for name in sorted(self.anchors):
-            anchor = self.anchors[name]
-            anchors[name] = {
-                "per_tag": {tag: list(row) for tag, row in anchor.tag_report().items()},
-                "dropped_unknown": anchor.dropped_unknown,
-                "db_digest": anchor.db.digest(),
-                "catalog": sorted(anchor.catalog.entries) if anchor.catalog is not None else None,
-            }
-
-        per_origin: dict[str, int] = {}
-        for (origin, seq), count in sorted(self.lsa_tx.items()):
-            per_origin[f"{origin}#{seq}"] = count
-
-        dropped_unknown = self.dropped_unknown_hosts + sum(
-            self.anchors[a].dropped_unknown for a in self.anchors
-        )
-
-        fraction_potential = (
-            float(total_throughput / total_potential) if total_potential else None
-        )
-        fraction_residual = (
-            float(total_throughput / total_residual) if total_residual else None
-        )
-        headline = fraction_potential if self.mode == MODE_BASELINE else fraction_residual
-
-        peak = _peak_epoch(self.alloc_epochs)
-        report = {
-            "schema": "anchornet-metrics/1",
-            "scenario": cfg.name,
-            "scenario_hash": cfg.scenario_hash(),
-            "seed": self.seed,
-            "mode": self.mode,
-            "horizon_us": cfg.horizon_us,
-            "clock_end_us": self.clock_end,
-            "events_processed": self.events_processed,
-            "trace_hash": self._trace.hexdigest(),
-            "faults": {
-                "l3_dest_violations": self.l3_dest_violations,
-                "causality_violations": 0,
-                "dropped_unknown": dropped_unknown,
-            },
-            "topology": {
-                "db_identical": db_identical,
-                "anchor_count": len(self.anchors),
-                "adjacency_count": len(self.adjacency_links),
-                "lsa_transmissions": per_origin,
-                "max_transmissions_per_origination": max(self.lsa_tx.values(), default=0),
-            },
-            "allocation": {
-                "epochs": self.alloc_epochs,
-                "final_rates_mbps": _final_rates(self.alloc_epochs),
-                "peak_rates_mbps": peak.get("rates_mbps", {}),
-                "domain_shares_mbps": peak.get("domain_shares_mbps", {}),
-            },
-            "sessions": sessions,
-            "pubsub": trees,
-            "links": links,
-            "anchors": anchors,
-            "summary": {
-                "throughput_mbps": float(total_throughput),
-                "potential_mbps": float(total_potential),
-                "residual_potential_mbps": float(total_residual),
-                "fraction_of_potential": fraction_potential,
-                "fraction_of_residual": fraction_residual,
-                "headline_fraction": headline,
-            },
-        }
-        return report
-
-
 # Per event type: its handler and its trace encoder (the bytes it adds after its time
 # and rank).  Plain functions, so a simulation is freed as soon as it is dropped.
 _EVENTS: dict[type, tuple[Callable[..., None], Callable[[Simulation, Any], bytes]]] = {
@@ -1350,47 +1154,6 @@ _EVENTS: dict[type, tuple[Callable[..., None], Callable[[Simulation, Any], bytes
     ScenarioAction: (Simulation._scenario_action, lambda sim, e: b"act" + e.index.to_bytes(8, "big")),
     GatewaySweep: (Simulation._gateway_sweep, lambda sim, e: b"swp"),
 }
-
-
-def _peak_epoch(epochs: list[dict[str, Any]]) -> dict[str, Any]:
-    """The epoch with the most concurrent claimants (earliest such epoch on
-    ties): the steady state worth reporting. ``{}`` when there are none."""
-    best: dict[str, Any] = {}
-    for epoch in epochs:
-        if not best or epoch["concurrent"] > best["concurrent"]:
-            best = epoch
-    return best
-
-
-def _final_rates(epochs: list[dict[str, Any]]) -> dict[str, float]:
-    """Rates of the last epoch that had a claimant. The epoch recorded when
-    the last session finishes is empty and is skipped."""
-    for epoch in reversed(epochs):
-        if epoch["rates_mbps"]:
-            return epoch["rates_mbps"]
-    return {}
-
-
-def _components(names: list[str], peerings: list[tuple[str, str, str]]) -> list[list[str]]:
-    neighbors: dict[str, set[str]] = {n: set() for n in names}
-    for a, b, _ in peerings:
-        neighbors[a].add(b)
-        neighbors[b].add(a)
-    seen: set[str] = set()
-    out: list[list[str]] = []
-    for name in names:
-        if name in seen:
-            continue
-        stack, members = [name], []
-        while stack:
-            node = stack.pop()
-            if node in seen:
-                continue
-            seen.add(node)
-            members.append(node)
-            stack.extend(sorted(neighbors[node]))
-        out.append(sorted(members))
-    return out
 
 
 def _path_ref(path: L5Path, legs: dict[tuple[str, str], Leg]) -> PathRef:

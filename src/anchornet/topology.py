@@ -221,10 +221,7 @@ class ConvergeResult:
     messages_processed: int
 
 
-def converge(
-    configs: Mapping[str, Sequence[Adjacency]],
-    seed_databases: Mapping[str, TopologyDatabase] | None = None,
-) -> ConvergeResult:
+def converge(configs: Mapping[str, Sequence[Adjacency]]) -> ConvergeResult:
     """Flood every anchor's advertisement to quiescence over in-memory channels.
 
     ``configs`` maps each anchor name to its adjacency legs; anchor-to-anchor
@@ -235,9 +232,7 @@ def converge(
     """
     anchors = sorted(configs)
     anchor_set = set(anchors)
-    dbs: dict[str, TopologyDatabase] = {
-        a: (seed_databases or {}).get(a, EMPTY_DATABASE) for a in anchors
-    }
+    dbs: dict[str, TopologyDatabase] = {a: EMPTY_DATABASE for a in anchors}
     peers = {
         a: sorted({adj.neighbor for adj in configs[a] if adj.neighbor in anchor_set})
         for a in anchors

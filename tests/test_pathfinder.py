@@ -3,8 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from anchornet.addressing import L3Locator, ResolverTable, UnknownEndpoint
-from anchornet.pathfinder import L5Path, first_hop_locator, k_disjoint_paths, lex_shortest
+from anchornet.pathfinder import k_disjoint_paths, lex_shortest
 from oracles import all_simple_paths, db_from_edges, reference_k_disjoint
 
 DIAMOND = {
@@ -157,46 +156,3 @@ def test_determinism_byte_for_byte():
     b = k_disjoint_paths(db, "a", "d", 2)
     assert a == b
 
-
-def _resolver():
-    locs = {
-        "anchor-a": L3Locator("west", "pa"),
-        "anchor-b": L3Locator("east", "pb"),
-        "host.src": L3Locator("west", "ps"),
-        "host.dst": L3Locator("east", "pd"),
-    }
-    table = ResolverTable.new(locs.values())
-    for name, loc in locs.items():
-        table = table.register(name, loc)
-    return table
-
-
-def test_first_hop_is_next_anchor_not_destination():
-    table = _resolver()
-    path = L5Path(0, ("host.src", "anchor-a", "anchor-b", "host.dst"), 3, None)
-    assert first_hop_locator(path, table) == L3Locator("west", "pa")
-
-
-def test_first_hop_direct_path_is_destination():
-    table = _resolver()
-    path = L5Path(0, ("host.src", "host.dst"), 1, None)
-    assert first_hop_locator(path, table) == L3Locator("east", "pd")
-
-
-def test_first_hop_unresolvable_raises():
-    table = _resolver()
-    path = L5Path(0, ("host.src", "ghost-anchor", "host.dst"), 2, None)
-    with pytest.raises(UnknownEndpoint):
-        first_hop_locator(path, table)
-
-
-def test_first_hop_prefers_shared_domain():
-    src = L3Locator("west", "ps")
-    near = L3Locator("west", "pa-west")
-    far = L3Locator("east", "pa-east")
-    table = ResolverTable.new([src, near, far])
-    table = table.register("host.src", src)
-    table = table.register("anchor-a", far)
-    table = table.register("anchor-a", near)
-    path = L5Path(0, ("host.src", "anchor-a"), 1, None)
-    assert first_hop_locator(path, table) == near

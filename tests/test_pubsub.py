@@ -107,7 +107,7 @@ def test_tree_structure_invariants():
         publisher = names[0]
         subscribers = rng.sample(names[1:], min(len(names) - 1, rng.randint(1, 4)))
         tree = build_tree(db, publisher, subscribers, costs)
-        nodes = tree.nodes()
+        nodes = {tree.root} | {node for edge in tree.edges for node in edge}
         assert len(tree.edges) == len(nodes) - 1
         parents = {}
         for parent, child in tree.edges:

@@ -8,7 +8,7 @@ import pytest
 from anchornet.addressing import L3Locator
 from anchornet.allocator import Demand, DemandMatrix, domain_shares, water_fill
 from anchornet.gateway import synth_payload
-from anchornet.metrics import canonical_json
+from anchornet.metrics import _final_rates, _peak_epoch, canonical_json
 from anchornet.scenario import load_scenario, parse_scenario
 from anchornet.session import SEGMENT_PAYLOAD_BYTES, Segment, SegmentKind
 from anchornet.simnet import (
@@ -19,8 +19,6 @@ from anchornet.simnet import (
     ScenarioAction,
     SimFault,
     Simulation,
-    _final_rates,
-    _peak_epoch,
     run_scenario,
 )
 from anchornet.topology import TopologyDatabase, _pstr
@@ -423,6 +421,21 @@ def test_fixture_trace_hash_is_pinned(fixture_paths, name):
     assert report["trace_hash"] == FIXTURE_TRACE_HASHES[name]
 
 
+# SHA-256 of each fixture's canonical report: the whole report, byte for byte.
+FIXTURE_REPORT_HASHES = {
+    "dual-path": "eae49529bf7a3867730768a60e4be7dabc4a70ce1b8059305d0e1b9e9e8091ed",
+    "flooding-20": "6497e243d4dd8facf1f32a900ec88b2f09d5284593d462adbd8e32c6049ad37a",
+    "transatlantic-pubsub": "5322c2b71e7274bebb16a2e47da1f7c059d3b78af845da2c53eb3790371c3177",
+    "two-domains-weighted": "f3ce01b234e9100914faeb2d7c04fe33cebed8696386012a74e2fa3f04d16f35",
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURE_REPORT_HASHES))
+def test_fixture_report_is_pinned(fixture_paths, name):
+    report = canonical_json(run_scenario(load_scenario(fixture_paths[name])))
+    assert hashlib.sha256(report.encode()).hexdigest() == FIXTURE_REPORT_HASHES[name]
+
+
 # Runs beside the fixtures that take the repath, no-path, baseline and late-join
 # branches, pinned the same way: (how to run it, its trace hash).
 RUN_TRACE_HASHES = {
@@ -608,6 +621,24 @@ def test_kept_claims_rates_and_domain_totals_match_a_fresh_epoch(fixture_paths, 
     assert not sim.claims
 
 
+@pytest.mark.parametrize("name", ["transatlantic-pubsub", "pubsub-mid-stream-join"])
+def test_no_claim_holds_a_completed_sender(fixture_paths, name):
+    if name == "pubsub-mid-stream-join":
+        sim = Simulation(_mid_stream_join())
+    else:
+        sim = Simulation(load_scenario(fixture_paths[name]))
+    exercised = False
+    while sim.queue.peek_time() is not None and sim.queue.peek_time() <= sim.config.horizon_us:
+        sim.step()
+        assert not [key for key, claim in sim.claims.items() if claim.sender.complete]
+        exercised |= any(
+            edge.sender.complete
+            for pub in sim.pubs.values() if pub.status == "active" for edge in pub.edges
+        )
+    assert exercised  # an edge completed while its tree was still active
+    assert all(p.status == "complete" for p in sim.pubs.values())
+
+
 def test_unknown_event_type_is_a_fault(fixture_paths):
     sim = Simulation(load_scenario(fixture_paths["dual-path"]))
     sim.queue.push(0, object())
@@ -763,6 +794,34 @@ def test_pubsub_object_mid_stream_join():
     assert early["join_seq"] == 0
     assert early["delivered_sha256"] == hashlib.sha256(stream).hexdigest()
     assert obj in report["anchors"]["gw-far"]["catalog"]
+
+
+@pytest.mark.parametrize("join_us", [60_000, 100_000, 200_000])
+def test_subscriber_at_a_relay_that_holds_the_whole_stream_completes(join_us):
+    # gw-mid relays the whole stream to gw-far over a slow trunk, so it holds
+    # every byte before it subscribes itself
+    obj, total = JOIN_OBJECT, JOIN_BYTES
+    raw = gateway_chain(
+        [
+            {"time_us": 1000, "kind": "stage", "gateway": "gw-origin",
+             "object": obj, "size_bytes": total, "ttl_us": 800_000},
+            {"time_us": 10_000, "kind": "open_session", "id": "feed",
+             "session_mode": "pubsub", "src": "gw-origin",
+             "subscribers": ["gw-far"], "tag": "cms", "object": obj, "k_paths": 1},
+            {"time_us": join_us, "kind": "subscribe", "gateway": "gw-mid",
+             "object": obj, "tag": "cms"},
+        ]
+    )
+    for link in raw["links"]:
+        if link["id"] == "trunk-mf":
+            link["capacity_mbps"] = 5
+    report = run_scenario(build(raw))
+    mid = report["pubsub"]["feed"]["subscribers"]["gw-mid"]
+    assert mid["join_seq"] == 0
+    assert mid["bytes_delivered"] == total
+    assert mid["delivered_sha256"] == hashlib.sha256(synth_payload(obj, total)).hexdigest()
+    assert mid["complete_at_us"] == join_us
+    assert obj in report["anchors"]["gw-mid"]["catalog"]
 
 
 def test_dropped_simulation_is_freed_without_the_cycle_collector(fixture_paths):
