@@ -2,9 +2,9 @@
 
 A gateway is an anchor that additionally keeps a catalog of named data
 objects currently staged at its site, each with a TTL.  The catalog is
-awareness, not storage: payloads are synthesized deterministically from the
-object name, so two gateways staging the same name independently agree on
-every byte.  Expired entries vanish on touch and on a periodic sweep.
+awareness, not storage: payloads are built per segment from the object
+name, as a sender first needs each one, so two gateways staging the same
+name agree on every byte.  Expired entries vanish on touch and on a sweep.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .addressing import AddressKind, L5Address
+from .session import SEGMENT_PAYLOAD_BYTES, segment_count
 from .topology import TopologyDatabase
 
 SWEEP_INTERVAL_US = 1_000_000
@@ -28,14 +29,47 @@ class ObjectUnavailable(LookupError):
     """No gateway currently stages the requested object."""
 
 
-def synth_payload(name: str, size: int) -> bytes:
-    """Deterministic pseudo-random payload for a named object.
+class PayloadStream:
+    """The deterministic pseudo-random payload of a named object, one
+    segment at a time from segment ``start_seq`` on, hashed as it is taken.
 
-    Keyed purely by the name so content is independent of event ordering
-    and of the simulation seed.
+    Keyed purely by the name, so content is independent of event ordering
+    and of the simulation seed.  ``randbytes`` of whole 32-bit words is
+    prefix-stable: the segments join to the bytes of one ``randbytes(size)``.
     """
-    seed = int.from_bytes(hashlib.sha256(name.encode()).digest()[:8], "big")
-    return random.Random(seed).randbytes(size)
+
+    def __init__(self, name: str, size: int, start_seq: int = 0) -> None:
+        self.name, self.size, self.seq = name, size, start_seq
+        self._rng = random.Random(int.from_bytes(hashlib.sha256(name.encode()).digest()[:8], "big"))
+        self._sha256 = hashlib.sha256()
+        for _ in range(min(start_seq, segment_count(size))):
+            self._rng.randbytes(SEGMENT_PAYLOAD_BYTES)
+
+    def __iter__(self) -> "PayloadStream":
+        return self
+
+    def __next__(self) -> bytes:
+        lo = self.seq * SEGMENT_PAYLOAD_BYTES
+        if lo >= self.size:
+            raise StopIteration
+        segment = self._rng.randbytes(min(SEGMENT_PAYLOAD_BYTES, self.size - lo))
+        self._sha256.update(segment)
+        self.seq += 1
+        return segment
+
+    def hexdigest(self) -> str:
+        """SHA-256 of the stream to its end.  Segments not yet taken are
+        generated by a second stream, and stay to be taken from this one."""
+        digest = self._sha256.copy()
+        if self.seq < segment_count(self.size):
+            for segment in PayloadStream(self.name, self.size, self.seq):
+                digest.update(segment)
+        return digest.hexdigest()
+
+
+def synth_payload(name: str, size: int) -> bytes:
+    """The whole payload of a named object."""
+    return b"".join(PayloadStream(name, size))
 
 
 @dataclass(frozen=True)

@@ -143,7 +143,7 @@ def build_report(sim: Simulation) -> dict[str, Any]:
             "tree_edges": [list(e) for e in pub.tree.edges],
             "bytes_total": pub.total_bytes,
             "segments_total": segment_count(pub.total_bytes),
-            "source_sha256": pub.source_digest,
+            "source_sha256": pub.source.hexdigest(),
             "tree_cost": float(pub.tree.cost_crossings(sim.link_cost)),
             "unicast_cost": unicast_cost,
             "edges": edges,

@@ -22,10 +22,11 @@ import hashlib
 import heapq
 import math
 import struct
+from bisect import insort
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .addressing import L3Locator
 from .allocator import as_fraction
@@ -117,7 +118,12 @@ class Segment:
 
 
 def locator_bytes(locator: L3Locator) -> bytes:
-    return _pstr(locator.domain_id) + _pstr(locator.attachment_id)
+    """Length-prefixed domain and attachment, encoded once per locator."""
+    encoded = locator.__dict__.get("_bytes")
+    if encoded is None:
+        encoded = _pstr(locator.domain_id) + _pstr(locator.attachment_id)
+        locator.__dict__["_bytes"] = encoded
+    return encoded
 
 
 @dataclass(frozen=True)
@@ -140,9 +146,10 @@ class PathStats:
 class SenderSession:
     """Send side of one reliable stream (or one distribution-tree edge).
 
-    The stream may be complete at construction (unicast transfers) or grow
-    via :meth:`feed` as an upstream hop delivers it (tree relays).
-    ``start_seq`` lets a relay begin mid-stream: earlier segments are
+    An origin pulls each segment from ``source`` when it first sends it; a
+    tree relay is supplied through :meth:`feed` as its upstream hop delivers.
+    Either way a segment's payload is held only until it is acknowledged.
+    ``start_seq`` lets a sender begin mid-stream: earlier segments are
     treated as already acknowledged and are never requested or sent.
     """
 
@@ -154,7 +161,7 @@ class SenderSession:
         rates_mbps: Mapping[int, "Fraction | float | int"],
         total_bytes: int,
         *,
-        payload: bytes = b"",
+        source: Optional[Iterator[bytes]] = None,
         start_seq: int = 0,
         now: int = 0,
     ) -> None:
@@ -166,8 +173,10 @@ class SenderSession:
         self.total_segments = segment_count(total_bytes)
         self.start_seq = start_seq
         self.send_next = start_seq
-        self._buffer = bytearray()
-        self._buffer_base = start_seq * SEGMENT_PAYLOAD_BYTES
+        # seq -> payload of each segment supplied and not yet acknowledged.
+        self.held: dict[int, bytes] = {}
+        self._source = source
+        self._fed_next = start_seq
 
         self.paths: dict[int, PathRef] = {}
         self.rates: dict[int, Fraction] = {}
@@ -191,26 +200,17 @@ class SenderSession:
         self._ever_retransmitted: set[int] = set()
         self._last_send: dict[int, int] = {}
         self._scheduled_wakes: set[int] = set()
-        if payload:
-            self.feed(payload)
 
     # -- stream supply ----------------------------------------------------
 
-    def feed(self, data: bytes) -> None:
-        self._buffer.extend(data)
-
-    def _segment_bounds(self, seq: int) -> tuple[int, int]:
-        lo = seq * SEGMENT_PAYLOAD_BYTES
-        hi = min(lo + SEGMENT_PAYLOAD_BYTES, self.total_bytes)
-        return lo, hi
+    def feed(self, segments: Iterable[bytes]) -> None:
+        """Supply the next segment payloads of the stream, in order."""
+        for payload in segments:
+            self.held[self._fed_next] = payload
+            self._fed_next += 1
 
     def _segment_available(self, seq: int) -> bool:
-        lo, hi = self._segment_bounds(seq)
-        return self._buffer_base + len(self._buffer) >= hi and lo >= self._buffer_base
-
-    def _segment_payload(self, seq: int) -> bytes:
-        lo, hi = self._segment_bounds(seq)
-        return bytes(self._buffer[lo - self._buffer_base : hi - self._buffer_base])
+        return self._source is not None or seq < self._fed_next
 
     # -- path management --------------------------------------------------
 
@@ -285,7 +285,9 @@ class SenderSession:
                 break
             seq, is_retx = work
             _, pid = min(free)
-            payload = self._segment_payload(seq)
+            payload = self.held.get(seq)
+            if payload is None:  # an origin's next new segment
+                payload = self.held[seq] = next(self._source)
             segment = Segment(
                 self.session_id, seq, pid, self.tag, self.paths[pid].first_hop, payload, is_retx
             )
@@ -348,6 +350,7 @@ class SenderSession:
             self._ack_floor = ack.ack_cum
         for seq in newly:
             self.acked.add(seq)
+            self.held.pop(seq, None)
             self.retx_deadline.pop(seq, None)
             self._retx_ready.pop(seq, None)
 
@@ -395,6 +398,8 @@ class ReceiverSession:
         self.start_seq = start_seq
         self.next_expected = start_seq
         self.buffer: dict[int, bytes] = {}
+        # The buffered seqs in ascending order: every ACK's SACK list.
+        self._sacks: list[int] = []
         self.delivered_bytes = 0
         self._hash = hashlib.sha256()
         self.last_delivery_us: Optional[int] = None
@@ -402,8 +407,9 @@ class ReceiverSession:
     def set_reverse_hop(self, path_id: int, locator: L3Locator) -> None:
         self.reverse_hops[path_id] = locator
 
-    def on_receive(self, segment: Segment, now: int) -> tuple[bytes, list[Segment]]:
-        """Process one data segment; returns (newly delivered bytes, acks)."""
+    def on_receive(self, segment: Segment, now: int) -> tuple[list[bytes], list[Segment]]:
+        """Process one data segment; returns (the payloads it newly delivers,
+        in stream order, acks)."""
         if segment.session_id != self.session_id:
             raise ValueError(
                 f"segment for session {segment.session_id}, expected {self.session_id}"
@@ -412,21 +418,23 @@ class ReceiverSession:
             raise ValueError("receiver got a non-data segment")
         if segment.seq >= self.next_expected and segment.seq not in self.buffer:
             self.buffer[segment.seq] = segment.payload
-        delivered = bytearray()
+            insort(self._sacks, segment.seq)
+        delivered = []
         while self.next_expected in self.buffer:
             chunk = self.buffer.pop(self.next_expected)
-            delivered.extend(chunk)
+            delivered.append(chunk)
+            self.delivered_bytes += len(chunk)
+            self._hash.update(chunk)
             self.next_expected += 1
         if delivered:
-            self.delivered_bytes += len(delivered)
-            self._hash.update(bytes(delivered))
+            del self._sacks[: len(delivered)]
             self.last_delivery_us = now
         ack = Segment(
             self.session_id, segment.seq, segment.path_id, self.tag,
             self.reverse_hops[segment.path_id], is_retransmit=segment.is_retransmit,
-            kind=SegmentKind.ACK, ack_cum=self.next_expected, ack_sacks=tuple(sorted(self.buffer)),
+            kind=SegmentKind.ACK, ack_cum=self.next_expected, ack_sacks=tuple(self._sacks),
         )
-        return bytes(delivered), [ack]
+        return delivered, [ack]
 
     @property
     def complete(self) -> bool:

@@ -33,10 +33,12 @@ from .addressing import AddressKind, L3Locator, ResolverTable, parse_address
 # domain_shares is unused here, but anchorbench/layers.py wraps it by this name.
 from .allocator import Demand, DemandMatrix, domain_shares, water_fill  # noqa: F401
 from .anchor import Anchor
-from .gateway import (
+# synth_payload is unused here, but anchorbench/layers.py wraps it by this name.
+from .gateway import (  # noqa: F401
     SWEEP_INTERVAL_US,
     GatewayCatalog,
     ObjectUnavailable,
+    PayloadStream,
     select_source,
     synth_payload,
 )
@@ -45,7 +47,6 @@ from .metrics import build_report
 from .pubsub import DistributionTree, build_tree
 from .scenario import MODE_BASELINE, ScenarioConfig
 from .session import (
-    SEGMENT_PAYLOAD_BYTES,
     PathRef,
     ReceiverSession,
     Segment,
@@ -200,14 +201,19 @@ class Transfer:
     used: list[L5Path]
     sender: SenderSession
     receiver: ReceiverSession
+    source: PayloadStream
     potential_mbps: Fraction
     residual_potential_mbps: Fraction
     rate_cap_mbps: Optional[Fraction] = None
     status: str = "active"
     t_complete: Optional[int] = None
-    source_digest: str = ""
     next_pid: int = 0
     on_complete: Any = None
+
+    @property
+    def source_digest(self) -> str:
+        """SHA-256 of the whole object the transfer sends."""
+        return self.source.hexdigest()
 
 
 @dataclass
@@ -239,7 +245,7 @@ class PubTransfer:
     total_bytes: int
     tree: DistributionTree
     t_open: int
-    source_digest: str
+    source: PayloadStream
     edges: list[TreeEdge] = field(default_factory=list)
     subscribers: dict[str, SubscriberLeg] = field(default_factory=dict)
     downstream: dict[str, list[TreeEdge]] = field(default_factory=dict)
@@ -265,7 +271,6 @@ class Simulation:
         self._trace = hashlib.sha256(TRACE_SALT)
         # Byte forms for the trace, each encoded once per simulation.
         self._name_bytes = cache(_pstr)
-        self._locator_bytes = cache(locator_bytes)
         # sid -> seq -> payload SHA-256, kept only while the session or tree is active.
         self._digests: dict[int, dict[int, bytes]] = {}
         self.events_processed = 0
@@ -493,7 +498,7 @@ class Simulation:
         built from cached pieces."""
         names = self._name_bytes
         return (names(name) + segment.header() + names(segment.tag)
-                + self._locator_bytes(segment.l3_dest) + self._payload_digest(segment))
+                + locator_bytes(segment.l3_dest) + self._payload_digest(segment))
 
     def _payload_digest(self, segment: Segment) -> bytes:
         """SHA-256 of a data segment's payload, computed once per (session,
@@ -645,7 +650,7 @@ class Simulation:
                 return
         self._arm(sid, node, sender, now)
 
-    def _on_delivery(self, sid: int, node: str, delivered: bytes, now: int) -> None:
+    def _on_delivery(self, sid: int, node: str, delivered: list[bytes], now: int) -> None:
         pub = self.pubs.get(sid)
         if pub is None:
             return
@@ -732,19 +737,10 @@ class Simulation:
             self.tag_totals[claim.demand.tag] -= claim.rate
 
     def _open_unicast(
-        self,
-        id_str: str,
-        src: str,
-        dst: str,
-        tag: str,
-        total_bytes: int,
-        k: int,
-        payload: bytes,
-        now: int,
-        *,
-        rate_cap_mbps: Optional[Fraction] = None,
-        on_complete: Any = None,
+        self, id_str: str, src: str, dst: str, tag: str, total_bytes: int, k: int, stream: str,
+        now: int, *, rate_cap_mbps: Optional[Fraction] = None, on_complete: Any = None,
     ) -> Transfer:
+        """Open a transfer of ``total_bytes`` of the object named ``stream``."""
         sid = self._next_sid
         self._next_sid += 1
         home = self._home_anchor(src)
@@ -752,33 +748,21 @@ class Simulation:
         if not discovered:
             raise SimFault(f"no path from {src!r} to {dst!r} for session {id_str!r}")
         # The sender starts on the best path; _use_paths installs the rest.
+        source = PayloadStream(stream, total_bytes)
         sender = SenderSession(
             sid, tag, [_path_ref(discovered[0], self.legs)], {0: Fraction(1)}, total_bytes,
-            payload=payload, now=now,
+            source=source, now=now,
         )
         receiver = ReceiverSession(sid, tag, {}, total_bytes)
         transfer = Transfer(
-            id_str=id_str,
-            sid=sid,
-            src=src,
-            dst=dst,
-            tag=tag,
-            total_bytes=total_bytes,
-            k=k,
-            home_anchor=home,
-            t_open=now,
-            discovered=discovered,
-            used=[],
-            sender=sender,
-            receiver=receiver,
+            id_str=id_str, sid=sid, src=src, dst=dst, tag=tag, total_bytes=total_bytes, k=k,
+            home_anchor=home, t_open=now, discovered=discovered, used=[], sender=sender,
+            receiver=receiver, source=source,
             potential_mbps=sum((self._path_raw_bottleneck(p.hops) for p in discovered), Fraction(0)),
             residual_potential_mbps=sum(
                 (p.min_capacity_mbps or Fraction(0) for p in discovered), Fraction(0)
             ),
-            rate_cap_mbps=rate_cap_mbps,
-            source_digest=hashlib.sha256(payload).hexdigest(),
-            next_pid=len(discovered),
-            on_complete=on_complete,
+            rate_cap_mbps=rate_cap_mbps, next_pid=len(discovered), on_complete=on_complete,
         )
         self.transfers[sid] = transfer
         self._digests[sid] = {}
@@ -834,16 +818,8 @@ class Simulation:
     # -- pubsub -------------------------------------------------------------------
 
     def _open_pubsub(
-        self,
-        id_str: str,
-        publisher: str,
-        subscribers: list[str],
-        tag: str,
-        total_bytes: int,
-        payload: bytes,
-        now: int,
-        *,
-        object_name: Optional[str] = None,
+        self, id_str: str, publisher: str, subscribers: list[str], tag: str, total_bytes: int,
+        stream: str, now: int, *, object_name: Optional[str] = None,
         stage_ttl_us: Optional[int] = None,
     ) -> PubTransfer:
         sid = self._next_sid
@@ -852,16 +828,9 @@ class Simulation:
         db = self.anchors[home].db
         tree = build_tree(db, publisher, subscribers, self.link_cost)
         pub = PubTransfer(
-            id_str=id_str,
-            sid=sid,
-            publisher=publisher,
-            object_name=object_name,
-            tag=tag,
-            total_bytes=total_bytes,
-            tree=tree,
-            t_open=now,
-            source_digest=hashlib.sha256(payload).hexdigest(),
-            stage_ttl_us=stage_ttl_us,
+            id_str=id_str, sid=sid, publisher=publisher, object_name=object_name, tag=tag,
+            total_bytes=total_bytes, tree=tree, t_open=now,
+            source=PayloadStream(stream, total_bytes), stage_ttl_us=stage_ttl_us,
         )
         self.pubs[sid] = pub
         self._digests[sid] = {}
@@ -871,37 +840,33 @@ class Simulation:
         # Publisher feeds the root; hosts reach their anchor over an access
         # leg that is itself a reliable hop.
         if publisher != tree.root:
-            self._add_pub_edge(pub, publisher, tree.root, 0, payload=payload, now=now)
+            self._add_pub_edge(pub, publisher, tree.root, 0, now=now)
         for parent, child in _tree_edges_top_down(tree):
             self._add_pub_edge(pub, parent, child, 0, now=now)
         for sub in sorted(tree.subscribers):
             self._attach_subscriber(pub, sub, 0, now)
-        if publisher == tree.root:
-            # Root anchor owns the stream directly.
-            for edge in pub.downstream.get(publisher, ()):
-                edge.sender.feed(payload)
         self._reallocate(now)
         for edge in pub.edges:
             self._arm(sid, edge.parent, edge.sender, now)
         return pub
 
     def _add_pub_edge(
-        self,
-        pub: PubTransfer,
-        parent: str,
-        child: str,
-        start_seq: int,
-        *,
-        payload: bytes = b"",
-        now: int,
+        self, pub: PubTransfer, parent: str, child: str, start_seq: int, *, now: int
     ) -> TreeEdge:
+        """Add the edge ``parent`` -> ``child``.  Its sender relays what
+        ``parent`` receives, unless ``parent`` is the publisher: then it sends
+        the tree's source, or a copy if an earlier edge already does."""
         pid = pub.next_pid
         pub.next_pid += 1
         leg = self.legs[(parent, child)]
         ref = PathRef(pid, (parent, child), leg.latency_us, leg.dest)
+        source = None
+        if parent == pub.publisher:
+            source = (PayloadStream(pub.source.name, pub.total_bytes, start_seq)
+                      if parent in pub.downstream else pub.source)
         sender = SenderSession(
             pub.sid, pub.tag, [ref], {pid: Fraction(1)}, pub.total_bytes,
-            payload=payload, start_seq=start_seq, now=now,
+            source=source, start_seq=start_seq, now=now,
         )
         edge = TreeEdge(pid, parent, child, sender)
         pub.edges.append(edge)
@@ -951,9 +916,6 @@ class Simulation:
                 upstream = self.receivers.get((pub.sid, parent))
                 join_seq = upstream.next_expected if upstream is not None else 0
             edge = self._add_pub_edge(pub, parent, child, join_seq, now=now)
-            if parent == tree.root and pub.publisher == tree.root and pub.object_name:
-                stream = synth_payload(pub.object_name, pub.total_bytes)
-                edge.sender.feed(stream[join_seq * SEGMENT_PAYLOAD_BYTES :])
             self._arm(pub.sid, parent, edge.sender, now)
             existing_nodes.add(child)
         sub_anchor_receiver = self.receivers.get((pub.sid, anchor))
@@ -1025,21 +987,13 @@ class Simulation:
             raise ObjectUnavailable(object_name)
         source = select_source(candidates, anchor.db, gw_name)
         entry = self.anchors[source].catalog.lookup(addr, now)
-        payload = synth_payload(object_name, entry.size)
 
         def staged(t: int, size=entry.size, ttl=entry.ttl_us) -> None:
             self._stage_replica(gw_name, object_name, size, ttl, t)
 
         self._open_unicast(
-            f"fetch.{object_name}.{gw_name}",
-            source,
-            gw_name,
-            tag,
-            entry.size,
-            k,
-            payload,
-            now,
-            on_complete=staged,
+            f"fetch.{object_name}.{gw_name}", source, gw_name, tag, entry.size, k, object_name,
+            now, on_complete=staged,
         )
 
     # -- scenario script -----------------------------------------------------------
@@ -1058,13 +1012,9 @@ class Simulation:
                 entry = src_gw.catalog.lookup(parse_address(object_name, AddressKind.DATA), now)
                 if entry is None:
                     raise ObjectUnavailable(object_name)
-                total = entry.size
-                payload = synth_payload(object_name, total)
-                ttl = entry.ttl_us
+                total, stream, ttl = entry.size, object_name, entry.ttl_us
             else:
-                total = fields["bytes"]
-                payload = synth_payload(f"session:{fields['id']}", total)
-                ttl = None
+                total, stream, ttl = fields["bytes"], f"session:{fields['id']}", None
             if fields.get("session_mode", "unicast") == "pubsub":
                 subscribers = list(fields["subscribers"])
                 if self.mode == MODE_BASELINE:
@@ -1073,17 +1023,17 @@ class Simulation:
                     for sub in sorted(subscribers):
                         self._open_unicast(
                             f"{fields['id']}#{sub}", fields["src"], sub, tag,
-                            total, k, payload, now,
+                            total, k, stream, now,
                         )
                 else:
                     self._open_pubsub(
-                        fields["id"], fields["src"], subscribers, tag, total, payload,
+                        fields["id"], fields["src"], subscribers, tag, total, stream,
                         now, object_name=object_name, stage_ttl_us=ttl,
                     )
             else:
                 cap = fields.get("rate_cap_mbps")
                 self._open_unicast(
-                    fields["id"], fields["src"], fields["dst"], tag, total, k, payload,
+                    fields["id"], fields["src"], fields["dst"], tag, total, k, stream,
                     now, rate_cap_mbps=Fraction(str(cap)) if cap is not None else None,
                 )
         elif event.kind == "stage":

@@ -1,3 +1,6 @@
+import hashlib
+import random
+
 import pytest
 
 from anchornet.addressing import AddressKind, parse_address
@@ -5,9 +8,11 @@ from anchornet.gateway import (
     GatewayCatalog,
     NotDataName,
     ObjectUnavailable,
+    PayloadStream,
     select_source,
     synth_payload,
 )
+from anchornet.session import SEGMENT_PAYLOAD_BYTES
 from oracles import db_from_edges
 
 OBJ = parse_address("cms.dataset.run42", AddressKind.DATA)
@@ -61,6 +66,41 @@ def test_payload_is_deterministic_per_name():
     assert a == b
     assert a != c
     assert len(a) == 2048
+
+
+SIZES = [1, 3, 8191, 8192, 8193, 3 * 8192 + 5]
+
+
+@pytest.mark.parametrize("size", SIZES)
+def test_stream_segments_join_to_one_randbytes_call(size):
+    name = "cms.dataset.run42"
+    seed = int.from_bytes(hashlib.sha256(name.encode()).digest()[:8], "big")
+    whole = random.Random(seed).randbytes(size)
+    segments = list(PayloadStream(name, size))
+    assert all(len(s) == SEGMENT_PAYLOAD_BYTES for s in segments[:-1])
+    assert 0 < len(segments[-1]) <= SEGMENT_PAYLOAD_BYTES
+    assert b"".join(segments) == whole == synth_payload(name, size)
+
+
+@pytest.mark.parametrize("size", SIZES)
+def test_stream_from_start_seq_is_the_matching_tail(size):
+    whole = synth_payload("cms.dataset.run42", size)
+    for start in range(1, size // SEGMENT_PAYLOAD_BYTES + 2):
+        tail = b"".join(PayloadStream("cms.dataset.run42", size, start))
+        assert tail == whole[start * SEGMENT_PAYLOAD_BYTES:]
+
+
+@pytest.mark.parametrize("size", SIZES)
+def test_stream_digest_covers_the_untaken_rest_without_taking_it(size):
+    whole = synth_payload("cms.dataset.run42", size)
+    stream = PayloadStream("cms.dataset.run42", size)
+    taken = []
+    for _ in range(-(-size // SEGMENT_PAYLOAD_BYTES)):
+        assert stream.hexdigest() == hashlib.sha256(whole).hexdigest()
+        taken.append(next(stream))
+    assert b"".join(taken) == whole
+    assert stream.hexdigest() == hashlib.sha256(whole).hexdigest()
+    assert next(stream, None) is None
 
 
 TOPO = db_from_edges(

@@ -26,11 +26,17 @@ def ref(pid, metric=100, hop=HOP_A):
     return PathRef(pid, (f"src-{pid}", f"mid-{pid}", "dst"), metric, hop)
 
 
+def chunks(stream):
+    """A sender's source: ``stream`` cut into segment payloads."""
+    return iter([stream[lo:lo + SEGMENT_PAYLOAD_BYTES]
+                 for lo in range(0, len(stream), SEGMENT_PAYLOAD_BYTES)])
+
+
 def make_sender(n_paths=1, rates=None, total=10 * SEGMENT_PAYLOAD_BYTES, payload=None):
     paths = [ref(i) for i in range(n_paths)]
     rates = rates or {i: 8 for i in range(n_paths)}
     payload = payload if payload is not None else bytes(total)
-    return SenderSession(1, "atlas", paths, rates, total, payload=payload, now=0)
+    return SenderSession(1, "atlas", paths, rates, total, source=chunks(payload), now=0)
 
 
 def drive(sender, until=10_000_000):
@@ -64,7 +70,8 @@ def test_open_requires_rate_per_path():
 
 
 def test_two_paths_construct():
-    sender = SenderSession(1, "atlas", [ref(0), ref(1)], {0: 50, 1: 50}, 100, payload=b"x" * 100)
+    sender = SenderSession(1, "atlas", [ref(0), ref(1)], {0: 50, 1: 50}, 100,
+                           source=chunks(b"x" * 100))
     assert set(sender.paths) == {0, 1}
 
 
@@ -182,9 +189,9 @@ def test_reorder_buffer_delivers_prefix():
     d0, _ = rx.on_receive(seg(0), 10)
     d2, _ = rx.on_receive(seg(2), 20)
     d1, _ = rx.on_receive(seg(1), 30)
-    assert len(d0) == SEGMENT_PAYLOAD_BYTES
-    assert d2 == b""
-    assert len(d1) == 2 * SEGMENT_PAYLOAD_BYTES
+    assert [len(p) for p in d0] == [SEGMENT_PAYLOAD_BYTES]
+    assert d2 == []
+    assert d1 == [seg(1).payload, seg(2).payload]
     assert rx.complete
 
 
@@ -236,9 +243,33 @@ def test_delivery_is_prefix_of_stream_for_any_arrival_order(order):
         delivered, _ = rx.on_receive(
             Segment(1, seq, 0, "atlas", HOP_A, bytes([seq]) * SEGMENT_PAYLOAD_BYTES), 10
         )
-        got.extend(delivered)
+        got.extend(b"".join(delivered))
         assert stream.startswith(bytes(got))
     assert bytes(got) == stream
+
+
+def test_sacks_match_sorted_buffer_rule_under_random_arrivals_with_duplicates():
+    for seed in range(60):
+        rng = random.Random(seed)
+        start, n = rng.choice([0, 3]), rng.randint(1, 40)
+        rx = ReceiverSession(1, "atlas", {0: HOP_B}, (start + n) * SEGMENT_PAYLOAD_BYTES,
+                             start_seq=start)
+        arrivals = [seq for seq in range(start, start + n) for _ in range(rng.randint(1, 3))]
+        rng.shuffle(arrivals)
+        buffered, floor, got = set(), start, []
+        for seq in arrivals:
+            delivered, (ack,) = rx.on_receive(seg(seq), 0)
+            got.extend(delivered)
+            # The rule as first written: buffer what lies at or above the
+            # floor, deliver the prefix, SACK the sorted remainder.
+            if seq >= floor:
+                buffered.add(seq)
+            while floor in buffered:
+                buffered.remove(floor)
+                floor += 1
+            assert (ack.ack_cum, ack.ack_sacks) == (floor, tuple(sorted(buffered))), seed
+        assert rx.complete
+        assert got == [seg(seq).payload for seq in range(start, start + n)]
 
 
 def test_mid_stream_start_seq():
@@ -246,7 +277,7 @@ def test_mid_stream_start_seq():
     stream = b"".join(bytes([i]) * SEGMENT_PAYLOAD_BYTES for i in range(6))
     sender = SenderSession(
         1, "atlas", [ref(0)], {0: 80}, total,
-        payload=stream[3 * SEGMENT_PAYLOAD_BYTES:], start_seq=3, now=0,
+        source=chunks(stream[3 * SEGMENT_PAYLOAD_BYTES:]), start_seq=3, now=0,
     )
     rx = ReceiverSession(1, "atlas", {0: HOP_B}, total, start_seq=3)
     now = 0
@@ -303,7 +334,7 @@ def test_ack_floor_matches_rebuilt_range_under_reordering_and_loss():
         def open_sender():
             return SenderSession(
                 1, "atlas", [ref(pid) for pid in range(n_paths)], rates, total,
-                payload=stream[start * SEGMENT_PAYLOAD_BYTES:], start_seq=start, now=0,
+                source=chunks(stream[start * SEGMENT_PAYLOAD_BYTES:]), start_seq=start, now=0,
             )
 
         fast, slow = open_sender(), open_sender()
@@ -425,8 +456,8 @@ def test_retransmit_heaps_match_sort_and_min_rule_on_lossy_multipath_runs():
         n_paths = rng.randint(1, 3)
         paths = [ref(pid, metric=rng.choice([50, 100, 400])) for pid in range(n_paths)]
         rates = {pid: rng.choice([40, 80, 200]) for pid in range(n_paths)}
-        fast = SenderSession(1, "atlas", paths, rates, total, payload=stream, now=0)
-        slow = _SortAndMinSender(1, "atlas", paths, rates, total, payload=stream, now=0)
+        fast = SenderSession(1, "atlas", paths, rates, total, source=chunks(stream), now=0)
+        slow = _SortAndMinSender(1, "atlas", paths, rates, total, source=chunks(stream), now=0)
         rx = ReceiverSession(1, "atlas", {pid: HOP_B for pid in range(n_paths)}, total)
         data, acks = [], []
         now = 0

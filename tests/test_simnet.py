@@ -236,6 +236,65 @@ def test_session_without_path_stops_pacing():
     assert report["faults"]["dropped_unknown"] <= 50
 
 
+@pytest.mark.parametrize("cut", ["horizon", "no_path"])
+def test_source_digest_of_an_unfinished_transfer_covers_the_whole_object(cut):
+    raw = three_path_lossy(horizon_us=25_000 if cut == "horizon" else 10_000_000)
+    if cut == "no_path":
+        raw["events"] += [
+            {"time_us": 30_000, "kind": "link_down", "link": f"trunk-{i}w"} for i in (1, 2, 3)
+        ]
+    sim = Simulation(build(raw))
+    session = sim.run()["sessions"]["bulk"]
+    assert session["status"] == {"horizon": "active", "no_path": "no_path"}[cut]
+    (transfer,) = sim.transfers.values()
+    # The origin stopped before it took its last segment from the stream.
+    assert transfer.sender.send_next < transfer.sender.total_segments
+    whole = synth_payload("session:bulk", session["bytes_total"])
+    assert session["source_sha256"] == hashlib.sha256(whole).hexdigest()
+    assert session["delivered_sha256"] != session["source_sha256"]
+
+
+def _lossy_dual_path(fixture_paths):
+    raw = json.loads(fixture_paths["dual-path"].read_text())
+    for link in raw["links"]:
+        if link["id"].endswith("-trunk"):
+            link["loss_prob"] = 0.05
+    return parse_scenario(json.dumps(raw))
+
+
+@pytest.mark.parametrize("scenario", ["lossy-dual-path", "transatlantic-pubsub", "mid-stream-join"])
+def test_senders_hold_only_unacknowledged_segments(fixture_paths, scenario):
+    config = {
+        "lossy-dual-path": lambda: _lossy_dual_path(fixture_paths),
+        "transatlantic-pubsub": lambda: load_scenario(fixture_paths["transatlantic-pubsub"]),
+        "mid-stream-join": lambda: _mid_stream_join(),
+    }[scenario]()
+    sim = Simulation(config)
+    most_held = 0
+    while sim.queue.peek_time() is not None:
+        sim.step()
+        origins = {t.sender for t in sim.transfers.values()} | {
+            e.sender for pub in sim.pubs.values() for e in pub.edges if e.parent == pub.publisher
+        }
+        for group in sim.senders.values():
+            for sender in set(group.values()):
+                held, acked, nxt = set(sender.held), sender.acked, sender.send_next
+                assert not held & acked
+                # Of the segments sent, exactly the unacknowledged ones are held ...
+                sent = {seq for seq in held if seq < nxt}
+                assert sent == set(range(sender.start_seq, nxt)) - acked
+                assert len(sent) <= nxt - sender.start_seq - len(acked)
+                # ... and of those not yet sent, only a relay's contiguous
+                # backlog of what its upstream hop delivered.
+                backlog = sorted(held - sent)
+                assert backlog == list(range(nxt, nxt + len(backlog)))
+                assert not (backlog and sender in origins)
+                most_held = max(most_held, len(held))
+    assert all(t.status == "complete" for t in sim.transfers.values())
+    assert all(pub.status == "complete" for pub in sim.pubs.values())
+    assert most_held > 0
+
+
 def test_multi_link_internal_domain_path():
     # the wan domain routes between its edge attachments over an
     # intermediate hop, so one overlay leg crosses two substrate links
