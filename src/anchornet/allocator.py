@@ -107,10 +107,6 @@ class FlowAllocation:
     def rates_mbps(self) -> dict[str, float]:
         return {sid: float(rate) for sid, rate in self.rates_exact.items()}
 
-    @property
-    def residuals_mbps(self) -> dict[str, float]:
-        return {lid: float(r) for lid, r in self.residuals_exact.items()}
-
 
 class _Level(tuple):
     """A reduced (numerator, denominator) level; ``<`` compares values."""

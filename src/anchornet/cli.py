@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from typing import Optional
 
 from .metrics import (
     TopologyMismatch,
@@ -28,6 +29,7 @@ from .scenario import (
     MODE_L5,
     ConfigInvalid,
     ParseError,
+    ScenarioConfig,
     load_scenario,
 )
 from .simnet import Simulation
@@ -66,25 +68,32 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_validate(args: argparse.Namespace) -> int:
+def _load(path: str) -> Optional[ScenarioConfig]:
+    """The scenario in ``path``, or None once why it cannot be used is printed."""
     try:
-        load_scenario(args.scenario)
+        return load_scenario(path)
+    except OSError as exc:
+        print(f"{path}: {exc.strerror or exc}", file=sys.stderr)
+    except UnicodeDecodeError as exc:
+        print(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}", file=sys.stderr)
     except ParseError as exc:
-        print(f"{args.scenario}: {exc}", file=sys.stderr)
-        return 1
+        print(f"{path}: {exc}", file=sys.stderr)
     except ConfigInvalid as exc:
         for diagnostic in exc.diagnostics:
-            print(f"{args.scenario}: {diagnostic}", file=sys.stderr)
+            print(f"{path}: {diagnostic}", file=sys.stderr)
+    return None
+
+
+def _cmd_validate(args: argparse.Namespace) -> int:
+    if _load(args.scenario) is None:
         return 1
     print(f"{args.scenario}: ok")
     return 0
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    try:
-        config = load_scenario(args.scenario)
-    except (ParseError, ConfigInvalid) as exc:
-        print(f"{args.scenario}: {exc}", file=sys.stderr)
+    config = _load(args.scenario)
+    if config is None:
         return 1
     mode = _MODE_ALIASES[args.mode] if args.mode else None
     try:

@@ -29,7 +29,7 @@ def test_symmetric_split():
         ),
     )
     assert alloc.rates_mbps == {"a": 5.0, "b": 5.0}
-    assert alloc.residuals_mbps["l1"] == 0.0
+    assert alloc.residuals_exact["l1"] == 0
 
 
 def test_weighted_split_single_saturation():
@@ -68,7 +68,7 @@ def test_two_saturation_events():
 def test_empty_session_list():
     alloc = water_fill({"l1": 10, "l2": 4}, matrix())
     assert alloc.rates_mbps == {}
-    assert alloc.residuals_mbps == {"l1": 10.0, "l2": 4.0}
+    assert alloc.residuals_exact == {"l1": 10, "l2": 4}
 
 
 def test_unknown_link():

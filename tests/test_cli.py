@@ -87,3 +87,35 @@ def test_compare_rejects_topology_mismatch(tmp_path, capsys, fixture_paths):
     assert "topolog" in capsys.readouterr().err.lower()
     with pytest.raises(TopologyMismatch):
         compare(load_report(str(out_a)), load_report(str(out_b)))
+
+
+UNUSABLE = {
+    "missing.json": None,
+    "latin1.json": "{\"name\": \"café\"}".encode("latin-1"),
+    "domain-not-object.json": b'{"domains": [5]}',
+    "links-not-list.json": b'{"links": "x"}',
+    "attachments-not-list.json": b'{"domains": [{"id": "d", "attachments": 3}]}',
+}
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("name", sorted(UNUSABLE))
+def test_unusable_scenario_is_one_line_per_problem_and_exit_1(tmp_path, capsys, command, name):
+    path = tmp_path / name
+    if UNUSABLE[name] is not None:
+        path.write_bytes(UNUSABLE[name])
+    assert main([command, str(path), *(["--out", str(tmp_path / "r.json")] if command == "run" else [])]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    lines = err.splitlines()
+    assert lines and all(line.startswith(f"{path}: ") and len(line) > len(f"{path}: ") for line in lines)
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_bad_rate_cap_is_a_diagnostic_not_a_simulation_fault(tmp_path, capsys, fixture_paths):
+    raw = json.loads(fixture_paths["dual-path"].read_text())
+    raw["events"][0]["rate_cap_mbps"] = "fast"
+    path = tmp_path / "capped.json"
+    path.write_text(json.dumps(raw))
+    assert main(["run", str(path), "--out", str(tmp_path / "r.json")]) == 1
+    assert capsys.readouterr().err == f"{path}: events[0].rate_cap_mbps: must be a positive number, got 'fast'\n"

@@ -1,16 +1,20 @@
+import hashlib
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from anchornet.scenario import (
     ConfigInvalid,
     ParseError,
+    _build,
     load_scenario,
     parse_scenario,
     validate_text,
 )
+from scenario_corpus import DELETE, FIXTURES, SCENARIOS, bases, corpus, every_event_kind, sites
 
 
 def test_shipped_fixtures_validate(fixture_paths):
@@ -184,8 +188,263 @@ def test_scenario_hash_ignores_seed_and_mode():
     assert c.scenario_hash() != a.scenario_hash()
 
 
+@pytest.mark.parametrize("path, value, message", [
+    (("seed",), True, "must be an integer, got True"),
+    (("horizon_us",), True, "must be a positive integer, got True"),
+    (("links", 0, "latency_us"), True, "must be a nonnegative integer, got True"),
+    (("events", 0, "time_us"), True, "must be a nonnegative integer, got True"),
+    (("events", 0, "bytes"), True, "must be a positive integer, got True"),
+    (("events", 0, "k_paths"), True, "must be a positive integer, got True"),
+    (("events", 1, "size_bytes"), True, "must be a positive integer, got True"),
+    (("events", 1, "ttl_us"), True, "must be a positive integer, got True"),
+    (("anchors", 3, "gateway"), "no", "must be a boolean, got 'no'"),
+    (("domains", 0, "attachments"), "xy", "must be a list of ids, got 'xy'"),
+    (("links", 0, "endpoints"), "ab", "must name two distinct attachments"),
+    (("events", 3, "subscribers"), "cern.h1", "pubsub session needs subscribers"),
+    (("events", 0, "rate_cap_mbps"), "fast", "must be a positive number, got 'fast'"),
+    (("events", 0, "rate_cap_mbps"), -5, "must be a positive number, got -5"),
+    (("events", 2, "k_paths"), 0, "must be a positive integer, got 0"),
+])
+def test_value_of_the_wrong_kind_is_reported_at_its_field(path, value, message):
+    raw = every_event_kind()
+    target = raw
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    where = "".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in path).lstrip(".")
+    assert str(validate_text(json.dumps(raw))[0]) == f"{where}: {message}"
+
+
+def test_every_event_kind_scenario_is_valid():
+    assert validate_text(json.dumps(every_event_kind())) == []
+
+
+@pytest.mark.parametrize("text, raises", [
+    ('{"seed": ' + "[" * 100_000 + "]" * 100_000 + "}", ParseError),
+    ('{"seed": ' + "1" * 5000 + "}", ParseError),
+    ('{"anchors": [{"name": "\\ud800"}], "policy": [{"tag": "\\ud800"}]}', ConfigInvalid),
+])
+def test_text_json_or_utf8_cannot_hold_gets_a_diagnostic(text, raises):
+    assert validate_text(text)
+    with pytest.raises(raises):
+        parse_scenario(text)
+
+
 def test_config_invalid_raises_on_parse():
     raw = _minimal()
     raw["links"][0]["capacity_mbps"] = -5
     with pytest.raises(ConfigInvalid):
         parse_scenario(json.dumps(raw))
+
+
+# -- pins measured at 79fb0a7, on the hand-written validator the tables replaced -------
+
+# Generalized site (indices dropped, events named by kind) -> the values
+# that made the hand-written validator raise instead of returning a diagnostic.
+RAISED_BEFORE = {
+    ".anchors": '"x" null true',
+    ".anchors[]": '"x" [] null true',
+    ".anchors[].name": '[] null true {}',
+    ".anchors[].peers": 'null true',
+    ".anchors[].peers[].anchor": '[] {}',
+    ".anchors[].peers[].domain": '[] {}',
+    ".anchors[].ports": '"x" null true',
+    ".anchors[].ports[]": '"x" [] null true',
+    ".anchors[].ports[].attachment": '[] {}',
+    ".anchors[].ports[].domain": '[] {}',
+    ".domains": '"x" null true',
+    ".domains[]": '"x" [] null true',
+    ".domains[].attachments": 'null true',
+    ".domains[].attachments[]": '[] {}',
+    ".events": '"x" null true',
+    ".events[link_down]": '"x" [] null true',
+    ".events[link_down].link": '[] {}',
+    ".events[open_session/pubsub]": '"x" [] null true',
+    ".events[open_session/pubsub].src": '[] {}',
+    ".events[open_session/pubsub].subscribers": 'true',
+    ".events[open_session/pubsub].subscribers[]": '[] {}',
+    ".events[open_session/pubsub].tag": '[] {}',
+    ".events[open_session]": '"x" [] null true',
+    ".events[open_session].dst": '[] {}',
+    ".events[open_session].src": '[] {}',
+    ".events[open_session].tag": '[] {}',
+    ".events[stage]": '"x" [] null true',
+    ".events[stage].gateway": '[] {}',
+    ".events[stage].object": '[] null true {}',
+    ".events[subscribe]": '"x" [] null true',
+    ".events[subscribe].gateway": '[] {}',
+    ".events[subscribe].object": '[] null true {}',
+    ".events[subscribe].tag": '[] {}',
+    ".hosts": '"x" null true',
+    ".hosts[]": '"x" [] null true',
+    ".hosts[].anchor": '[] {}',
+    ".hosts[].name": '[] null true {}',
+    ".hosts[].port": '"x" [] null true',
+    ".hosts[].port.attachment": '[] {}',
+    ".hosts[].port.domain": '[] {}',
+    ".links": '"x" null true',
+    ".links[]": '"x" [] null true',
+    ".links[].domain": '[] {}',
+    ".links[].endpoints": 'null true',
+    ".links[].endpoints[]": '[] {}',
+    ".policy": '"x" null true',
+    ".policy[]": '"x" [] null true',
+}
+
+INT_FIELDS = {"seed", "horizon_us", "latency_us", "time_us", "bytes", "k_paths", "size_bytes", "ttl_us"}
+LIST_FIELDS = {
+    "domains", "links", "anchors", "hosts", "policy", "events",
+    "attachments", "ports", "peers", "endpoints", "subscribers",
+}
+
+
+def _site(base: dict, path: tuple) -> str:
+    """``path`` with indices dropped; an event index becomes the base event's kind."""
+    site = ""
+    for depth, key in enumerate(path):
+        if depth == 1 and path[0] == "events":
+            event = base["events"][key]
+            mode = event.get("session_mode")
+            site += f"[{event['kind']}{'/' + mode if mode else ''}]"
+        else:
+            site += "[]" if isinstance(key, int) else f".{key}"
+    return site
+
+
+def _intended_change(site: str, value) -> bool:
+    """Inputs whose diagnostics changed on purpose: a boolean where an
+    integer is required, a non-boolean anchor ``gateway``, a string or an
+    object where a list is required, and a ``rate_cap_mbps`` or a subscribe
+    event's ``k_paths`` (both read by the simulator, neither checked before)
+    that is not a positive number."""
+    field = site.rsplit(".", 1)[-1]
+    if value is DELETE:
+        return False
+    if field in INT_FIELDS and value is True:
+        return True
+    if site == ".anchors[].gateway":
+        return type(value) is not bool
+    if field in LIST_FIELDS and type(value) in (str, dict):
+        return True
+    if field == "rate_cap_mbps":
+        return value is not None and (type(value) not in (int, float) or value <= 0)
+    if site == ".events[subscribe].k_paths":
+        return type(value) is not int or value <= 0
+    return False
+
+
+def _corpus_outcomes():
+    """The digest of the diagnostics of every corpus input but the exempt,
+    and the exempt with theirs.  ``_build`` is ``validate_text`` less the
+    JSON decoding, which the corpus need not repeat 11,000 times."""
+    bases_ = {name: json.loads(text) for name, text in bases().items()}
+    pinned, exempt = hashlib.sha256(), []
+    for key, path, label, value, scenario in corpus():
+        diagnostics = [str(d) for d in _build(scenario)[1]]
+        site = _site(bases_[key.split(":")[0]], path)
+        if label in RAISED_BEFORE.get(site, "").split(" ") or _intended_change(site, value):
+            exempt.append((key, diagnostics))
+        else:
+            pinned.update(f"{key}\t{json.dumps(diagnostics)}\n".encode())
+    return pinned.hexdigest(), exempt
+
+
+# Measured at 79fb0a7 with validate_text, on the same corpus and exemptions.
+CORPUS_DIGEST = "104487334cc4bdd2fe45f93f8d08b67f68d8b835c3b8b78976536821342af992"
+CORPUS_EXEMPT = 3523
+
+
+def test_corpus_diagnostics_are_pinned():
+    digest, exempt = _corpus_outcomes()
+    assert digest == CORPUS_DIGEST
+    assert len(exempt) == CORPUS_EXEMPT
+    for key, diagnostics in exempt:
+        assert diagnostics, key
+
+
+def _config_texts():
+    """The four fixtures, and the four benchmark workloads at seeds 1 and 2."""
+    sys.path.insert(0, str(SCENARIOS.parent / "anchorbench"))
+    from workloads import WORKLOADS
+
+    texts = [(SCENARIOS / f"{name}.json").read_text() for name in FIXTURES]
+    texts += [json.dumps(gen(seed)) for gen in WORKLOADS.values() for seed in (1, 2)]
+    return texts
+
+
+# sha256 of the configs' reprs, measured at 79fb0a7: it holds every field's
+# value and type (Fraction, float or int).
+CONFIG_DIGEST = "f93507c9c47fa71112156c2d4e142e51f28410c45fb137bfec4d7455218de23b"
+
+
+def test_parsed_configs_are_pinned():
+    blob = "\n".join(repr(parse_scenario(text)) for text in _config_texts())
+    assert hashlib.sha256(blob.encode()).hexdigest() == CONFIG_DIGEST
+
+
+# -- the validator never raises ---------------------------------------------------------
+
+TEXTS = bases()
+BASES = {name: json.loads(text) for name, text in TEXTS.items()}
+SITES = {name: list(sites(root)) for name, root in BASES.items()}
+
+
+def _leaves(node):
+    """Every dict key and string in ``node``: values that reach the schema."""
+    if isinstance(node, dict):
+        for key, child in node.items():
+            yield key
+            yield from _leaves(child)
+    elif isinstance(node, list):
+        for child in node:
+            yield from _leaves(child)
+    elif isinstance(node, str):
+        yield node
+
+
+WORDS = sorted({word for root in BASES.values() for word in _leaves(root)} | {"\ud800", ""})
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6) | st.sampled_from(WORDS),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(WORDS) | st.text(max_size=4), inner, max_size=6),
+    max_leaves=20,
+)
+
+
+def _reports_and_never_raises(text):
+    diagnostics = validate_text(text)
+    assert all(type(d.path) is str and type(d.message) is str for d in diagnostics)
+    try:
+        parse_scenario(text)
+    except ConfigInvalid as exc:
+        assert exc.diagnostics == diagnostics != []
+    except ParseError:
+        assert [d.path for d in diagnostics] == ["$"]
+    else:
+        assert diagnostics == []
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(JSON.map(json.dumps), st.text(max_size=40)))
+def test_any_text_gets_diagnostics_never_an_exception(text):
+    _reports_and_never_raises(text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_mutated_fixtures_get_diagnostics_never_an_exception(data):
+    name = data.draw(st.sampled_from(sorted(BASES)))
+    root = json.loads(TEXTS[name])
+    for path in data.draw(st.lists(st.sampled_from(SITES[name]), min_size=1, max_size=3)):
+        try:  # an earlier mutation may have removed the place
+            parent = root
+            for key in path[:-1]:
+                parent = parent[key]
+            parent[path[-1]]
+        except (IndexError, KeyError, TypeError):
+            continue
+        if isinstance(parent, dict) and data.draw(st.booleans()):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = data.draw(JSON)
+    _reports_and_never_raises(json.dumps(root))
