@@ -1,14 +1,23 @@
 #!/usr/bin/env python3
-"""Time one dual-path transfer resized to N MiB and report its cost.
+"""Time one run of a resized scenario and report its cost.
 
     python3 scripts/scale_probe.py --mib 128
+    python3 scripts/scale_probe.py --sessions 600 [--span-us 400000]
 
-Runs scenarios/dual-path.json with its one transfer resized to N MiB and
-its horizon stretched in proportion, so that the transfer can finish.  It
-prints one JSON line: the events processed, events per host second, the
-host seconds of building and running the simulation, the process's peak
-RSS in MB, and whether the transfer completed byte-exact.  Run it in a
-fresh process per size: peak RSS only ever grows within one.
+``--mib N`` runs scenarios/dual-path.json with its one transfer resized to
+N MiB and its horizon stretched in proportion, so that the transfer can
+finish.  It prints one JSON line: the events processed, events per host
+second, the host seconds of building and running the simulation (its
+report included), the process's peak RSS in MB, and whether the transfer completed byte-exact.
+
+``--sessions N`` runs the benchmark's session-churn workload at seed 1
+(``anchorbench/workloads.py``) with N sessions arriving over ``--span-us``
+microseconds (default 400,000).  Its line adds the allocation epochs, the
+most concurrent claimants, the host seconds spent in allocation epochs,
+the size of the canonical report in MB, and whether every session
+completed byte-exact.
+
+Run it in a fresh process per size: peak RSS only ever grows within one.
 """
 
 import argparse
@@ -18,13 +27,15 @@ import resource
 import sys
 import time
 
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+ROOT = os.path.join(os.path.dirname(__file__), "..")
+sys.path.insert(0, os.path.join(ROOT, "src"))
 
+from anchornet.metrics import canonical_json
 from anchornet.scenario import parse_scenario
 from anchornet.simnet import Simulation
 
 MIB = 1024 * 1024
-SCENARIO = os.path.join(os.path.dirname(__file__), "..", "scenarios", "dual-path.json")
+SCENARIO = os.path.join(ROOT, "scenarios", "dual-path.json")
 
 
 def resized(mib: float) -> dict:
@@ -39,31 +50,86 @@ def resized(mib: float) -> dict:
     return raw
 
 
-def probe(mib: float) -> dict:
-    raw = resized(mib)
+def churn(sessions: int, span_us: int) -> dict:
+    """The session-churn workload at seed 1, resized."""
+    sys.path.insert(0, os.path.join(ROOT, "anchorbench"))
+    from workloads import session_churn
+
+    return session_churn(1, sessions=sessions, span_us=span_us)
+
+
+class _TimedSimulation(Simulation):
+    """A simulation that sums the host time of its allocation epochs."""
+
+    alloc_s = 0.0
+
+    def _reallocate(self, now: int) -> None:
+        start = time.perf_counter()
+        super()._reallocate(now)
+        self.alloc_s += time.perf_counter() - start
+
+
+def _run(raw: dict) -> tuple[_TimedSimulation, dict, float]:
     start = time.perf_counter()
-    sim = Simulation(parse_scenario(json.dumps(raw)))
+    sim = _TimedSimulation(parse_scenario(json.dumps(raw)))
     report = sim.run()
-    host_s = time.perf_counter() - start
-    (session,) = report["sessions"].values()
+    return sim, report, time.perf_counter() - start
+
+
+def _figures(sim: _TimedSimulation, host_s: float) -> dict:
     return {
-        "mib": mib,
         "events": sim.events_processed,
         "events_per_s": round(sim.events_processed / host_s),
         "host_s": round(host_s, 3),
         "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+    }
+
+
+def probe(mib: float) -> dict:
+    sim, report, host_s = _run(resized(mib))
+    (session,) = report["sessions"].values()
+    return {
+        "mib": mib,
+        **_figures(sim, host_s),
         "complete": session["status"] == "complete"
         and session["delivered_sha256"] == session["source_sha256"],
     }
 
 
+def probe_sessions(sessions: int, span_us: int) -> dict:
+    sim, report, host_s = _run(churn(sessions, span_us))
+    epochs = report["allocation"]["epochs"]
+    return {
+        "sessions": sessions,
+        "span_us": span_us,
+        **_figures(sim, host_s),
+        "epochs": len(epochs),
+        "concurrent_max": max((e["concurrent"] for e in epochs), default=0),
+        "alloc_s": round(sim.alloc_s, 3),
+        "report_mb": round(len(canonical_json(report).encode()) / 1e6, 2),
+        "complete": all(
+            s["status"] == "complete" and s["delivered_sha256"] == s["source_sha256"]
+            for s in report["sessions"].values()
+        ),
+    }
+
+
 def main(argv: "list[str] | None" = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--mib", type=float, required=True, help="transfer size in MiB")
+    size = parser.add_mutually_exclusive_group(required=True)
+    size.add_argument("--mib", type=float, help="dual-path transfer size in MiB")
+    size.add_argument("--sessions", type=int, help="session-churn session count")
+    parser.add_argument("--span-us", type=int, default=400_000,
+                        help="session-churn arrival span in microseconds (default 400000)")
     args = parser.parse_args(argv)
-    if args.mib <= 0:
-        parser.error("--mib must be positive")
-    print(json.dumps(probe(args.mib)))
+    if args.mib is not None:
+        if args.mib <= 0:
+            parser.error("--mib must be positive")
+        print(json.dumps(probe(args.mib)))
+        return 0
+    if args.sessions < 2 or args.span_us < 1:
+        parser.error("--sessions must be at least 2 and --span-us positive")
+    print(json.dumps(probe_sessions(args.sessions, args.span_us)))
     return 0
 
 

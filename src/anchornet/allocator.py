@@ -1,4 +1,5 @@
-"""Weighted max-min fair rate allocation by progressive filling.
+"""Weighted max-min fair rate allocation by progressive filling, kept
+across allocation epochs.
 
 All concurrent claimants (one per session per assigned path) rise together
 in normalized rate (rate divided by policy weight).  Whenever a link fills,
@@ -7,39 +8,38 @@ reaches its demand cap it freezes there (a cap is a link only its claimant
 crosses).  Rising claimants share one fill level: with weights scaled to
 integers ``w`` by the lcm of their denominators, each rate is ``level * w``,
 and a link saturates at ``(capacity - frozen rate on it) / rising w on it``.
-Each round takes the lowest saturation level, freezes the claimants still
-rising on that link, and updates only the links they cross; links tied at
-one level go in successive rounds at that level.
+Each round freezes the claimants still rising on the link with the lowest
+saturation level and updates only the links they cross.  Every room, level
+and rate is a reduced ``(numerator, denominator)`` pair of ints, so rates
+and the per-link conservation identity are exact; ``Fraction``s and floats
+are built only at the reporting boundary.
 
-Arithmetic is exact rationals, so these are the same rates as adding each
-round's increment to every rising rate (``sum(delta_i * w) == level * w``)
-and the per-link conservation identity holds to the last bit; rates
-convert to floats only at the reporting boundary.  Inside the loop every
-room, level and rate is a ``(numerator, denominator)`` pair of ints kept
-reduced with ``math.gcd`` (no ``Fraction`` operator overhead); ``Fraction``s
-are built only for the returned allocation.  The heap orders saturation
-levels by the int ``floor(level * 2**32)``; when two of those tie, the
-levels compare exactly, ``n1 * d2 < n2 * d1``, never as pairs
-lexicographically, and equal levels go in the order they were pushed.
-
-The resulting allocation has the classic bottleneck property: a claimant
-not at its demand cap sits on at least one saturated link where no other
-claimant holds a strictly larger normalized rate.
+A ``Filling`` keeps, across epochs, each link's claimants, the scaled
+weights and a log of rounds: level, key, frozen claimants, and the rooms
+and rising weights before the round.  An epoch restarts at the first round
+a change touches: the round that froze a released claimant, or the first
+whose level is at or above ``room / (rising + added weight)`` on a link
+that gained claimants, or an added claimant's cap level.  Earlier rounds
+keep their lowest level and their frozen claimants, so they and their
+rates stay, with the weight changes applied to their snapshots.  The next
+key is the ``min()`` of each rising key's lead ``floor(level * 2**32)``,
+an int that orders two levels whenever it differs; equal leads compare
+levels exactly.  Weighted max-min fair rates are unique, so the order of
+keys at one level changes no rate: a tie restarts though keeping its round
+would give the same rates, and ``water_fill``, a fill from nothing, gives
+the rates of a kept filling.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from heapq import heappop, heappush
-from itertools import count
 from math import gcd, lcm
-from typing import Mapping, Optional, Sequence, Union
+from typing import Hashable, Mapping, Optional, Sequence, Union
 
 from .addressing import ScienceDomainTag
 
 Rate = Union[int, float, Fraction]
-Key = Union[str, int]
 
 
 class UnknownLink(KeyError):
@@ -117,85 +117,146 @@ class _Level(tuple):
         return self[0] * other[1] < other[0] * self[1]
 
 
+def _minus(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+    """``a - b`` of reduced (numerator, denominator) pairs, reduced."""
+    num, den = a[0] * b[1] - b[0] * a[1], a[1] * b[1]
+    g = gcd(num, den)
+    return num // g, den // g
+
+
+def _rise(room: tuple[int, int], w: int) -> tuple[int, _Level]:
+    """The saturation level ``room / w``, reduced (``room`` is), after its lead."""
+    g = gcd(room[0], w)
+    num, den = room[0] // g, room[1] * (w // g)
+    return (num << 32) // den, _Level((num, den))
+
+
+class Filling:
+    """Progressive filling kept across epochs: ``add`` and ``remove``
+    claimants, then ``fill``.  ``rate`` holds each claimant's rate and
+    ``states[-1][0]`` each link's room, as reduced int pairs.  A claimant id
+    also names its demand cap's private key, so it must not be a link id."""
+
+    def __init__(self, capacities: Mapping[str, Rate]) -> None:
+        self.capacity = {lid: as_fraction(c).as_integer_ratio() for lid, c in capacities.items()}
+        for lid, (num, den) in self.capacity.items():
+            if num <= 0:
+                raise ValueError(f"link {lid!r}: capacity must be positive, got {Fraction(num, den)}")
+        self.cap: dict[Hashable, tuple[int, int]] = {}  # capped claimant -> its cap
+        self.scale = 1  # the lcm of every weight denominator seen
+        self.demand: dict[Hashable, Demand] = {}
+        self.weight: dict[Hashable, int] = {}  # weight * scale
+        self.members: dict[str, dict[Hashable, None]] = {lid: {} for lid in self.capacity}
+        self.frozen_in: dict[Hashable, int] = {}  # claimant -> the round that froze it
+        self.rate: dict[Hashable, tuple[int, int]] = {}
+        self.rounds: list[tuple[_Level, Hashable, list[Hashable]]] = []  # level, key, frozen
+        # (room, rising weight) per link before each round, and after the last one
+        self.states = [(dict(self.capacity), dict.fromkeys(self.capacity, 0))]
+        # Since the last fill: rising weight gained (+) or released (-) per
+        # link, and the first round a release touches.
+        self.delta: dict[str, int] = {}
+        self.restart = 0
+
+    def add(self, cid: Hashable, demand: Demand) -> None:
+        missing = demand.links - self.capacity.keys()
+        if missing:
+            raise UnknownLink(f"demand {demand.session_id!r} references unknown links {sorted(missing)}")
+        if not demand.links and demand.demand_cap_mbps is None:
+            raise ValueError(f"demand {demand.session_id!r} crosses no links and has no cap; rate unbounded")
+        num, den = demand.weight.as_integer_ratio()
+        if self.scale % den:  # every level changes: refill from the first round
+            factor = lcm(self.scale, den) // self.scale
+            self.scale *= factor
+            self.weight = {c: w * factor for c, w in self.weight.items()}
+            self.delta = {lid: w * factor for lid, w in self.delta.items()}
+            self.states[0] = (self.states[0][0], {lid: w * factor for lid, w in self.states[0][1].items()})
+            self.restart = 0
+        if demand.demand_cap_mbps is not None:
+            self.cap[cid] = demand.demand_cap_mbps.as_integer_ratio()
+        self.demand[cid] = demand
+        self.weight[cid] = w = num * (self.scale // den)
+        for lid in demand.links:
+            self.members[lid][cid] = None
+            self.delta[lid] = self.delta.get(lid, 0) + w
+
+    def remove(self, cid: Hashable) -> None:
+        self.cap.pop(cid, None)
+        w = self.weight.pop(cid)
+        for lid in self.demand.pop(cid).links:
+            del self.members[lid][cid]
+            self.delta[lid] = self.delta.get(lid, 0) - w
+        if cid in self.frozen_in:  # it rose until the first round on one of its keys
+            self.restart = min(self.restart, self.frozen_in.pop(cid))
+
+    def fill(self) -> None:
+        """Refill from the first round the changes since the last fill touch."""
+        rounds, states, rate, cap, weight = self.rounds, self.states, self.rate, self.cap, self.weight
+        restart, frozen_in = self.restart, self.frozen_in
+        grown = [(lid, w) for lid, w in self.delta.items() if w > 0]
+        capped = [(weight[c], n, d) for c, (n, d) in cap.items() if c not in frozen_in]  # new caps
+        for i in range(restart if grown or capped else 0):
+            (num, den), (room, rising) = rounds[i][0], states[i]
+            if any(num * room[k][1] * (rising[k] + w) >= room[k][0] * den for k, w in grown) or any(
+                    num * w * d >= n * den for w, n, d in capped):
+                restart = i
+                break
+        for room, rising in states[:restart + 1]:
+            for lid, w in self.delta.items():
+                rising[lid] += w
+        for _, _, frozen in rounds[restart:]:
+            for c in frozen:
+                rate.pop(c, None)
+        room, rising = states[restart]
+        del rounds[restart:], states[restart:]
+        level = {lid: _rise(room[lid], w) for lid, w in rising.items() if w}
+        level.update((c, _rise(cap[c], weight[c])) for c in cap if c not in rate)
+        demand, members = self.demand, self.members
+        while level:
+            key = min(level, key=level.__getitem__)
+            num, den = at = level[key][1]
+            states.append((room.copy(), rising.copy()))
+            frozen = [c for c in members.get(key, (key,)) if c not in rate]  # a cap's key: its claimant
+            if not frozen:
+                raise AssertionError("progressive filling failed to freeze any claimant")
+            gained: dict[str, int] = {}
+            for c in frozen:
+                w = weight[c]
+                g = gcd(w, den)  # the level is reduced, so this reduces level * weight
+                rate[c] = (num * (w // g), den // g)
+                frozen_in[c] = len(rounds)
+                level.pop(c, None)
+                for lid in demand[c].links:
+                    gained[lid] = gained.get(lid, 0) + w
+            rounds.append((at, key, frozen))
+            for lid, w in gained.items():
+                g = gcd(w, den)
+                room[lid] = _minus(room[lid], (num * (w // g), den // g))
+                rising[lid] -= w
+                if rising[lid]:
+                    level[lid] = _rise(room[lid], rising[lid])
+                else:
+                    del level[lid]
+        states.append((room, rising))
+        self.delta, self.restart = {}, len(rounds)
+
+    def allocation(self) -> FlowAllocation:
+        """The rates in claimant order and the residuals, as ``Fraction``s."""
+        rates, room = [self.rate[c] for c in self.demand], self.states[-1][0]
+        # One Fraction per distinct value: many claimants share a rate.
+        exact = {pair: Fraction(*pair) for pair in {*rates, *room.values()}}
+        return FlowAllocation(
+            rates_exact={d.session_id: exact[r] for d, r in zip(self.demand.values(), rates)},
+            residuals_exact={lid: exact[room[lid]] for lid in self.capacity},
+        )
+
+
 def water_fill(capacities: Mapping[str, Rate], demands: DemandMatrix) -> FlowAllocation:
     """Allocate link capacity to all demands, weighted max-min fair."""
-    caps = {lid: as_fraction(c) for lid, c in capacities.items()}
-    for lid, cap in caps.items():
-        if cap.numerator <= 0:
-            raise ValueError(f"link {lid!r}: capacity must be positive, got {cap}")
-    for demand in demands.sessions:
-        missing = demand.links - caps.keys()
-        if missing:
-            raise UnknownLink(
-                f"demand {demand.session_id!r} references unknown links {sorted(missing)}"
-            )
-        if not demand.links and demand.demand_cap_mbps is None:
-            raise ValueError(
-                f"demand {demand.session_id!r} crosses no links and has no cap; rate unbounded"
-            )
-
-    sessions = demands.sessions
-    scale = lcm(*(d.weight.denominator for d in sessions))
-    weight = [d.weight.numerator * (scale // d.weight.denominator) for d in sessions]
-    # Links by id; a demand cap is a private link keyed by its claimant's index.
-    # Rooms, levels and rates are reduced (numerator, denominator) int pairs.
-    room: dict[Key, tuple[int, int]] = {lid: c.as_integer_ratio() for lid, c in caps.items()}
-    room.update((i, d.demand_cap_mbps.as_integer_ratio()) for i, d in enumerate(sessions)
-                if d.demand_cap_mbps is not None)
-    keys = [list(d.links) + ([i] if i in room else []) for i, d in enumerate(sessions)]
-    members: dict[Key, list[int]] = {}
-    for i, crossed in enumerate(keys):
-        for key in crossed:
-            members.setdefault(key, []).append(i)
-    rising = {key: sum(weight[i] for i in ids) for key, ids in members.items()}
-
-    # Saturation levels, each led by floor(level * 2**32): an int, cheap to
-    # compare and monotone, so it orders two levels whenever it differs.  An
-    # entry is live while its serial is the key's latest.
-    heap: list[tuple[int, _Level, int, Key]] = []
-    live: dict[Key, int] = {}
-    serial = count()
-
-    def push(key: Key) -> None:
-        live[key] = next(serial)
-        if rising[key]:
-            num, den = room[key]
-            g = gcd(num, rising[key])  # room is reduced, so this reduces room / rising
-            num, den = num // g, den * (rising[key] // g)
-            heappush(heap, ((num << 32) // den, _Level((num, den)), live[key], key))
-
-    for key in rising:
-        push(key)
-    rates: list[Optional[tuple[int, int]]] = [None] * len(sessions)
-    while heap:
-        _, (num, den), n, key = heappop(heap)
-        if live[key] != n:
-            continue
-        freezing = [i for i in members[key] if rates[i] is None]
-        if not freezing:
-            raise AssertionError("progressive filling failed to freeze any session")
-        gained: dict[Key, int] = {}
-        for i in freezing:
-            g = gcd(weight[i], den)  # the level is reduced, so this reduces level * weight
-            rates[i] = (num * (weight[i] // g), den // g)
-            for touched in keys[i]:
-                gained[touched] = gained.get(touched, 0) + weight[i]
-        for touched, w in gained.items():
-            g = gcd(w, den)
-            fn, fd = num * (w // g), den // g
-            rn, rd = room[touched]
-            rn, rd = rn * fd - fn * rd, rd * fd
-            g = gcd(rn, rd)
-            room[touched] = (rn // g, rd // g)
-            rising[touched] -= w
-            push(touched)
-
-    # One Fraction per distinct value: many claimants share a rate.
-    exact = {pair: Fraction(*pair) for pair in {*rates, *(room[lid] for lid in caps)}}
-    return FlowAllocation(
-        rates_exact={d.session_id: exact[rates[i]] for i, d in enumerate(sessions)},
-        residuals_exact={lid: exact[room[lid]] for lid in caps},
-    )
+    filling = Filling(capacities)
+    for i, demand in enumerate(demands.sessions):
+        filling.add(i, demand)
+    filling.fill()
+    return filling.allocation()
 
 
 def domain_shares(

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from typing import Optional
 
@@ -102,11 +103,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"{args.scenario}: simulation fault: {exc}", file=sys.stderr)
         return 2
     out = args.out
-    if out is None:
-        out_dir = os.environ.get("ANCHORNET_OUT_DIR", ".")
-        out = os.path.join(
-            out_dir, f"{report['scenario']}-{report['mode']}-{report['seed']}.json"
-        )
+    if out is None:  # one file in the output directory, whatever the scenario's name holds
+        stem = re.sub(r"[^\w.-]", "_", report["scenario"])
+        out = os.path.join(os.environ.get("ANCHORNET_OUT_DIR", "."),
+                           f"{stem}-{report['mode']}-{report['seed']}.json")
     write_report(report, out)
     print(summary_line(report))
     print(f"report: {out}")

@@ -323,7 +323,7 @@ _FLOW = (
 )
 _BYTES = ("bytes", None, _integer(1), _POSITIVE)
 EVENTS: dict[Any, tuple] = {
-    ("open_session", mode, staged): (*_SESSION, delivery, *_FLOW, *(() if staged else (_BYTES,)))
+    ("open_session", mode, staged): (*_SESSION, delivery, *_FLOW, _STAGED[1] if staged else _BYTES)
     for mode, delivery in _DELIVERY.items() for staged in (False, True)
 }
 EVENTS.update({

@@ -30,8 +30,8 @@ from math import ceil
 from typing import Any, Callable, Optional
 
 from .addressing import AddressKind, L3Locator, ResolverTable, parse_address
-# domain_shares is unused here, but anchorbench/layers.py wraps it by this name.
-from .allocator import Demand, DemandMatrix, domain_shares, water_fill  # noqa: F401
+# domain_shares and water_fill are unused here, but anchorbench/layers.py wraps them by these names.
+from .allocator import Demand, Filling, _minus, domain_shares, water_fill  # noqa: F401
 from .anchor import Anchor
 # synth_payload is unused here, but anchorbench/layers.py wraps it by this name.
 from .gateway import (  # noqa: F401
@@ -181,7 +181,7 @@ class Claim:
     demand: Demand
     sender: SenderSession
     pid: int
-    rate: Optional[Fraction] = None
+    rate: tuple[int, int] = (0, 1)  # reduced (numerator, denominator)
 
 
 @dataclass
@@ -304,6 +304,9 @@ class Simulation:
         cfg = self.config
         self.links = {l.id: l for l in cfg.links}
         self.link_avail = {l.id: l.available_mbps for l in cfg.links}
+        # Down links keep their capacity entry: a demand may still reference
+        # one for the short window between the failure and its repath.
+        self.filling = Filling(self.link_avail)
         self.link_up = {l.id: True for l in cfg.links}
         # Serialization delay in microseconds per (link, payload bytes), filled on first use.
         self._serialization_us: dict[tuple[str, int], int] = {}
@@ -345,7 +348,7 @@ class Simulation:
         cfg = self.config
         self.policy = cfg.policy_weights()
         # Exact allocated rate per science-domain tag, kept by delta.
-        self.tag_totals = {tag: Fraction(0) for tag in sorted(self.policy)}
+        self.tag_totals = {tag: (0, 1) for tag in sorted(self.policy)}
         self.owner: dict[L3Locator, str] = {}
         self.anchors: dict[str, Anchor] = {}
         self.hosts: dict[str, Any] = {}
@@ -698,6 +701,7 @@ class Simulation:
             links = frozenset(lid for u, v in zip(hops, hops[1:]) for lid in self.legs[(u, v)].links)
             demand = Demand(demand_id, self.policy[sender.tag], links, demand_cap_mbps=cap, tag=sender.tag)
             self.claims[key] = Claim(demand, sender, pid)
+            self.filling.add(key, demand)
         self.senders.setdefault((sid, hops[0]), {})[pid] = sender
 
     def _use_paths(self, transfer: Transfer, paths: list[L5Path], now: int) -> None:
@@ -733,8 +737,9 @@ class Simulation:
         """Release a claim; one already released (a completed tree edge that
         hears a late duplicate ACK) is left as it is."""
         claim = self.claims.pop(key, None)
-        if claim is not None and claim.rate is not None:
-            self.tag_totals[claim.demand.tag] -= claim.rate
+        if claim is not None:
+            self.filling.remove(key)
+            self.tag_totals[claim.demand.tag] = _minus(self.tag_totals[claim.demand.tag], claim.rate)
 
     def _open_unicast(
         self, id_str: str, src: str, dst: str, tag: str, total_bytes: int, k: int, stream: str,
@@ -1059,34 +1064,27 @@ class Simulation:
     # -- allocation ------------------------------------------------------------------
 
     def _reallocate(self, now: int) -> None:
-        """Central control epoch: water-fill over the installed claims, push
-        rates to the senders whose rates changed, and move the per-tag
-        totals by the claims' changes."""
-        live = [self.claims[key] for key in sorted(self.claims)]
-        # Down links keep their capacity entry: a demand may still reference
-        # one for the short window between the failure and its repath.
-        matrix = DemandMatrix(tuple(claim.demand for claim in live))
-        alloc = water_fill(self.link_avail, matrix) if self.link_avail else None
+        """Central control epoch: refill from the first freeze round that the
+        claim changes touch, push the changed rates, move the per-tag totals."""
+        self.filling.fill()
         rates: dict[str, float] = {}
-        shares: dict[str, float] = {}
-        if alloc is not None:
-            changed: dict[SenderSession, dict[int, Fraction]] = {}
-            for claim in live:
-                demand = claim.demand
-                exact = alloc.rates_exact[demand.session_id]
-                if exact != claim.rate:
-                    self.tag_totals[demand.tag] += exact - (claim.rate or 0)
-                    claim.rate = exact
-                    changed.setdefault(claim.sender, {})[claim.pid] = exact
-                rates[demand.session_id] = float(exact)
-            for sender, fresh in changed.items():
-                sender.set_rates({**{p: sender.rates[p] for p in sender.paths}, **fresh})
-            if live:
-                shares = {tag: float(total) for tag, total in self.tag_totals.items()}
+        changed: dict[SenderSession, dict[int, Fraction]] = {}
+        for key, claim in self.claims.items():
+            rate = self.filling.rate[key]
+            if rate != claim.rate:
+                tag = claim.demand.tag
+                self.tag_totals[tag] = _minus(self.tag_totals[tag], _minus(claim.rate, rate))
+                claim.rate = rate
+                changed.setdefault(claim.sender, {})[claim.pid] = Fraction(*rate)
+            # n / d is the correctly rounded float, as float(Fraction(n, d)) is
+            rates[claim.demand.session_id] = rate[0] / rate[1]
+        for sender, fresh in changed.items():
+            sender.set_rates({**{p: sender.rates[p] for p in sender.paths}, **fresh})
+        shares = {tag: n / d for tag, (n, d) in self.tag_totals.items()} if rates else {}
         self.alloc_epochs.append(
             {
                 "time_us": now,
-                "concurrent": len(live),
+                "concurrent": len(self.claims),
                 "rates_mbps": dict(sorted(rates.items())),
                 "domain_shares_mbps": shares,
             }

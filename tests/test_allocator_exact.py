@@ -6,10 +6,12 @@ allocator's fill level is exact, so any difference is a bug.
 
 import random
 from fractions import Fraction
+from itertools import combinations, count
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from anchornet.allocator import Demand, DemandMatrix, water_fill
+from anchornet.allocator import Demand, DemandMatrix, Filling, water_fill
 from oracles import progressive_fill_exact, random_exact_instance
 
 F = Fraction
@@ -121,3 +123,66 @@ def test_random_instances_match_oracle_exactly():
         seen["linkless"] += any(not d["links"] for d in demands)
     assert all(seen.values()), seen
 
+
+
+def _add(filling, live, cid, d):
+    live[cid] = d
+    filling.add(cid, Demand(d["id"], d["weight"], d["links"], demand_cap_mbps=d["cap"]))
+
+
+def _fill_and_check(capacities, filling, live):
+    """Fills ``filling``; its rates and residuals must equal the oracle's
+    over the ``live`` claimants, in dict order."""
+    filling.fill()
+    alloc = filling.allocation()
+    rates, residuals = progressive_fill_exact(capacities, list(live.values()))
+    assert list(alloc.rates_exact.items()) == list(rates.items())
+    assert list(alloc.residuals_exact.items()) == list(residuals.items())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_add_and_remove_sequences_match_a_fresh_fill_every_epoch(data):
+    """One kept ``Filling`` through random epochs of adds and removes, on
+    random instances and on the edge cases (lead ties, caps that bind with a
+    link, zero caps), checked against the oracle after every epoch."""
+    source = data.draw(st.sampled_from(["random"] * 4 + sorted(EDGE_CASES)), label="source")
+    if source == "random":
+        capacities, pool = random_exact_instance(random.Random(data.draw(st.integers(0, 2**32))))
+    else:
+        capacities, pool = EDGE_CASES[source]
+    filling, live, ids = Filling(capacities), {}, count()
+    for _ in range(data.draw(st.integers(1, 6), label="epochs")):
+        for _ in range(data.draw(st.integers(0, 4), label="changes")):
+            if live and (not pool or data.draw(st.booleans(), label="remove")):
+                cid = data.draw(st.sampled_from(sorted(live)), label="removed")
+                filling.remove(cid)
+                del live[cid]
+            elif pool:
+                d, cid = data.draw(st.sampled_from(pool), label="added"), next(ids)
+                _add(filling, live, cid, {**d, "id": f"{d['id']}#{cid}"})
+        _fill_and_check(capacities, filling, live)
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_CASES))
+def test_every_second_epoch_of_an_edge_case_matches_a_fresh_fill(name):
+    """Fill every subset of an edge case's claimants, then add the rest in one
+    epoch; and fill all of them, then remove every subset in one epoch.  A
+    kept round whose level only a lead tie separates from an added key's
+    level must restart: in "lead-tie-below-a-third", "both" and "on-hi"
+    freeze on "hi" at 1/3, and adding "on-lo" lowers "lo" to 1/3 - TINY."""
+    capacities, demands = EDGE_CASES[name]
+    every = range(len(demands))
+    for subset in (s for size in range(len(demands) + 1) for s in combinations(every, size)):
+        for first, second in ((subset, [i for i in every if i not in subset]), (every, subset)):
+            filling, live = Filling(capacities), {}
+            for i in first:
+                _add(filling, live, i, demands[i])
+            _fill_and_check(capacities, filling, live)
+            for i in second:
+                if i in live:
+                    filling.remove(i)
+                    del live[i]
+                else:
+                    _add(filling, live, i, demands[i])
+            _fill_and_check(capacities, filling, live)

@@ -53,6 +53,26 @@ def test_run_seed_and_mode_overrides(tmp_path, fixture_paths):
     assert b["mode"] == "l5-multipath"
 
 
+@pytest.mark.parametrize("name, file", [
+    ("a/b", "a_b-l5-multipath-42.json"),
+    ("../up", ".._up-l5-multipath-42.json"),
+    ("run 1: ok", "run_1__ok-l5-multipath-42.json"),
+])
+def test_run_default_output_stays_in_the_output_directory(tmp_path, monkeypatch, fixture_paths, name, file):
+    raw = json.loads(fixture_paths["dual-path"].read_text())
+    raw["name"] = name
+    scenario = tmp_path / "in" / "scenario.json"
+    scenario.parent.mkdir()
+    scenario.write_text(json.dumps(raw))
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    monkeypatch.setenv("ANCHORNET_OUT_DIR", str(out_dir))
+    assert main(["run", str(scenario)]) == 0
+    assert [p.name for p in out_dir.iterdir()] == [file]
+    assert load_report(str(out_dir / file))["scenario"] == name
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in", "out"]
+
+
 def test_run_default_output_respects_env(tmp_path, monkeypatch, capsys, fixture_paths):
     monkeypatch.setenv("ANCHORNET_OUT_DIR", str(tmp_path))
     assert main(["run", str(fixture_paths["flooding-20"])]) == 0

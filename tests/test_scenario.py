@@ -204,6 +204,9 @@ def test_scenario_hash_ignores_seed_and_mode():
     (("events", 0, "rate_cap_mbps"), "fast", "must be a positive number, got 'fast'"),
     (("events", 0, "rate_cap_mbps"), -5, "must be a positive number, got -5"),
     (("events", 2, "k_paths"), 0, "must be a positive integer, got 0"),
+    (("events", 3, "object"), "Bad Name", "not a valid data name: 'Bad Name'"),
+    (("events", 3, "object"), 5, "not a valid data name: 5"),
+    (("events", 0, "object"), "Bad Name", "not a valid data name: 'Bad Name'"),
 ])
 def test_value_of_the_wrong_kind_is_reported_at_its_field(path, value, message):
     raw = every_event_kind()
@@ -314,9 +317,10 @@ def _site(base: dict, path: tuple) -> str:
 def _intended_change(site: str, value) -> bool:
     """Inputs whose diagnostics changed on purpose: a boolean where an
     integer is required, a non-boolean anchor ``gateway``, a string or an
-    object where a list is required, and a ``rate_cap_mbps`` or a subscribe
+    object where a list is required, a ``rate_cap_mbps`` or a subscribe
     event's ``k_paths`` (both read by the simulator, neither checked before)
-    that is not a positive number."""
+    that is not a positive number, and an open_session's staged ``object``
+    that is not a data name (read by the simulator, not checked before)."""
     field = site.rsplit(".", 1)[-1]
     if value is DELETE:
         return False
@@ -330,6 +334,8 @@ def _intended_change(site: str, value) -> bool:
         return value is not None and (type(value) not in (int, float) or value <= 0)
     if site == ".events[subscribe].k_paths":
         return type(value) is not int or value <= 0
+    if site == ".events[open_session/pubsub].object":
+        return value is not None and (type(value) is not str or value == "")
     return False
 
 
@@ -349,9 +355,12 @@ def _corpus_outcomes():
     return pinned.hexdigest(), exempt
 
 
-# Measured at 79fb0a7 with validate_text, on the same corpus and exemptions.
-CORPUS_DIGEST = "104487334cc4bdd2fe45f93f8d08b67f68d8b835c3b8b78976536821342af992"
-CORPUS_EXEMPT = 3523
+# Measured at 79fb0a7 with validate_text, on the same corpus and exemptions;
+# re-measured when the four wrong-typed or empty ``object``s of the pub/sub
+# open_session left the pinned entries for the exempt: every other entry's
+# diagnostics are unchanged.
+CORPUS_DIGEST = "34ca241f33354f0eaac6ac38221780c8f5fd6381fb812990db46883013428b27"
+CORPUS_EXEMPT = 3527
 
 
 def test_corpus_diagnostics_are_pinned():

@@ -1,7 +1,9 @@
 import dataclasses
 import hashlib
 import json
+import sys
 import weakref
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +24,7 @@ from anchornet.simnet import (
     run_scenario,
 )
 from anchornet.topology import TopologyDatabase, _pstr
+from oracles import progressive_fill_exact
 from scenario_builders import build, gateway_chain, three_path_lossy
 
 
@@ -587,15 +590,23 @@ def test_cached_payload_digest_is_sha256_of_payload_while_session_is_active(fixt
 
 
 class _EpochCheckedSimulation(Simulation):
-    """After every allocation epoch, checks the kept claims, the pushed rates
-    and the kept domain totals against a from-scratch allocation."""
+    """After every allocation epoch, checks the pushed rates and the kept
+    domain totals against a from-scratch allocation.  With ``full`` set it
+    also rebuilds every claim from its transfer or tree edge, and checks the
+    from-scratch allocation against the round-by-round exact filling; a long
+    run re-fills the claims' own demands."""
 
-    def __init__(self, config):
+    def __init__(self, config, full=True):
         super().__init__(config)
+        self.full = full
         self.checked = []  # the claim keys after each epoch
 
     def _reallocate(self, now):
         super()._reallocate(now)
+        if not self.full:
+            claims = [(key, self.claims[key]) for key in sorted(self.claims)]
+            self._check_fresh([c.demand for _, c in claims], [(key, c.sender, c.pid) for key, c in claims])
+            return
         demands, targets = [], []
         for sid in sorted(self.transfers):
             transfer = self.transfers[sid]
@@ -630,6 +641,15 @@ class _EpochCheckedSimulation(Simulation):
             claim = self.claims[key]
             assert claim.demand == demand
             assert claim.sender is sender and claim.pid == pid
+        alloc = self._check_fresh(demands, targets)
+        rates, residuals = progressive_fill_exact(self.link_avail, [
+            {"id": d.session_id, "weight": d.weight, "links": set(d.links), "cap": d.demand_cap_mbps}
+            for d in demands
+        ])
+        assert list(alloc.rates_exact.items()) == list(rates.items())
+        assert list(alloc.residuals_exact.items()) == list(residuals.items())
+
+    def _check_fresh(self, demands, targets):
         matrix = DemandMatrix(tuple(demands))
         alloc = water_fill(self.link_avail, matrix)
         for demand, (_, sender, pid) in zip(demands, targets):
@@ -640,6 +660,7 @@ class _EpochCheckedSimulation(Simulation):
         assert epoch["domain_shares_mbps"] == fresh
         assert list(epoch["domain_shares_mbps"]) == list(fresh)
         self.checked.append(set(self.claims))
+        return alloc
 
 
 def _three_path_lossy_losing(*links):
@@ -677,6 +698,23 @@ def test_kept_claims_rates_and_domain_totals_match_a_fresh_epoch(fixture_paths, 
     # every session ended here, and no claim outlived its session
     assert all(t.status != "active" for t in sim.transfers.values())
     assert all(p.status != "active" for p in sim.pubs.values())
+    assert not sim.claims
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_session_churn_epochs_match_a_fresh_fill(seed):
+    """The benchmark's session-churn workload (about 400 epochs over up to
+    150 concurrent claimants): every epoch's rates, pushed rates and domain
+    totals equal a from-scratch ``water_fill``."""
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "anchorbench"))
+    from workloads import session_churn
+
+    sim = _EpochCheckedSimulation(parse_scenario(json.dumps(session_churn(seed))), full=False)
+    while sim.queue.peek_time() is not None and sim.queue.peek_time() <= sim.config.horizon_us:
+        sim.step()
+    assert len(sim.checked) == len(sim.alloc_epochs) > 300
+    assert max(epoch["concurrent"] for epoch in sim.alloc_epochs) > 100
+    assert all(t.status == "complete" for t in sim.transfers.values())
     assert not sim.claims
 
 
