@@ -188,8 +188,10 @@ class Filling:
         if cid in self.frozen_in:  # it rose until the first round on one of its keys
             self.restart = min(self.restart, self.frozen_in.pop(cid))
 
-    def fill(self) -> None:
-        """Refill from the first round the changes since the last fill touch."""
+    def fill(self) -> dict[Hashable, Optional[tuple[int, int]]]:
+        """Refill from the first round the changes since the last fill touch.
+        Returns each kept claimant whose rate moved, with its rate before the
+        fill (``None`` for one added since)."""
         rounds, states, rate, cap, weight = self.rounds, self.states, self.rate, self.cap, self.weight
         restart, frozen_in = self.restart, self.frozen_in
         grown = [(lid, w) for lid, w in self.delta.items() if w > 0]
@@ -203,9 +205,8 @@ class Filling:
         for room, rising in states[:restart + 1]:
             for lid, w in self.delta.items():
                 rising[lid] += w
-        for _, _, frozen in rounds[restart:]:
-            for c in frozen:
-                rate.pop(c, None)
+        before = {c: rate.pop(c) for _, _, frozen in rounds[restart:] for c in frozen}
+        moved: dict[Hashable, Optional[tuple[int, int]]] = {}
         room, rising = states[restart]
         del rounds[restart:], states[restart:]
         level = {lid: _rise(room[lid], w) for lid, w in rising.items() if w}
@@ -222,7 +223,9 @@ class Filling:
             for c in frozen:
                 w = weight[c]
                 g = gcd(w, den)  # the level is reduced, so this reduces level * weight
-                rate[c] = (num * (w // g), den // g)
+                rate[c] = r = (num * (w // g), den // g)
+                if r != (old := before.get(c)):
+                    moved[c] = old
                 frozen_in[c] = len(rounds)
                 level.pop(c, None)
                 for lid in demand[c].links:
@@ -238,6 +241,7 @@ class Filling:
                     del level[lid]
         states.append((room, rising))
         self.delta, self.restart = {}, len(rounds)
+        return moved
 
     def allocation(self) -> FlowAllocation:
         """The rates in claimant order and the residuals, as ``Fraction``s."""

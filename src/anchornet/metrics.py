@@ -181,9 +181,8 @@ def build_report(sim: Simulation) -> dict[str, Any]:
     )
     headline = fraction_potential if sim.mode == MODE_BASELINE else fraction_residual
 
-    peak = _peak_epoch(sim.alloc_epochs)
     report = {
-        "schema": "anchornet-metrics/1",
+        "schema": "anchornet-metrics/2",
         "scenario": cfg.name,
         "scenario_hash": cfg.scenario_hash(),
         "seed": sim.seed,
@@ -204,12 +203,7 @@ def build_report(sim: Simulation) -> dict[str, Any]:
             "lsa_transmissions": per_origin,
             "max_transmissions_per_origination": max(sim.lsa_tx.values(), default=0),
         },
-        "allocation": {
-            "epochs": sim.alloc_epochs,
-            "final_rates_mbps": _final_rates(sim.alloc_epochs),
-            "peak_rates_mbps": peak.get("rates_mbps", {}),
-            "domain_shares_mbps": peak.get("domain_shares_mbps", {}),
-        },
+        "allocation": {"epochs": sim.alloc_epochs, **allocation_summary(sim.alloc_epochs)},
         "sessions": sessions,
         "pubsub": trees,
         "links": links,
@@ -226,23 +220,27 @@ def build_report(sim: Simulation) -> dict[str, Any]:
     return report
 
 
-def _peak_epoch(epochs: list[dict[str, Any]]) -> dict[str, Any]:
-    """The epoch with the most concurrent claimants (earliest such epoch on
-    ties): the steady state worth reporting. ``{}`` when there are none."""
-    best: dict[str, Any] = {}
+def replay(epochs: list[dict[str, Any]]) -> dict[str, float]:
+    """Every claimant's rate after ``epochs``, sorted by claimant: each epoch
+    lists only the rates it moved, and a released claimant as ``None``."""
+    rates: dict[str, Optional[float]] = {}
     for epoch in epochs:
-        if not best or epoch["concurrent"] > best["concurrent"]:
-            best = epoch
-    return best
+        rates.update(epoch["rates_mbps"])
+    return {claimant: rate for claimant, rate in sorted(rates.items()) if rate is not None}
 
 
-def _final_rates(epochs: list[dict[str, Any]]) -> dict[str, float]:
-    """Rates of the last epoch that had a claimant. The epoch recorded when
-    the last session finishes is empty and is skipped."""
-    for epoch in reversed(epochs):
-        if epoch["rates_mbps"]:
-            return epoch["rates_mbps"]
-    return {}
+def allocation_summary(epochs: list[dict[str, Any]]) -> dict[str, Any]:
+    """The peak epoch's rates and domain shares, and the final rates.  The
+    peak epoch has the most concurrent claimants, the earliest on ties: the
+    steady state worth reporting.  The final rates are those after the last
+    epoch with a claimant, so the empty epoch of the last release is skipped."""
+    peak = max(range(len(epochs)), key=lambda i: epochs[i]["concurrent"], default=-1)
+    last = max((i for i, epoch in enumerate(epochs) if epoch["concurrent"]), default=-1)
+    return {
+        "final_rates_mbps": replay(epochs[:last + 1]),
+        "peak_rates_mbps": replay(epochs[:peak + 1]),
+        "domain_shares_mbps": epochs[peak]["domain_shares_mbps"] if epochs else {},
+    }
 
 
 def canonical_json(report: dict[str, Any]) -> str:

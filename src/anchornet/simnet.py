@@ -174,17 +174,6 @@ class LinkCounters:
 
 
 @dataclass
-class Claim:
-    """One allocator claimant, from install to teardown: a unicast path or a
-    tree edge, its demand, the sender it paces and the rate last pushed."""
-
-    demand: Demand
-    sender: SenderSession
-    pid: int
-    rate: tuple[int, int] = (0, 1)  # reduced (numerator, denominator)
-
-
-@dataclass
 class Transfer:
     """Runtime record for one unicast transfer."""
 
@@ -285,10 +274,9 @@ class Simulation:
         self.senders: dict[tuple[int, str], dict[int, SenderSession]] = {}
         self.receivers: dict[tuple[int, str], ReceiverSession] = {}
         self.path_hops: dict[tuple[int, int], tuple[str, ...]] = {}
-        # (0 for a unicast path or 1 for a tree edge, sid, path id) -> claim;
-        # sorted, the keys give the allocator's demand order.
-        self.claims: dict[tuple[int, int, int], Claim] = {}
         self.alloc_epochs: list[dict[str, Any]] = []
+        # Demand id -> None for each claimant released since the last epoch.
+        self._released: dict[str, None] = {}
         self._sweep_armed = False
         self._trees_by_object: dict[str, int] = {}
 
@@ -304,8 +292,9 @@ class Simulation:
         cfg = self.config
         self.links = {l.id: l for l in cfg.links}
         self.link_avail = {l.id: l.available_mbps for l in cfg.links}
-        # Down links keep their capacity entry: a demand may still reference
-        # one for the short window between the failure and its repath.
+        # Claimants are keyed (0 for a unicast path or 1 for a tree edge, sid,
+        # path id).  Down links keep their capacity entry: a demand may still
+        # reference one for the short window between the failure and its repath.
         self.filling = Filling(self.link_avail)
         self.link_up = {l.id: True for l in cfg.links}
         # Serialization delay in microseconds per (link, payload bytes), filled on first use.
@@ -647,9 +636,11 @@ class Simulation:
             pub = self.pubs.get(sid)
             if pub is not None and pub.status == "active":
                 (pid,) = sender.paths
-                self._drop_claim((1, sid, pid))
+                released = self._drop_claim((1, sid, pid))
                 if all(edge.sender.complete for edge in pub.edges):
                     self._end(pub, "complete", now)
+                elif released:  # the tree goes on: its other claimants take the freed capacity
+                    self._reallocate(now)
                 return
         self._arm(sid, node, sender, now)
 
@@ -700,7 +691,6 @@ class Simulation:
         if not sender.complete:
             links = frozenset(lid for u, v in zip(hops, hops[1:]) for lid in self.legs[(u, v)].links)
             demand = Demand(demand_id, self.policy[sender.tag], links, demand_cap_mbps=cap, tag=sender.tag)
-            self.claims[key] = Claim(demand, sender, pid)
             self.filling.add(key, demand)
         self.senders.setdefault((sid, hops[0]), {})[pid] = sender
 
@@ -733,13 +723,16 @@ class Simulation:
                 if name in self.anchors:
                     self.anchors[name].remove_path(transfer.sid, path.path_id)
 
-    def _drop_claim(self, key: tuple[int, int, int]) -> None:
-        """Release a claim; one already released (a completed tree edge that
-        hears a late duplicate ACK) is left as it is."""
-        claim = self.claims.pop(key, None)
-        if claim is not None:
-            self.filling.remove(key)
-            self.tag_totals[claim.demand.tag] = _minus(self.tag_totals[claim.demand.tag], claim.rate)
+    def _drop_claim(self, key: tuple[int, int, int]) -> bool:
+        """Release a claim, if it is held: a completed tree edge that hears a
+        late duplicate ACK was released already.  Whether it was held."""
+        demand = self.filling.demand.get(key)
+        if demand is None:
+            return False
+        self.tag_totals[demand.tag] = _minus(self.tag_totals[demand.tag], self.filling.rate[key])
+        self._released[demand.session_id] = None
+        self.filling.remove(key)
+        return True
 
     def _open_unicast(
         self, id_str: str, src: str, dst: str, tag: str, total_bytes: int, k: int, stream: str,
@@ -1065,26 +1058,27 @@ class Simulation:
 
     def _reallocate(self, now: int) -> None:
         """Central control epoch: refill from the first freeze round that the
-        claim changes touch, push the changed rates, move the per-tag totals."""
-        self.filling.fill()
-        rates: dict[str, float] = {}
+        claim changes touch; push, add to the per-tag totals and record only
+        the rates that moved, and record each released claimant as ``None``."""
+        filling = self.filling
+        rates: dict[str, Optional[float]] = self._released
+        self._released = {}
         changed: dict[SenderSession, dict[int, Fraction]] = {}
-        for key, claim in self.claims.items():
-            rate = self.filling.rate[key]
-            if rate != claim.rate:
-                tag = claim.demand.tag
-                self.tag_totals[tag] = _minus(self.tag_totals[tag], _minus(claim.rate, rate))
-                claim.rate = rate
-                changed.setdefault(claim.sender, {})[claim.pid] = Fraction(*rate)
+        for key, old in filling.fill().items():
+            _, sid, pid = key
+            rate, demand = filling.rate[key], filling.demand[key]
+            self.tag_totals[demand.tag] = _minus(self.tag_totals[demand.tag], _minus(old or (0, 1), rate))
+            sender = self.senders[(sid, self.path_hops[(sid, pid)][0])][pid]  # registered at its first hop
+            changed.setdefault(sender, {})[pid] = Fraction(*rate)
             # n / d is the correctly rounded float, as float(Fraction(n, d)) is
-            rates[claim.demand.session_id] = rate[0] / rate[1]
+            rates[demand.session_id] = rate[0] / rate[1]
         for sender, fresh in changed.items():
             sender.set_rates({**{p: sender.rates[p] for p in sender.paths}, **fresh})
-        shares = {tag: n / d for tag, (n, d) in self.tag_totals.items()} if rates else {}
+        shares = {tag: n / d for tag, (n, d) in self.tag_totals.items()} if filling.demand else {}
         self.alloc_epochs.append(
             {
                 "time_us": now,
-                "concurrent": len(self.claims),
+                "concurrent": len(filling.demand),
                 "rates_mbps": dict(sorted(rates.items())),
                 "domain_shares_mbps": shares,
             }

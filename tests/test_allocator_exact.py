@@ -132,8 +132,12 @@ def _add(filling, live, cid, d):
 
 def _fill_and_check(capacities, filling, live):
     """Fills ``filling``; its rates and residuals must equal the oracle's
-    over the ``live`` claimants, in dict order."""
-    filling.fill()
+    over the ``live`` claimants, in dict order, and the fill must return
+    exactly the live claimants whose rate moved, with their rates before it
+    (``None`` for one added since the last fill)."""
+    before = {cid: filling.rate.get(cid) for cid in live}
+    moved = filling.fill()
+    assert moved == {cid: old for cid, old in before.items() if filling.rate[cid] != old}
     alloc = filling.allocation()
     rates, residuals = progressive_fill_exact(capacities, list(live.values()))
     assert list(alloc.rates_exact.items()) == list(rates.items())

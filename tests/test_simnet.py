@@ -10,7 +10,7 @@ import pytest
 from anchornet.addressing import L3Locator
 from anchornet.allocator import Demand, DemandMatrix, domain_shares, water_fill
 from anchornet.gateway import synth_payload
-from anchornet.metrics import _final_rates, _peak_epoch, canonical_json
+from anchornet.metrics import allocation_summary, canonical_json, compare, replay
 from anchornet.scenario import load_scenario, parse_scenario
 from anchornet.session import SEGMENT_PAYLOAD_BYTES, Segment, SegmentKind
 from anchornet.simnet import (
@@ -414,39 +414,43 @@ def test_report_is_written_for_an_unreachable_subscriber(fixture_paths):
 # -- allocation summary --------------------------------------------------------------
 
 
-def _epoch(time_us, rates, shares=None):
+def _epoch(time_us, concurrent, moved, shares=None):
     return {
         "time_us": time_us,
-        "concurrent": len(rates),
-        "rates_mbps": rates,
+        "concurrent": concurrent,
+        "rates_mbps": moved,
         "domain_shares_mbps": shares or {},
     }
 
 
 def test_peak_epoch_takes_earliest_on_ties():
     epochs = [
-        _epoch(0, {"a:0": 100.0}, {"t": 100.0}),
-        _epoch(5, {"a:0": 50.0, "b:0": 50.0}, {"t": 100.0}),
-        _epoch(9, {"a:0": 20.0, "c:0": 80.0}, {"t": 20.0, "u": 80.0}),
-        _epoch(12, {}),
+        _epoch(0, 1, {"a:0": 100.0}, {"t": 100.0}),
+        _epoch(5, 2, {"a:0": 50.0, "b:0": 50.0}, {"t": 100.0}),
+        _epoch(9, 2, {"a:0": 20.0, "b:0": None, "c:0": 80.0}, {"t": 20.0, "u": 80.0}),
+        _epoch(12, 0, {"a:0": None, "c:0": None}),
     ]
-    assert _peak_epoch(epochs) is epochs[1]
+    summary = allocation_summary(epochs)
+    assert summary["peak_rates_mbps"] == {"a:0": 50.0, "b:0": 50.0}
+    assert summary["domain_shares_mbps"] is epochs[1]["domain_shares_mbps"]
+    assert replay(epochs[:3]) == {"a:0": 20.0, "c:0": 80.0}
 
 
 def test_peak_epoch_of_no_epochs_is_empty():
-    assert _peak_epoch([]) == {}
-    assert _final_rates([]) == {}
+    empty = {"final_rates_mbps": {}, "peak_rates_mbps": {}, "domain_shares_mbps": {}}
+    assert allocation_summary([]) == empty
+    assert allocation_summary([_epoch(0, 0, {})]) == empty
 
 
 def test_final_rates_skip_trailing_empty_epoch():
     epochs = [
-        _epoch(0, {"a:0": 100.0}),
-        _epoch(5, {"a:0": 40.0, "b:0": 60.0}),
-        _epoch(9, {"b:0": 100.0}),
-        _epoch(12, {}),
+        _epoch(0, 1, {"a:0": 100.0}),
+        _epoch(5, 2, {"a:0": 40.0, "b:0": 60.0}),
+        _epoch(9, 1, {"a:0": None, "b:0": 100.0}),
+        _epoch(12, 0, {"b:0": None}),
     ]
-    assert _final_rates(epochs) == {"b:0": 100.0}
-    assert _final_rates([_epoch(0, {})]) == {}
+    assert allocation_summary(epochs)["final_rates_mbps"] == {"b:0": 100.0}
+    assert replay(epochs) == {}
 
 
 @pytest.mark.parametrize(
@@ -458,11 +462,13 @@ def test_report_peak_rates_and_shares_share_one_epoch(fixture_paths, name):
     epochs = alloc["epochs"]
     # flooding-20 opens no session, so it has no epoch at all
     assert bool(epochs) == (name != "flooding-20")
+    full = [replay(epochs[:i + 1]) for i in range(len(epochs))]
+    assert [len(rates) for rates in full] == [e["concurrent"] for e in epochs]
     # max() keeps the first of equal keys: the earliest peak epoch
-    peak = max(epochs, key=lambda e: e["concurrent"], default={})
-    assert alloc["peak_rates_mbps"] == peak.get("rates_mbps", {})
-    assert alloc["domain_shares_mbps"] == peak.get("domain_shares_mbps", {})
-    claimed = [e["rates_mbps"] for e in epochs if e["rates_mbps"]]
+    peak = max(range(len(epochs)), key=lambda i: epochs[i]["concurrent"], default=None)
+    assert alloc["peak_rates_mbps"] == (full[peak] if epochs else {})
+    assert alloc["domain_shares_mbps"] == (epochs[peak]["domain_shares_mbps"] if epochs else {})
+    claimed = [rates for rates in full if rates]
     assert alloc["final_rates_mbps"] == (claimed[-1] if claimed else {})
 
 
@@ -483,12 +489,13 @@ def test_fixture_trace_hash_is_pinned(fixture_paths, name):
     assert report["trace_hash"] == FIXTURE_TRACE_HASHES[name]
 
 
-# SHA-256 of each fixture's canonical report: the whole report, byte for byte.
+# SHA-256 of each fixture's canonical anchornet-metrics/2 report: the whole
+# report, byte for byte.
 FIXTURE_REPORT_HASHES = {
-    "dual-path": "eae49529bf7a3867730768a60e4be7dabc4a70ce1b8059305d0e1b9e9e8091ed",
-    "flooding-20": "6497e243d4dd8facf1f32a900ec88b2f09d5284593d462adbd8e32c6049ad37a",
-    "transatlantic-pubsub": "5322c2b71e7274bebb16a2e47da1f7c059d3b78af845da2c53eb3790371c3177",
-    "two-domains-weighted": "f3ce01b234e9100914faeb2d7c04fe33cebed8696386012a74e2fa3f04d16f35",
+    "dual-path": "d12b03737474196a22b15c75a1049876685c40bbbcb2e961b2526ae030d2ba53",
+    "flooding-20": "eb1ffaa7b2c1a8d0673aef1dc3a9456ab61efcea896b183ddbb7a27d3b54a98e",
+    "transatlantic-pubsub": "89b7725c17c9b84349e66ce50340d01bfe50369fbbfb9c9c4153b146eeadbad5",
+    "two-domains-weighted": "4bd4260ed6575da9031e660e0be07bafcb66434740a0d737193de9e06eca8913",
 }
 
 
@@ -496,6 +503,31 @@ FIXTURE_REPORT_HASHES = {
 def test_fixture_report_is_pinned(fixture_paths, name):
     report = canonical_json(run_scenario(load_scenario(fixture_paths[name])))
     assert hashlib.sha256(report.encode()).hexdigest() == FIXTURE_REPORT_HASHES[name]
+
+
+# SHA-256 of the anchornet-metrics/1 reports, whose epochs each listed every
+# claimant's rate: the replayed report below must reproduce them byte for byte.
+V1_REPORT_HASHES = {
+    "dual-path": "eae49529bf7a3867730768a60e4be7dabc4a70ce1b8059305d0e1b9e9e8091ed",
+    "flooding-20": "6497e243d4dd8facf1f32a900ec88b2f09d5284593d462adbd8e32c6049ad37a",
+    "two-domains-weighted": "f3ce01b234e9100914faeb2d7c04fe33cebed8696386012a74e2fa3f04d16f35",
+}
+
+
+def _as_v1(report):
+    """``report`` in the anchornet-metrics/1 form: each epoch's moved rates
+    replayed into the full rate map after it."""
+    epochs = report["allocation"]["epochs"]
+    full = [{**epoch, "rates_mbps": replay(epochs[:i + 1])} for i, epoch in enumerate(epochs)]
+    return {**report, "schema": "anchornet-metrics/1", "allocation": {**report["allocation"], "epochs": full}}
+
+
+@pytest.mark.parametrize("name", sorted(V1_REPORT_HASHES))
+def test_replayed_report_is_the_v1_report(fixture_paths, name):
+    report = run_scenario(load_scenario(fixture_paths[name]))
+    v1 = _as_v1(report)
+    assert hashlib.sha256(canonical_json(v1).encode()).hexdigest() == V1_REPORT_HASHES[name]
+    assert compare(v1, report) == compare(report, v1) == compare(report, report)
 
 
 # Runs beside the fixtures that take the repath, no-path, baseline and late-join
@@ -589,23 +621,38 @@ def test_cached_payload_digest_is_sha256_of_payload_while_session_is_active(fixt
     assert not sim._digests  # every session ended, and no digest outlived it
 
 
+def _sender(sim, key):
+    """The sender that the claimant ``key`` paces: registered at its first hop."""
+    _, sid, pid = key
+    return sim.senders[(sid, sim.path_hops[(sid, pid)][0])][pid]
+
+
 class _EpochCheckedSimulation(Simulation):
-    """After every allocation epoch, checks the pushed rates and the kept
-    domain totals against a from-scratch allocation.  With ``full`` set it
-    also rebuilds every claim from its transfer or tree edge, and checks the
-    from-scratch allocation against the round-by-round exact filling; a long
-    run re-fills the claims' own demands."""
+    """After every allocation epoch, replays the rates the epochs moved and
+    checks them, the pushed rates and the kept domain totals against a
+    from-scratch allocation.  With ``full`` set it also rebuilds every
+    claimant from its transfer or tree edge, and checks the from-scratch
+    allocation against the round-by-round exact filling; a long run re-fills
+    the filling's own demands."""
 
     def __init__(self, config, full=True):
         super().__init__(config)
         self.full = full
-        self.checked = []  # the claim keys after each epoch
+        self.checked = []  # the claimant keys after each epoch
+        self.replayed = {}  # each held claimant's rate, replayed from the epochs
 
     def _reallocate(self, now):
         super()._reallocate(now)
+        for claimant, rate in self.alloc_epochs[-1]["rates_mbps"].items():
+            if rate is None:  # released: listed once, and only while held
+                del self.replayed[claimant]
+            else:  # listed only when its rate moved
+                assert self.replayed.get(claimant) != rate
+                self.replayed[claimant] = rate
+        held = self.filling.demand
         if not self.full:
-            claims = [(key, self.claims[key]) for key in sorted(self.claims)]
-            self._check_fresh([c.demand for _, c in claims], [(key, c.sender, c.pid) for key, c in claims])
+            keys = sorted(held)
+            self._check_fresh([held[key] for key in keys], [(key, _sender(self, key), key[2]) for key in keys])
             return
         demands, targets = [], []
         for sid in sorted(self.transfers):
@@ -635,12 +682,11 @@ class _EpochCheckedSimulation(Simulation):
                 ))
                 targets.append(((1, sid, edge.pid), edge.sender, edge.pid))
 
-        # The claim table holds exactly the active claimants, demands as fresh.
-        assert sorted(self.claims) == [key for key, _, _ in targets]
-        for demand, (key, sender, pid) in zip(demands, targets):
-            claim = self.claims[key]
-            assert claim.demand == demand
-            assert claim.sender is sender and claim.pid == pid
+        # The filling holds exactly the active claimants, demands as fresh.
+        assert sorted(held) == [key for key, _, _ in targets]
+        for demand, (key, sender, _) in zip(demands, targets):
+            assert held[key] == demand
+            assert _sender(self, key) is sender
         alloc = self._check_fresh(demands, targets)
         rates, residuals = progressive_fill_exact(self.link_avail, [
             {"id": d.session_id, "weight": d.weight, "links": set(d.links), "cap": d.demand_cap_mbps}
@@ -654,12 +700,13 @@ class _EpochCheckedSimulation(Simulation):
         alloc = water_fill(self.link_avail, matrix)
         for demand, (_, sender, pid) in zip(demands, targets):
             assert sender.rates[pid] == alloc.rates_exact[demand.session_id]
+        assert self.replayed == {k: float(v) for k, v in alloc.rates_exact.items()}
         epoch = self.alloc_epochs[-1]
-        assert epoch["rates_mbps"] == {k: float(v) for k, v in sorted(alloc.rates_exact.items())}
+        assert epoch["concurrent"] == len(demands)
         fresh = domain_shares(alloc, matrix, self.config.policy) if demands else {}
         assert epoch["domain_shares_mbps"] == fresh
         assert list(epoch["domain_shares_mbps"]) == list(fresh)
-        self.checked.append(set(self.claims))
+        self.checked.append(set(self.filling.demand))
         return alloc
 
 
@@ -698,7 +745,7 @@ def test_kept_claims_rates_and_domain_totals_match_a_fresh_epoch(fixture_paths, 
     # every session ended here, and no claim outlived its session
     assert all(t.status != "active" for t in sim.transfers.values())
     assert all(p.status != "active" for p in sim.pubs.values())
-    assert not sim.claims
+    assert not sim.filling.demand and not sim.replayed
 
 
 @pytest.mark.parametrize("seed", [1, 2])
@@ -715,7 +762,7 @@ def test_session_churn_epochs_match_a_fresh_fill(seed):
     assert len(sim.checked) == len(sim.alloc_epochs) > 300
     assert max(epoch["concurrent"] for epoch in sim.alloc_epochs) > 100
     assert all(t.status == "complete" for t in sim.transfers.values())
-    assert not sim.claims
+    assert not sim.filling.demand and not sim.replayed
 
 
 @pytest.mark.parametrize("name", ["transatlantic-pubsub", "pubsub-mid-stream-join"])
@@ -727,13 +774,56 @@ def test_no_claim_holds_a_completed_sender(fixture_paths, name):
     exercised = False
     while sim.queue.peek_time() is not None and sim.queue.peek_time() <= sim.config.horizon_us:
         sim.step()
-        assert not [key for key, claim in sim.claims.items() if claim.sender.complete]
+        assert not [key for key in sim.filling.demand if _sender(sim, key).complete]
         exercised |= any(
             edge.sender.complete
             for pub in sim.pubs.values() if pub.status == "active" for edge in pub.edges
         )
     assert exercised  # an edge completed while its tree was still active
     assert all(p.status == "complete" for p in sim.pubs.values())
+
+
+def _tree_sharing_a_spur():
+    """A tree origin > relay > leaf in one domain whose two edges both cross
+    spur-r (100 Mbps), the relay's own link: each edge gets half of it while
+    both send."""
+    links = [("core", "wo", "wm", 1000), ("spur-r", "wm", "wr", 100), ("spur-l", "wm", "wl", 1000)]
+    anchors = [("origin", "wo", "relay"), ("relay", "wr", "leaf"), ("leaf", "wl", None)]
+    return build({
+        "name": "shared-spur", "seed": 4, "mode": "l5-multipath", "horizon_us": 1_000_000,
+        "domains": [{"id": "wan", "attachments": ["wo", "wm", "wr", "wl"]}],
+        "links": [{"id": lid, "domain": "wan", "endpoints": [a, b], "capacity_mbps": capacity,
+                   "latency_us": 500} for lid, a, b, capacity in links],
+        "anchors": [{"name": name, "ports": [{"domain": "wan", "attachment": att}],
+                     "peers": [{"anchor": peer, "domain": "wan"}] if peer else []}
+                    for name, att, peer in anchors],
+        "hosts": [],
+        "policy": [{"tag": "cms", "weight": 1}],
+        "events": [{"time_us": 10_000, "kind": "open_session", "id": "feed", "session_mode": "pubsub",
+                    "src": "origin", "subscribers": ["leaf"], "tag": "cms", "bytes": 262144}],
+    })
+
+
+def test_a_completed_tree_edge_frees_its_capacity_at_once():
+    """When origin > relay has every segment acknowledged, relay > leaf still
+    sends its tail: the epoch run at the release doubles its rate."""
+    sim = Simulation(_tree_sharing_a_spur())
+    while not sim.pubs or not sim.pubs[1].edges[0].sender.complete:
+        sim.step()
+    first, second = sim.pubs[1].edges
+    assert (first.parent, first.child, second.parent, second.child) == ("origin", "relay", "relay", "leaf")
+    assert sim.pubs[1].status == "active" and not second.sender.complete
+    assert second.sender.rates == {second.pid: 100}
+    epoch = sim.alloc_epochs[-1]
+    assert epoch["time_us"] == sim.queue.now and epoch["concurrent"] == 1
+    assert epoch["rates_mbps"] == {"feed:origin>relay": None, "feed:relay>leaf": 100.0}
+    assert [e["rates_mbps"] for e in sim.alloc_epochs[:-1]] == [
+        {"feed:origin>relay": 50.0, "feed:relay>leaf": 50.0}
+    ]
+    report = sim.run()
+    assert report["pubsub"]["feed"]["status"] == "complete"
+    assert report["allocation"]["peak_rates_mbps"] == {"feed:origin>relay": 50.0, "feed:relay>leaf": 50.0}
+    assert report["allocation"]["final_rates_mbps"] == {"feed:relay>leaf": 100.0}
 
 
 def test_unknown_event_type_is_a_fault(fixture_paths):
