@@ -15,7 +15,7 @@ from typing import Mapping, Optional
 from .addressing import L3Locator
 from .gateway import GatewayCatalog
 from .pathfinder import L5Path
-from .session import Segment, SegmentKind
+from .session import ACK, Segment
 from .topology import AnchorLinkState, TopologyDatabase, EMPTY_DATABASE
 
 
@@ -76,7 +76,7 @@ class Anchor:
         dropped (``None``), never raised: a teardown racing with a late
         segment is normal, not a fault.
         """
-        is_ack = segment.kind is SegmentKind.ACK
+        is_ack = segment.kind is ACK
         hop = (self.prev_hop if is_ack else self.next_hop).get((segment.session_id, segment.path_id))
         if hop is None:
             self.dropped_unknown += 1

@@ -10,7 +10,6 @@ name agree on every byte.  Expired entries vanish on touch and on a sweep.
 from __future__ import annotations
 
 import hashlib
-import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -30,20 +29,19 @@ class ObjectUnavailable(LookupError):
 
 
 class PayloadStream:
-    """The deterministic pseudo-random payload of a named object, one
-    segment at a time from segment ``start_seq`` on, hashed as it is taken.
+    """The deterministic payload of a named object, one segment at a time
+    from segment ``start_seq`` on, hashed as it is taken.
 
-    Keyed purely by the name, so content is independent of event ordering
-    and of the simulation seed.  ``randbytes`` of whole 32-bit words is
-    prefix-stable: the segments join to the bytes of one ``randbytes(size)``.
+    Segment ``seq`` is the SHA-256 of the name's SHA-256 and the 8-byte
+    ``seq``, repeated to the segment's length: a pure function of (name,
+    seq), so content is independent of event ordering and of the simulation
+    seed, and a stream starts at any seq at once.
     """
 
     def __init__(self, name: str, size: int, start_seq: int = 0) -> None:
         self.name, self.size, self.seq = name, size, start_seq
-        self._rng = random.Random(int.from_bytes(hashlib.sha256(name.encode()).digest()[:8], "big"))
+        self._key = hashlib.sha256(name.encode()).digest()
         self._sha256 = hashlib.sha256()
-        for _ in range(min(start_seq, segment_count(size))):
-            self._rng.randbytes(SEGMENT_PAYLOAD_BYTES)
 
     def __iter__(self) -> "PayloadStream":
         return self
@@ -52,7 +50,9 @@ class PayloadStream:
         lo = self.seq * SEGMENT_PAYLOAD_BYTES
         if lo >= self.size:
             raise StopIteration
-        segment = self._rng.randbytes(min(SEGMENT_PAYLOAD_BYTES, self.size - lo))
+        length = min(SEGMENT_PAYLOAD_BYTES, self.size - lo)
+        block = hashlib.sha256(self._key + self.seq.to_bytes(8, "big")).digest()
+        segment = (block * -(-length // len(block)))[:length]
         self._sha256.update(segment)
         self.seq += 1
         return segment

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import hashlib
 import heapq
-import math
 import struct
 from bisect import insort
 from dataclasses import dataclass
@@ -52,6 +51,10 @@ class SegmentKind(Enum):
     ACK = 1
 
 
+# The members by plain name: reading one off the Enum class costs a __getattr__ call.
+DATA, ACK = SegmentKind.DATA, SegmentKind.ACK
+
+
 @dataclass(frozen=True)
 class Segment:
     """The L5 protocol data unit.
@@ -74,9 +77,9 @@ class Segment:
     ack_sacks: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.kind is SegmentKind.DATA and not self.payload:
+        if self.kind is DATA and not self.payload:
             raise ValueError("data segments must carry a non-empty payload")
-        if self.kind is SegmentKind.ACK and self.payload:
+        if self.kind is ACK and self.payload:
             raise ValueError("control segments carry no payload")
         if len(self.payload) > SEGMENT_PAYLOAD_BYTES:
             raise ValueError(f"payload exceeds {SEGMENT_PAYLOAD_BYTES} bytes")
@@ -291,7 +294,8 @@ class SenderSession:
             segment = Segment(
                 self.session_id, seq, pid, self.tag, self.paths[pid].first_hop, payload, is_retx
             )
-            gap = math.ceil(Fraction(len(payload) * 8) / self.rates[pid])
+            rate = self.rates[pid]
+            gap = -(-len(payload) * 8 * rate.denominator // rate.numerator)  # ceil(bits / rate)
             self.next_free[pid] = now + gap
             deadline = now + 2 * self.rtt_estimate_us[pid]
             self.retx_deadline[seq] = deadline
@@ -370,8 +374,11 @@ class SenderSession:
         self._scheduled_wakes.add(at)
         return True
 
-    def release_wake(self, at: int) -> None:
+    def release_wake(self, at: int) -> bool:
+        """Drop the wake scheduled for ``at``; whether there was one."""
+        held = at in self._scheduled_wakes
         self._scheduled_wakes.discard(at)
+        return held
 
 
 class ReceiverSession:
@@ -414,7 +421,7 @@ class ReceiverSession:
             raise ValueError(
                 f"segment for session {segment.session_id}, expected {self.session_id}"
             )
-        if segment.kind is not SegmentKind.DATA:
+        if segment.kind is not DATA:
             raise ValueError("receiver got a non-data segment")
         if segment.seq >= self.next_expected and segment.seq not in self.buffer:
             self.buffer[segment.seq] = segment.payload
@@ -432,7 +439,7 @@ class ReceiverSession:
         ack = Segment(
             self.session_id, segment.seq, segment.path_id, self.tag,
             self.reverse_hops[segment.path_id], is_retransmit=segment.is_retransmit,
-            kind=SegmentKind.ACK, ack_cum=self.next_expected, ack_sacks=tuple(self._sacks),
+            kind=ACK, ack_cum=self.next_expected, ack_sacks=tuple(self._sacks),
         )
         return delivered, [ack]
 

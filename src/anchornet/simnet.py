@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cache
 from math import ceil
-from typing import Any, Callable, Optional
+from typing import Any, Callable, NamedTuple, Optional
 
 from .addressing import AddressKind, L3Locator, ResolverTable, parse_address
 # domain_shares and water_fill are unused here, but anchorbench/layers.py wraps them by these names.
@@ -47,10 +47,10 @@ from .metrics import build_report
 from .pubsub import DistributionTree, build_tree
 from .scenario import MODE_BASELINE, ScenarioConfig
 from .session import (
+    ACK,
     PathRef,
     ReceiverSession,
     Segment,
-    SegmentKind,
     SenderSession,
     locator_bytes,
 )
@@ -75,41 +75,35 @@ class SimFault(RuntimeError):
 # -- events -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LsaFlood:
+class LsaFlood(NamedTuple):
     to_anchor: str
     from_anchor: str
     lsa: LinkStateAdvertisement
 
 
-@dataclass(frozen=True)
-class LinkHop:
+class LinkHop(NamedTuple):
     segment: Segment
     crossed: str
     remaining: tuple[str, ...]
     dest_node: str
 
 
-@dataclass(frozen=True)
-class NodeArrival:
+class NodeArrival(NamedTuple):
     segment: Segment
     crossed: str
     node: str
 
 
-@dataclass(frozen=True)
-class SessionWake:
+class SessionWake(NamedTuple):
     sid: int
     node: str
 
 
-@dataclass(frozen=True)
-class ScenarioAction:
+class ScenarioAction(NamedTuple):
     index: int
 
 
-@dataclass(frozen=True)
-class GatewaySweep:
+class GatewaySweep(NamedTuple):
     pass
 
 
@@ -246,6 +240,14 @@ class PubTransfer:
 class Simulation:
     """One scenario instance: build, run, report."""
 
+    _events: dict[type, tuple[Callable[..., None], Callable[..., bytes]]]
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        """A subclass's events go to its own overrides of the handlers."""
+        super().__init_subclass__(**kwargs)
+        cls._events = {kind: (getattr(cls, handle.__name__), encode)
+                       for kind, (handle, encode) in _EVENTS.items()}
+
     def __init__(
         self,
         config: ScenarioConfig,
@@ -274,6 +276,8 @@ class Simulation:
         self.senders: dict[tuple[int, str], dict[int, SenderSession]] = {}
         self.receivers: dict[tuple[int, str], ReceiverSession] = {}
         self.path_hops: dict[tuple[int, int], tuple[str, ...]] = {}
+        # (sid, pid) -> hop -> (successor, predecessor), None past either end.
+        self._neighbours: dict[tuple[int, int], dict[str, tuple[Optional[str], Optional[str]]]] = {}
         self.alloc_epochs: list[dict[str, Any]] = []
         # Demand id -> None for each claimant released since the last epoch.
         self._released: dict[str, None] = {}
@@ -460,7 +464,7 @@ class Simulation:
         now, rank, event = self.queue.pop()
         self.clock_end = now
         self.events_processed += 1
-        entry = _EVENTS.get(type(event))
+        entry = self._events.get(type(event))
         if entry is None:
             raise SimFault(f"unknown event {event!r}")
         handle, encode = entry
@@ -486,11 +490,15 @@ class Simulation:
         self._dispatch(event.segment, event.node, now)
 
     def _segment_record(self, name: str, segment: Segment) -> bytes:
-        """The length-prefixed ``name`` followed by ``segment.encode()``,
-        built from cached pieces."""
-        names = self._name_bytes
-        return (names(name) + segment.header() + names(segment.tag)
-                + locator_bytes(segment.l3_dest) + self._payload_digest(segment))
+        """The length-prefixed ``name`` followed by ``segment.encode()``.  The
+        header with the tag, and the payload digest, are built once per
+        segment; its readdressed copies carry them."""
+        fields = segment.__dict__
+        body = fields.get("_trace")
+        if body is None:
+            body = fields["_trace"] = (segment.header() + self._name_bytes(segment.tag),
+                                       self._payload_digest(segment))
+        return self._name_bytes(name) + body[0] + locator_bytes(segment.l3_dest) + body[1]
 
     def _payload_digest(self, segment: Segment) -> bytes:
         """SHA-256 of a data segment's payload, computed once per (session,
@@ -516,14 +524,10 @@ class Simulation:
         rule that a segment's substrate destination is always the very next
         overlay hop, never a shortcut to the far end.
         """
-        hops = self.path_hops.get((segment.session_id, segment.path_id))
-        if hops and emitter in hops:
-            idx = hops.index(emitter)
-            expected = hops[idx - 1] if segment.kind is SegmentKind.ACK else (
-                hops[idx + 1] if idx + 1 < len(hops) else None
-            )
-            if expected != next_l5:
-                self.l3_dest_violations += 1
+        around = self._neighbours.get((segment.session_id, segment.path_id))
+        ends = around.get(emitter) if around else None
+        if ends is not None and ends[segment.kind is ACK] != next_l5:
+            self.l3_dest_violations += 1
         leg = self.legs.get((emitter, next_l5))
         if leg is None:
             raise SimFault(f"no substrate leg {emitter!r} -> {next_l5!r}")
@@ -538,7 +542,7 @@ class Simulation:
         link = self.links[lid]
         counters = self.link_counters[lid]
         counters.transmitted += 1
-        if segment.kind is SegmentKind.ACK:
+        if segment.kind is ACK:
             counters.acks += 1
         elif segment.is_retransmit:
             counters.data_retransmit += 1
@@ -564,40 +568,33 @@ class Simulation:
 
     def _dispatch(self, segment: Segment, node: str, now: int) -> None:
         sid = segment.session_id
-        if segment.kind is SegmentKind.ACK:
+        if segment.kind is ACK:
             group = self.senders.get((sid, node))
             if group and segment.path_id in group:
                 sender = group[segment.path_id]
                 sender.on_ack(segment, now)
                 self._after_sender_progress(sid, node, sender, now)
                 return
-            if node in self.anchors:
-                self._forward_at_anchor(segment, node, now)
+        else:
+            receiver = self.receivers.get((sid, node))
+            if receiver is not None:
+                delivered, acks = receiver.on_receive(segment, now)
+                around = self._neighbours.get((sid, segment.path_id))
+                ends = around.get(node) if around else None
+                if ends is not None and ends[1] is not None:
+                    for ack in acks:
+                        self.transmit(ack, node, ends[1], now)
+                if delivered:
+                    self._on_delivery(sid, node, delivered, now)
                 return
+        # No local sender or receiver takes it: it is in transit.
+        anchor = self.anchors.get(node)
+        if anchor is None:
             self.dropped_unknown_hosts += 1
             return
-        receiver = self.receivers.get((sid, node))
-        if receiver is not None:
-            delivered, acks = receiver.on_receive(segment, now)
-            hops = self.path_hops.get((sid, segment.path_id), ())
-            for ack in acks:
-                if node in hops:
-                    idx = hops.index(node)
-                    if idx > 0:
-                        self.transmit(ack, node, hops[idx - 1], now)
-            if delivered:
-                self._on_delivery(sid, node, delivered, now)
-            return
-        if node in self.anchors:
-            self._forward_at_anchor(segment, node, now)
-            return
-        self.dropped_unknown_hosts += 1
-
-    def _forward_at_anchor(self, segment: Segment, node: str, now: int) -> None:
-        forwarded = self.anchors[node].forward(segment, self.hop_locators[node])
+        forwarded = anchor.forward(segment, self.hop_locators[node])
         if forwarded is not None:
-            hop, copy = forwarded
-            self.transmit(copy, node, hop, now)
+            self.transmit(forwarded[1], node, forwarded[0], now)
 
     # -- session machinery ------------------------------------------------------
 
@@ -606,18 +603,18 @@ class Simulation:
         group = self.senders.get((sid, node))
         if not group:
             return
-        # Each distinct sender once, in the order of its lowest path id.
+        # Each distinct sender that claimed this wake, once, in the order of
+        # its lowest path id.
         for sender in dict.fromkeys(group[pid] for pid in sorted(group)):
-            sender.release_wake(now)
-            self._pump(sid, node, sender, now)
+            if sender.release_wake(now):
+                self._pump(sid, node, sender, now)
 
     def _pump(self, sid: int, node: str, sender: SenderSession, now: int) -> None:
-        emissions = sender.schedule(now)
-        for segment, at in emissions:
-            hops = self.path_hops[(sid, segment.path_id)]
-            if node in self.anchors:
-                self.anchors[node].account_relay(segment)
-            self.transmit(segment, node, hops[1], at)
+        anchor = self.anchors.get(node)
+        for segment, at in sender.schedule(now):
+            if anchor is not None:
+                anchor.account_relay(segment)
+            self.transmit(segment, node, self.path_hops[(sid, segment.path_id)][1], at)
         self._arm(sid, node, sender, now)
 
     def _arm(self, sid: int, node: str, sender: SenderSession, now: int) -> None:
@@ -682,12 +679,15 @@ class Simulation:
         cap: Optional[Fraction] = None,
     ) -> None:
         """Install one allocator claimant, a unicast path or a tree edge: its
-        hops, its demand over the links those hops cross, and its sender's
-        registration at the first hop.  The only writer of all three.  A
-        sender born complete (a tree edge grafted at the stream's end) claims
-        no rate."""
+        hops and each hop's neighbours on them, its demand over the links
+        those hops cross, and its sender's registration at the first hop.
+        The only writer of all of them.  A sender born complete (a tree edge
+        grafted at the stream's end) claims no rate."""
         _, sid, pid = key
         self.path_hops[(sid, pid)] = hops
+        self._neighbours[(sid, pid)] = {
+            hop: (after, before) for before, hop, after in zip((None, *hops), hops, (*hops[1:], None))
+        }
         if not sender.complete:
             links = frozenset(lid for u, v in zip(hops, hops[1:]) for lid in self.legs[(u, v)].links)
             demand = Demand(demand_id, self.policy[sender.tag], links, demand_cap_mbps=cap, tag=sender.tag)
@@ -1096,6 +1096,7 @@ _EVENTS: dict[type, tuple[Callable[..., None], Callable[[Simulation, Any], bytes
     ScenarioAction: (Simulation._scenario_action, lambda sim, e: b"act" + e.index.to_bytes(8, "big")),
     GatewaySweep: (Simulation._gateway_sweep, lambda sim, e: b"swp"),
 }
+Simulation._events = _EVENTS
 
 
 def _path_ref(path: L5Path, legs: dict[tuple[str, str], Leg]) -> PathRef:

@@ -4,16 +4,19 @@ These deliberately share no code with the package: brute-force enumeration
 instead of Dijkstra, float bisection instead of exact progressive filling,
 round-by-round exact filling instead of a shared fill level, a set-union
 fixpoint instead of message flooding, and an explicit token-bucket replay
-instead of slot arithmetic.
+instead of slot arithmetic.  ``MersennePayloadStream`` is the earlier payload
+generator, kept so that pins taken with it can still be reproduced.
 """
 
 from __future__ import annotations
 
+import hashlib
 import random
 from collections import defaultdict
 from fractions import Fraction
 from typing import Mapping, Sequence
 
+from anchornet.session import SEGMENT_PAYLOAD_BYTES
 from anchornet.topology import Adjacency, LinkStateAdvertisement, TopologyDatabase
 
 # -- graph helpers ----------------------------------------------------------------
@@ -349,3 +352,39 @@ def paced_within_rate(
             if total * 8 > rate_mbps * window + burst_bytes * 8 + 1e-6:
                 return False
     return True
+
+
+# -- payload -------------------------------------------------------------------------
+
+
+class MersennePayloadStream:
+    """The earlier payload generator, kept to reproduce the pins taken with it:
+    one ``random.Random`` per object, seeded by the first 8 bytes of the
+    name's SHA-256, one ``randbytes`` call per segment.  Starting at seq k
+    generates and drops the first k segments.  Same interface as
+    ``gateway.PayloadStream``, for which tests swap it in."""
+
+    def __init__(self, name: str, size: int, start_seq: int = 0) -> None:
+        self.name, self.size, self.seq = name, size, start_seq
+        self._rng = random.Random(int.from_bytes(hashlib.sha256(name.encode()).digest()[:8], "big"))
+        self._sha256 = hashlib.sha256()
+        for _ in range(min(start_seq, -(-size // SEGMENT_PAYLOAD_BYTES))):
+            self._rng.randbytes(SEGMENT_PAYLOAD_BYTES)
+
+    def __iter__(self) -> "MersennePayloadStream":
+        return self
+
+    def __next__(self) -> bytes:
+        lo = self.seq * SEGMENT_PAYLOAD_BYTES
+        if lo >= self.size:
+            raise StopIteration
+        segment = self._rng.randbytes(min(SEGMENT_PAYLOAD_BYTES, self.size - lo))
+        self._sha256.update(segment)
+        self.seq += 1
+        return segment
+
+    def hexdigest(self) -> str:
+        digest = self._sha256.copy()
+        for segment in MersennePayloadStream(self.name, self.size, self.seq):
+            digest.update(segment)
+        return digest.hexdigest()

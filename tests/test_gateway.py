@@ -1,5 +1,5 @@
 import hashlib
-import random
+import time
 
 import pytest
 
@@ -72,22 +72,40 @@ SIZES = [1, 3, 8191, 8192, 8193, 3 * 8192 + 5]
 
 
 @pytest.mark.parametrize("size", SIZES)
-def test_stream_segments_join_to_one_randbytes_call(size):
-    name = "cms.dataset.run42"
-    seed = int.from_bytes(hashlib.sha256(name.encode()).digest()[:8], "big")
-    whole = random.Random(seed).randbytes(size)
-    segments = list(PayloadStream(name, size))
+def test_stream_segments_join_to_the_synthesized_payload(size):
+    segments = list(PayloadStream("cms.dataset.run42", size))
     assert all(len(s) == SEGMENT_PAYLOAD_BYTES for s in segments[:-1])
     assert 0 < len(segments[-1]) <= SEGMENT_PAYLOAD_BYTES
-    assert b"".join(segments) == whole == synth_payload(name, size)
+    assert b"".join(segments) == synth_payload("cms.dataset.run42", size)
 
 
 @pytest.mark.parametrize("size", SIZES)
 def test_stream_from_start_seq_is_the_matching_tail(size):
     whole = synth_payload("cms.dataset.run42", size)
-    for start in range(1, size // SEGMENT_PAYLOAD_BYTES + 2):
+    for start in range(size // SEGMENT_PAYLOAD_BYTES + 2):
         tail = b"".join(PayloadStream("cms.dataset.run42", size, start))
         assert tail == whole[start * SEGMENT_PAYLOAD_BYTES:]
+
+
+def test_segments_differ_across_names_and_across_seqs():
+    size = 64 * SEGMENT_PAYLOAD_BYTES
+    a = list(PayloadStream("cms.dataset.run42", size))
+    b = list(PayloadStream("cms.dataset.run43", size))
+    assert all(x != y for x, y in zip(a, b))
+    assert len(set(a)) == len(a)
+
+
+def test_stream_starts_at_any_seq_at_once():
+    size = 2 * 1024**3
+    last = size // SEGMENT_PAYLOAD_BYTES - 1
+    start = time.perf_counter()
+    segments = list(PayloadStream("cms.dataset.run42", size, last))
+    # the earlier generator drew and dropped 2 GiB of segments first: seconds
+    assert time.perf_counter() - start < 0.5
+    (segment,) = segments
+    assert len(segment) == SEGMENT_PAYLOAD_BYTES
+    # a segment depends on (name, seq) only, not on the object's size
+    assert segment == next(PayloadStream("cms.dataset.run42", size + 1, last))
 
 
 @pytest.mark.parametrize("size", SIZES)

@@ -7,12 +7,13 @@ from pathlib import Path
 
 import pytest
 
+from anchornet import gateway, simnet
 from anchornet.addressing import L3Locator
 from anchornet.allocator import Demand, DemandMatrix, domain_shares, water_fill
 from anchornet.gateway import synth_payload
 from anchornet.metrics import allocation_summary, canonical_json, compare, replay
 from anchornet.scenario import load_scenario, parse_scenario
-from anchornet.session import SEGMENT_PAYLOAD_BYTES, Segment, SegmentKind
+from anchornet.session import SEGMENT_PAYLOAD_BYTES, PathRef, Segment, SegmentKind, SenderSession
 from anchornet.simnet import (
     TRACE_SALT,
     CausalityViolation,
@@ -24,7 +25,7 @@ from anchornet.simnet import (
     run_scenario,
 )
 from anchornet.topology import TopologyDatabase, _pstr
-from oracles import progressive_fill_exact
+from oracles import MersennePayloadStream, progressive_fill_exact
 from scenario_builders import build, gateway_chain, three_path_lossy
 
 
@@ -162,6 +163,20 @@ def test_lossy_transfer_delivers_byte_exact_stream():
     assert session["bytes_delivered"] == session["bytes_total"]
     assert session["delivered_sha256"] == session["source_sha256"]
     assert report["faults"]["l3_dest_violations"] == 0
+
+
+def test_a_segment_sent_past_either_end_of_its_path_is_a_violation(fixture_paths):
+    """Data goes to a hop's successor and an ACK to its predecessor: the first
+    hop has no predecessor and the last no successor."""
+    sim = Simulation(load_scenario(fixture_paths["dual-path"]))
+    hops, back = ("anchor-east", "relay-north"), ("relay-north", "anchor-east")
+    sender = SenderSession(99, "atlas", [PathRef(0, hops, 1000, sim.legs[hops].dest)], {0: 1}, 8192)
+    sim._claim((0, 99, 0), hops, sender, "probe:0")
+    ack = Segment(99, 0, 0, "atlas", sim.legs[hops].dest, kind=SegmentKind.ACK)
+    sim.transmit(ack, *hops, 0)
+    assert sim.l3_dest_violations == 1
+    sim.transmit(Segment(99, 0, 0, "atlas", sim.legs[back].dest, b"x"), *back, 0)
+    assert sim.l3_dest_violations == 2
 
 
 def test_tag_accounting_conserves_forwarded_bytes(fixture_paths):
@@ -476,10 +491,10 @@ def test_report_peak_rates_and_shares_share_one_epoch(fixture_paths, name):
 # make the simulator faster keeps these; one that changes behaviour on
 # purpose updates them and says why in CHANGES.md.
 FIXTURE_TRACE_HASHES = {
-    "dual-path": "d3ef5f09925dcd6c69c224e38daa7947758c4f1d1847e56680248bd72cd3357f",
+    "dual-path": "0f93ecb2219ae4bc37b2a9f24b530635a4cb0b179a0cc0db00000da5d3992ac7",
     "flooding-20": "6645c2b3b55aeefa156adb117775778d1691cf8713d9d8c64e4ce92f9e76f0b9",
-    "transatlantic-pubsub": "7c70cf6b532cd296c68c498641603a7205cd4bc4eafebf248e5db6d663cd98e0",
-    "two-domains-weighted": "c9e8118a887d84706af99b2664e598e3224948f50d9c8a149a9038023c3299f7",
+    "transatlantic-pubsub": "873da2b092d08d18a841a672b216c2d7cc0dd765f010e05a584ffc82faf39c0f",
+    "two-domains-weighted": "9544a899045bb14fc0083ad425defa68ebd715624631a82084638e668979d8f5",
 }
 
 
@@ -492,10 +507,10 @@ def test_fixture_trace_hash_is_pinned(fixture_paths, name):
 # SHA-256 of each fixture's canonical anchornet-metrics/2 report: the whole
 # report, byte for byte.
 FIXTURE_REPORT_HASHES = {
-    "dual-path": "d12b03737474196a22b15c75a1049876685c40bbbcb2e961b2526ae030d2ba53",
+    "dual-path": "1692e508a3b8e809ae3963f49cbdefaa32baf0b7ec9eb2c96d30c5bd12e6451e",
     "flooding-20": "eb1ffaa7b2c1a8d0673aef1dc3a9456ab61efcea896b183ddbb7a27d3b54a98e",
-    "transatlantic-pubsub": "89b7725c17c9b84349e66ce50340d01bfe50369fbbfb9c9c4153b146eeadbad5",
-    "two-domains-weighted": "4bd4260ed6575da9031e660e0be07bafcb66434740a0d737193de9e06eca8913",
+    "transatlantic-pubsub": "3277c4127aa49ae76de71615852dcb7a39a9b6027347103b8930566df970791e",
+    "two-domains-weighted": "8190a573763899de9549758b6479226b6d7e217c2b570cef30c901402dddf025",
 }
 
 
@@ -505,12 +520,14 @@ def test_fixture_report_is_pinned(fixture_paths, name):
     assert hashlib.sha256(report.encode()).hexdigest() == FIXTURE_REPORT_HASHES[name]
 
 
-# SHA-256 of the anchornet-metrics/1 reports, whose epochs each listed every
-# claimant's rate: the replayed report below must reproduce them byte for byte.
+# SHA-256 of each report in the anchornet-metrics/1 form, whose epochs each
+# listed every claimant's rate.  MERSENNE_V1_REPORT_HASHES below are the reports
+# that anchornet-metrics/1 itself wrote, and the replay reproduces them byte for
+# byte under the payload generator of that time.
 V1_REPORT_HASHES = {
-    "dual-path": "eae49529bf7a3867730768a60e4be7dabc4a70ce1b8059305d0e1b9e9e8091ed",
+    "dual-path": "ff998f7905364af19b1e08de8fe85eca67cfe4de47b959459bdf8040a1adcf80",
     "flooding-20": "6497e243d4dd8facf1f32a900ec88b2f09d5284593d462adbd8e32c6049ad37a",
-    "two-domains-weighted": "f3ce01b234e9100914faeb2d7c04fe33cebed8696386012a74e2fa3f04d16f35",
+    "two-domains-weighted": "a0203e8463953d924429572bc5725100a6549160dd74511f8e8c6b4e1596947b",
 }
 
 
@@ -535,25 +552,25 @@ def test_replayed_report_is_the_v1_report(fixture_paths, name):
 RUN_TRACE_HASHES = {
     "repath": (
         lambda paths: run_scenario(_BUILT["repath"]()),
-        "1bafb53bf9ff757d09dcf10caad8f1c0c3c5775e19d0fab4e8de4bcad1d734d8",
+        "cd130d1a6b0fa1fa55474638aaf7dd029a9e2bbab719710deef2f2e67a6285b2",
     ),
     "no-path": (
         lambda paths: run_scenario(_BUILT["no-path"]()),
-        "1b28adde91758a7fe1cfa20282fc553cc2a2af6c03065b293ab08e79fafe1580",
+        "1593e3f752079842f9b061eb5b80f177f26ef7d1478311c64a2a1e92affd5d64",
     ),
     "dual-path-failover-baseline": (
         lambda paths: run_scenario(_dual_path_losing_nw_trunk(paths), mode="baseline-single-path"),
-        "3b0c68a5234657986d19a40a8c4f04990f7892145cb8cb5689fa40dde31554ad",
+        "2fc8ed801556c5c143c82501bd43d92f7f934d7c45f046dba1ec98787b0c68ce",
     ),
     "transatlantic-pubsub-baseline": (
         lambda paths: run_scenario(
             load_scenario(paths["transatlantic-pubsub"]), mode="baseline-single-path"
         ),
-        "46fb5b1e4e81289e0005137497b659503e741eb8926852e925d6a20eb8363d83",
+        "08415c0d1fed109533bce4c28b7dde9a79fca024ab822e49a83e1c3398924827",
     ),
     "pubsub-mid-stream-join": (
         lambda paths: run_scenario(_mid_stream_join()),
-        "96d4467abe1d69578edcf6b7d5eb3031ddce2116e999d79b2df7b288870faa05",
+        "c66c6a0309e3dcf3288630c2ce20e2003fb63293294d69e32ab3a4607ff96604",
     ),
 }
 
@@ -562,6 +579,64 @@ RUN_TRACE_HASHES = {
 def test_run_trace_hash_is_pinned(fixture_paths, name):
     run, pinned = RUN_TRACE_HASHES[name]
     assert run(fixture_paths)["trace_hash"] == pinned
+
+
+# The pins above as they were under the earlier Mersenne-Twister payload
+# generator.  The generator decides payload bytes and nothing else, so with it
+# swapped back in every trace and report is the earlier one byte for byte: the
+# payload change moved no event, time, rank, rate or counter.
+MERSENNE_TRACE_HASHES = {
+    "dual-path": "d3ef5f09925dcd6c69c224e38daa7947758c4f1d1847e56680248bd72cd3357f",
+    "flooding-20": "6645c2b3b55aeefa156adb117775778d1691cf8713d9d8c64e4ce92f9e76f0b9",
+    "transatlantic-pubsub": "7c70cf6b532cd296c68c498641603a7205cd4bc4eafebf248e5db6d663cd98e0",
+    "two-domains-weighted": "c9e8118a887d84706af99b2664e598e3224948f50d9c8a149a9038023c3299f7",
+}
+MERSENNE_REPORT_HASHES = {
+    "dual-path": "d12b03737474196a22b15c75a1049876685c40bbbcb2e961b2526ae030d2ba53",
+    "flooding-20": "eb1ffaa7b2c1a8d0673aef1dc3a9456ab61efcea896b183ddbb7a27d3b54a98e",
+    "transatlantic-pubsub": "89b7725c17c9b84349e66ce50340d01bfe50369fbbfb9c9c4153b146eeadbad5",
+    "two-domains-weighted": "4bd4260ed6575da9031e660e0be07bafcb66434740a0d737193de9e06eca8913",
+}
+MERSENNE_V1_REPORT_HASHES = {
+    "dual-path": "eae49529bf7a3867730768a60e4be7dabc4a70ce1b8059305d0e1b9e9e8091ed",
+    "flooding-20": "6497e243d4dd8facf1f32a900ec88b2f09d5284593d462adbd8e32c6049ad37a",
+    "two-domains-weighted": "f3ce01b234e9100914faeb2d7c04fe33cebed8696386012a74e2fa3f04d16f35",
+}
+MERSENNE_RUN_TRACE_HASHES = {
+    "repath": "1bafb53bf9ff757d09dcf10caad8f1c0c3c5775e19d0fab4e8de4bcad1d734d8",
+    "no-path": "1b28adde91758a7fe1cfa20282fc553cc2a2af6c03065b293ab08e79fafe1580",
+    "dual-path-failover-baseline": "3b0c68a5234657986d19a40a8c4f04990f7892145cb8cb5689fa40dde31554ad",
+    "transatlantic-pubsub-baseline": "46fb5b1e4e81289e0005137497b659503e741eb8926852e925d6a20eb8363d83",
+    "pubsub-mid-stream-join": "96d4467abe1d69578edcf6b7d5eb3031ddce2116e999d79b2df7b288870faa05",
+}
+
+
+@pytest.fixture
+def mersenne_payload(monkeypatch):
+    """Every payload the simulator and ``synth_payload`` build comes from the
+    earlier Mersenne-Twister generator."""
+    for module in (simnet, gateway):
+        monkeypatch.setattr(module, "PayloadStream", MersennePayloadStream)
+
+
+@pytest.mark.parametrize("name", sorted(MERSENNE_TRACE_HASHES))
+def test_fixture_pins_under_the_mersenne_payload_are_the_earlier_ones(
+    fixture_paths, mersenne_payload, name
+):
+    report = run_scenario(load_scenario(fixture_paths[name]))
+    assert report["trace_hash"] == MERSENNE_TRACE_HASHES[name]
+    assert hashlib.sha256(canonical_json(report).encode()).hexdigest() == MERSENNE_REPORT_HASHES[name]
+    if name in MERSENNE_V1_REPORT_HASHES:
+        v1 = canonical_json(_as_v1(report))
+        assert hashlib.sha256(v1.encode()).hexdigest() == MERSENNE_V1_REPORT_HASHES[name]
+
+
+@pytest.mark.parametrize("name", sorted(MERSENNE_RUN_TRACE_HASHES))
+def test_run_pins_under_the_mersenne_payload_are_the_earlier_ones(
+    fixture_paths, mersenne_payload, name
+):
+    run, _ = RUN_TRACE_HASHES[name]
+    assert run(fixture_paths)["trace_hash"] == MERSENNE_RUN_TRACE_HASHES[name]
 
 
 # -- trace v2 ---------------------------------------------------------------------
@@ -763,6 +838,46 @@ def test_session_churn_epochs_match_a_fresh_fill(seed):
     assert max(epoch["concurrent"] for epoch in sim.alloc_epochs) > 100
     assert all(t.status == "complete" for t in sim.transfers.values())
     assert not sim.filling.demand and not sim.replayed
+
+
+class _CountedPumps(Simulation):
+    pumps = 0
+
+    def _pump(self, sid, node, sender, now):
+        self.pumps += 1
+        super()._pump(sid, node, sender, now)
+
+
+class _PumpEverySender(_CountedPumps):
+    """Pumps every sender registered at a wake's session and node, as the
+    simulator once did, not only the senders that claimed that wake."""
+
+    def _session_wake(self, event, now):
+        group = self.senders.get((event.sid, event.node))
+        if not group:
+            return
+        for sender in dict.fromkeys(group[pid] for pid in sorted(group)):
+            sender.release_wake(now)
+            self._pump(event.sid, event.node, sender, now)
+
+
+@pytest.mark.parametrize(
+    "name", ["transatlantic-pubsub", "pubsub-mid-stream-join", "fanout-join-1", "fanout-join-2"]
+)
+def test_pumping_only_the_senders_that_claimed_a_wake_keeps_the_trace(fixture_paths, name):
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "anchorbench"))
+    from workloads import fanout_join
+
+    if name == "transatlantic-pubsub":
+        config = load_scenario(fixture_paths[name])
+    elif name == "pubsub-mid-stream-join":
+        config = _mid_stream_join()
+    else:
+        config = parse_scenario(json.dumps(fanout_join(int(name[-1]))))
+    claimed, every = _CountedPumps(config), _PumpEverySender(config)
+    assert claimed.run()["trace_hash"] == every.run()["trace_hash"]
+    assert claimed.pumps < every.pumps
+    assert claimed.events_processed == every.events_processed
 
 
 @pytest.mark.parametrize("name", ["transatlantic-pubsub", "pubsub-mid-stream-join"])
