@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .addressing import AddressKind, L5Address
 from .session import SEGMENT_PAYLOAD_BYTES, segment_count
@@ -47,23 +47,29 @@ class PayloadStream:
         return self
 
     def __next__(self) -> bytes:
-        lo = self.seq * SEGMENT_PAYLOAD_BYTES
-        if lo >= self.size:
+        if self.seq * SEGMENT_PAYLOAD_BYTES >= self.size:
             raise StopIteration
-        length = min(SEGMENT_PAYLOAD_BYTES, self.size - lo)
-        block = hashlib.sha256(self._key + self.seq.to_bytes(8, "big")).digest()
-        segment = (block * -(-length // len(block)))[:length]
+        segment = self._segment(self.seq)
         self._sha256.update(segment)
         self.seq += 1
         return segment
 
+    def _segment(self, seq: int) -> bytes:
+        length = min(SEGMENT_PAYLOAD_BYTES, self.size - seq * SEGMENT_PAYLOAD_BYTES)
+        block = hashlib.sha256(self._key + seq.to_bytes(8, "big")).digest()
+        return (block * -(-length // len(block)))[:length]
+
+    def segments(self, start_seq: int) -> Iterator[bytes]:
+        """The segments from ``start_seq`` on, neither hashed nor taken from this
+        stream: for a second sender of the object, whose digest nothing reads."""
+        return map(self._segment, range(start_seq, segment_count(self.size)))
+
     def hexdigest(self) -> str:
         """SHA-256 of the stream to its end.  Segments not yet taken are
-        generated by a second stream, and stay to be taken from this one."""
+        generated again, and stay to be taken from this stream."""
         digest = self._sha256.copy()
-        if self.seq < segment_count(self.size):
-            for segment in PayloadStream(self.name, self.size, self.seq):
-                digest.update(segment)
+        for segment in self.segments(self.seq):
+            digest.update(segment)
         return digest.hexdigest()
 
 

@@ -48,7 +48,7 @@ def build_report(sim: Simulation) -> dict[str, Any]:
             "in_flight_at_end": in_flight[lid],
             "capacity_mbps": float(link.capacity_mbps),
             "available_mbps": float(sim.link_avail[lid]),
-            "up": sim.link_up[lid],
+            "up": sim.link_entries[lid].up,
             "utilization": c.payload_bytes * 8 / (float(link.capacity_mbps) * duration),
         }
 

@@ -20,9 +20,10 @@ from __future__ import annotations
 
 import hashlib
 import heapq
+import inspect
 import struct
 from bisect import insort
-from dataclasses import dataclass
+from dataclasses import dataclass, fields as dataclass_fields
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
@@ -55,7 +56,7 @@ class SegmentKind(Enum):
 DATA, ACK = SegmentKind.DATA, SegmentKind.ACK
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Segment:
     """The L5 protocol data unit.
 
@@ -76,13 +77,23 @@ class Segment:
     ack_cum: int = 0
     ack_sacks: tuple[int, ...] = ()
 
-    def __post_init__(self) -> None:
-        if self.kind is DATA and not self.payload:
+    def __init__(
+        self, session_id: int, seq: int, path_id: int, tag: str, l3_dest: L3Locator,
+        payload: bytes = b"", is_retransmit: bool = False, kind: SegmentKind = DATA,
+        ack_cum: int = 0, ack_sacks: tuple[int, ...] = (),
+    ) -> None:
+        # Straight into __dict__: a generated frozen __init__ calls object.__setattr__ per field.
+        if kind is DATA and not payload:
             raise ValueError("data segments must carry a non-empty payload")
-        if self.kind is ACK and self.payload:
+        if kind is ACK and payload:
             raise ValueError("control segments carry no payload")
-        if len(self.payload) > SEGMENT_PAYLOAD_BYTES:
+        if len(payload) > SEGMENT_PAYLOAD_BYTES:
             raise ValueError(f"payload exceeds {SEGMENT_PAYLOAD_BYTES} bytes")
+        fields = self.__dict__
+        fields["session_id"], fields["seq"], fields["path_id"] = session_id, seq, path_id
+        fields["tag"], fields["l3_dest"], fields["payload"] = tag, l3_dest, payload
+        fields["is_retransmit"], fields["kind"] = is_retransmit, kind
+        fields["ack_cum"], fields["ack_sacks"] = ack_cum, ack_sacks
 
     def header(self) -> bytes:
         """Fixed-layout record of the fields other than ``tag``, ``l3_dest`` and
@@ -92,9 +103,11 @@ class Segment:
         if head is None:
             sacks = self.ack_sacks
             head = _HEADER.pack(
-                self.session_id, self.seq, self.path_id, self.kind.value, self.is_retransmit,
+                self.session_id, self.seq, self.path_id, self.kind is ACK, self.is_retransmit,
                 self.ack_cum, len(self.payload), len(sacks),
-            ) + struct.pack(f">{len(sacks)}Q", *sacks)
+            )
+            if sacks:
+                head += struct.pack(f">{len(sacks)}Q", *sacks)
             self.__dict__["_header"] = head
         return head
 
@@ -118,6 +131,12 @@ class Segment:
         fields.update(self.__dict__)
         fields["l3_dest"] = l3_dest
         return copy
+
+
+# Segment.__init__ writes each field by hand, and header() packs ``kind is ACK`` as the kind.
+_INIT_FIELDS = list(inspect.signature(Segment.__init__).parameters)[1:]
+assert _INIT_FIELDS == [f.name for f in dataclass_fields(Segment)], _INIT_FIELDS
+assert ACK.value == 1
 
 
 def locator_bytes(locator: L3Locator) -> bytes:
@@ -189,9 +208,9 @@ class SenderSession:
         self.stats: dict[int, PathStats] = {}
         self.set_paths(paths, rates_mbps, now)
 
+        # Acknowledged: every seq from start_seq below the floor, and those in ``acked``, all
+        # at or above it.  ACKs raise the floor out of order across paths: it only moves up.
         self.acked: set[int] = set()
-        # Every seq below the floor is in ``acked``; ACKs can raise it out of
-        # order across paths, so it only ever moves up.
         self._ack_floor = start_seq
         # seq -> deadline, for segments in flight and for expired ones waiting
         # to go again.  Each has a heap of (deadline, seq), pruned lazily: an
@@ -279,15 +298,15 @@ class SenderSession:
         """
         self.expire(now)
         out: list[tuple[Segment, int]] = []
+        paths, next_free = self.paths, self.next_free
         while True:
-            free = [(self.next_free[pid], pid) for pid in self.paths if self.next_free[pid] <= now]
-            if not free:
+            slot, pid = min(zip(map(next_free.__getitem__, paths), paths))
+            if slot > now:
                 break
             work = self._take_work()
             if work is None:
                 break
             seq, is_retx = work
-            _, pid = min(free)
             payload = self.held.get(seq)
             if payload is None:  # an origin's next new segment
                 payload = self.held[seq] = next(self._source)
@@ -296,17 +315,16 @@ class SenderSession:
             )
             rate = self.rates[pid]
             gap = -(-len(payload) * 8 * rate.denominator // rate.numerator)  # ceil(bits / rate)
-            self.next_free[pid] = now + gap
+            next_free[pid] = now + gap
             deadline = now + 2 * self.rtt_estimate_us[pid]
             self.retx_deadline[seq] = deadline
             heapq.heappush(self._deadline_heap, (deadline, seq))
             self._last_send[seq] = now
-            if is_retx:
-                self._ever_retransmitted.add(seq)
             st = self.stats[pid]
             st.emitted_segments += 1
             st.emitted_bytes += len(payload)
             if is_retx:
+                self._ever_retransmitted.add(seq)
                 st.retransmitted_segments += 1
             out.append((segment, now))
         return out
@@ -315,26 +333,27 @@ class SenderSession:
         """Earliest future instant at which scheduling could make progress."""
         if self.complete:
             return None
-        candidates = []
-        has_new = self.send_next < self.total_segments and self._segment_available(self.send_next)
-        if self._retx_ready or has_new:
-            candidates.append(min(self.next_free[pid] for pid in self.paths))
+        wake = None
+        if self._retx_ready or (self.send_next < self.total_segments
+                                and self._segment_available(self.send_next)):
+            wake = min(map(self.next_free.__getitem__, self.paths))
         pending, heap = self.retx_deadline, self._deadline_heap
         if pending:
             while pending.get(heap[0][1]) != heap[0][0]:
                 heapq.heappop(heap)
-            candidates.append(heap[0][0])
-        if not candidates:
-            return None
-        return max(min(candidates), now)
+            if wake is None or heap[0][0] < wake:
+                wake = heap[0][0]
+        return None if wake is None else max(wake, now)
 
     # -- acknowledgement handling ------------------------------------------
 
     def on_ack(self, ack: Segment, now: int) -> None:
         if ack.session_id != self.session_id:
             raise ValueError(f"ack for session {ack.session_id}, expected {self.session_id}")
+        floor, acked = self._ack_floor, self.acked
         newly_sampled = (
-            ack.seq not in self.acked
+            ack.seq >= floor
+            and ack.seq not in acked
             and not ack.is_retransmit
             and ack.seq not in self._ever_retransmitted
             and ack.seq in self._last_send
@@ -348,12 +367,20 @@ class SenderSession:
                 self.rtt_estimate_us[pid] = sample
                 self._rtt_sampled.add(pid)
             self.rtt_estimate_us[pid] = max(self.rtt_estimate_us[pid], 1)
-        newly = [*ack.ack_sacks, ack.seq]
-        if ack.ack_cum > self._ack_floor:
-            newly.extend(range(self._ack_floor, ack.ack_cum))
+        # A SACK list repeats the seqs earlier ACKs covered: only new ones count.
+        newly = []
+        for seq in (*ack.ack_sacks, ack.seq):
+            if seq >= floor and seq not in acked:
+                acked.add(seq)
+                newly.append(seq)
+        if ack.ack_cum > floor:
+            for seq in range(floor, ack.ack_cum):
+                if seq in acked:
+                    acked.discard(seq)
+                else:
+                    newly.append(seq)
             self._ack_floor = ack.ack_cum
         for seq in newly:
-            self.acked.add(seq)
             self.held.pop(seq, None)
             self.retx_deadline.pop(seq, None)
             self._retx_ready.pop(seq, None)
@@ -362,7 +389,7 @@ class SenderSession:
     def complete(self) -> bool:
         return (
             self.send_next >= self.total_segments
-            and len(self.acked) >= self.total_segments - self.start_seq
+            and self._ack_floor + len(self.acked) >= self.total_segments
         )
 
     # -- wake bookkeeping (used by the event loop) --------------------------

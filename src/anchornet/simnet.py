@@ -127,9 +127,9 @@ class EventQueue:
     def pop(self) -> tuple[int, int, Any]:
         if not self._heap:
             raise EmptyQueue("no events left")
-        time_us, rank, event = heapq.heappop(self._heap)
-        self.now = time_us
-        return time_us, rank, event
+        entry = heapq.heappop(self._heap)
+        self.now = entry[0]
+        return entry
 
     def peek_time(self) -> Optional[int]:
         return self._heap[0][0] if self._heap else None
@@ -165,6 +165,19 @@ class LinkCounters:
     data_retransmit: int = 0
     acks: int = 0
     payload_bytes: int = 0
+
+
+@dataclass(slots=True)
+class LinkEntry:
+    """All that entering a link reads and writes.  ``serialization_us`` maps a
+    payload size to its serialization delay, filled on first use."""
+
+    counters: LinkCounters
+    latency_us: int
+    loss_prob: float
+    avail_mbps: Fraction
+    up: bool = True
+    serialization_us: dict[int, int] = field(default_factory=dict)
 
 
 @dataclass
@@ -272,12 +285,14 @@ class Simulation:
 
         self._next_sid = 1
         self.transfers: dict[int, Transfer] = {}
+        # home anchor -> sid -> each active transfer homed there, in sid order
+        self._homed: dict[str, dict[int, Transfer]] = {}
         self.pubs: dict[int, PubTransfer] = {}
         self.senders: dict[tuple[int, str], dict[int, SenderSession]] = {}
         self.receivers: dict[tuple[int, str], ReceiverSession] = {}
         self.path_hops: dict[tuple[int, int], tuple[str, ...]] = {}
-        # (sid, pid) -> hop -> (successor, predecessor), None past either end.
-        self._neighbours: dict[tuple[int, int], dict[str, tuple[Optional[str], Optional[str]]]] = {}
+        # (sid, pid, hop) -> (successor, predecessor), None past either end.
+        self._neighbours: dict[tuple[int, int, str], tuple[Optional[str], Optional[str]]] = {}
         self.alloc_epochs: list[dict[str, Any]] = []
         # Demand id -> None for each claimant released since the last epoch.
         self._released: dict[str, None] = {}
@@ -300,10 +315,11 @@ class Simulation:
         # path id).  Down links keep their capacity entry: a demand may still
         # reference one for the short window between the failure and its repath.
         self.filling = Filling(self.link_avail)
-        self.link_up = {l.id: True for l in cfg.links}
-        # Serialization delay in microseconds per (link, payload bytes), filled on first use.
-        self._serialization_us: dict[tuple[str, int], int] = {}
         self.link_counters = {l.id: LinkCounters() for l in cfg.links}
+        self.link_entries = {
+            l.id: LinkEntry(self.link_counters[l.id], l.latency_us, l.loss_prob, l.available_mbps)
+            for l in cfg.links
+        }
         # domain -> attachment -> neighbour -> latency, and (domain, attachment,
         # neighbour) -> the link between them.  Of parallel links, the lowest
         # latency, then the lowest id, is written last and kept.
@@ -417,7 +433,7 @@ class Simulation:
         """The anchor's current usable legs, for advertisement."""
         out = []
         for v, leg in sorted(self.out_legs[name].items()):
-            if any(not self.link_up[lid] for lid in leg.links):
+            if any(not self.link_entries[lid].up for lid in leg.links):
                 continue
             domain = leg.dest.domain_id
             out.append(Adjacency(v, leg.avail_mbps, leg.latency_us, domain))
@@ -464,10 +480,10 @@ class Simulation:
         now, rank, event = self.queue.pop()
         self.clock_end = now
         self.events_processed += 1
-        entry = self._events.get(type(event))
-        if entry is None:
-            raise SimFault(f"unknown event {event!r}")
-        handle, encode = entry
+        try:
+            handle, encode = self._events[type(event)]
+        except KeyError:
+            raise SimFault(f"unknown event {event!r}") from None
         self._trace.update(_STAMP.pack(now, rank) + encode(self, event))
         handle(self, event, now)
 
@@ -486,8 +502,37 @@ class Simulation:
         self._enter_link(event.segment, event.remaining, event.dest_node, now)
 
     def _handle_arrival(self, event: NodeArrival, now: int) -> None:
-        self.link_counters[event.crossed].delivered += 1
-        self._dispatch(event.segment, event.node, now)
+        """Hand a segment to the node's sender (an ACK) or receiver (data).  One
+        that neither takes is in transit: the node's anchor forwards it, and the
+        copy is sent on as an endpoint's send is."""
+        segment, lid, node = event
+        self.link_counters[lid].delivered += 1
+        sid, pid = segment.session_id, segment.path_id
+        if segment.kind is ACK:
+            group = self.senders.get((sid, node))
+            if group and pid in group:
+                sender = group[pid]
+                sender.on_ack(segment, now)
+                self._after_sender_progress(sid, node, sender, now)
+                return
+        else:
+            receiver = self.receivers.get((sid, node))
+            if receiver is not None:
+                delivered, acks = receiver.on_receive(segment, now)
+                ends = self._neighbours.get((sid, pid, node))
+                if ends is not None and ends[1] is not None:
+                    for ack in acks:
+                        self.transmit(ack, node, ends[1], now)
+                if delivered:
+                    self._on_delivery(sid, node, delivered, now)
+                return
+        anchor = self.anchors.get(node)
+        if anchor is None:
+            self.dropped_unknown_hosts += 1
+            return
+        forwarded = anchor.forward(segment, self.hop_locators[node])
+        if forwarded is not None:
+            self.transmit(forwarded[1], node, forwarded[0], now)
 
     def _segment_record(self, name: str, segment: Segment) -> bytes:
         """The length-prefixed ``name`` followed by ``segment.encode()``.  The
@@ -524,8 +569,7 @@ class Simulation:
         rule that a segment's substrate destination is always the very next
         overlay hop, never a shortcut to the far end.
         """
-        around = self._neighbours.get((segment.session_id, segment.path_id))
-        ends = around.get(emitter) if around else None
+        ends = self._neighbours.get((segment.session_id, segment.path_id, emitter))
         if ends is not None and ends[segment.kind is ACK] != next_l5:
             self.l3_dest_violations += 1
         leg = self.legs.get((emitter, next_l5))
@@ -539,8 +583,8 @@ class Simulation:
         self, segment: Segment, links: tuple[str, ...], dest_node: str, now: int
     ) -> None:
         lid = links[0]
-        link = self.links[lid]
-        counters = self.link_counters[lid]
+        link = self.link_entries[lid]
+        counters, size = link.counters, len(segment.payload)
         counters.transmitted += 1
         if segment.kind is ACK:
             counters.acks += 1
@@ -548,53 +592,20 @@ class Simulation:
             counters.data_retransmit += 1
         else:
             counters.data_original += 1
-        counters.payload_bytes += len(segment.payload)
-        if not self.link_up[lid]:
+        counters.payload_bytes += size
+        # A down link draws no loss.
+        if not link.up or link.loss_prob > 0 and self.queue.rng.random() < link.loss_prob:
             counters.dropped += 1
             return
-        if link.loss_prob > 0 and self.queue.rng.random() < link.loss_prob:
-            counters.dropped += 1
-            return
-        key = (lid, len(segment.payload))
-        serialization = self._serialization_us.get(key)
+        serialization = link.serialization_us.get(size)
         if serialization is None:
-            serialization = ceil(Fraction(key[1] * 8) / self.link_avail[lid])
-            self._serialization_us[key] = serialization
+            serialization = link.serialization_us[size] = ceil(Fraction(size * 8) / link.avail_mbps)
         arrival = now + link.latency_us + serialization
+        # tuple.__new__ skips the NamedTuple's Python-level __new__.
         if len(links) > 1:
-            self.queue.push(arrival, LinkHop(segment, lid, links[1:], dest_node))
+            self.queue.push(arrival, tuple.__new__(LinkHop, (segment, lid, links[1:], dest_node)))
         else:
-            self.queue.push(arrival, NodeArrival(segment, lid, dest_node))
-
-    def _dispatch(self, segment: Segment, node: str, now: int) -> None:
-        sid = segment.session_id
-        if segment.kind is ACK:
-            group = self.senders.get((sid, node))
-            if group and segment.path_id in group:
-                sender = group[segment.path_id]
-                sender.on_ack(segment, now)
-                self._after_sender_progress(sid, node, sender, now)
-                return
-        else:
-            receiver = self.receivers.get((sid, node))
-            if receiver is not None:
-                delivered, acks = receiver.on_receive(segment, now)
-                around = self._neighbours.get((sid, segment.path_id))
-                ends = around.get(node) if around else None
-                if ends is not None and ends[1] is not None:
-                    for ack in acks:
-                        self.transmit(ack, node, ends[1], now)
-                if delivered:
-                    self._on_delivery(sid, node, delivered, now)
-                return
-        # No local sender or receiver takes it: it is in transit.
-        anchor = self.anchors.get(node)
-        if anchor is None:
-            self.dropped_unknown_hosts += 1
-            return
-        forwarded = anchor.forward(segment, self.hop_locators[node])
-        if forwarded is not None:
-            self.transmit(forwarded[1], node, forwarded[0], now)
+            self.queue.push(arrival, tuple.__new__(NodeArrival, (segment, lid, dest_node)))
 
     # -- session machinery ------------------------------------------------------
 
@@ -603,9 +614,9 @@ class Simulation:
         group = self.senders.get((sid, node))
         if not group:
             return
-        # Each distinct sender that claimed this wake, once, in the order of
-        # its lowest path id.
-        for sender in dict.fromkeys(group[pid] for pid in sorted(group)):
+        # Each distinct sender that claimed this wake, once, in the order of its
+        # lowest path id: a group holds its path ids in the ascending order they were claimed.
+        for sender in dict.fromkeys(group.values()):
             if sender.release_wake(now):
                 self._pump(sid, node, sender, now)
 
@@ -685,9 +696,9 @@ class Simulation:
         grafted at the stream's end) claims no rate."""
         _, sid, pid = key
         self.path_hops[(sid, pid)] = hops
-        self._neighbours[(sid, pid)] = {
-            hop: (after, before) for before, hop, after in zip((None, *hops), hops, (*hops[1:], None))
-        }
+        self._neighbours.update(
+            ((sid, pid, hop), (after, before)) for before, hop, after in zip((None, *hops), hops, (*hops[1:], None))
+        )
         if not sender.complete:
             links = frozenset(lid for u, v in zip(hops, hops[1:]) for lid in self.legs[(u, v)].links)
             demand = Demand(demand_id, self.policy[sender.tag], links, demand_cap_mbps=cap, tag=sender.tag)
@@ -763,6 +774,7 @@ class Simulation:
             rate_cap_mbps=rate_cap_mbps, next_pid=len(discovered), on_complete=on_complete,
         )
         self.transfers[sid] = transfer
+        self._homed.setdefault(home, {})[sid] = transfer
         self._digests[sid] = {}
         self.receivers[(sid, dst)] = receiver
         self._use_paths(transfer, discovered, now)
@@ -776,6 +788,7 @@ class Simulation:
         session.status = status
         del self._digests[session.sid]
         if isinstance(session, Transfer):
+            del self._homed[session.home_anchor][session.sid]
             self._unregister_paths(session)
             if status == "complete":
                 session.t_complete = now
@@ -798,10 +811,7 @@ class Simulation:
         transfer.next_pid += len(transfer.used)
 
     def _check_repath(self, anchor_name: str, now: int) -> None:
-        homed = [
-            t for _, t in sorted(self.transfers.items())
-            if t.status == "active" and t.home_anchor == anchor_name
-        ]
+        homed = list(self._homed.get(anchor_name, {}).values())
         if not homed:
             return
         graph = self.anchors[anchor_name].db.graph()
@@ -853,15 +863,14 @@ class Simulation:
     ) -> TreeEdge:
         """Add the edge ``parent`` -> ``child``.  Its sender relays what
         ``parent`` receives, unless ``parent`` is the publisher: then it sends
-        the tree's source, or a copy if an earlier edge already does."""
+        the tree's source, or its unhashed segments if an earlier edge already does."""
         pid = pub.next_pid
         pub.next_pid += 1
         leg = self.legs[(parent, child)]
         ref = PathRef(pid, (parent, child), leg.latency_us, leg.dest)
         source = None
         if parent == pub.publisher:
-            source = (PayloadStream(pub.source.name, pub.total_bytes, start_seq)
-                      if parent in pub.downstream else pub.source)
+            source = pub.source.segments(start_seq) if parent in pub.downstream else pub.source
         sender = SenderSession(
             pub.sid, pub.tag, [ref], {pid: Fraction(1)}, pub.total_bytes,
             source=source, start_seq=start_seq, now=now,
@@ -1046,7 +1055,7 @@ class Simulation:
             self._link_down(fields["link"], now)
 
     def _link_down(self, lid: str, now: int) -> None:
-        self.link_up[lid] = False
+        self.link_entries[lid].up = False
         affected = [
             name for name, legs in sorted(self.out_legs.items())
             if any(lid in leg.links for leg in legs.values())

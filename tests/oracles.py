@@ -354,6 +354,12 @@ def paced_within_rate(
     return True
 
 
+def acked_seqs(sender) -> set[int]:
+    """Every seq ``sender`` holds acknowledged: those below its floor, from
+    its ``start_seq`` on, and the ones at or above it that it keeps."""
+    return set(range(sender.start_seq, sender._ack_floor)) | sender.acked
+
+
 # -- payload -------------------------------------------------------------------------
 
 
@@ -383,8 +389,11 @@ class MersennePayloadStream:
         self.seq += 1
         return segment
 
+    def segments(self, start_seq: int) -> "MersennePayloadStream":
+        return MersennePayloadStream(self.name, self.size, start_seq)
+
     def hexdigest(self) -> str:
         digest = self._sha256.copy()
-        for segment in MersennePayloadStream(self.name, self.size, self.seq):
+        for segment in self.segments(self.seq):
             digest.update(segment)
         return digest.hexdigest()

@@ -87,6 +87,17 @@ def test_stream_from_start_seq_is_the_matching_tail(size):
         assert tail == whole[start * SEGMENT_PAYLOAD_BYTES:]
 
 
+@pytest.mark.parametrize("size", SIZES)
+def test_unhashed_segments_are_the_tail_and_leave_the_stream_as_it_was(size):
+    whole = synth_payload("cms.dataset.run42", size)
+    stream = PayloadStream("cms.dataset.run42", size)
+    first = next(stream)
+    for start in range(size // SEGMENT_PAYLOAD_BYTES + 2):
+        assert b"".join(stream.segments(start)) == whole[start * SEGMENT_PAYLOAD_BYTES:]
+    assert stream.seq == 1 and first + b"".join(stream) == whole
+    assert stream.hexdigest() == hashlib.sha256(whole).hexdigest()
+
+
 def test_segments_differ_across_names_and_across_seqs():
     size = 64 * SEGMENT_PAYLOAD_BYTES
     a = list(PayloadStream("cms.dataset.run42", size))

@@ -16,7 +16,7 @@ from anchornet.session import (
     SegmentKind,
     SenderSession,
 )
-from oracles import paced_within_rate
+from oracles import acked_seqs, paced_within_rate
 
 HOP_A = L3Locator("net", "pa")
 HOP_B = L3Locator("net", "pb")
@@ -133,7 +133,7 @@ def test_ack_removes_from_retransmit_queue():
     ack = Segment(1, 0, 0, "atlas", HOP_B, kind=SegmentKind.ACK, ack_cum=1)
     sender.on_ack(ack, 500)
     assert 0 not in sender.retx_deadline
-    assert 0 in sender.acked
+    assert 0 in acked_seqs(sender)
 
 
 def test_duplicate_ack_is_idempotent():
@@ -141,9 +141,9 @@ def test_duplicate_ack_is_idempotent():
     sender.schedule(0)
     ack = Segment(1, 0, 0, "atlas", HOP_B, kind=SegmentKind.ACK, ack_cum=1)
     sender.on_ack(ack, 500)
-    state = (set(sender.acked), dict(sender.retx_deadline), dict(sender.rtt_estimate_us))
+    state = (acked_seqs(sender), dict(sender.retx_deadline), dict(sender.rtt_estimate_us))
     sender.on_ack(ack, 900)
-    assert state == (set(sender.acked), dict(sender.retx_deadline), dict(sender.rtt_estimate_us))
+    assert state == (acked_seqs(sender), dict(sender.retx_deadline), dict(sender.rtt_estimate_us))
 
 
 def test_rtt_smoothing_seven_eighths():
@@ -298,7 +298,9 @@ def test_mid_stream_start_seq():
 
 def _on_ack_rebuilding_range(sender, ack, now):
     """The ACK rule as first written, kept as the reference: the whole
-    cumulative range from ``start_seq`` is rebuilt on every ACK."""
+    cumulative range from ``start_seq`` is rebuilt on every ACK.  It keeps
+    every acknowledged seq in ``acked`` and leaves the floor at ``start_seq``,
+    so ``acked_seqs`` reads it and the sender under test alike."""
     newly_sampled = (
         ack.seq not in sender.acked
         and not ack.is_retransmit
@@ -356,7 +358,7 @@ def test_ack_floor_matches_rebuilt_range_under_reordering_and_loss():
                 stale_cums += ack.ack_cum < fast._ack_floor
                 fast.on_ack(ack, now)
                 _on_ack_rebuilding_range(slow, ack, now)
-                assert fast.acked == slow.acked
+                assert acked_seqs(fast) == acked_seqs(slow)
                 assert fast.retx_deadline == slow.retx_deadline
                 assert fast.complete == slow.complete
             now += rng.randint(1, 4000)

@@ -19,13 +19,15 @@ from anchornet.simnet import (
     CausalityViolation,
     EmptyQueue,
     EventQueue,
+    LinkHop,
+    NodeArrival,
     ScenarioAction,
     SimFault,
     Simulation,
     run_scenario,
 )
 from anchornet.topology import TopologyDatabase, _pstr
-from oracles import MersennePayloadStream, progressive_fill_exact
+from oracles import MersennePayloadStream, acked_seqs, progressive_fill_exact
 from scenario_builders import build, gateway_chain, three_path_lossy
 
 
@@ -179,6 +181,111 @@ def test_a_segment_sent_past_either_end_of_its_path_is_a_violation(fixture_paths
     assert sim.l3_dest_violations == 2
 
 
+def _dual_path_sending(fixture_paths):
+    """dual-path stepped until its transfer is open: the simulation, the
+    transfer's sid and the id of its path through relay-north."""
+    sim = Simulation(load_scenario(fixture_paths["dual-path"]))
+    while not sim.transfers:
+        sim.step()
+    (transfer,) = sim.transfers.values()
+    (pid,) = [p.path_id for p in transfer.used if "relay-north" in p.hops]
+    return sim, transfer.sid, pid
+
+
+def _arrive(sim, sid, pid, kind, node, crossed="nw-trunk"):
+    """A segment of (sid, pid) arriving at ``node``, handled as ``step``
+    handles a NodeArrival.  Returns the events it pushed."""
+    payload = b"x" if kind is SegmentKind.DATA else b""
+    segment = Segment(sid, 0, pid, "atlas", L3Locator("net", "pa"), payload, kind=kind)
+    before = {id(entry) for entry in sim.queue._heap}
+    handle, _ = sim._events[NodeArrival]
+    handle(sim, NodeArrival(segment, crossed, node), sim.queue.now)
+    return [entry[2] for entry in sim.queue._heap if id(entry) not in before]
+
+
+@pytest.mark.parametrize("table, kind", [
+    ("next_hop", SegmentKind.DATA), ("prev_hop", SegmentKind.ACK),
+])
+def test_a_transit_anchor_that_forwards_off_its_path_is_a_violation(fixture_paths, table, kind):
+    """relay-north sends data on to anchor-east and ACKs back to anchor-west.
+    A forwarding entry that names its other neighbour sends the segment
+    there, and the hop counts it against the path record."""
+    sim, sid, pid = _dual_path_sending(fixture_paths)
+    entries = getattr(sim.anchors["relay-north"], table)
+    wrong = {"anchor-east": "anchor-west", "anchor-west": "anchor-east"}[entries[(sid, pid)]]
+    entries[(sid, pid)] = wrong
+    other = SegmentKind.ACK if kind is SegmentKind.DATA else SegmentKind.DATA
+    assert len(_arrive(sim, sid, pid, other, "relay-north")) == 1
+    assert sim.l3_dest_violations == 0  # the direction the other table serves
+    (pushed,) = _arrive(sim, sid, pid, kind, "relay-north")
+    assert sim.l3_dest_violations == 1
+    assert (pushed.dest_node if isinstance(pushed, LinkHop) else pushed.node) == wrong
+
+
+def test_a_transit_copy_addressed_off_its_leg_is_a_violation(fixture_paths):
+    """The next hop is right but the locator the anchor readdresses to is
+    not that leg's destination."""
+    sim, sid, pid = _dual_path_sending(fixture_paths)
+    sim.hop_locators["relay-north"]["anchor-east"] = sim.legs[("relay-north", "anchor-west")].dest
+    assert len(_arrive(sim, sid, pid, SegmentKind.ACK, "relay-north")) == 1
+    assert sim.l3_dest_violations == 0
+    assert len(_arrive(sim, sid, pid, SegmentKind.DATA, "relay-north")) == 1
+    assert sim.l3_dest_violations == 1
+
+
+def test_a_transit_segment_of_a_removed_path_is_dropped_without_an_event(fixture_paths):
+    sim, sid, pid = _dual_path_sending(fixture_paths)
+    relay = sim.anchors["relay-north"]
+    relay.remove_path(sid, pid)
+    for kind in (SegmentKind.DATA, SegmentKind.ACK):
+        assert _arrive(sim, sid, pid, kind, "relay-north") == []
+    assert relay.dropped_unknown == 2
+    assert sim.l3_dest_violations == 0
+
+
+def test_a_segment_at_a_host_that_neither_sends_nor_receives_it_is_counted(fixture_paths):
+    """caltech.h1 sends the transfer and cern.h1 receives it: data at the
+    first and an ACK at the second have no taker."""
+    sim, sid, pid = _dual_path_sending(fixture_paths)
+    assert _arrive(sim, sid, pid, SegmentKind.DATA, "caltech.h1", "w-access") == []
+    assert _arrive(sim, sid, pid, SegmentKind.ACK, "cern.h1", "e-access") == []
+    assert sim.dropped_unknown_hosts == 2
+    assert sum(a.dropped_unknown for a in sim.anchors.values()) == 0
+
+
+class _CheckedRepath(Simulation):
+    """Records, for each repath check, the transfers it visits, after
+    checking them against every active transfer homed at that anchor."""
+
+    def __init__(self, config):
+        self.visits = []
+        super().__init__(config)
+
+    def _check_repath(self, anchor_name, now):
+        homed = [t for _, t in sorted(self.transfers.items())
+                 if t.status == "active" and t.home_anchor == anchor_name]
+        visited = list(self._homed.get(anchor_name, {}).values())
+        assert visited == homed
+        self.visits.append((len(visited), len(self.transfers)))
+        super()._check_repath(anchor_name, now)
+
+
+def test_a_repath_check_visits_only_the_active_transfers_homed_there():
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "anchorbench"))
+    from workloads import failover_flood
+
+    raw = failover_flood(1, anchors=16, chords=8, failures=3, size_bytes=256 * 1024)
+    sim = _CheckedRepath(parse_scenario(json.dumps(raw)))
+    sim.run()
+    assert all(t.status == "complete" for t in sim.transfers.values())
+    # Three failures re-flood to all 16 anchors: with all 4 transfers active,
+    # with 2 of them ended, and with all 4 ended.  The 352 checks visit 12
+    # transfers; sorting every transfer ever opened would walk 384.
+    checks, visited, opened = len(sim.visits), *map(sum, zip(*sim.visits))
+    assert (checks, visited, opened) == (352, 12, 384)
+    assert not any(sim._homed.values())
+
+
 def test_tag_accounting_conserves_forwarded_bytes(fixture_paths):
     config = load_scenario(str(fixture_paths["dual-path"]))
     report = run_scenario(config)
@@ -296,7 +403,7 @@ def test_senders_hold_only_unacknowledged_segments(fixture_paths, scenario):
         }
         for group in sim.senders.values():
             for sender in set(group.values()):
-                held, acked, nxt = set(sender.held), sender.acked, sender.send_next
+                held, acked, nxt = set(sender.held), acked_seqs(sender), sender.send_next
                 assert not held & acked
                 # Of the segments sent, exactly the unacknowledged ones are held ...
                 sent = {seq for seq in held if seq < nxt}
@@ -890,6 +997,8 @@ def test_no_claim_holds_a_completed_sender(fixture_paths, name):
     while sim.queue.peek_time() is not None and sim.queue.peek_time() <= sim.config.horizon_us:
         sim.step()
         assert not [key for key in sim.filling.demand if _sender(sim, key).complete]
+        # a wake pumps a group's senders in the order of their path ids as stored
+        assert all(list(group) == sorted(group) for group in sim.senders.values())
         exercised |= any(
             edge.sender.complete
             for pub in sim.pubs.values() if pub.status == "active" for edge in pub.edges
@@ -1096,6 +1205,18 @@ def test_pubsub_object_mid_stream_join():
     assert early["join_seq"] == 0
     assert early["delivered_sha256"] == hashlib.sha256(stream).hexdigest()
     assert obj in report["anchors"]["gw-far"]["catalog"]
+
+
+def test_only_the_first_root_edge_hashes_the_published_stream():
+    """gw-origin feeds gw-mid and, after the join, gw-side: the second edge
+    sends the same segments without a running hash of its own."""
+    sim = Simulation(_mid_stream_join())
+    sim.run()
+    (pub,) = sim.pubs.values()
+    sources = [edge.sender._source for edge in pub.edges if edge.parent == pub.publisher]
+    assert len(sources) == 2 and sources[0] is pub.source
+    assert not isinstance(sources[1], gateway.PayloadStream)
+    assert pub.subscribers["gw-side"].receiver.complete
 
 
 @pytest.mark.parametrize("join_us", [60_000, 100_000, 200_000])
