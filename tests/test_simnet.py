@@ -968,6 +968,13 @@ class _PumpEverySender(_CountedPumps):
             self._pump(event.sid, event.node, sender, now)
 
 
+# The benchmark's fanout-join workload at seeds 1 and 2: 9 relay edges per run start mid-stream.
+_FANOUT_JOIN_TRACES = {
+    "fanout-join-1": "f08d89b6e05315607d2aaaf09056a4bc309f90ace736daa7166263a932e9b399",
+    "fanout-join-2": "b63fc320de7a221e2d43de848251a6dbb55fbfc874d4b574a8ce31835f18f1d5",
+}
+
+
 @pytest.mark.parametrize(
     "name", ["transatlantic-pubsub", "pubsub-mid-stream-join", "fanout-join-1", "fanout-join-2"]
 )
@@ -982,7 +989,10 @@ def test_pumping_only_the_senders_that_claimed_a_wake_keeps_the_trace(fixture_pa
     else:
         config = parse_scenario(json.dumps(fanout_join(int(name[-1]))))
     claimed, every = _CountedPumps(config), _PumpEverySender(config)
-    assert claimed.run()["trace_hash"] == every.run()["trace_hash"]
+    trace_hash = claimed.run()["trace_hash"]
+    assert trace_hash == every.run()["trace_hash"]
+    # Both runs take the same graft code; the pin holds it to the traces it has always made.
+    assert trace_hash == _FANOUT_JOIN_TRACES.get(name, trace_hash)
     assert claimed.pumps < every.pumps
     assert claimed.events_processed == every.events_processed
 
