@@ -360,7 +360,6 @@ class Simulation:
         self.tag_totals = {tag: (0, 1) for tag in sorted(self.policy)}
         self.owner: dict[L3Locator, str] = {}
         self.anchors: dict[str, Anchor] = {}
-        self.hosts: dict[str, Any] = {}
         self.host_anchor: dict[str, str] = {}
         locators: list[L3Locator] = []
         for dom in cfg.domains:
@@ -381,7 +380,6 @@ class Simulation:
                 self.resolver = self.resolver.register(acfg.name, port)
         for hcfg in cfg.hosts:
             port = L3Locator(hcfg.port.domain, hcfg.port.attachment)
-            self.hosts[hcfg.name] = hcfg
             self.host_anchor[hcfg.name] = hcfg.anchor
             self.owner[port] = hcfg.name
             self.resolver = self.resolver.register(hcfg.name, port)
@@ -830,47 +828,76 @@ class Simulation:
         stream: str, now: int, *, object_name: Optional[str] = None,
         stage_ttl_us: Optional[int] = None,
     ) -> PubTransfer:
+        """Open a tree as a graft onto no edges: the publisher alone, every offset 0."""
         sid = self._next_sid
         self._next_sid += 1
-        home = self._home_anchor(publisher)
-        db = self.anchors[home].db
-        tree = build_tree(db, publisher, subscribers, self.link_cost)
         pub = PubTransfer(
             id_str=id_str, sid=sid, publisher=publisher, object_name=object_name, tag=tag,
-            total_bytes=total_bytes, tree=tree, t_open=now,
-            source=PayloadStream(stream, total_bytes), stage_ttl_us=stage_ttl_us,
+            total_bytes=total_bytes, tree=DistributionTree(publisher, (), frozenset(), {}),
+            t_open=now, source=PayloadStream(stream, total_bytes), stage_ttl_us=stage_ttl_us,
         )
         self.pubs[sid] = pub
         self._digests[sid] = {}
         if object_name is not None:
             self._trees_by_object[object_name] = sid
-
-        # Publisher feeds the root; hosts reach their anchor over an access
-        # leg that is itself a reliable hop.
-        if publisher != tree.root:
-            self._add_pub_edge(pub, publisher, tree.root, 0, now=now)
-        for parent, child in _tree_edges_top_down(tree):
-            self._add_pub_edge(pub, parent, child, 0, now=now)
-        for sub in sorted(tree.subscribers):
-            self._attach_subscriber(pub, sub, 0, now)
-        self._reallocate(now)
-        for edge in pub.edges:
-            self._arm(sid, edge.parent, edge.sender, now)
+        self._graft(pub, subscribers, now)
         return pub
 
-    def _add_pub_edge(
-        self, pub: PubTransfer, parent: str, child: str, start_seq: int, *, now: int
-    ) -> TreeEdge:
-        """Add the edge ``parent`` -> ``child``.  Its sender relays what
-        ``parent`` receives, unless ``parent`` is the publisher: then it sends
-        the tree's source, or its unhashed segments if an earlier edge already does."""
+    def _graft(self, pub: PubTransfer, subscribers: list[str], now: int) -> None:
+        """Rebuild ``pub``'s tree over its subscribers and ``subscribers``, add an
+        edge into each node no edge reaches yet, top down, and attach ``subscribers``.
+
+        The publisher feeds the root; hosts reach their anchor over an access leg
+        that is itself a reliable hop.  Each new edge starts where its parent's
+        stream stands, so no history is replayed; at open that is seq 0.
+        """
+        home = self._home_anchor(pub.publisher)
+        tree = build_tree(
+            self.anchors[home].db, pub.publisher, sorted(pub.tree.subscribers.union(subscribers)),
+            self.link_cost,
+        )
+        pub.tree = tree
+        reached = {edge.child for edge in pub.edges} | {pub.publisher}
+        added = [
+            self._add_pub_edge(pub, parent, child, now)
+            for parent, child in [(pub.publisher, tree.root), *_tree_edges_top_down(tree)]
+            if child not in reached
+        ]
+        for sub in sorted(set(subscribers)):
+            anchor = tree.subscriber_anchors[sub]
+            if sub != anchor:
+                added.append(self._add_pub_edge(pub, anchor, sub, now))
+            elif (pub.sid, anchor) not in self.receivers:
+                # Subscriber is the anchor itself (a gateway); its relay receiver,
+                # if it has one, doubles as the delivery point.
+                self.receivers[(pub.sid, anchor)] = ReceiverSession(
+                    pub.sid, pub.tag, {}, pub.total_bytes
+                )
+            receiver = self.receivers[(pub.sid, sub)]
+            leg = SubscriberLeg(sub, anchor, receiver.start_seq, receiver)
+            pub.subscribers[sub] = leg
+            self._subscriber_progress(pub, leg, now)
+        self._reallocate(now)
+        for edge in added:
+            self._arm(pub.sid, edge.parent, edge.sender, now)
+
+    def _add_pub_edge(self, pub: PubTransfer, parent: str, child: str, now: int) -> TreeEdge:
+        """Add the edge ``parent`` -> ``child``, starting where ``parent``'s stream
+        stands.  Its sender relays what ``parent`` receives, unless ``parent`` is
+        the publisher: then it sends the tree's source, or its unhashed segments
+        if an earlier edge already does, from the lowest seq those edges send next."""
         pid = pub.next_pid
         pub.next_pid += 1
         leg = self.legs[(parent, child)]
         ref = PathRef(pid, (parent, child), leg.latency_us, leg.dest)
         source = None
-        if parent == pub.publisher:
-            source = pub.source.segments(start_seq) if parent in pub.downstream else pub.source
+        if parent != pub.publisher:
+            start_seq = self.receivers[(pub.sid, parent)].next_expected
+        elif parent in pub.downstream:
+            start_seq = min(edge.sender.send_next for edge in pub.downstream[parent])
+            source = pub.source.segments(start_seq)
+        else:
+            start_seq, source = 0, pub.source
         sender = SenderSession(
             pub.sid, pub.tag, [ref], {pid: Fraction(1)}, pub.total_bytes,
             source=source, start_seq=start_seq, now=now,
@@ -885,54 +912,6 @@ class Simulation:
         )
         self.receivers[(pub.sid, child)] = receiver
         return edge
-
-    def _attach_subscriber(self, pub: PubTransfer, sub: str, join_seq: int, now: int) -> None:
-        anchor = pub.tree.subscriber_anchors.get(sub) or self._home_anchor(sub)
-        if sub != anchor:
-            self._add_pub_edge(pub, anchor, sub, join_seq, now=now)
-        elif (pub.sid, anchor) not in self.receivers:
-            # Subscriber is the anchor itself (a gateway); its relay receiver,
-            # if it has one, doubles as the delivery point.
-            self.receivers[(pub.sid, anchor)] = ReceiverSession(
-                pub.sid, pub.tag, {}, pub.total_bytes, start_seq=join_seq
-            )
-        leg = SubscriberLeg(sub, anchor, join_seq, self.receivers[(pub.sid, sub)])
-        pub.subscribers[sub] = leg
-        self._subscriber_progress(pub, leg, now)
-
-    def _join_tree(self, pub: PubTransfer, sub: str, now: int) -> None:
-        """Graft a new subscriber onto an active tree; no history replay."""
-        anchor = self._home_anchor(sub)
-        new_subs = sorted(set(pub.tree.subscribers) | {sub})
-        home = self._home_anchor(pub.publisher)
-        tree = build_tree(self.anchors[home].db, pub.publisher, new_subs, self.link_cost)
-        old_edges = set(pub.tree.edges)
-        pub.tree = tree
-        if pub.object_name is not None:
-            self._trees_by_object[pub.object_name] = pub.sid
-        existing_nodes = {edge.child for edge in pub.edges} | {tree.root}
-        for parent, child in _tree_edges_top_down(tree):
-            if (parent, child) in old_edges or child in existing_nodes:
-                continue
-            if parent == tree.root and pub.publisher == tree.root:
-                # The root gateway is the source itself: the join offset is
-                # the current publish position across its existing edges.
-                siblings = [e.sender.send_next for e in pub.downstream.get(parent, [])]
-                join_seq = min(siblings) if siblings else 0
-            else:
-                upstream = self.receivers.get((pub.sid, parent))
-                join_seq = upstream.next_expected if upstream is not None else 0
-            edge = self._add_pub_edge(pub, parent, child, join_seq, now=now)
-            self._arm(pub.sid, parent, edge.sender, now)
-            existing_nodes.add(child)
-        sub_anchor_receiver = self.receivers.get((pub.sid, anchor))
-        join_seq = sub_anchor_receiver.next_expected if sub_anchor_receiver is not None else 0
-        if sub == anchor and sub_anchor_receiver is not None:
-            join_seq = sub_anchor_receiver.start_seq
-        self._attach_subscriber(pub, sub, join_seq, now)
-        if sub != anchor:
-            self._arm(pub.sid, anchor, pub.downstream[anchor][-1].sender, now)
-        self._reallocate(now)
 
     # -- gateway actions --------------------------------------------------------
 
@@ -979,7 +958,7 @@ class Simulation:
             return  # already staged locally
         tree_sid = self._trees_by_object.get(object_name)
         if tree_sid is not None and self.pubs[tree_sid].status == "active":
-            self._join_tree(self.pubs[tree_sid], gw_name, now)
+            self._graft(self.pubs[tree_sid], [gw_name], now)
             return
         locators = self.resolver.resolve(addr)
         if not locators:
