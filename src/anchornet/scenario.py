@@ -302,8 +302,8 @@ TABLES = {
 }
 PORT = (("domain", None, _id, "must be a string, got {0!r}"), ("attachment", None, _id, "must be a string, got {0!r}"))
 # One table per event kind; an open_session's also by its mode and by whether it
-# names a staged object, whose replica then gives its size in place of
-# ``bytes``.  The table of None reports an unknown kind.
+# names a staged object, whose replica at the ``src`` gateway then gives its size
+# in place of ``bytes``.  The table of None reports an unknown kind.
 _TIME = ("time_us", None, _integer(0), _NONNEGATIVE)
 _SESSION = (
     _TIME,
@@ -322,8 +322,9 @@ _FLOW = (
     ("rate_cap_mbps", None, lambda v, ids: v is None or _number(v) and v > 0, "must be a positive number, got {0!r}"),
 )
 _BYTES = ("bytes", None, _integer(1), _POSITIVE)
+_STAGED_SOURCE = (_STAGED[1], ("src", None, _in("gateways"), "{0!r} is not a gateway anchor"))
 EVENTS: dict[Any, tuple] = {
-    ("open_session", mode, staged): (*_SESSION, delivery, *_FLOW, _STAGED[1] if staged else _BYTES)
+    ("open_session", mode, staged): (*_SESSION, delivery, *_FLOW, *(_STAGED_SOURCE if staged else (_BYTES,)))
     for mode, delivery in _DELIVERY.items() for staged in (False, True)
 }
 EVENTS.update({

@@ -384,6 +384,8 @@ class SenderSession:
             self.held.pop(seq, None)
             self.retx_deadline.pop(seq, None)
             self._retx_ready.pop(seq, None)
+            self._last_send.pop(seq, None)
+            self._ever_retransmitted.discard(seq)
 
     @property
     def complete(self) -> bool:

@@ -877,7 +877,7 @@ class Simulation:
             leg = SubscriberLeg(sub, anchor, receiver.start_seq, receiver)
             pub.subscribers[sub] = leg
             self._subscriber_progress(pub, leg, now)
-        self._reallocate(now)
+        self._reallocate(now)  # pushes no event: the arms push in the order the edges were added
         for edge in added:
             self._arm(pub.sid, edge.parent, edge.sender, now)
 

@@ -170,6 +170,27 @@ def test_retransmitted_seq_never_samples_rtt():
     assert sender.rtt_estimate_us == before
 
 
+def test_acknowledged_seqs_leave_the_rtt_bookkeeping():
+    """Send times and retransmit marks are read only for seqs not yet
+    acknowledged: once every send is acknowledged, neither holds an entry."""
+    total = 5 * SEGMENT_PAYLOAD_BYTES
+    sender = make_sender(n_paths=2, rates={0: 8, 1: 8}, total=total)
+    rx = ReceiverSession(1, "atlas", {0: HOP_B, 1: HOP_B}, total)
+    retransmitted = []
+    now = 0
+    while not sender.complete and now < 10_000_000:
+        for segment, _ in sender.schedule(now):
+            if segment.is_retransmit:
+                retransmitted.append(segment.seq)
+            elif segment.seq == 1:
+                continue  # the first copy of seq 1 is lost
+            for ack in rx.on_receive(segment, now)[1]:
+                sender.on_ack(ack, now + 1)
+        now = max(sender.next_wake(now) or now, now + 1)
+    assert sender.complete and retransmitted == [1]
+    assert sender._last_send == {} and sender._ever_retransmitted == set()
+
+
 def test_retransmit_deadline_is_twice_rtt_estimate():
     sender = make_sender(n_paths=1, rates={0: 8}, total=2 * SEGMENT_PAYLOAD_BYTES)
     (s0, at), = sender.schedule(0)

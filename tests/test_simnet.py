@@ -991,7 +991,7 @@ def test_pumping_only_the_senders_that_claimed_a_wake_keeps_the_trace(fixture_pa
     claimed, every = _CountedPumps(config), _PumpEverySender(config)
     trace_hash = claimed.run()["trace_hash"]
     assert trace_hash == every.run()["trace_hash"]
-    # Both runs take the same graft code; the pin holds it to the traces it has always made.
+    # Both runs take the same graft code, so only the pin holds the mid-stream edges to these traces.
     assert trace_hash == _FANOUT_JOIN_TRACES.get(name, trace_hash)
     assert claimed.pumps < every.pumps
     assert claimed.events_processed == every.events_processed
@@ -1176,6 +1176,21 @@ def test_pubsub_loss_on_one_edge_stays_on_that_edge(fixture_paths):
             assert count == 0, edge
     for name, sub in tree["subscribers"].items():
         assert sub["delivered_sha256"] == tree["source_sha256"], name
+
+
+def test_a_subscriber_listed_twice_gets_one_leg_and_one_edge(fixture_paths):
+    raw = json.loads(fixture_paths["transatlantic-pubsub"].read_text())
+    (event,) = raw["events"]
+    event["subscribers"] = ["us.sub2", "us.sub1", "us.sub3", "us.sub1", "us.sub2"]
+    sim = Simulation(parse_scenario(json.dumps(raw)))
+    report = sim.run()
+    (pub,) = sim.pubs.values()
+    assert sorted(pub.subscribers) == ["us.sub1", "us.sub2", "us.sub3"]
+    children = [edge.child for edge in pub.edges]
+    assert sorted(children) == sorted(set(children))
+    assert all(sub in children for sub in pub.subscribers)
+    assert report["pubsub"]["pub1"]["status"] == "complete"
+    assert report["trace_hash"] == run_scenario(load_scenario(fixture_paths["transatlantic-pubsub"]))["trace_hash"]
 
 
 JOIN_OBJECT, JOIN_BYTES = "cms.dataset.epsilon", 40 * SEGMENT_PAYLOAD_BYTES
