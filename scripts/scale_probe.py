@@ -2,7 +2,7 @@
 """Time one run of a resized scenario and report its cost.
 
     python3 scripts/scale_probe.py --mib 128
-    python3 scripts/scale_probe.py --sessions 600 [--span-us 400000]
+    python3 scripts/scale_probe.py --sessions 600 [--span-us 400000] [--seed 1]
 
 ``--mib N`` runs scenarios/dual-path.json with its one transfer resized to
 N MiB and its horizon stretched in proportion, so that the transfer can
@@ -10,12 +10,12 @@ finish.  It prints one JSON line: the events processed, events per host
 second, the host seconds of building and running the simulation (its
 report included), the process's peak RSS in MB, and whether the transfer completed byte-exact.
 
-``--sessions N`` runs the benchmark's session-churn workload at seed 1
-(``anchorbench/workloads.py``) with N sessions arriving over ``--span-us``
-microseconds (default 400,000).  Its line adds the allocation epochs, the
-most concurrent claimants, the host seconds spent in allocation epochs,
-the size of the canonical report in MB, and whether every session
-completed byte-exact.
+``--sessions N`` runs the benchmark's session-churn workload at seed
+``--seed`` (default 1; ``anchorbench/workloads.py``) with N sessions
+arriving over ``--span-us`` microseconds (default 400,000).  Its line adds
+the allocation epochs, the most concurrent claimants, the host seconds
+spent in allocation epochs, the size of the canonical report in MB, and
+whether every session completed byte-exact.
 
 Run it in a fresh process per size: peak RSS only ever grows within one.
 """
@@ -50,12 +50,12 @@ def resized(mib: float) -> dict:
     return raw
 
 
-def churn(sessions: int, span_us: int) -> dict:
-    """The session-churn workload at seed 1, resized."""
+def churn(sessions: int, span_us: int, seed: int) -> dict:
+    """The session-churn workload at ``seed``, resized."""
     sys.path.insert(0, os.path.join(ROOT, "anchorbench"))
     from workloads import session_churn
 
-    return session_churn(1, sessions=sessions, span_us=span_us)
+    return session_churn(seed, sessions=sessions, span_us=span_us)
 
 
 class _TimedSimulation(Simulation):
@@ -96,8 +96,8 @@ def probe(mib: float) -> dict:
     }
 
 
-def probe_sessions(sessions: int, span_us: int) -> dict:
-    sim, report, host_s = _run(churn(sessions, span_us))
+def probe_sessions(sessions: int, span_us: int, seed: int = 1) -> dict:
+    sim, report, host_s = _run(churn(sessions, span_us, seed))
     epochs = report["allocation"]["epochs"]
     return {
         "sessions": sessions,
@@ -121,15 +121,18 @@ def main(argv: "list[str] | None" = None) -> int:
     size.add_argument("--sessions", type=int, help="session-churn session count")
     parser.add_argument("--span-us", type=int, default=400_000,
                         help="session-churn arrival span in microseconds (default 400000)")
+    parser.add_argument("--seed", type=int, help="session-churn workload seed (default 1)")
     args = parser.parse_args(argv)
     if args.mib is not None:
         if args.mib <= 0:
             parser.error("--mib must be positive")
+        if args.seed is not None:
+            parser.error("--seed applies to --sessions only")
         print(json.dumps(probe(args.mib)))
         return 0
     if args.sessions < 2 or args.span_us < 1:
         parser.error("--sessions must be at least 2 and --span-us positive")
-    print(json.dumps(probe_sessions(args.sessions, args.span_us)))
+    print(json.dumps(probe_sessions(args.sessions, args.span_us, 1 if args.seed is None else args.seed)))
     return 0
 
 

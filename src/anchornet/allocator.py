@@ -14,28 +14,34 @@ and rate is a reduced ``(numerator, denominator)`` pair of ints, so rates
 and the per-link conservation identity are exact; ``Fraction``s and floats
 are built only at the reporting boundary.
 
-A ``Filling`` keeps, across epochs, each link's claimants, the scaled
-weights and a log of rounds: level, key, frozen claimants, and the rooms
-and rising weights before the round.  An epoch restarts at the first round
-a change touches: the round that froze a released claimant, or the first
-whose level is at or above ``room / (rising + added weight)`` on a link
-that gained claimants, or an added claimant's cap level.  Earlier rounds
-keep their lowest level and their frozen claimants, so they and their
-rates stay, with the weight changes applied to their snapshots.  The next
-key is the ``min()`` of each rising key's lead ``floor(level * 2**32)``,
-an int that orders two levels whenever it differs; equal leads compare
-levels exactly.  Weighted max-min fair rates are unique, so the order of
-keys at one level changes no rate: a tie restarts though keeping its round
-would give the same rates, and ``water_fill``, a fill from nothing, gives
-the rates of a kept filling.
+A ``Filling`` keeps, across epochs, a log of freeze rounds in level order
+and, per key (a link or a demand cap), its claimants and its trail: the
+rounds that froze weight on it.  An epoch propagates a change through the
+keys in level order (Ros-Giralt et al., SIGMETRICS 2020).  The keys of added
+and removed claimants start out dirty.  A kept round is reused unchanged
+unless its key is dirty (it is dropped, and its claimants rise again and
+mark their keys dirty) or a dirty key now saturates below its level (a fresh
+round freezes that key first).  A claimant whose rate changes marks every
+key it crosses dirty.  A dirty key's level is a lower bound, worked out
+exactly from its trail only when the key may be the lowest: freezing
+claimants below a key's level only raises it.  Levels are ordered by their
+lead ``floor(level * 2**32)``, an int that orders two levels whenever it
+differs; equal leads compare levels exactly.  Weighted max-min fair rates
+are unique, so the order of keys at one level changes no rate: a kept round
+at a dirty key's level is reused first, and ``water_fill``, a fill from
+nothing, gives the rates of a kept filling.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heappop, heappush
+from itertools import count
 from math import gcd, lcm
-from typing import Hashable, Mapping, Optional, Sequence, Union
+from operator import attrgetter
+from typing import Hashable, Iterable, Mapping, Optional, Sequence, Union
 
 from .addressing import ScienceDomainTag
 
@@ -131,121 +137,209 @@ def _rise(room: tuple[int, int], w: int) -> tuple[int, _Level]:
     return (num << 32) // den, _Level((num, den))
 
 
+class _Round:
+    """One freeze round: its level (after its lead), its key, the claimants it
+    froze, the scaled weight it froze on each key and the rising weight it
+    left on each, and its place in the log."""
+
+    __slots__ = ("at", "key", "frozen", "gained", "rising", "pos")
+
+    def __init__(self, at: tuple[int, _Level], key: Hashable, frozen: list, pos: float) -> None:
+        self.at, self.key, self.frozen, self.pos = at, key, frozen, pos
+        self.gained: dict[Hashable, int] = {}
+        self.rising: dict[Hashable, int] = {}
+
+
+_place = attrgetter("pos")
+
+
 class Filling:
     """Progressive filling kept across epochs: ``add`` and ``remove``
-    claimants, then ``fill``.  ``rate`` holds each claimant's rate and
-    ``states[-1][0]`` each link's room, as reduced int pairs.  A claimant id
-    also names its demand cap's private key, so it must not be a link id."""
+    claimants, then ``fill``.  ``rate`` holds each claimant's rate as a
+    reduced int pair.  A claimant id also names its demand cap's private
+    key, so it must not be a link id."""
 
     def __init__(self, capacities: Mapping[str, Rate]) -> None:
         self.capacity = {lid: as_fraction(c).as_integer_ratio() for lid, c in capacities.items()}
         for lid, (num, den) in self.capacity.items():
             if num <= 0:
                 raise ValueError(f"link {lid!r}: capacity must be positive, got {Fraction(num, den)}")
-        self.cap: dict[Hashable, tuple[int, int]] = {}  # capped claimant -> its cap
+        # Per key (a link, or a capped claimant's cap): its bound, its
+        # claimants, their summed scaled weight, its trail (the rounds that
+        # froze any of them) and its level before any round, once worked out.
+        self.bound: dict[Hashable, tuple[int, int]] = dict(self.capacity)
+        self.members: dict[Hashable, dict[Hashable, None]] = {lid: {} for lid in self.capacity}
+        self.load: dict[Hashable, int] = dict.fromkeys(self.capacity, 0)
+        self.trail: dict[Hashable, list[_Round]] = {lid: [] for lid in self.capacity}
+        self.first: dict[Hashable, tuple[int, _Level]] = {}
         self.scale = 1  # the lcm of every weight denominator seen
         self.demand: dict[Hashable, Demand] = {}
         self.weight: dict[Hashable, int] = {}  # weight * scale
-        self.members: dict[str, dict[Hashable, None]] = {lid: {} for lid in self.capacity}
-        self.frozen_in: dict[Hashable, int] = {}  # claimant -> the round that froze it
+        self.keys: dict[Hashable, tuple[Hashable, ...]] = {}  # claimant -> the keys it crosses
+        self.frozen_in: dict[Hashable, _Round] = {}
         self.rate: dict[Hashable, tuple[int, int]] = {}
-        self.rounds: list[tuple[_Level, Hashable, list[Hashable]]] = []  # level, key, frozen
-        # (room, rising weight) per link before each round, and after the last one
-        self.states = [(dict(self.capacity), dict.fromkeys(self.capacity, 0))]
-        # Since the last fill: rising weight gained (+) or released (-) per
-        # link, and the first round a release touches.
-        self.delta: dict[str, int] = {}
-        self.restart = 0
+        self.rounds: list[_Round] = []  # in level order
+        self.touched: set[Hashable] = set()  # keys whose claimants changed since the last fill
 
     def add(self, cid: Hashable, demand: Demand) -> None:
+        if cid in self.weight:
+            raise ValueError(f"claimant {cid!r} is already held")
         missing = demand.links - self.capacity.keys()
         if missing:
             raise UnknownLink(f"demand {demand.session_id!r} references unknown links {sorted(missing)}")
         if not demand.links and demand.demand_cap_mbps is None:
             raise ValueError(f"demand {demand.session_id!r} crosses no links and has no cap; rate unbounded")
         num, den = demand.weight.as_integer_ratio()
-        if self.scale % den:  # every level changes: refill from the first round
+        if self.scale % den:  # every level changes: no kept round stays
             factor = lcm(self.scale, den) // self.scale
             self.scale *= factor
             self.weight = {c: w * factor for c, w in self.weight.items()}
-            self.delta = {lid: w * factor for lid, w in self.delta.items()}
-            self.states[0] = (self.states[0][0], {lid: w * factor for lid, w in self.states[0][1].items()})
-            self.restart = 0
+            self.load = {key: w * factor for key, w in self.load.items()}
+            self.touched.update(self.members)
+        keys = tuple(demand.links)
         if demand.demand_cap_mbps is not None:
-            self.cap[cid] = demand.demand_cap_mbps.as_integer_ratio()
-        self.demand[cid] = demand
+            keys += (cid,)
+            self.bound[cid] = demand.demand_cap_mbps.as_integer_ratio()
+            self.members[cid], self.load[cid], self.trail[cid] = {}, 0, []
+        self.demand[cid], self.keys[cid] = demand, keys
         self.weight[cid] = w = num * (self.scale // den)
-        for lid in demand.links:
-            self.members[lid][cid] = None
-            self.delta[lid] = self.delta.get(lid, 0) + w
+        for key in keys:
+            self.members[key][cid] = None
+            self.load[key] += w
+        self.touched.update(keys)
 
     def remove(self, cid: Hashable) -> None:
-        self.cap.pop(cid, None)
-        w = self.weight.pop(cid)
-        for lid in self.demand.pop(cid).links:
-            del self.members[lid][cid]
-            self.delta[lid] = self.delta.get(lid, 0) - w
-        if cid in self.frozen_in:  # it rose until the first round on one of its keys
-            self.restart = min(self.restart, self.frozen_in.pop(cid))
+        demand, keys, w = self.demand.pop(cid), self.keys.pop(cid), self.weight.pop(cid)
+        self.rate.pop(cid, None)
+        self.frozen_in.pop(cid, None)
+        for key in keys:
+            del self.members[key][cid]
+            self.load[key] -= w
+        if demand.demand_cap_mbps is not None:
+            del self.bound[cid], self.members[cid], self.load[cid], self.trail[cid]
+        self.touched.update(keys)
 
     def fill(self) -> dict[Hashable, Optional[tuple[int, int]]]:
-        """Refill from the first round the changes since the last fill touch.
+        """Refill the rounds that the changes since the last fill reach.
         Returns each kept claimant whose rate moved, with its rate before the
         fill (``None`` for one added since)."""
-        rounds, states, rate, cap, weight = self.rounds, self.states, self.rate, self.cap, self.weight
-        restart, frozen_in = self.restart, self.frozen_in
-        grown = [(lid, w) for lid, w in self.delta.items() if w > 0]
-        capped = [(weight[c], n, d) for c, (n, d) in cap.items() if c not in frozen_in]  # new caps
-        for i in range(restart if grown or capped else 0):
-            (num, den), (room, rising) = rounds[i][0], states[i]
-            if any(num * room[k][1] * (rising[k] + w) >= room[k][0] * den for k, w in grown) or any(
-                    num * w * d >= n * den for w, n, d in capped):
-                restart = i
-                break
-        for room, rising in states[:restart + 1]:
-            for lid, w in self.delta.items():
-                rising[lid] += w
-        before = {c: rate.pop(c) for _, _, frozen in rounds[restart:] for c in frozen}
+        if not self.touched:
+            return {}
+        rate, weight, members, keys, frozen_in, trail = (
+            self.rate, self.weight, self.members, self.keys, self.frozen_in, self.trail)
+        # old[:i] are reused or dropped, old[i:] pending.  A fresh round takes
+        # the place i - 0.5, so a claimant is frozen before the cursor when
+        # the place of its round is below i.
+        old, out, i = self.rounds, [], 0
+        rising: dict[Hashable, int] = {}  # per dirty key: its rising weight at the cursor
+        # Per dirty key that something still rises on: a lower bound on its
+        # saturation level, exact for the keys in ``exact``.  Freezing
+        # claimants below a key's level only raises it.
+        level: dict[Hashable, tuple[int, _Level]] = {}
+        exact: set[Hashable] = set()
+        heap: list[tuple[tuple[int, _Level], int, Hashable]] = []  # (level, tick, key), stale ones too
+        tick = count()
+        before: dict[Hashable, tuple[int, int]] = {}  # each claimant of a dropped round: its rate
         moved: dict[Hashable, Optional[tuple[int, int]]] = {}
-        room, rising = states[restart]
-        del rounds[restart:], states[restart:]
-        level = {lid: _rise(room[lid], w) for lid, w in rising.items() if w}
-        level.update((c, _rise(cap[c], weight[c])) for c in cap if c not in rate)
-        demand, members = self.demand, self.members
-        while level:
-            key = min(level, key=level.__getitem__)
-            num, den = at = level[key][1]
-            states.append((room.copy(), rising.copy()))
-            frozen = [c for c in members.get(key, (key,)) if c not in rate]  # a cap's key: its claimant
-            if not frozen:
-                raise AssertionError("progressive filling failed to freeze any claimant")
-            gained: dict[str, int] = {}
-            for c in frozen:
-                w = weight[c]
-                g = gcd(w, den)  # the level is reduced, so this reduces level * weight
-                rate[c] = r = (num * (w // g), den // g)
-                if r != (old := before.get(c)):
-                    moved[c] = old
-                frozen_in[c] = len(rounds)
-                level.pop(c, None)
-                for lid in demand[c].links:
-                    gained[lid] = gained.get(lid, 0) + w
-            rounds.append((at, key, frozen))
-            for lid, w in gained.items():
-                g = gcd(w, den)
-                room[lid] = _minus(room[lid], (num * (w // g), den // g))
-                rising[lid] -= w
-                if rising[lid]:
-                    level[lid] = _rise(room[lid], rising[lid])
-                else:
-                    del level[lid]
-        states.append((room, rising))
-        self.delta, self.restart = {}, len(rounds)
+        first = self.first
+        for key in self.touched:
+            first.pop(key, None)
+
+        def settle(key: Hashable, at: tuple[int, _Level]) -> None:
+            level[key] = at
+            heappush(heap, (at, next(tick), key))
+
+        def mark(new: Iterable[Hashable]) -> None:
+            """Track each key from now on: cut its trail at the cursor."""
+            for key in new:
+                if key in rising:
+                    continue
+                path = trail.get(key)
+                if path is None:  # the cap of a removed claimant
+                    rising[key] = 0
+                    continue
+                n = bisect_left(path, i, key=_place)
+                del path[n:]
+                rising[key] = up = path[-1].rising[key] if n else self.load[key]
+                if up:
+                    if key not in first:
+                        first[key] = _rise(self.bound[key], self.load[key])
+                    settle(key, first[key])
+
+        def passed(r: _Round) -> None:
+            """Append ``r`` to the trails of the dirty keys it froze weight on."""
+            for key, w in r.gained.items():
+                if key in rising:
+                    trail[key].append(r)
+                    exact.discard(key)
+                    r.rising[key] = up = rising[key] - w
+                    rising[key] = up
+                    if not up:
+                        level.pop(key, None)
+
+        mark(self.touched)
+        while True:
+            while heap and level.get(heap[0][2]) is not heap[0][0]:
+                heappop(heap)
+            best = heap[0][2] if heap else None
+            if i < len(old) and old[i].key in rising:  # drop it
+                dropped = [c for c in old[i].frozen if frozen_in.get(c) is old[i]]
+                for c in dropped:
+                    before[c] = rate.pop(c)
+                mark(key for c in dropped for key in keys[c])
+                i += 1
+            elif i < len(old) and (best is None or not level[best] < old[i].at):  # reuse it
+                out.append(old[i])
+                passed(old[i])
+                i += 1
+            elif best is None:
+                break
+            elif best not in exact:  # work out its room from its trail
+                a, b = self.bound[best]
+                for r in trail[best]:
+                    w, (num, den) = r.gained[best], r.at[1]
+                    a, b = a * den - num * w * b, b * den
+                    g = gcd(a, b)
+                    a, b = a // g, b // g
+                exact.add(best)
+                settle(best, _rise((a, b), rising[best]))
+            else:  # a fresh round: every claimant still rising on best freezes
+                at = level.pop(best)
+                num, den = at[1]
+                frozen = [c for c in members[best] if not (c in rate and frozen_in[c].pos < i)]
+                if not frozen:
+                    raise AssertionError("progressive filling failed to freeze any claimant")
+                r = _Round(at, best, frozen, i - 0.5)
+                gained, early = r.gained, []  # early: frozen below their pending round
+                for c in frozen:
+                    w = weight[c]
+                    g = gcd(w, den)  # the level is reduced, so this reduces level * weight
+                    new = (num * (w // g), den // g)
+                    if c in rate:
+                        early.append(c)
+                        was = rate[c]
+                    else:  # dropped or added: its keys are dirty already
+                        was = before.pop(c, None)
+                    if new != was:
+                        moved[c] = was
+                    rate[c], frozen_in[c] = new, r
+                    for key in keys[c]:
+                        gained[key] = gained.get(key, 0) + w
+                out.append(r)
+                # Their rates moved, which leaves the kept rounds on their keys stale.
+                mark(key for c in early for key in keys[c])
+                passed(r)
+        for pos, r in enumerate(out):
+            r.pos = pos
+        self.rounds, self.touched = out, set()
         return moved
 
     def allocation(self) -> FlowAllocation:
         """The rates in claimant order and the residuals, as ``Fraction``s."""
-        rates, room = [self.rate[c] for c in self.demand], self.states[-1][0]
+        rates, room = [self.rate[c] for c in self.demand], dict(self.capacity)
+        for c, r in zip(self.demand, rates):
+            for lid in self.demand[c].links:
+                room[lid] = _minus(room[lid], r)
         # One Fraction per distinct value: many claimants share a rate.
         exact = {pair: Fraction(*pair) for pair in {*rates, *room.values()}}
         return FlowAllocation(

@@ -244,6 +244,9 @@ class SenderSession:
     ) -> None:
         if not paths:
             raise NoPaths("cannot replace path set with an empty one")
+        for ref in paths:
+            if ref.path_id not in rates_mbps:
+                raise MissingRate(f"no rate for path {ref.path_id}")
         self.paths = {p.path_id: p for p in paths}
         for pid, ref in self.paths.items():
             self.next_free.setdefault(pid, now)
@@ -254,11 +257,10 @@ class SenderSession:
         self.set_rates(rates_mbps)
 
     def set_rates(self, rates_mbps: Mapping[int, "Fraction | float | int"]) -> None:
-        for pid in self.paths:
-            if pid not in rates_mbps:
-                raise MissingRate(f"no rate for path {pid}")
-            rate = as_fraction(rates_mbps[pid])
-            if rate <= 0:
+        """Set the rate of each path named; the other paths keep theirs."""
+        for pid, rate in rates_mbps.items():
+            rate = as_fraction(rate)
+            if rate.numerator <= 0:
                 raise MissingRate(f"rate for path {pid} must be positive, got {rate}")
             self.rates[pid] = rate
 

@@ -1045,23 +1045,28 @@ class Simulation:
     # -- allocation ------------------------------------------------------------------
 
     def _reallocate(self, now: int) -> None:
-        """Central control epoch: refill from the first freeze round that the
-        claim changes touch; push, add to the per-tag totals and record only
-        the rates that moved, and record each released claimant as ``None``."""
+        """Central control epoch: refill the freeze rounds that the claim
+        changes reach; push, add to the per-tag totals and record only the
+        rates that moved, and record each released claimant as ``None``."""
         filling = self.filling
         rates: dict[str, Optional[float]] = self._released
         self._released = {}
         changed: dict[SenderSession, dict[int, Fraction]] = {}
+        moves: dict[tuple[str, int], int] = {}  # (tag, denominator) -> numerator of the summed moves
         for key, old in filling.fill().items():
             _, sid, pid = key
-            rate, demand = filling.rate[key], filling.demand[key]
-            self.tag_totals[demand.tag] = _minus(self.tag_totals[demand.tag], _minus(old or (0, 1), rate))
+            (num, den), demand = filling.rate[key], filling.demand[key]
+            moves[demand.tag, den] = moves.get((demand.tag, den), 0) + num
+            if old:
+                moves[demand.tag, old[1]] = moves.get((demand.tag, old[1]), 0) - old[0]
             sender = self.senders[(sid, self.path_hops[(sid, pid)][0])][pid]  # registered at its first hop
-            changed.setdefault(sender, {})[pid] = Fraction(*rate)
+            changed.setdefault(sender, {})[pid] = Fraction(num, den)
             # n / d is the correctly rounded float, as float(Fraction(n, d)) is
-            rates[demand.session_id] = rate[0] / rate[1]
+            rates[demand.session_id] = num / den
+        for (tag, den), num in moves.items():
+            self.tag_totals[tag] = _minus(self.tag_totals[tag], (-num, den))
         for sender, fresh in changed.items():
-            sender.set_rates({**{p: sender.rates[p] for p in sender.paths}, **fresh})
+            sender.set_rates(fresh)
         shares = {tag: n / d for tag, (n, d) in self.tag_totals.items()} if filling.demand else {}
         self.alloc_epochs.append(
             {

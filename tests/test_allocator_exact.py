@@ -142,6 +142,7 @@ def _fill_and_check(capacities, filling, live):
     rates, residuals = progressive_fill_exact(capacities, list(live.values()))
     assert list(alloc.rates_exact.items()) == list(rates.items())
     assert list(alloc.residuals_exact.items()) == list(residuals.items())
+    return moved
 
 
 @settings(max_examples=200, deadline=None)
@@ -166,6 +167,58 @@ def test_add_and_remove_sequences_match_a_fresh_fill_every_epoch(data):
                 d, cid = data.draw(st.sampled_from(pool), label="added"), next(ids)
                 _add(filling, live, cid, {**d, "id": f"{d['id']}#{cid}"})
         _fill_and_check(capacities, filling, live)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_an_epoch_keeps_every_round_on_links_it_does_not_reach(data):
+    """Two claimant sets on disjoint links.  Adding or removing claimants of
+    one set keeps every round of the other, as the same record, and moves
+    none of its rates; a fill with no changes keeps every round and moves
+    nothing.  All weights are added before the first fill, so no epoch
+    brings a new weight denominator, which would rescale every level."""
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    capacities, pools = {}, {}
+    for side in "xy":
+        caps, pool = random_exact_instance(rng)
+        capacities.update({f"{side}:{lid}": cap for lid, cap in caps.items()})
+        pools[side] = [{**d, "links": {f"{side}:{lid}" for lid in d["links"]}} for d in pool]
+    filling, live, ids = Filling(capacities), {}, count()
+    for side, pool in pools.items():
+        for d in pool:
+            cid = f"{side}#{next(ids)}"  # a cap's key is its claimant id
+            _add(filling, live, cid, {**d, "id": cid})
+    _fill_and_check(capacities, filling, live)
+    for _ in range(data.draw(st.integers(1, 4), label="epochs")):
+        side = data.draw(st.sampled_from("xy"), label="side")
+        other = [r for r in filling.rounds if r.key[0] != side]
+        for _ in range(data.draw(st.integers(1, 3), label="changes")):
+            held = sorted(cid for cid in live if cid[0] == side)
+            if held and (not pools[side] or data.draw(st.booleans(), label="remove")):
+                cid = data.draw(st.sampled_from(held), label="removed")
+                filling.remove(cid)
+                del live[cid]
+            elif pools[side]:
+                d, cid = data.draw(st.sampled_from(pools[side]), label="added"), f"{side}#{next(ids)}"
+                _add(filling, live, cid, {**d, "id": cid})
+        moved = _fill_and_check(capacities, filling, live)
+        assert all(cid[0] == side for cid in moved)
+        kept = [r for r in filling.rounds if r.key[0] != side]
+        assert len(kept) == len(other) and all(r is o for r, o in zip(kept, other))
+        rounds = list(filling.rounds)
+        assert filling.fill() == {}
+        assert len(filling.rounds) == len(rounds) and all(r is o for r, o in zip(filling.rounds, rounds))
+
+
+def test_adding_a_held_claimant_id_is_refused():
+    filling = Filling({"l1": F(10)})
+    filling.add("a", Demand("a", 1, {"l1"}))
+    filling.add("b", Demand("b", 1, {"l1"}))
+    filling.fill()
+    with pytest.raises(ValueError, match="claimant 'a' is already held"):
+        filling.add("a", Demand("a", 1, {"l1"}))
+    assert filling.fill() == {}
+    assert filling.allocation().rates_exact == {"a": F(5), "b": F(5)}
 
 
 @pytest.mark.parametrize("name", sorted(EDGE_CASES))

@@ -33,3 +33,11 @@ def test_scale_probe_runs_session_churn_at_the_given_size(scenario_dir):
     assert 2 <= result["concurrent_max"] <= 24
     assert 0 < result["alloc_s"] < result["host_s"]
     assert result["report_mb"] > 0 and result["complete"] is True
+
+
+def test_scale_probe_runs_session_churn_at_the_given_seed(scenario_dir):
+    size = ("--sessions", "12", "--span-us", "20000")
+    default, first, second = (_probe(scenario_dir, *size, *seed) for seed in ((), ("--seed", "1"), ("--seed", "2")))
+    assert default["events"] == first["events"] and default["epochs"] == first["epochs"]
+    assert second["epochs"] == 24 and second["complete"] is True
+    assert second["events"] != first["events"]
