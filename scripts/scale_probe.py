@@ -3,6 +3,7 @@
 
     python3 scripts/scale_probe.py --mib 128
     python3 scripts/scale_probe.py --sessions 600 [--span-us 400000] [--seed 1]
+    python3 scripts/scale_probe.py --anchors 400 [--seed 1]
 
 ``--mib N`` runs scenarios/dual-path.json with its one transfer resized to
 N MiB and its horizon stretched in proportion, so that the transfer can
@@ -17,6 +18,12 @@ the allocation epochs, the most concurrent claimants, the host seconds
 spent in allocation epochs, the size of the canonical report in MB, and
 whether every session completed byte-exact.
 
+``--anchors N`` runs the benchmark's failover-flood workload at seed
+``--seed`` (default 1) on a mesh of N anchors with N // 2 chords.  Its line
+holds the host seconds of parsing the scenario, of building the simulation
+and of running it (its report included), the events processed and the peak
+RSS in MB.
+
 Run it in a fresh process per size: peak RSS only ever grows within one.
 """
 
@@ -26,6 +33,7 @@ import os
 import resource
 import sys
 import time
+from typing import Any
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 sys.path.insert(0, os.path.join(ROOT, "src"))
@@ -50,12 +58,22 @@ def resized(mib: float) -> dict:
     return raw
 
 
+def _workload(name: str) -> Any:
+    """The benchmark's generator of workload ``name``."""
+    sys.path.insert(0, os.path.join(ROOT, "anchorbench"))
+    from workloads import WORKLOADS
+
+    return WORKLOADS[name]
+
+
 def churn(sessions: int, span_us: int, seed: int) -> dict:
     """The session-churn workload at ``seed``, resized."""
-    sys.path.insert(0, os.path.join(ROOT, "anchorbench"))
-    from workloads import session_churn
+    return _workload("session-churn")(seed, sessions=sessions, span_us=span_us)
 
-    return session_churn(seed, sessions=sessions, span_us=span_us)
+
+def flood(anchors: int, seed: int) -> dict:
+    """The failover-flood workload at ``seed`` on ``anchors`` anchors."""
+    return _workload("failover-flood")(seed, anchors=anchors, chords=anchors // 2)
 
 
 class _TimedSimulation(Simulation):
@@ -114,25 +132,55 @@ def probe_sessions(sessions: int, span_us: int, seed: int = 1) -> dict:
     }
 
 
+def probe_anchors(anchors: int, seed: int = 1) -> dict:
+    """Parse, build and run the resized failover-flood workload, each timed."""
+    text = json.dumps(flood(anchors, seed))
+    start = time.perf_counter()
+    config = parse_scenario(text)
+    parsed = time.perf_counter()
+    sim = Simulation(config)
+    built = time.perf_counter()
+    sim.run()
+    ran = time.perf_counter()
+    return {
+        "anchors": anchors,
+        "parse_s": round(parsed - start, 5),
+        "build_s": round(built - parsed, 5),
+        "run_s": round(ran - built, 3),
+        "events": sim.events_processed,
+        "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+    }
+
+
 def main(argv: "list[str] | None" = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     size = parser.add_mutually_exclusive_group(required=True)
     size.add_argument("--mib", type=float, help="dual-path transfer size in MiB")
     size.add_argument("--sessions", type=int, help="session-churn session count")
+    size.add_argument("--anchors", type=int, help="failover-flood anchor count")
     parser.add_argument("--span-us", type=int, default=400_000,
                         help="session-churn arrival span in microseconds (default 400000)")
-    parser.add_argument("--seed", type=int, help="session-churn workload seed (default 1)")
+    parser.add_argument("--seed", type=int, help="session-churn or failover-flood workload seed (default 1)")
     args = parser.parse_args(argv)
+    seed = 1 if args.seed is None else args.seed
     if args.mib is not None:
         if args.mib <= 0:
             parser.error("--mib must be positive")
         if args.seed is not None:
-            parser.error("--seed applies to --sessions only")
+            parser.error("--seed applies to --sessions and --anchors only")
         print(json.dumps(probe(args.mib)))
+        return 0
+    if args.anchors is not None:
+        if args.anchors < 8:
+            parser.error("--anchors must be at least 8, one per host")
+        try:
+            print(json.dumps(probe_anchors(args.anchors, seed)))
+        except ValueError as exc:  # the generator could not fail six trunks and keep the mesh connected
+            parser.error(str(exc))
         return 0
     if args.sessions < 2 or args.span_us < 1:
         parser.error("--sessions must be at least 2 and --span-us positive")
-    print(json.dumps(probe_sessions(args.sessions, args.span_us, 1 if args.seed is None else args.seed)))
+    print(json.dumps(probe_sessions(args.sessions, args.span_us, seed)))
     return 0
 
 

@@ -20,6 +20,7 @@ MAX_NAME_BYTES = 255
 MAX_TAG_BYTES = 32
 
 _LABEL_RE = re.compile(r"^[a-z0-9-]+$")
+_NAME_RE = re.compile(r"[a-z0-9-]+\n?(?:\.[a-z0-9-]+\n?)*")  # _LABEL_RE per label; its $ allows one final \n
 
 
 class AddressError(ValueError):
@@ -117,6 +118,11 @@ def parse_address(text: str, kind: AddressKind = AddressKind.ENDPOINT) -> L5Addr
     return L5Address(tuple(text.split(".")), kind)
 
 
+def is_name(text: str) -> bool:
+    """Whether ``parse_address(text)`` succeeds, without building the address."""
+    return _NAME_RE.fullmatch(text) is not None and len(text) <= MAX_NAME_BYTES
+
+
 @dataclass(frozen=True, order=True)
 class L3Locator:
     """An attachment point inside one opaque L3 domain."""
@@ -164,8 +170,14 @@ class ResolverTable:
     version: int = 0
 
     @classmethod
-    def new(cls, locators: Iterable[L3Locator]) -> "ResolverTable":
-        return cls(known_locators=frozenset(locators), entries={}, version=0)
+    def new(cls, locators: Iterable[L3Locator], registrations: Iterable[tuple[str, L3Locator]] = ()) -> ResolverTable:
+        """One ``register`` per (name, locator) of ``registrations``, in one pass; names are not parsed again."""
+        known, pairs, entries = frozenset(locators), list(registrations), {}
+        for name, loc in pairs:
+            if loc not in known:
+                raise UnknownLocator(str(loc))
+            entries[name] = entries.get(name, frozenset()) | {loc}
+        return cls(known, entries, len(pairs))
 
     def resolve(self, addr: AddressLike) -> frozenset[L3Locator]:
         """Look up all locators for a name.  Pure; never mutates the table.

@@ -88,7 +88,7 @@ class Anchor:
     def account_relay(self, segment: Segment) -> None:
         """Count one data segment this anchor sends on: forwarded, or
         re-emitted by a distribution-tree relay."""
-        row = self.counters.setdefault(segment.tag, [0, 0])
+        row = self.counters.get(segment.tag) or self.counters.setdefault(segment.tag, [0, 0])
         row[0] += 1
         row[1] += len(segment.payload)
 

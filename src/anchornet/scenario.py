@@ -7,16 +7,17 @@ table, and a timed event script.  Field names here are a frozen external
 interface: the shipped fixtures and the metrics reports use them verbatim.
 
 Validation never raises: every problem becomes a ``Diagnostic``.  Each
-section has a field table (``TABLES``, and ``EVENTS`` per event kind) with a
-row per check of a field: its name, its default, a test of its kind and
-range, and the message when the test fails.  One walker, ``_walk``, checks
-an object against its table and reports the first field that fails; the
-entry is then left out.  Sections are checked in file order, so a row can
-also test an id against those that earlier entries declared (``_in``).
-``_Index`` keeps those ids and states the rules that a row cannot: unique
-attachments per domain, link endpoints and ports on declared attachments,
-peerings (one per anchor pair, through a domain where both anchors have a
-port), a host's home anchor, policy weights and a session's subscribers.
+section has a field table (``TABLES``, and ``EVENTS`` per event kind) with
+one row per field: its name, its default, a test of its kind and range on
+the raw JSON value, and the message when the test fails.  One walker,
+``_walk``, reports the first field that fails and leaves the entry out.
+Sections are checked in file order, so a row can also test an id against
+those that earlier entries declared (``_in``, ``_new``).  ``_Index`` keeps
+those ids, and the sets that make each rule a row cannot state one lookup:
+unique attachments per domain, link endpoints and ports on declared
+attachments, peerings (one per anchor pair, through a domain where both
+anchors have a port), a host's home anchor, policy weights and subscribers.
+Paths are formatted for failures only, config objects for a valid scenario.
 """
 
 from __future__ import annotations
@@ -26,9 +27,10 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Any, Optional
 
-from .addressing import AddressKind, ScienceDomainTag, parse_address
+from .addressing import ScienceDomainTag, is_name
 
 MODE_BASELINE = "baseline-single-path"
 MODE_L5 = "l5-multipath"
@@ -181,14 +183,20 @@ def _decode(text: str) -> Any:
 
 
 # -- field tables -----------------------------------------------------------------------
-# A row is (field, default, test, message): ``test(value, ids)`` must hold for
-# the field's value, or for ``default`` when the field is missing; ``ids`` holds
-# what the entries kept so far declare.  ``message`` is formatted with the value
-# and, for a number, its exact fraction.  An integer is a JSON integer and a
-# number a JSON integer or float, never a boolean; an id is any JSON value but
-# a list or an object.
+# A row is (field, default, test, message), one per field: ``test(value, ids)`` is
+# True when the field's value, or ``default`` when the field is missing, passes;
+# ``ids`` holds what the entries kept so far declare.  A failing test returns False
+# for ``message``, or, when it checks a kind and then that the id is new or the
+# number in range (``_new``, ``_then``), that second check's own message.  A
+# message is formatted with the value and, for a number, its exact fraction.  An
+# integer is a JSON integer and a number a JSON integer or float, never a
+# boolean; an id is any JSON value but a list or an object.
+
+_CONTAINERS = frozenset((list, dict))
+_PEER = frozenset(("anchor", "domain"))  # the keys of a peer entry
 
 
+@lru_cache(maxsize=1024, typed=True)  # a scenario repeats few numbers
 def _fraction(number: Any) -> Fraction:
     """Exact, of a float's shortest decimal text."""
     return Fraction(number) if type(number) is int else Fraction(str(number))
@@ -211,54 +219,47 @@ def _text(value: Any, ids: Any) -> bool:
 
 
 def _id(value: Any, ids: Any = None) -> bool:
-    return type(value) not in (list, dict)
+    return type(value) not in _CONTAINERS
 
 
 def _ids(value: Any, ids: Any) -> bool:
-    return type(value) is list and all(type(item) not in (list, dict) for item in value)
+    return type(value) is list and _CONTAINERS.isdisjoint(map(type, value))
 
 
-def _name(kind: AddressKind) -> Any:
-    def test(value: Any, ids: Any) -> bool:
-        try:
-            return type(value) is str and bool(parse_address(value, kind))
-        except ValueError:  # an AddressError, or a lone surrogate that UTF-8 cannot encode
-            return False
-
-    return test
+def _name(value: Any, ids: Any) -> bool:
+    return type(value) is str and is_name(value)
 
 
 def _one_of(options: tuple[str, ...]) -> Any:
     return lambda value, ids: value in options
 
 
-def _in(namespace: str, new: bool = False) -> Any:
-    """An id that an entry kept so far declared in ``namespace``, or with
-    ``new``, one that none did.  Every declared id is a string."""
-    if new:
-        return lambda value, ids: value not in ids[namespace]
+def _in(namespace: str) -> Any:
+    """An id that an entry kept so far declared in ``namespace``; every declared id is a string."""
     return lambda value, ids: type(value) is str and value in ids[namespace]
 
 
-def _attached(ids: dict[str, Any], domain: Any, attachment: Any) -> bool:
-    """Whether a kept domain declares the attachment."""
-    return domain in ids["domains"] and attachment in ids["domains"][domain].attachments
+def _new(test: Any, namespace: str, message: str) -> Any:
+    """``test``, then an id that no entry kept so far declared in ``namespace``."""
+    return lambda value, ids: test(value, ids) and (value not in ids[namespace] or message)
+
+
+def _then(test: Any, within: Any, message: str) -> Any:
+    """``test``, then ``within(value)``, which fails with ``message``."""
+    return lambda value, ids: test(value, ids) and (within(value) or message)
 
 
 SECTIONS = ("domains", "links", "anchors", "hosts", "policy", "events")
 _POSITIVE = "must be a positive integer, got {0!r}"
 _NONNEGATIVE = "must be a nonnegative integer, got {0!r}"
 _LIST = "must be a list, got {0!r}"
-_NODE = (
-    ("name", "", _name(AddressKind.ENDPOINT), "not a valid L5 name: {0!r}"),
-    ("name", "", _in("nodes", new=True), "duplicate node name {0!r}"),
-)
+_NODE = ("name", "", _new(_name, "nodes", "duplicate node name {0!r}"), "not a valid L5 name: {0!r}")
 _TAG = ("tag", None, _in("policy"), "tag {0!r} not in policy")
 _K_PATHS = ("k_paths", 2, _integer(1), _POSITIVE)
+_OBJECT = ("object", "", _name, "not a valid data name: {0!r}")
 _STAGED = (
     ("gateway", None, _in("gateways"), "{0!r} is not a gateway anchor"),
-    ("object", "", _name(AddressKind.DATA), "not a valid data name: {0!r}"),
-    ("object", "", _in("nodes", new=True), "name {0!r} collides with a node name"),
+    ("object", "", _new(_name, "nodes", "name {0!r} collides with a node name"), _OBJECT[3]),
 )
 
 SCENARIO = (
@@ -269,36 +270,29 @@ SCENARIO = (
 )
 TABLES = {
     "domains": (
-        ("id", None, _text, "missing or not a string"),
-        ("id", None, _in("domains", new=True), "duplicate domain id {0!r}"),
+        ("id", None, _new(_text, "domains", "duplicate domain id {0!r}"), "missing or not a string"),
         ("attachments", [], _ids, "must be a list of ids, got {0!r}"),
     ),
     "links": (
-        ("id", None, _text, "missing or not a string"),
-        ("id", None, _in("links", new=True), "duplicate link id {0!r}"),
+        ("id", None, _new(_text, "links", "duplicate link id {0!r}"), "missing or not a string"),
         ("domain", None, _in("domains"), "unknown domain {0!r}"),
         ("endpoints", [], lambda v, ids: _ids(v, ids) and len(v) == 2 and v[0] != v[1],
          "must name two distinct attachments"),
-        ("capacity_mbps", None, _number, "not a number: {0!r}"),
-        ("capacity_mbps", None, lambda v, ids: v > 0, "must be positive, got {1}"),
+        ("capacity_mbps", None, _then(_number, lambda v: v > 0, "must be positive, got {1}"), "not a number: {0!r}"),
         ("latency_us", 0, _integer(0), _NONNEGATIVE),
         ("loss_prob", 0.0, lambda v, ids: _number(v) and 0 <= v < 1, "must lie in [0, 1), got {0!r}"),
-        ("background_utilization", 0, _number, "not a number"),
-        ("background_utilization", 0, lambda v, ids: 0 <= v < 1, "must lie in [0, 1), got {1}"),
-        ("cost", 1, _number, "not a number"),
-        ("cost", 1, lambda v, ids: v >= 0, "must be nonnegative, got {1}"),
+        ("background_utilization", 0, _then(_number, lambda v: 0 <= v < 1, "must lie in [0, 1), got {1}"),
+         "not a number"),
+        ("cost", 1, _then(_number, lambda v: v >= 0, "must be nonnegative, got {1}"), "not a number"),
     ),
     "anchors": (
-        *_NODE,
+        _NODE,
         ("ports", [], _of_type(list), _LIST),
         ("peers", [], _of_type(list), _LIST),
         ("gateway", False, _of_type(bool), "must be a boolean, got {0!r}"),
     ),
-    "hosts": (*_NODE, ("anchor", None, _in("anchors"), "unknown anchor {0!r}")),
-    "policy": (
-        ("tag", None, _text, "missing or not a string"),
-        ("tag", None, _in("policy", new=True), "duplicate tag {0!r}"),
-    ),
+    "hosts": (_NODE, ("anchor", None, _in("anchors"), "unknown anchor {0!r}")),
+    "policy": (("tag", None, _new(_text, "policy", "duplicate tag {0!r}"), "missing or not a string"),),
 }
 PORT = (("domain", None, _id, "must be a string, got {0!r}"), ("attachment", None, _id, "must be a string, got {0!r}"))
 # One table per event kind; an open_session's also by its mode and by whether it
@@ -307,8 +301,7 @@ PORT = (("domain", None, _id, "must be a string, got {0!r}"), ("attachment", Non
 _TIME = ("time_us", None, _integer(0), _NONNEGATIVE)
 _SESSION = (
     _TIME,
-    ("id", None, _text, "open_session needs a string id"),
-    ("id", None, _in("sessions", new=True), "duplicate session id {0!r}"),
+    ("id", None, _new(_text, "sessions", "duplicate session id {0!r}"), "open_session needs a string id"),
     ("session_mode", "unicast", _one_of(("unicast", "pubsub")), "must be unicast or pubsub, got {0!r}"),
     ("src", None, _in("nodes"), "unknown endpoint {0!r}"),
 )
@@ -322,7 +315,7 @@ _FLOW = (
     ("rate_cap_mbps", None, lambda v, ids: v is None or _number(v) and v > 0, "must be a positive number, got {0!r}"),
 )
 _BYTES = ("bytes", None, _integer(1), _POSITIVE)
-_STAGED_SOURCE = (_STAGED[1], ("src", None, _in("gateways"), "{0!r} is not a gateway anchor"))
+_STAGED_SOURCE = (_OBJECT, ("src", None, _in("gateways"), "{0!r} is not a gateway anchor"))
 EVENTS: dict[Any, tuple] = {
     ("open_session", mode, staged): (*_SESSION, delivery, *_FLOW, *(_STAGED_SOURCE if staged else (_BYTES,)))
     for mode, delivery in _DELIVERY.items() for staged in (False, True)
@@ -343,20 +336,23 @@ def _event_table(entry: Any) -> tuple:
     return EVENTS[kind if type(kind) is str and kind in EVENTS else None]
 
 
-def _walk(table: tuple, entry: Any, path: str, index: "_Index") -> Optional[dict[str, Any]]:
+def _walk(table: tuple, entry: Any, where: tuple, index: "_Index", every: bool = False) -> Optional[dict[str, Any]]:
     """``entry``'s fields, defaults filled in, if they pass every row of
-    ``table``; else None, once the first that fails is reported."""
+    ``table``; else None, once the first that fails is reported.  With
+    ``every``, each field that fails is reported and the others returned."""
     if type(entry) is not dict:
-        index.bad(path, f"must be an object, got {entry!r}")
-        return None
+        return index.bad(where, f"must be an object, got {entry!r}")
     fields: dict[str, Any] = {}
     ids = index.ids
     for key, default, test, message in table:
         value = entry.get(key, default)
-        if not test(value, ids):
-            index.bad(f"{path}.{key}" if path else key, message.format(value, _number(value) and _fraction(value)))
-            return None
-        fields[key] = value
+        verdict = test(value, ids)
+        if verdict is not True:
+            index.bad((*where, key), (verdict or message).format(value, _number(value) and _fraction(value)))
+            if not every:
+                return None
+        else:
+            fields[key] = value
     return fields
 
 
@@ -365,132 +361,138 @@ def _walk(table: tuple, entry: Any, path: str, index: "_Index") -> Optional[dict
 
 class _Index:
     """The entries kept so far, by section and id, and the rules that a row
-    cannot state: one method per section, called with the fields of each entry
-    that passed its table."""
+    cannot state: one method per section, called with the place and the
+    fields of each entry that passed its table."""
 
     def __init__(self) -> None:
         self.diags: list[Diagnostic] = []
-        self.ids: dict[str, Any] = {section: {} for section in TABLES}
-        # node names, gateway anchors, session ids and claimed (domain, attachment) pairs
-        self.ids.update(nodes=set(), gateways=set(), sessions=set(), claimed=set())
+        self.ids: dict[str, Any] = {section: {} for section in TABLES}  # id -> the maker of its config object
+        self.ids.update(nodes=set(), gateways=set(), sessions=set())
+        # (domain, attachment) pairs declared and claimed, and each kept anchor's port domains
+        self.attached, self.claimed = set(), set()
+        self.port_domains: dict[str, set[str]] = {}
         self.script: list[EventCfg] = []
-        self.peerings: list[tuple[str, str, PeerCfg]] = []
+        # each peer entry's place, anchor, peer and domain; and each (anchor, peer, domain)
+        self.peerings: list[tuple[tuple, str, Any, Any]] = []
+        self.declared: set[tuple[str, Any, Any]] = set()
 
-    def bad(self, path: str, message: str) -> None:
+    def bad(self, where: tuple, message: str) -> None:
+        """Report at ``where``: ``("anchors", 2, "ports", 0)`` is ``anchors[2].ports[0]``."""
+        path = "".join(f"[{key}]" if type(key) is int else f".{key}" for key in where)[1:]
         self.diags.append(Diagnostic(path, message))
 
-    def port(self, path: str, entry: Any) -> Optional[PortCfg]:
-        """The port, if it names a declared attachment that no port claimed
-        yet; it then claims it."""
-        port = _walk(PORT, entry, path, self)
-        if port is None:
-            return None
-        key = (port["domain"], port["attachment"])
-        if not _attached(self.ids, *key):
-            self.bad(path, f"unknown attachment {key[0]!r}/{key[1]!r}")
-        elif key in self.ids["claimed"]:
-            self.bad(path, f"attachment {key[0]!r}/{key[1]!r} already claimed")
+    def port(self, where: tuple, entry: Any) -> Optional[tuple[str, Any]]:
+        """The port's (domain, attachment), if it names a declared attachment
+        that no port claimed yet; it then claims it."""
+        key = (entry.get("domain"), entry.get("attachment")) if type(entry) is dict else None
+        if key is None or type(key[0]) in _CONTAINERS or type(key[1]) in _CONTAINERS:
+            return _walk(PORT, entry, where, self)  # None, once it reports what fails
+        if key not in self.attached:
+            self.bad(where, f"unknown attachment {key[0]!r}/{key[1]!r}")
+        elif key in self.claimed:
+            self.bad(where, f"attachment {key[0]!r}/{key[1]!r} already claimed")
         else:
-            self.ids["claimed"].add(key)
-            return PortCfg(*key)
+            self.claimed.add(key)
+            return key
         return None
 
-    def domains(self, path: str, d: dict[str, Any], entry: dict[str, Any]) -> None:
-        if len(set(d["attachments"])) < len(d["attachments"]):
-            self.bad(path + ".attachments", "attachment ids must be unique within the domain")
-        self.ids["domains"][d["id"]] = DomainCfg(d["id"], tuple(d["attachments"]))
+    def domains(self, where: tuple, d: dict[str, Any], entry: dict[str, Any]) -> None:
+        unique = set(d["attachments"])
+        if len(unique) < len(d["attachments"]):
+            self.bad((*where, "attachments"), "attachment ids must be unique within the domain")
+        self.ids["domains"][d["id"]] = lambda: DomainCfg(d["id"], tuple(d["attachments"]))
+        self.attached.update((d["id"], att) for att in unique)
 
-    def links(self, path: str, l: dict[str, Any], entry: dict[str, Any]) -> None:
-        undeclared = [att for att in l["endpoints"] if not _attached(self.ids, l["domain"], att)]
+    def links(self, where: tuple, l: dict[str, Any], entry: dict[str, Any]) -> None:
+        undeclared = [att for att in l["endpoints"] if (l["domain"], att) not in self.attached]
         for att in undeclared:
-            self.bad(path + ".endpoints", f"attachment {att!r} not declared in domain {l['domain']!r}")
+            self.bad((*where, "endpoints"), f"attachment {att!r} not declared in domain {l['domain']!r}")
         if not undeclared:
-            self.ids["links"][l["id"]] = LinkCfg(
+            self.ids["links"][l["id"]] = lambda: LinkCfg(
                 l["id"], l["domain"], tuple(l["endpoints"]), _fraction(l["capacity_mbps"]), l["latency_us"],
                 float(l["loss_prob"]), _fraction(l["background_utilization"]), _fraction(l["cost"]),
             )
 
-    def anchors(self, path: str, a: dict[str, Any], entry: dict[str, Any]) -> None:
-        ports = [self.port(f"{path}.ports[{j}]", port) for j, port in enumerate(a["ports"])]
+    def anchors(self, where: tuple, a: dict[str, Any], entry: dict[str, Any]) -> None:
+        ports = [self.port((*where, "ports", j), port) for j, port in enumerate(a["ports"])]
         if not any(ports):
-            return self.bad(path + ".ports", "anchor needs at least one port")
-        peers = []
+            return self.bad((*where, "ports"), "anchor needs at least one port")
+        name, peers = a["name"], []
         for j, peer in enumerate(a["peers"]):
-            if type(peer) is dict and all(key in peer and _id(peer[key]) for key in ("anchor", "domain")):
-                peers.append(PeerCfg(peer["anchor"], peer["domain"]))
-                self.peerings.append((f"{path}.peers[{j}]", a["name"], peers[-1]))
+            if type(peer) is dict and _PEER <= peer.keys() and _id(peer["anchor"]) and _id(peer["domain"]):
+                peers.append((peer["anchor"], peer["domain"]))
+                self.peerings.append(((*where, "peers", j), name, *peers[-1]))
+                self.declared.add((name, *peers[-1]))
             else:
-                self.bad(f"{path}.peers[{j}]", 'must be {"anchor": name, "domain": id}')
-        self.ids["anchors"][a["name"]] = AnchorCfg(a["name"], tuple(filter(None, ports)), tuple(peers), a["gateway"])
-        self.ids["nodes"].add(a["name"])
+                self.bad((*where, "peers", j), 'must be {"anchor": name, "domain": id}')
+        kept = tuple(filter(None, ports))
+        self.ids["anchors"][name] = lambda: AnchorCfg(
+            name, tuple(PortCfg(*port) for port in kept), tuple(PeerCfg(*peer) for peer in peers), a["gateway"])
+        self.port_domains[name] = {domain for domain, _ in kept}
+        self.ids["nodes"].add(name)
         if a["gateway"]:
-            self.ids["gateways"].add(a["name"])
+            self.ids["gateways"].add(name)
 
     def peers(self) -> None:
         """One peering per anchor pair, through a domain where both have a port."""
         anchors, pairs = self.ids["anchors"], set()
-        for path, name, peer in self.peerings:
-            other = anchors.get(peer.anchor)
-            if other is None:
-                self.bad(path + ".anchor", f"unknown anchor {peer.anchor!r}")
-            elif peer.anchor == name:
-                self.bad(path + ".anchor", "anchor cannot peer with itself")
-            elif peer.domain not in self.ids["domains"]:
-                self.bad(path + ".domain", f"unknown domain {peer.domain!r}")
-            elif frozenset((name, peer.anchor)) in pairs and PeerCfg(name, peer.domain) not in other.peers:
-                self.bad(path, f"at most one peering per anchor pair ({name!r}, {peer.anchor!r})")
+        for where, name, other, domain in self.peerings:
+            pair = frozenset((name, other))
+            if other not in anchors:
+                self.bad((*where, "anchor"), f"unknown anchor {other!r}")
+            elif other == name:
+                self.bad((*where, "anchor"), "anchor cannot peer with itself")
+            elif domain not in self.ids["domains"]:
+                self.bad((*where, "domain"), f"unknown domain {domain!r}")
+            elif pair in pairs and (other, name, domain) not in self.declared:
+                self.bad(where, f"at most one peering per anchor pair ({name!r}, {other!r})")
             else:
-                pairs.add(frozenset((name, peer.anchor)))
-                if not (_has_port(anchors[name], peer.domain) and _has_port(other, peer.domain)):
-                    self.bad(path, f"both anchors need a port in domain {peer.domain!r}")
+                pairs.add(pair)
+                if domain not in self.port_domains[name] or domain not in self.port_domains[other]:
+                    self.bad(where, f"both anchors need a port in domain {domain!r}")
 
-    def hosts(self, path: str, h: dict[str, Any], entry: dict[str, Any]) -> None:
-        port = self.port(path + ".port", entry.get("port", {}))
+    def hosts(self, where: tuple, h: dict[str, Any], entry: dict[str, Any]) -> None:
+        port = self.port((*where, "port"), entry.get("port", {}))
         if port is None:
             return
-        if not _has_port(self.ids["anchors"][h["anchor"]], port.domain):
-            return self.bad(path + ".port", f"home anchor {h['anchor']!r} has no port in domain {port.domain!r}")
-        self.ids["hosts"][h["name"]] = HostCfg(h["name"], h["anchor"], port)
+        if port[0] not in self.port_domains[h["anchor"]]:
+            return self.bad((*where, "port"), f"home anchor {h['anchor']!r} has no port in domain {port[0]!r}")
+        self.ids["hosts"][h["name"]] = lambda: HostCfg(h["name"], h["anchor"], PortCfg(*port))
         self.ids["nodes"].add(h["name"])
 
-    def policy(self, path: str, p: dict[str, Any], entry: dict[str, Any]) -> None:
+    def policy(self, where: tuple, p: dict[str, Any], entry: dict[str, Any]) -> None:
         weight = entry.get("weight", 1)
         try:
             if not _number(weight):
                 raise ValueError(f"expected a number, got {weight!r}")
-            self.ids["policy"][p["tag"]] = ScienceDomainTag(p["tag"], _fraction(weight))
+            tag = ScienceDomainTag(p["tag"], _fraction(weight))
+            self.ids["policy"][p["tag"]] = lambda: tag
         except ValueError as exc:  # ScienceDomainTag checks the tag's length and the weight's sign
-            self.bad(path, str(exc))
+            self.bad(where, str(exc))
 
-    def events(self, path: str, e: dict[str, Any], entry: dict[str, Any]) -> None:
+    def events(self, where: tuple, e: dict[str, Any], entry: dict[str, Any]) -> None:
         if "subscribers" in e:
             unknown = [s for s in e["subscribers"] if s not in self.ids["nodes"]]
             if unknown:
-                return self.bad(path + ".subscribers", f"unknown endpoints {unknown!r}")
+                return self.bad((*where, "subscribers"), f"unknown endpoints {unknown!r}")
         if entry["kind"] == "open_session":
             self.ids["sessions"].add(e["id"])
-        fields = dict(entry)
-        del fields["time_us"], fields["kind"]
+        fields = {key: value for key, value in entry.items() if key not in ("time_us", "kind")}
         self.script.append(EventCfg(e["time_us"], entry["kind"], fields))
-
-
-def _has_port(anchor: AnchorCfg, domain: Any) -> bool:
-    return any(port.domain == domain for port in anchor.ports)
 
 
 def _build(raw: Any) -> tuple[Optional[ScenarioConfig], list[Diagnostic]]:
     if type(raw) is not dict:
         return None, [Diagnostic("$", "top level must be an object")]
-    index, top = _Index(), {}
-    for row in SCENARIO:  # one at a time, so that each field of the wrong kind is reported
-        top.update(_walk((row,), raw, "", index) or {})
+    index = _Index()
+    top = _walk(SCENARIO, raw, (), index, every=True)
     for section in SECTIONS:
-        keep = getattr(index, section)
+        keep, table = getattr(index, section), TABLES.get(section)
         for i, entry in enumerate(top.get(section, ())):
-            path = f"{section}[{i}]"
-            fields = _walk(_event_table(entry) if section == "events" else TABLES[section], entry, path, index)
+            where = (section, i)
+            fields = _walk(table or _event_table(entry), entry, where, index)
             if fields is not None:
-                keep(path, fields, entry)
+                keep(where, fields, entry)
         if section == "anchors":
             index.peers()
     if index.diags:
@@ -502,6 +504,6 @@ def _build(raw: Any) -> tuple[Optional[ScenarioConfig], list[Diagnostic]]:
         horizon_us=top["horizon_us"],
         events=tuple(sorted(index.script, key=lambda e: e.time_us)),
         raw=raw,
-        **{section: tuple(index.ids[section].values()) for section in TABLES},
+        **{section: tuple(make() for make in index.ids[section].values()) for section in TABLES},
     )
     return config, []

@@ -310,14 +310,14 @@ class Simulation:
     def _build_substrate(self) -> None:
         cfg = self.config
         self.links = {l.id: l for l in cfg.links}
-        self.link_avail = {l.id: l.available_mbps for l in cfg.links}
+        self.link_avail = {l.id: l.available_mbps for l in cfg.links}  # exact arithmetic: read it once
         # Claimants are keyed (0 for a unicast path or 1 for a tree edge, sid,
         # path id).  Down links keep their capacity entry: a demand may still
         # reference one for the short window between the failure and its repath.
         self.filling = Filling(self.link_avail)
         self.link_counters = {l.id: LinkCounters() for l in cfg.links}
         self.link_entries = {
-            l.id: LinkEntry(self.link_counters[l.id], l.latency_us, l.loss_prob, l.available_mbps)
+            l.id: LinkEntry(self.link_counters[l.id], l.latency_us, l.loss_prob, self.link_avail[l.id])
             for l in cfg.links
         }
         # domain -> attachment -> neighbour -> latency, and (domain, attachment,
@@ -340,6 +340,8 @@ class Simulation:
         names; frozen for the whole run regardless of later link failures.
         """
         graph = self._domain_graph[domain]
+        if len(graph) == 2 and dst_att in graph[src_att]:  # two attachments: the direct link is the only path
+            return (self._domain_link[(domain, src_att, dst_att)],)
         found = lex_shortest(src_att, (dst_att,), lambda att: graph[att].items()).get(dst_att)
         if found is None:
             raise SimFault(f"domain {domain!r} has no internal path {src_att!r} -> {dst_att!r}")
@@ -358,58 +360,44 @@ class Simulation:
         self.policy = cfg.policy_weights()
         # Exact allocated rate per science-domain tag, kept by delta.
         self.tag_totals = {tag: (0, 1) for tag in sorted(self.policy)}
+        # Every attachment's locator, made once: the resolver's universe, the ports and ``owner``.
+        locators = {(dom.id, att): L3Locator(dom.id, att) for dom in cfg.domains for att in dom.attachments}
+        # Port -> the node that owns it: anchors' ports in config order, then hosts'.
         self.owner: dict[L3Locator, str] = {}
         self.anchors: dict[str, Anchor] = {}
         self.host_anchor: dict[str, str] = {}
-        locators: list[L3Locator] = []
-        for dom in cfg.domains:
-            for att in dom.attachments:
-                locators.append(L3Locator(dom.id, att))
-        self.resolver = ResolverTable.new(locators)
-
         for acfg in cfg.anchors:
-            ports = tuple(L3Locator(p.domain, p.attachment) for p in acfg.ports)
-            anchor = Anchor(
-                name=acfg.name,
-                ports=ports,
-                catalog=GatewayCatalog() if acfg.gateway else None,
-            )
-            self.anchors[acfg.name] = anchor
-            for port in ports:
-                self.owner[port] = acfg.name
-                self.resolver = self.resolver.register(acfg.name, port)
+            ports = tuple(locators[p.domain, p.attachment] for p in acfg.ports)
+            self.anchors[acfg.name] = Anchor(acfg.name, ports, catalog=GatewayCatalog() if acfg.gateway else None)
+            self.owner.update(dict.fromkeys(ports, acfg.name))
         for hcfg in cfg.hosts:
-            port = L3Locator(hcfg.port.domain, hcfg.port.attachment)
             self.host_anchor[hcfg.name] = hcfg.anchor
-            self.owner[port] = hcfg.name
-            self.resolver = self.resolver.register(hcfg.name, port)
+            self.owner[locators[hcfg.port.domain, hcfg.port.attachment]] = hcfg.name
+        self.resolver = ResolverTable.new(locators.values(), ((name, port) for port, name in self.owner.items()))
 
         # Directed overlay hops: anchor peerings plus host access legs.
         self.legs: dict[tuple[str, str], Leg] = {}
         self.adjacency_links: dict[frozenset[str], tuple[str, ...]] = {}
-        anchor_ports = {
-            a.name: {p.domain: sorted(pp.attachment for pp in a.ports if pp.domain == p.domain)
-                     for p in a.ports}
+        # Each anchor's least attachment per domain, where its legs there start:
+        # of the sorted pairs, the last written per domain is its least.
+        first_att = {
+            a.name: dict(sorted(((p.domain, p.attachment) for p in a.ports), reverse=True))
             for a in cfg.anchors
         }
-        seen_pairs: set[frozenset[str]] = set()
-        self.peerings: list[tuple[str, str, str]] = []
+        by_pair: dict[frozenset[str], tuple[str, str, str]] = {}  # anchor pair -> its first peering
         for acfg in cfg.anchors:
             for peer in acfg.peers:
-                pair = frozenset((acfg.name, peer.anchor))
-                if pair in seen_pairs:
-                    continue
-                seen_pairs.add(pair)
-                self.peerings.append((acfg.name, peer.anchor, peer.domain))
+                by_pair.setdefault(frozenset((acfg.name, peer.anchor)), (acfg.name, peer.anchor, peer.domain))
+        self.peerings = list(by_pair.values())
         for a_name, b_name, domain in self.peerings:
-            a_att = anchor_ports[a_name][domain][0]
-            b_att = anchor_ports[b_name][domain][0]
+            a_att = first_att[a_name][domain]
+            b_att = first_att[b_name][domain]
             self.legs[(a_name, b_name)] = self._make_leg(domain, a_att, b_att)
             self.legs[(b_name, a_name)] = self._make_leg(domain, b_att, a_att)
             self.adjacency_links[frozenset((a_name, b_name))] = self.legs[(a_name, b_name)].links
         for hcfg in cfg.hosts:
             domain = hcfg.port.domain
-            anchor_att = anchor_ports[hcfg.anchor][domain][0]
+            anchor_att = first_att[hcfg.anchor][domain]
             self.legs[(hcfg.name, hcfg.anchor)] = self._make_leg(domain, hcfg.port.attachment, anchor_att)
             self.legs[(hcfg.anchor, hcfg.name)] = self._make_leg(domain, anchor_att, hcfg.port.attachment)
 
@@ -440,9 +428,7 @@ class Simulation:
     def _bootstrap_control_plane(self) -> None:
         self.lsa_tx: dict[tuple[str, int], int] = {}
         for name in sorted(self.anchors):
-            anchor = self.anchors[name]
-            anchor.peer_names = tuple(sorted(v for v in self.out_legs[name] if v in self.anchors))
-            anchor.link_state = AnchorLinkState(name, self._anchor_adjacencies(name))
+            self.anchors[name].peer_names = tuple(sorted(v for v in self.out_legs[name] if v in self.anchors))
             self._originate(name, 0)
 
     def _originate(self, name: str, now: int) -> None:
@@ -809,11 +795,11 @@ class Simulation:
         transfer.next_pid += len(transfer.used)
 
     def _check_repath(self, anchor_name: str, now: int) -> None:
-        homed = list(self._homed.get(anchor_name, {}).values())
+        homed = self._homed.get(anchor_name)
         if not homed:
             return
         graph = self.anchors[anchor_name].db.graph()
-        for transfer in homed:
+        for transfer in list(homed.values()):
             if any(
                 all(adj.neighbor != v for adj in graph.get(u, ()))
                 for path in transfer.used

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import hashlib
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from types import MappingProxyType
@@ -119,7 +119,7 @@ def originate_lsa(state: AnchorLinkState) -> tuple[AnchorLinkState, LinkStateAdv
     re-originations after a link failure.
     """
     lsa = LinkStateAdvertisement(state.origin, state.seq + 1, state.adjacencies)
-    return replace(state, seq=state.seq + 1), lsa
+    return AnchorLinkState(state.origin, state.adjacencies, lsa.seq), lsa
 
 
 @dataclass(frozen=True)

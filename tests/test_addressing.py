@@ -11,6 +11,7 @@ from anchornet.addressing import (
     TooLong,
     UnknownEndpoint,
     UnknownLocator,
+    is_name,
     parse_address,
 )
 
@@ -135,6 +136,29 @@ def test_version_strictly_increases(names):
         table = table.register(name, LOC_A)
         versions.append(table.version)
     assert versions == sorted(set(versions))
+
+
+@given(st.lists(st.tuples(st.sampled_from(["host.a", "host.b", "obj.c"]), st.sampled_from([LOC_A, LOC_B])),
+                max_size=8))
+def test_a_table_built_in_one_pass_equals_one_register_per_entry(registrations):
+    table = make_table()
+    for name, loc in registrations:
+        table = table.register(name, loc)
+    assert ResolverTable.new([LOC_A, LOC_B], registrations) == table
+
+
+def test_a_table_built_in_one_pass_rejects_a_locator_outside_the_universe():
+    with pytest.raises(UnknownLocator):
+        ResolverTable.new([LOC_A, LOC_B], [("host.a", LOC_A), ("host.b", L3Locator("nowhere", "p9"))])
+
+
+@given(st.lists(st.sampled_from(["a", "z9", "-", ".", "\n", "A", "_", "é", "\ud800", "b" * 100]), max_size=10).map("".join))
+def test_is_name_holds_exactly_when_parse_address_succeeds(text):
+    try:
+        parsed = bool(parse_address(text))
+    except ValueError:  # an AddressError, or a lone surrogate that UTF-8 cannot encode
+        parsed = False
+    assert is_name(text) is parsed
 
 
 def test_tag_validation():

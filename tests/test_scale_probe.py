@@ -41,3 +41,18 @@ def test_scale_probe_runs_session_churn_at_the_given_seed(scenario_dir):
     assert default["events"] == first["events"] and default["epochs"] == first["epochs"]
     assert second["epochs"] == 24 and second["complete"] is True
     assert second["events"] != first["events"]
+
+
+def test_scale_probe_times_each_setup_step_of_a_resized_failover_flood(scenario_dir):
+    result = _probe(scenario_dir, "--anchors", "20")
+    assert set(result) == {"anchors", "parse_s", "build_s", "run_s", "events", "peak_rss_mb"}
+    assert result["anchors"] == 20
+    assert result["parse_s"] > 0 and result["build_s"] > 0 and result["run_s"] > 0
+    assert result["events"] > 0 and result["peak_rss_mb"] > 0
+
+
+def test_scale_probe_takes_one_size_only(scenario_dir):
+    script = scenario_dir.parent / "scripts" / "scale_probe.py"
+    for args in (("--anchors", "20", "--mib", "1"), ("--anchors", "20", "--sessions", "12")):
+        out = subprocess.run([sys.executable, str(script), *args], capture_output=True, check=False, timeout=60)
+        assert out.returncode == 2 and b"not allowed with" in out.stderr

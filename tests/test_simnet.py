@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from anchornet import gateway, simnet
-from anchornet.addressing import L3Locator
+from anchornet.addressing import L3Locator, ResolverTable
 from anchornet.allocator import Demand, DemandMatrix, domain_shares, water_fill
 from anchornet.gateway import synth_payload
 from anchornet.metrics import allocation_summary, canonical_json, compare, replay
@@ -137,10 +137,27 @@ def test_empty_scenario_yields_empty_report():
 
 
 def test_run_twice_same_seed_identical_reports(fixture_paths):
+    """Two simulations of one parsed config, and one of a fresh parse: no
+    value that a build caches on the config objects leaks into the next."""
     config = load_scenario(str(fixture_paths["dual-path"]))
-    a = canonical_json(run_scenario(config))
-    b = canonical_json(run_scenario(config))
-    assert a == b
+    fresh = load_scenario(str(fixture_paths["dual-path"]))
+    a, b, c = (canonical_json(Simulation(cfg).run()) for cfg in (config, config, fresh))
+    assert a == b == c
+
+
+@pytest.mark.parametrize("name", ["dual-path", "transatlantic-pubsub", "two-domains-weighted", "flooding-20"])
+def test_the_resolver_built_in_one_pass_equals_one_register_per_port(fixture_paths, name):
+    config = load_scenario(str(fixture_paths[name]))
+    table = ResolverTable.new(L3Locator(dom.id, att) for dom in config.domains for att in dom.attachments)
+    for acfg in config.anchors:
+        for port in acfg.ports:
+            table = table.register(acfg.name, L3Locator(port.domain, port.attachment))
+    for hcfg in config.hosts:
+        table = table.register(hcfg.name, L3Locator(hcfg.port.domain, hcfg.port.attachment))
+    resolver = Simulation(config).resolver
+    assert resolver.known_locators == table.known_locators
+    assert resolver.entries == table.entries
+    assert resolver.version == table.version
 
 
 def test_conservation_per_link(fixture_paths):
