@@ -132,9 +132,9 @@ def probe_sessions(sessions: int, span_us: int, seed: int = 1) -> dict:
     }
 
 
-def probe_anchors(anchors: int, seed: int = 1) -> dict:
-    """Parse, build and run the resized failover-flood workload, each timed."""
-    text = json.dumps(flood(anchors, seed))
+def probe_anchors(anchors: int, raw: dict) -> dict:
+    """Parse, build and run ``raw``, a failover-flood of ``anchors`` anchors, each timed."""
+    text = json.dumps(raw)
     start = time.perf_counter()
     config = parse_scenario(text)
     parsed = time.perf_counter()
@@ -174,9 +174,10 @@ def main(argv: "list[str] | None" = None) -> int:
         if args.anchors < 8:
             parser.error("--anchors must be at least 8, one per host")
         try:
-            print(json.dumps(probe_anchors(args.anchors, seed)))
+            raw = flood(args.anchors, seed)
         except ValueError as exc:  # the generator could not fail six trunks and keep the mesh connected
             parser.error(str(exc))
+        print(json.dumps(probe_anchors(args.anchors, raw)))
         return 0
     if args.sessions < 2 or args.span_us < 1:
         parser.error("--sessions must be at least 2 and --span-us positive")

@@ -19,8 +19,9 @@ from typing import Iterable, Mapping, Union
 MAX_NAME_BYTES = 255
 MAX_TAG_BYTES = 32
 
-_LABEL_RE = re.compile(r"^[a-z0-9-]+$")
-_NAME_RE = re.compile(r"[a-z0-9-]+\n?(?:\.[a-z0-9-]+\n?)*")  # _LABEL_RE per label; its $ allows one final \n
+_LABEL = r"[a-z0-9-]+\n?"  # one label; it may end in one newline, which names have always allowed
+_LABEL_RE = re.compile(_LABEL)
+_NAME_RE = re.compile(rf"{_LABEL}(?:\.{_LABEL})*")
 
 
 class AddressError(ValueError):
@@ -59,7 +60,7 @@ def _checked_labels(labels: Iterable[str], source: str) -> tuple[str, ...]:
     for i, label in enumerate(labels):
         if not label:
             raise EmptyLabel(f"empty label at position {i} in {source!r}")
-        if not _LABEL_RE.match(label):
+        if not _LABEL_RE.fullmatch(label):
             raise IllegalCharacter(f"label {label!r} at position {i} in {source!r}")
     canonical = ".".join(labels)
     if len(canonical.encode()) > MAX_NAME_BYTES:

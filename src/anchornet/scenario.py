@@ -27,7 +27,6 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from typing import Any, Optional
 
 from .addressing import ScienceDomainTag, is_name
@@ -196,7 +195,6 @@ _CONTAINERS = frozenset((list, dict))
 _PEER = frozenset(("anchor", "domain"))  # the keys of a peer entry
 
 
-@lru_cache(maxsize=1024, typed=True)  # a scenario repeats few numbers
 def _fraction(number: Any) -> Fraction:
     """Exact, of a float's shortest decimal text."""
     return Fraction(number) if type(number) is int else Fraction(str(number))
@@ -336,10 +334,9 @@ def _event_table(entry: Any) -> tuple:
     return EVENTS[kind if type(kind) is str and kind in EVENTS else None]
 
 
-def _walk(table: tuple, entry: Any, where: tuple, index: "_Index", every: bool = False) -> Optional[dict[str, Any]]:
+def _walk(table: tuple, entry: Any, where: tuple, index: "_Index") -> Optional[dict[str, Any]]:
     """``entry``'s fields, defaults filled in, if they pass every row of
-    ``table``; else None, once the first that fails is reported.  With
-    ``every``, each field that fails is reported and the others returned."""
+    ``table``; else None, once the first that fails is reported."""
     if type(entry) is not dict:
         return index.bad(where, f"must be an object, got {entry!r}")
     fields: dict[str, Any] = {}
@@ -348,11 +345,8 @@ def _walk(table: tuple, entry: Any, where: tuple, index: "_Index", every: bool =
         value = entry.get(key, default)
         verdict = test(value, ids)
         if verdict is not True:
-            index.bad((*where, key), (verdict or message).format(value, _number(value) and _fraction(value)))
-            if not every:
-                return None
-        else:
-            fields[key] = value
+            return index.bad((*where, key), (verdict or message).format(value, _number(value) and _fraction(value)))
+        fields[key] = value
     return fields
 
 
@@ -484,8 +478,9 @@ class _Index:
 def _build(raw: Any) -> tuple[Optional[ScenarioConfig], list[Diagnostic]]:
     if type(raw) is not dict:
         return None, [Diagnostic("$", "top level must be an object")]
-    index = _Index()
-    top = _walk(SCENARIO, raw, (), index, every=True)
+    index, top = _Index(), {}
+    for row in SCENARIO:  # one at a time, so that each field of the wrong kind is reported
+        top.update(_walk((row,), raw, (), index) or {})
     for section in SECTIONS:
         keep, table = getattr(index, section), TABLES.get(section)
         for i, entry in enumerate(top.get(section, ())):

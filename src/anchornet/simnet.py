@@ -340,8 +340,6 @@ class Simulation:
         names; frozen for the whole run regardless of later link failures.
         """
         graph = self._domain_graph[domain]
-        if len(graph) == 2 and dst_att in graph[src_att]:  # two attachments: the direct link is the only path
-            return (self._domain_link[(domain, src_att, dst_att)],)
         found = lex_shortest(src_att, (dst_att,), lambda att: graph[att].items()).get(dst_att)
         if found is None:
             raise SimFault(f"domain {domain!r} has no internal path {src_att!r} -> {dst_att!r}")
