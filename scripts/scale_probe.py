@@ -21,8 +21,8 @@ whether every session completed byte-exact.
 ``--anchors N`` runs the benchmark's failover-flood workload at seed
 ``--seed`` (default 1) on a mesh of N anchors with N // 2 chords.  Its line
 holds the host seconds of parsing the scenario, of building the simulation
-and of running it (its report included), the events processed and the peak
-RSS in MB.
+and of running it (its report included), the events processed, events per
+host second of the run and the peak RSS in MB.
 
 Run it in a fresh process per size: peak RSS only ever grows within one.
 """
@@ -148,6 +148,7 @@ def probe_anchors(anchors: int, raw: dict) -> dict:
         "build_s": round(built - parsed, 5),
         "run_s": round(ran - built, 3),
         "events": sim.events_processed,
+        "events_per_s": round(sim.events_processed / (ran - built)),
         "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
     }
 

@@ -19,7 +19,7 @@ from typing import Iterable, Mapping, Union
 MAX_NAME_BYTES = 255
 MAX_TAG_BYTES = 32
 
-_LABEL = r"[a-z0-9-]+\n?"  # one label; it may end in one newline, which names have always allowed
+_LABEL = r"[a-z0-9-]+"
 _LABEL_RE = re.compile(_LABEL)
 _NAME_RE = re.compile(rf"{_LABEL}(?:\.{_LABEL})*")
 

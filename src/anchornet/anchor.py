@@ -16,7 +16,7 @@ from .addressing import L3Locator
 from .gateway import GatewayCatalog
 from .pathfinder import L5Path
 from .session import ACK, Segment
-from .topology import AnchorLinkState, TopologyDatabase, EMPTY_DATABASE
+from .topology import AnchorLinkState, LinkStateStore, TopologyDatabase
 
 
 class NotOnPath(ValueError):
@@ -25,13 +25,14 @@ class NotOnPath(ValueError):
 
 @dataclass
 class Anchor:
-    """One anchor point's mutable control and data plane state."""
+    """One anchor point's mutable control and data plane state.  Its link-state
+    ``store`` is written in place and replaced by what its ``receive`` returns;
+    ``db`` is a snapshot of it that no later advertisement changes."""
 
     name: str
     ports: tuple[L3Locator, ...]
-    peer_names: tuple[str, ...] = ()
     link_state: AnchorLinkState = None  # type: ignore[assignment]
-    db: TopologyDatabase = EMPTY_DATABASE
+    store: LinkStateStore = field(default_factory=LinkStateStore)
     next_hop: dict[tuple[int, int], str] = field(default_factory=dict)
     prev_hop: dict[tuple[int, int], str] = field(default_factory=dict)
     counters: dict[str, list[int]] = field(default_factory=dict)
@@ -46,6 +47,10 @@ class Anchor:
         return min(self.ports)
 
     # -- control plane ------------------------------------------------------
+
+    @property
+    def db(self) -> TopologyDatabase:
+        return self.store.snapshot()
 
     def install_path(self, session_id: int, path: L5Path) -> None:
         """Program forwarding for one (session, path): data toward the

@@ -165,9 +165,7 @@ def build_report(sim: Simulation) -> dict[str, Any]:
             "catalog": sorted(anchor.catalog.entries) if anchor.catalog is not None else None,
         }
 
-    per_origin: dict[str, int] = {}
-    for (origin, seq), count in sorted(sim.lsa_tx.items()):
-        per_origin[f"{origin}#{seq}"] = count
+    per_origin = {f"{origin}#{seq}": count for (origin, seq), count in sorted(sim.lsa_tx.items())}
 
     dropped_unknown = sim.dropped_unknown_hosts + sum(
         sim.anchors[a].dropped_unknown for a in sim.anchors

@@ -54,7 +54,7 @@ from .session import (
     SenderSession,
     locator_bytes,
 )
-from .topology import Adjacency, AnchorLinkState, LinkStateAdvertisement, _pstr, originate_lsa
+from .topology import Adjacency, AnchorLinkState, LinkStateAdvertisement, _pstr, has_edge, originate_lsa
 
 TRACE_SALT = b"anchornet-trace-v2"
 _STAMP = struct.Struct(">QQ")  # time, insertion rank
@@ -425,33 +425,37 @@ class Simulation:
 
     def _bootstrap_control_plane(self) -> None:
         self.lsa_tx: dict[tuple[str, int], int] = {}
+        # Per anchor, each anchor peer and the latency to it; per (receiver, sender), the trace prefix.
+        self._lsa_peers = {u: [(v, leg.latency_us) for v, leg in sorted(legs.items()) if v in self.anchors]
+                           for u, legs in self.out_legs.items()}
+        self._lsa_prefix = {(v, u): b"lsa" + self._name_bytes(v) + self._name_bytes(u)
+                            for u, peers in self._lsa_peers.items() for v, _ in peers}
         for name in sorted(self.anchors):
-            self.anchors[name].peer_names = tuple(sorted(v for v in self.out_legs[name] if v in self.anchors))
             self._originate(name, 0)
 
     def _originate(self, name: str, now: int) -> None:
         anchor = self.anchors[name]
         anchor.link_state = AnchorLinkState(name, self._anchor_adjacencies(name), anchor.link_state.seq)
         anchor.link_state, lsa = originate_lsa(anchor.link_state)
-        anchor.db, _ = anchor.db.receive(lsa)
-        for peer in anchor.peer_names:
-            self._send_lsa(name, peer, lsa, now)
+        anchor.store, _ = anchor.store.receive(lsa)
+        self._flood(name, None, lsa, now)
         self._check_repath(name, now)
 
-    def _send_lsa(self, sender: str, receiver: str, lsa: LinkStateAdvertisement, now: int) -> None:
-        key = (lsa.origin, lsa.seq)
-        self.lsa_tx[key] = self.lsa_tx.get(key, 0) + 1
-        latency = self.legs[(sender, receiver)].latency_us
-        self.queue.push(now + latency, LsaFlood(receiver, sender, lsa))
+    def _flood(self, sender: str, skip: Optional[str], lsa: LinkStateAdvertisement, now: int) -> None:
+        """Send ``lsa`` from ``sender`` to each of its anchor peers but ``skip``."""
+        push, sent = self.queue.push, 0
+        for peer, latency in self._lsa_peers[sender]:
+            if peer != skip:
+                push(now + latency, tuple.__new__(LsaFlood, (peer, sender, lsa)))
+                sent += 1
+        if sent:  # an anchor without peers counts no transmission
+            self.lsa_tx[lsa.origin, lsa.seq] = self.lsa_tx.get((lsa.origin, lsa.seq), 0) + sent
 
     def _handle_lsa(self, event: LsaFlood, now: int) -> None:
         anchor = self.anchors[event.to_anchor]
-        db, flood = anchor.db.receive(event.lsa)
-        anchor.db = db
+        anchor.store, flood = anchor.store.receive(event.lsa)
         if flood:
-            for peer in anchor.peer_names:
-                if peer != event.from_anchor:
-                    self._send_lsa(event.to_anchor, peer, event.lsa, now)
+            self._flood(event.to_anchor, event.from_anchor, event.lsa, now)
             self._check_repath(event.to_anchor, now)
 
     # -- event loop -----------------------------------------------------------
@@ -796,13 +800,9 @@ class Simulation:
         homed = self._homed.get(anchor_name)
         if not homed:
             return
-        graph = self.anchors[anchor_name].db.graph()
+        lsas = self.anchors[anchor_name].store.lsas
         for transfer in list(homed.values()):
-            if any(
-                all(adj.neighbor != v for adj in graph.get(u, ()))
-                for path in transfer.used
-                for u, v in zip(path.hops, path.hops[1:])
-            ):
+            if any(not has_edge(lsas, u, v) for path in transfer.used for u, v in zip(path.hops, path.hops[1:])):
                 self._repath(transfer, now)
 
     # -- pubsub -------------------------------------------------------------------
@@ -1064,8 +1064,7 @@ class Simulation:
 # Per event type: its handler and its trace encoder (the bytes it adds after its time
 # and rank).  Plain functions, so a simulation is freed as soon as it is dropped.
 _EVENTS: dict[type, tuple[Callable[..., None], Callable[[Simulation, Any], bytes]]] = {
-    LsaFlood: (Simulation._handle_lsa, lambda sim, e: b"lsa" + sim._name_bytes(e.to_anchor)
-               + sim._name_bytes(e.from_anchor) + e.lsa.encode()),
+    LsaFlood: (Simulation._handle_lsa, lambda sim, e: sim._lsa_prefix[e.to_anchor, e.from_anchor] + e.lsa.encode()),
     LinkHop: (Simulation._handle_hop, lambda sim, e: b"hop" + sim._segment_record(e.crossed, e.segment)),
     NodeArrival: (Simulation._handle_arrival, lambda sim, e: b"arr" + sim._segment_record(e.node, e.segment)),
     SessionWake: (Simulation._session_wake,

@@ -9,9 +9,9 @@ simpler than an inter-domain path-vector protocol.
 
 Advertisements and databases are immutable, so their derived views -- the
 canonical encoding, the digest and the weighted graph -- are computed
-lazily, on first read, and cached on the object.  Accepting an
-advertisement builds a new database with an empty cache: an anchor that
-never routes from its database never pays for the graph.
+lazily, on first read, and cached on the object.  An anchor's
+``LinkStateStore`` accepts an advertisement in place and hands out immutable
+snapshots; ``has_edge`` reads one edge of the graph without building it.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Mapping, Optional, Sequence
 
 
 class LsaContentMismatch(ValueError):
@@ -122,6 +122,15 @@ def originate_lsa(state: AnchorLinkState) -> tuple[AnchorLinkState, LinkStateAdv
     return AnchorLinkState(state.origin, state.adjacencies, lsa.seq), lsa
 
 
+def has_edge(lsas: Mapping[str, LinkStateAdvertisement], u: str, v: str) -> bool:
+    """Whether ``TopologyDatabase(lsas).graph()`` has ``u -> v``: ``u`` advertises
+    ``v``, or ``u`` advertises nothing and ``v`` advertises ``u`` (a host's mirror edge)."""
+    lsa = lsas.get(u)
+    if lsa is None:
+        lsa, v = lsas.get(v), u
+    return lsa is not None and any(adj.neighbor == v for adj in lsa.adjacencies)
+
+
 @dataclass(frozen=True)
 class TopologyDatabase:
     """Newest advertisement per origin, plus the derived weighted digraph.
@@ -140,18 +149,16 @@ class TopologyDatabase:
         is new or the seq is strictly newer than the stored one.
         """
         stored = self.lsas.get(lsa.origin)
-        if stored is not None:
-            if lsa.seq < stored.seq:
-                return self, False
-            if lsa.seq == stored.seq:
-                if lsa is not stored and lsa.encode() != stored.encode():
-                    raise LsaContentMismatch(
-                        f"origin {lsa.origin!r} seq {lsa.seq} advertised twice with different content"
-                    )
-                return self, False
-        lsas = dict(self.lsas)
-        lsas[lsa.origin] = lsa
-        return TopologyDatabase(lsas), True
+        if stored is not None and lsa.seq <= stored.seq:
+            if lsa.seq == stored.seq and lsa is not stored and lsa.encode() != stored.encode():
+                raise LsaContentMismatch(
+                    f"origin {lsa.origin!r} seq {lsa.seq} advertised twice with different content"
+                )
+            return self, False
+        return self._with(lsa), True
+
+    def _with(self, lsa: LinkStateAdvertisement) -> "TopologyDatabase":
+        return TopologyDatabase({**self.lsas, lsa.origin: lsa})
 
     def encode(self) -> bytes:
         return self._encoded
@@ -211,7 +218,23 @@ class TopologyDatabase:
         )
 
 
-EMPTY_DATABASE = TopologyDatabase({})
+class LinkStateStore(TopologyDatabase):
+    """One anchor's database: a dict that the inherited ``receive``, with its one
+    rule, updates in place.  ``snapshot()`` shares the dict; the first
+    advertisement accepted after it goes into a copy, returned as a new store,
+    so no snapshot ever changes.  Route from a snapshot, never from the store."""
+
+    _snapshot: Optional[TopologyDatabase] = None
+
+    def snapshot(self) -> TopologyDatabase:
+        if self._snapshot is None:
+            self._snapshot = TopologyDatabase(self.lsas)
+        return self._snapshot
+
+    def _with(self, lsa: LinkStateAdvertisement) -> "LinkStateStore":
+        store = self if self._snapshot is None else LinkStateStore(dict(self.lsas))
+        store.lsas[lsa.origin] = lsa  # type: ignore[index]
+        return store
 
 
 @dataclass
@@ -232,7 +255,7 @@ def converge(configs: Mapping[str, Sequence[Adjacency]]) -> ConvergeResult:
     """
     anchors = sorted(configs)
     anchor_set = set(anchors)
-    dbs: dict[str, TopologyDatabase] = {a: EMPTY_DATABASE for a in anchors}
+    dbs: dict[str, TopologyDatabase] = {a: TopologyDatabase() for a in anchors}
     peers = {
         a: sorted({adj.neighbor for adj in configs[a] if adj.neighbor in anchor_set})
         for a in anchors

@@ -42,6 +42,12 @@ def test_parse_illegal_character():
     assert "Tier0" in str(err.value)
 
 
+def test_parse_rejects_a_label_that_ends_in_a_newline():
+    with pytest.raises(IllegalCharacter):
+        parse_address("cern.h1\n")
+    assert not is_name("cern.h1\n")
+
+
 def test_parse_length_boundary():
     ok = ".".join(["ab"] * 85)  # 254 bytes
     assert len(ok.encode()) == 254

@@ -90,6 +90,16 @@ def test_minimal_config_ok():
     assert diags == []
 
 
+def test_a_host_name_that_ends_in_a_newline_is_reported(fixture_paths):
+    raw = json.loads(fixture_paths["dual-path"].read_text())
+    for entry in raw["hosts"] + raw["events"]:
+        for field in ("name", "src"):
+            if entry.get(field) == "caltech.h1":
+                entry[field] = "caltech.h1\n"
+    diags = validate_text(json.dumps(raw))
+    assert any(d.path == "hosts[0].name" and repr("caltech.h1\n") in d.message for d in diags), diags
+
+
 def test_unknown_domain_reference_names_the_field():
     raw = _minimal()
     raw["links"][0]["domain"] = "ghost"

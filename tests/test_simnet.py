@@ -303,6 +303,34 @@ def test_a_repath_check_visits_only_the_active_transfers_homed_there():
     assert not any(sim._homed.values())
 
 
+class _CountedRepaths(Simulation):
+    repaths = 0
+
+    def _repath(self, transfer, now):
+        self.repaths += 1
+        super()._repath(transfer, now)
+
+
+# The benchmark's failover-flood workload on 40 anchors and 20 chords at seeds 1 and 2,
+# pinned before flooding updated each anchor's database in place.
+_FAILOVER_FLOOD_TRACES = {
+    1: "698fa63d05a35bc17fa0d154a17a2c903929912ef4a1649da2c8dc17c8333f56",
+    2: "3ef477b9493b2a854f29d4c8983ebba8cda6f82de52b10f84233c28e532c701d",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(_FAILOVER_FLOOD_TRACES))
+def test_failover_flood_keeps_its_pinned_trace(seed):
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "anchorbench"))
+    from workloads import failover_flood
+
+    sim = _CountedRepaths(parse_scenario(json.dumps(failover_flood(seed, anchors=40, chords=20))))
+    report = sim.run()
+    assert sim.repaths >= 1
+    assert all(t.status == "complete" for t in sim.transfers.values())
+    assert report["trace_hash"] == _FAILOVER_FLOOD_TRACES[seed]
+
+
 def test_tag_accounting_conserves_forwarded_bytes(fixture_paths):
     config = load_scenario(str(fixture_paths["dual-path"]))
     report = run_scenario(config)

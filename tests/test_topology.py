@@ -1,10 +1,12 @@
 import hashlib
 import random
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from anchornet.anchor import Anchor
 from anchornet.topology import (
     Adjacency,
     AnchorLinkState,
@@ -12,6 +14,7 @@ from anchornet.topology import (
     LsaContentMismatch,
     TopologyDatabase,
     converge,
+    has_edge,
     originate_lsa,
 )
 from oracles import flood_fixpoint, random_connected_adjacency
@@ -210,3 +213,67 @@ def test_random_graph_convergence_property(seed):
     result = converge(configs)
     digests = {d.digest() for d in result.databases.values()}
     assert len(digests) == 1  # generator always produces one component
+
+
+def _partial_lsas(seed):
+    """Advertisements of a random connected mesh with hosts hung off some
+    anchors, where some anchors have not advertised yet and some advertise no
+    legs (all their links are down); and every node name, plus one that
+    appears nowhere."""
+    rng = random.Random(seed)
+    configs = random_connected_adjacency(rng, max_nodes=10)
+    anchors = sorted(configs)
+    hosts = [f"h{i}" for i in range(rng.randint(0, 3))]
+    for host in hosts:
+        configs[rng.choice(anchors)].append(adj(host, domain="site"))
+    silent = set(rng.sample(anchors, rng.randrange(len(anchors))))
+    for cut in rng.sample(anchors, rng.randint(0, 2)):
+        configs[cut] = []
+    lsas = {a: LinkStateAdvertisement(a, 1, tuple(configs[a])) for a in anchors if a not in silent}
+    return lsas, anchors + hosts + ["ghost"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=2**31))
+def test_has_edge_reads_the_graph_without_building_it(seed):
+    lsas, nodes = _partial_lsas(seed)
+    graph = TopologyDatabase(lsas).graph()
+    for u in nodes:
+        neighbours = {e.neighbor for e in graph.get(u, ())}
+        for v in nodes:
+            assert has_edge(lsas, u, v) == (v in neighbours), (u, v)
+
+
+# One receipt: origin, seq, which of two adjacency sets, and whether to take a
+# snapshot of the anchor's database first.
+_RECEIPTS = st.lists(
+    st.tuples(st.sampled_from("abc"), st.integers(1, 4), st.booleans(), st.booleans()), max_size=40
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_RECEIPTS)
+def test_an_anchors_store_decides_as_receive_does_and_keeps_every_snapshot(receipts):
+    anchor, db = Anchor("a", ()), TopologyDatabase()
+    snapshots = []
+    for origin, seq, variant, snap in receipts:
+        if snap:
+            taken = anchor.db
+            snapshots.append((taken, dict(taken.lsas), _fresh_views(taken)))
+            if len(snapshots) % 2:
+                _views(taken)  # fill the caches of every other snapshot now
+        lsa = LinkStateAdvertisement(origin, seq, (adj("b" if variant else "c"),))
+        try:
+            db, expected = db.receive(lsa)
+        except LsaContentMismatch as exc:
+            with pytest.raises(LsaContentMismatch, match=re.escape(str(exc))):
+                anchor.store.receive(lsa)
+        else:
+            anchor.store, flood = anchor.store.receive(lsa)
+            assert flood == expected
+        assert anchor.store.lsas == db.lsas
+        assert all(anchor.store.lsas[o] is db.lsas[o] for o in db.lsas)
+    assert anchor.db == db
+    for taken, lsas, views in snapshots:
+        assert taken.lsas == lsas
+        assert _views(taken) == views
