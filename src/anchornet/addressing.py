@@ -135,6 +135,18 @@ class L3Locator:
         return f"{self.domain_id}/{self.attachment_id}"
 
 
+Rate = Union[int, float, Fraction]
+
+
+def as_fraction(value: Rate) -> Fraction:
+    """``value`` as an exact fraction; a float by its shortest decimal text."""
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, float):
+        return Fraction(str(value))
+    return Fraction(value)
+
+
 @dataclass(frozen=True)
 class ScienceDomainTag:
     """Policy weight for one science collaboration's traffic."""
@@ -145,7 +157,7 @@ class ScienceDomainTag:
     def __post_init__(self) -> None:
         if not self.tag or len(self.tag.encode()) > MAX_TAG_BYTES:
             raise ValueError(f"tag must be 1..{MAX_TAG_BYTES} bytes, got {self.tag!r}")
-        weight = self.weight if isinstance(self.weight, Fraction) else Fraction(str(self.weight))
+        weight = as_fraction(self.weight)
         object.__setattr__(self, "weight", weight)
         if weight <= 0:
             raise ValueError(f"tag {self.tag!r} weight must be positive, got {weight}")

@@ -41,11 +41,9 @@ from heapq import heappop, heappush
 from itertools import count
 from math import gcd, lcm
 from operator import attrgetter
-from typing import Hashable, Iterable, Mapping, Optional, Sequence, Union
+from typing import Hashable, Iterable, Mapping, Optional, Sequence
 
-from .addressing import ScienceDomainTag
-
-Rate = Union[int, float, Fraction]
+from .addressing import Rate, ScienceDomainTag, as_fraction
 
 
 class UnknownLink(KeyError):
@@ -54,14 +52,6 @@ class UnknownLink(KeyError):
 
 class UnknownTag(KeyError):
     """A session carries a science-domain tag absent from the policy table."""
-
-
-def as_fraction(value: Rate) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, float):
-        return Fraction(str(value))
-    return Fraction(value)
 
 
 @dataclass(frozen=True)

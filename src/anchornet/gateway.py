@@ -29,53 +29,39 @@ class ObjectUnavailable(LookupError):
 
 
 class PayloadStream:
-    """The deterministic payload of a named object, one segment at a time
-    from segment ``start_seq`` on, hashed as it is taken.
+    """The deterministic payload of a named object, as a value: every reader
+    takes its own generator from :meth:`segments`.
 
     Segment ``seq`` is the SHA-256 of the name's SHA-256 and the 8-byte
     ``seq``, repeated to the segment's length: a pure function of (name,
     seq), so content is independent of event ordering and of the simulation
-    seed, and a stream starts at any seq at once.
+    seed, and a reader starts at any seq at once.
     """
 
-    def __init__(self, name: str, size: int, start_seq: int = 0) -> None:
-        self.name, self.size, self.seq = name, size, start_seq
+    def __init__(self, name: str, size: int) -> None:
+        self.name, self.size = name, size
         self._key = hashlib.sha256(name.encode()).digest()
-        self._sha256 = hashlib.sha256()
-
-    def __iter__(self) -> "PayloadStream":
-        return self
-
-    def __next__(self) -> bytes:
-        if self.seq * SEGMENT_PAYLOAD_BYTES >= self.size:
-            raise StopIteration
-        segment = self._segment(self.seq)
-        self._sha256.update(segment)
-        self.seq += 1
-        return segment
 
     def _segment(self, seq: int) -> bytes:
         length = min(SEGMENT_PAYLOAD_BYTES, self.size - seq * SEGMENT_PAYLOAD_BYTES)
         block = hashlib.sha256(self._key + seq.to_bytes(8, "big")).digest()
         return (block * -(-length // len(block)))[:length]
 
-    def segments(self, start_seq: int) -> Iterator[bytes]:
-        """The segments from ``start_seq`` on, neither hashed nor taken from this
-        stream: for a second sender of the object, whose digest nothing reads."""
+    def segments(self, start_seq: int = 0) -> Iterator[bytes]:
+        """The segments from ``start_seq`` to the end, in order."""
         return map(self._segment, range(start_seq, segment_count(self.size)))
 
     def hexdigest(self) -> str:
-        """SHA-256 of the stream to its end.  Segments not yet taken are
-        generated again, and stay to be taken from this stream."""
-        digest = self._sha256.copy()
-        for segment in self.segments(self.seq):
+        """SHA-256 of the whole payload."""
+        digest = hashlib.sha256()
+        for segment in self.segments():
             digest.update(segment)
         return digest.hexdigest()
 
 
 def synth_payload(name: str, size: int) -> bytes:
     """The whole payload of a named object."""
-    return b"".join(PayloadStream(name, size))
+    return b"".join(PayloadStream(name, size).segments())
 
 
 @dataclass(frozen=True)

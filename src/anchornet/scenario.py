@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Optional
 
-from .addressing import ScienceDomainTag, is_name
+from .addressing import ScienceDomainTag, as_fraction, is_name
 
 MODE_BASELINE = "baseline-single-path"
 MODE_L5 = "l5-multipath"
@@ -195,11 +195,6 @@ _CONTAINERS = frozenset((list, dict))
 _PEER = frozenset(("anchor", "domain"))  # the keys of a peer entry
 
 
-def _fraction(number: Any) -> Fraction:
-    """Exact, of a float's shortest decimal text."""
-    return Fraction(number) if type(number) is int else Fraction(str(number))
-
-
 def _number(value: Any, ids: Any = None) -> bool:
     return type(value) is int or type(value) is float and math.isfinite(value)
 
@@ -345,7 +340,7 @@ def _walk(table: tuple, entry: Any, where: tuple, index: "_Index") -> Optional[d
         value = entry.get(key, default)
         verdict = test(value, ids)
         if verdict is not True:
-            return index.bad((*where, key), (verdict or message).format(value, _number(value) and _fraction(value)))
+            return index.bad((*where, key), (verdict or message).format(value, _number(value) and as_fraction(value)))
         fields[key] = value
     return fields
 
@@ -403,8 +398,8 @@ class _Index:
             self.bad((*where, "endpoints"), f"attachment {att!r} not declared in domain {l['domain']!r}")
         if not undeclared:
             self.ids["links"][l["id"]] = lambda: LinkCfg(
-                l["id"], l["domain"], tuple(l["endpoints"]), _fraction(l["capacity_mbps"]), l["latency_us"],
-                float(l["loss_prob"]), _fraction(l["background_utilization"]), _fraction(l["cost"]),
+                l["id"], l["domain"], tuple(l["endpoints"]), as_fraction(l["capacity_mbps"]), l["latency_us"],
+                float(l["loss_prob"]), as_fraction(l["background_utilization"]), as_fraction(l["cost"]),
             )
 
     def anchors(self, where: tuple, a: dict[str, Any], entry: dict[str, Any]) -> None:
@@ -459,7 +454,7 @@ class _Index:
         try:
             if not _number(weight):
                 raise ValueError(f"expected a number, got {weight!r}")
-            tag = ScienceDomainTag(p["tag"], _fraction(weight))
+            tag = ScienceDomainTag(p["tag"], weight)
             self.ids["policy"][p["tag"]] = lambda: tag
         except ValueError as exc:  # ScienceDomainTag checks the tag's length and the weight's sign
             self.bad(where, str(exc))
@@ -469,6 +464,8 @@ class _Index:
             unknown = [s for s in e["subscribers"] if s not in self.ids["nodes"]]
             if unknown:
                 return self.bad((*where, "subscribers"), f"unknown endpoints {unknown!r}")
+        if "src" in e and e["src"] in (e.get("dst"), *e.get("subscribers", ())):
+            return self.bad(where, f"session {e['id']!r} sends from {e['src']!r} to itself")
         if entry["kind"] == "open_session":
             self.ids["sessions"].add(e["id"])
         fields = {key: value for key, value in entry.items() if key not in ("time_us", "kind")}

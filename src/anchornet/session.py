@@ -28,8 +28,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
-from .addressing import L3Locator
-from .allocator import as_fraction
+from .addressing import L3Locator, as_fraction
 from .topology import _pstr
 
 SEGMENT_PAYLOAD_BYTES = 8192

@@ -29,7 +29,7 @@ from functools import cache
 from math import ceil
 from typing import Any, Callable, NamedTuple, Optional
 
-from .addressing import AddressKind, L3Locator, ResolverTable, parse_address
+from .addressing import AddressKind, L3Locator, ResolverTable, as_fraction, parse_address
 # domain_shares and water_fill are unused here, but anchorbench/layers.py wraps them by these names.
 from .allocator import Demand, Filling, _minus, domain_shares, water_fill  # noqa: F401
 from .anchor import Anchor
@@ -746,7 +746,7 @@ class Simulation:
         source = PayloadStream(stream, total_bytes)
         sender = SenderSession(
             sid, tag, [_path_ref(discovered[0], self.legs)], {0: Fraction(1)}, total_bytes,
-            source=source, now=now,
+            source=source.segments(), now=now,
         )
         receiver = ReceiverSession(sid, tag, {}, total_bytes)
         transfer = Transfer(
@@ -787,7 +787,9 @@ class Simulation:
 
     def _repath(self, transfer: Transfer, now: int) -> None:
         db = self.anchors[transfer.home_anchor].db
-        fresh = k_disjoint_paths(db, transfer.src, transfer.dst, transfer.k)
+        # A failed access link takes its host out of the database: no path either.
+        ends = transfer.src, transfer.dst
+        fresh = set(ends) <= db.graph().keys() and k_disjoint_paths(db, *ends, transfer.k)
         if not fresh:
             self._end(transfer, "no_path", now)
             return
@@ -868,8 +870,8 @@ class Simulation:
     def _add_pub_edge(self, pub: PubTransfer, parent: str, child: str, now: int) -> TreeEdge:
         """Add the edge ``parent`` -> ``child``, starting where ``parent``'s stream
         stands.  Its sender relays what ``parent`` receives, unless ``parent`` is
-        the publisher: then it sends the tree's source, or its unhashed segments
-        if an earlier edge already does, from the lowest seq those edges send next."""
+        the publisher: then it reads the tree's source from the lowest seq the
+        publisher's edges send next, or from 0 when it has none."""
         pid = pub.next_pid
         pub.next_pid += 1
         leg = self.legs[(parent, child)]
@@ -877,11 +879,9 @@ class Simulation:
         source = None
         if parent != pub.publisher:
             start_seq = self.receivers[(pub.sid, parent)].next_expected
-        elif parent in pub.downstream:
-            start_seq = min(edge.sender.send_next for edge in pub.downstream[parent])
-            source = pub.source.segments(start_seq)
         else:
-            start_seq, source = 0, pub.source
+            start_seq = min((edge.sender.send_next for edge in pub.downstream.get(parent, ())), default=0)
+            source = pub.source.segments(start_seq)
         sender = SenderSession(
             pub.sid, pub.tag, [ref], {pid: Fraction(1)}, pub.total_bytes,
             source=source, start_seq=start_seq, now=now,
@@ -1004,7 +1004,7 @@ class Simulation:
                 cap = fields.get("rate_cap_mbps")
                 self._open_unicast(
                     fields["id"], fields["src"], fields["dst"], tag, total, k, stream,
-                    now, rate_cap_mbps=Fraction(str(cap)) if cap is not None else None,
+                    now, rate_cap_mbps=as_fraction(cap) if cap is not None else None,
                 )
         elif event.kind == "stage":
             self._stage_replica(

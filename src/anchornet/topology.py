@@ -24,6 +24,8 @@ from functools import cached_property
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
+from .addressing import as_fraction
+
 
 class LsaContentMismatch(ValueError):
     """Two advertisements share (origin, seq) but differ in content.
@@ -60,10 +62,8 @@ class Adjacency:
     domain_id: str
 
     def __post_init__(self) -> None:
-        cap = self.capacity_mbps
-        if not isinstance(cap, Fraction):
-            cap = Fraction(str(cap))
-            object.__setattr__(self, "capacity_mbps", cap)
+        cap = as_fraction(self.capacity_mbps)
+        object.__setattr__(self, "capacity_mbps", cap)
         if cap <= 0:
             raise ValueError(f"adjacency to {self.neighbor!r}: capacity must be > 0")
         if self.latency_us < 0:

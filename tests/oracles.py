@@ -14,7 +14,7 @@ import hashlib
 import random
 from collections import defaultdict
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from anchornet.session import SEGMENT_PAYLOAD_BYTES
 from anchornet.topology import Adjacency, LinkStateAdvertisement, TopologyDatabase
@@ -365,35 +365,20 @@ def acked_seqs(sender) -> set[int]:
 
 class MersennePayloadStream:
     """The earlier payload generator, kept to reproduce the pins taken with it:
-    one ``random.Random`` per object, seeded by the first 8 bytes of the
-    name's SHA-256, one ``randbytes`` call per segment.  Starting at seq k
+    one ``random.Random`` per reader, seeded by the first 8 bytes of the
+    name's SHA-256, one ``randbytes`` call per segment.  A reader from seq k
     generates and drops the first k segments.  Same interface as
     ``gateway.PayloadStream``, for which tests swap it in."""
 
-    def __init__(self, name: str, size: int, start_seq: int = 0) -> None:
-        self.name, self.size, self.seq = name, size, start_seq
-        self._rng = random.Random(int.from_bytes(hashlib.sha256(name.encode()).digest()[:8], "big"))
-        self._sha256 = hashlib.sha256()
-        for _ in range(min(start_seq, -(-size // SEGMENT_PAYLOAD_BYTES))):
-            self._rng.randbytes(SEGMENT_PAYLOAD_BYTES)
+    def __init__(self, name: str, size: int) -> None:
+        self.name, self.size = name, size
 
-    def __iter__(self) -> "MersennePayloadStream":
-        return self
-
-    def __next__(self) -> bytes:
-        lo = self.seq * SEGMENT_PAYLOAD_BYTES
-        if lo >= self.size:
-            raise StopIteration
-        segment = self._rng.randbytes(min(SEGMENT_PAYLOAD_BYTES, self.size - lo))
-        self._sha256.update(segment)
-        self.seq += 1
-        return segment
-
-    def segments(self, start_seq: int) -> "MersennePayloadStream":
-        return MersennePayloadStream(self.name, self.size, start_seq)
+    def segments(self, start_seq: int = 0) -> Iterator[bytes]:
+        rng = random.Random(int.from_bytes(hashlib.sha256(self.name.encode()).digest()[:8], "big"))
+        for seq in range(-(-self.size // SEGMENT_PAYLOAD_BYTES)):
+            segment = rng.randbytes(min(SEGMENT_PAYLOAD_BYTES, self.size - seq * SEGMENT_PAYLOAD_BYTES))
+            if seq >= start_seq:
+                yield segment
 
     def hexdigest(self) -> str:
-        digest = self._sha256.copy()
-        for segment in self.segments(self.seq):
-            digest.update(segment)
-        return digest.hexdigest()
+        return hashlib.sha256(b"".join(self.segments())).hexdigest()

@@ -73,7 +73,7 @@ SIZES = [1, 3, 8191, 8192, 8193, 3 * 8192 + 5]
 
 @pytest.mark.parametrize("size", SIZES)
 def test_stream_segments_join_to_the_synthesized_payload(size):
-    segments = list(PayloadStream("cms.dataset.run42", size))
+    segments = list(PayloadStream("cms.dataset.run42", size).segments())
     assert all(len(s) == SEGMENT_PAYLOAD_BYTES for s in segments[:-1])
     assert 0 < len(segments[-1]) <= SEGMENT_PAYLOAD_BYTES
     assert b"".join(segments) == synth_payload("cms.dataset.run42", size)
@@ -81,27 +81,32 @@ def test_stream_segments_join_to_the_synthesized_payload(size):
 
 @pytest.mark.parametrize("size", SIZES)
 def test_stream_from_start_seq_is_the_matching_tail(size):
-    whole = synth_payload("cms.dataset.run42", size)
+    stream = PayloadStream("cms.dataset.run42", size)
+    whole = list(stream.segments())
     for start in range(size // SEGMENT_PAYLOAD_BYTES + 2):
-        tail = b"".join(PayloadStream("cms.dataset.run42", size, start))
-        assert tail == whole[start * SEGMENT_PAYLOAD_BYTES:]
+        assert list(stream.segments(start)) == whole[start:]
 
 
 @pytest.mark.parametrize("size", SIZES)
 def test_unhashed_segments_are_the_tail_and_leave_the_stream_as_it_was(size):
+    """Two readers taking turns get the same bytes: a reader changes nothing
+    in the stream, so neither sees the other's progress."""
     whole = synth_payload("cms.dataset.run42", size)
     stream = PayloadStream("cms.dataset.run42", size)
-    first = next(stream)
-    for start in range(size // SEGMENT_PAYLOAD_BYTES + 2):
-        assert b"".join(stream.segments(start)) == whole[start * SEGMENT_PAYLOAD_BYTES:]
-    assert stream.seq == 1 and first + b"".join(stream) == whole
-    assert stream.hexdigest() == hashlib.sha256(whole).hexdigest()
+    first, second = stream.segments(), stream.segments()
+    taken_first, taken_second = [next(first)], []
+    for a, b in zip(first, second):
+        taken_second.append(b)
+        taken_first.append(a)
+    taken_second.extend(second)
+    assert b"".join(taken_first) == b"".join(taken_second) == whole
+    assert b"".join(stream.segments()) == whole
 
 
 def test_segments_differ_across_names_and_across_seqs():
     size = 64 * SEGMENT_PAYLOAD_BYTES
-    a = list(PayloadStream("cms.dataset.run42", size))
-    b = list(PayloadStream("cms.dataset.run43", size))
+    a = list(PayloadStream("cms.dataset.run42", size).segments())
+    b = list(PayloadStream("cms.dataset.run43", size).segments())
     assert all(x != y for x, y in zip(a, b))
     assert len(set(a)) == len(a)
 
@@ -110,26 +115,28 @@ def test_stream_starts_at_any_seq_at_once():
     size = 2 * 1024**3
     last = size // SEGMENT_PAYLOAD_BYTES - 1
     start = time.perf_counter()
-    segments = list(PayloadStream("cms.dataset.run42", size, last))
+    segments = list(PayloadStream("cms.dataset.run42", size).segments(last))
     # the earlier generator drew and dropped 2 GiB of segments first: seconds
     assert time.perf_counter() - start < 0.5
     (segment,) = segments
     assert len(segment) == SEGMENT_PAYLOAD_BYTES
     # a segment depends on (name, seq) only, not on the object's size
-    assert segment == next(PayloadStream("cms.dataset.run42", size + 1, last))
+    assert segment == next(PayloadStream("cms.dataset.run42", size + 1).segments(last))
 
 
 @pytest.mark.parametrize("size", SIZES)
 def test_stream_digest_covers_the_untaken_rest_without_taking_it(size):
-    whole = synth_payload("cms.dataset.run42", size)
+    """``hexdigest`` is the SHA-256 of the whole payload before, during and
+    after a reading, and leaves the reader where it was."""
+    expected = hashlib.sha256(synth_payload("cms.dataset.run42", size)).hexdigest()
     stream = PayloadStream("cms.dataset.run42", size)
-    taken = []
+    reader, taken = stream.segments(), []
     for _ in range(-(-size // SEGMENT_PAYLOAD_BYTES)):
-        assert stream.hexdigest() == hashlib.sha256(whole).hexdigest()
-        taken.append(next(stream))
-    assert b"".join(taken) == whole
-    assert stream.hexdigest() == hashlib.sha256(whole).hexdigest()
-    assert next(stream, None) is None
+        assert stream.hexdigest() == expected
+        taken.append(next(reader))
+    assert stream.hexdigest() == expected
+    assert hashlib.sha256(b"".join(taken)).hexdigest() == expected
+    assert next(reader, None) is None
 
 
 TOPO = db_from_edges(

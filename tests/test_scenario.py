@@ -174,6 +174,22 @@ def test_event_referential_integrity():
     assert any(d.path.startswith("events[0]") for d in diags)
 
 
+@pytest.mark.parametrize("mode", ["baseline-single-path", "l5-multipath"])
+@pytest.mark.parametrize("fixture, field", [("dual-path", "dst"), ("transatlantic-pubsub", "subscribers")])
+def test_a_session_from_its_source_to_itself_is_reported(fixture_paths, mode, fixture, field):
+    raw = json.loads(fixture_paths[fixture].read_text())
+    raw["mode"] = mode
+    event = raw["events"][0]
+    if field == "dst":
+        event["dst"] = event["src"]
+    else:
+        event["subscribers"].append(event["src"])
+    diags = validate_text(json.dumps(raw))
+    assert [(d.path, d.message) for d in diags] == [
+        ("events[0]", f"session {event['id']!r} sends from {event['src']!r} to itself")
+    ]
+
+
 def test_stage_requires_gateway_anchor():
     raw = _minimal()
     raw["events"] = [

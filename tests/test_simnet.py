@@ -359,6 +359,17 @@ def _dual_path_losing_nw_trunk(fixture_paths):
     return parse_scenario(json.dumps(raw))
 
 
+@pytest.mark.parametrize("mode", ["baseline-single-path", "l5-multipath"])
+@pytest.mark.parametrize("link", ["w-access", "e-access"])
+def test_a_failed_access_link_ends_the_transfer_with_no_path(fixture_paths, link, mode):
+    raw = json.loads(fixture_paths["dual-path"].read_text())
+    raw["events"].append({"time_us": 30_000, "kind": "link_down", "link": link})
+    report = run_scenario(parse_scenario(json.dumps(raw)), mode=mode)
+    session = report["sessions"]["bulk"]
+    assert session["status"] == "no_path"
+    assert 0 < session["bytes_delivered"] < session["bytes_total"]
+
+
 def test_link_down_triggers_repath_and_completion(fixture_paths):
     report = run_scenario(_dual_path_losing_nw_trunk(fixture_paths), mode="baseline-single-path")
     session = report["sessions"]["bulk"]
@@ -1277,16 +1288,30 @@ def test_pubsub_object_mid_stream_join():
     assert obj in report["anchors"]["gw-far"]["catalog"]
 
 
-def test_only_the_first_root_edge_hashes_the_published_stream():
-    """gw-origin feeds gw-mid and, after the join, gw-side: the second edge
-    sends the same segments without a running hash of its own."""
+def test_every_root_edge_reads_the_published_stream_from_its_own_start_seq(monkeypatch):
+    """gw-origin feeds gw-mid and, after the join, gw-side: each edge takes its
+    own reader of the tree's stream, from the seq it starts at, and the report
+    reads the whole stream once more for its digest."""
+    reads = []
+    segments = gateway.PayloadStream.segments
+
+    def record(stream, start_seq=0):
+        reads.append((stream, start_seq))
+        return segments(stream, start_seq)
+
+    monkeypatch.setattr(gateway.PayloadStream, "segments", record)
     sim = Simulation(_mid_stream_join())
-    sim.run()
+    report = sim.run()
     (pub,) = sim.pubs.values()
-    sources = [edge.sender._source for edge in pub.edges if edge.parent == pub.publisher]
-    assert len(sources) == 2 and sources[0] is pub.source
-    assert not isinstance(sources[1], gateway.PayloadStream)
-    assert pub.subscribers["gw-side"].receiver.complete
+    roots = [edge for edge in pub.edges if edge.parent == pub.publisher]
+    assert [edge.child for edge in roots] == ["gw-mid", "gw-side"]
+    assert roots[0].sender.start_seq == 0 < roots[1].sender.start_seq
+    assert reads == [(pub.source, edge.sender.start_seq) for edge in roots] + [(pub.source, 0)]
+    whole = synth_payload(JOIN_OBJECT, JOIN_BYTES)
+    for edge in roots:
+        tail = whole[edge.sender.start_seq * SEGMENT_PAYLOAD_BYTES:]
+        assert sim.receivers[(pub.sid, edge.child)].delivered_digest() == hashlib.sha256(tail).hexdigest()
+    assert report["pubsub"]["feed"]["source_sha256"] == hashlib.sha256(whole).hexdigest()
 
 
 @pytest.mark.parametrize("join_us", [60_000, 100_000, 200_000])
