@@ -21,8 +21,9 @@ whether every session completed byte-exact.
 ``--anchors N`` runs the benchmark's failover-flood workload at seed
 ``--seed`` (default 1) on a mesh of N anchors with N // 2 chords.  Its line
 holds the host seconds of parsing the scenario, of building the simulation
-and of running it (its report included), the events processed, events per
-host second of the run and the peak RSS in MB.
+and of running it (its report included), the share of that run spent
+building the report, the events processed, events per host second of the
+run and the peak RSS in MB.
 
 Run it in a fresh process per size: peak RSS only ever grows within one.
 """
@@ -38,7 +39,7 @@ from typing import Any
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
-from anchornet.metrics import canonical_json
+from anchornet.metrics import build_report, canonical_json
 from anchornet.scenario import parse_scenario
 from anchornet.simnet import Simulation
 
@@ -133,20 +134,29 @@ def probe_sessions(sessions: int, span_us: int, seed: int = 1) -> dict:
 
 
 def probe_anchors(anchors: int, raw: dict) -> dict:
-    """Parse, build and run ``raw``, a failover-flood of ``anchors`` anchors, each timed."""
+    """Parse, build and run ``raw``, a failover-flood of ``anchors`` anchors,
+    each timed, and the report's share of the run."""
     text = json.dumps(raw)
     start = time.perf_counter()
     config = parse_scenario(text)
     parsed = time.perf_counter()
     sim = Simulation(config)
     built = time.perf_counter()
-    sim.run()
+    # Simulation.run(), with its report timed apart.
+    while True:
+        t = sim.queue.peek_time()
+        if t is None or t > config.horizon_us:
+            break
+        sim.step()
+    stepped = time.perf_counter()
+    build_report(sim)
     ran = time.perf_counter()
     return {
         "anchors": anchors,
         "parse_s": round(parsed - start, 5),
         "build_s": round(built - parsed, 5),
         "run_s": round(ran - built, 3),
+        "report_s": round(ran - stepped, 3),
         "events": sim.events_processed,
         "events_per_s": round(sim.events_processed / (ran - built)),
         "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),

@@ -72,9 +72,10 @@ class Anchor:
 
     def forward(
         self, segment: Segment, locators: Mapping[str, L3Locator]
-    ) -> Optional[tuple[str, Segment]]:
+    ) -> Optional[tuple[str, L3Locator]]:
         """Re-address a transit segment to its next hop: the hop's name and
-        the copy addressed to ``locators[name]``.
+        ``locators[name]``, the L3 destination it is sent on to.  The
+        segment itself is not changed.
 
         Data segments follow the forward table; acknowledgements retrace
         the reverse entry.  Unknown (session, path) pairs are counted and
@@ -88,7 +89,7 @@ class Anchor:
             return None
         if not is_ack:
             self.account_relay(segment)
-        return hop, segment.readdressed(locators[hop])
+        return hop, locators[hop]
 
     def account_relay(self, segment: Segment) -> None:
         """Count one data segment this anchor sends on: forwarded, or

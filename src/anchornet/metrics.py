@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict
 from fractions import Fraction
+from operator import attrgetter
 from typing import TYPE_CHECKING, Any, Optional
 
 from .pubsub import Unreachable, unicast_cost_crossings
@@ -152,16 +153,15 @@ def build_report(sim: Simulation) -> dict[str, Any]:
 
     # Digest equality is transitive: equal across every peering is equal
     # within every connected component.
-    db_identical = all(
-        sim.anchors[a].db.digest() == sim.anchors[b].db.digest() for a, b, _ in sim.peerings
-    )
+    db_digests = database_digests(sim)
+    db_identical = all(db_digests[a] == db_digests[b] for a, b, _ in sim.peerings)
     anchors: dict[str, Any] = {}
     for name in sorted(sim.anchors):
         anchor = sim.anchors[name]
         anchors[name] = {
             "per_tag": {tag: list(row) for tag, row in anchor.tag_report().items()},
             "dropped_unknown": anchor.dropped_unknown,
-            "db_digest": anchor.db.digest(),
+            "db_digest": db_digests[name],
             "catalog": sorted(anchor.catalog.entries) if anchor.catalog is not None else None,
         }
 
@@ -216,6 +216,20 @@ def build_report(sim: Simulation) -> dict[str, Any]:
         },
     }
     return report
+
+
+def database_digests(sim: Simulation) -> dict[str, str]:
+    """Each anchor's ``db.digest()``, hashed once per distinct set of advertisements, named
+    by its (origin, seq) pairs: a converged component holds one set."""
+    memo: dict[frozenset[tuple[str, int]], str] = {}
+    digests = {}
+    for name, anchor in sim.anchors.items():
+        lsas = anchor.store.lsas
+        key = frozenset(zip(lsas, map(attrgetter("seq"), lsas.values())))
+        if key not in memo:
+            memo[key] = anchor.db.digest()
+        digests[name] = memo[key]
+    return digests
 
 
 def replay(epochs: list[dict[str, Any]]) -> dict[str, float]:

@@ -57,19 +57,16 @@ DATA, ACK = SegmentKind.DATA, SegmentKind.ACK
 
 @dataclass(frozen=True, init=False)
 class Segment:
-    """The L5 protocol data unit.
-
-    ``l3_dest`` always names the locator of the immediately next hop on the
-    segment's path -- never a hop beyond it -- which is what keeps the
-    substrate's own routing untouched.  For acknowledgements, ``seq`` and
-    ``is_retransmit`` echo the data segment being acknowledged.
-    """
+    """The L5 protocol data unit: one object crosses every hop of its path
+    unchanged.  Its L3 destination belongs to each transmission, and names
+    only the immediately next hop, which keeps the substrate's own routing
+    untouched.  For acknowledgements, ``seq`` and ``is_retransmit`` echo the
+    data segment being acknowledged."""
 
     session_id: int
     seq: int
     path_id: int
     tag: str
-    l3_dest: L3Locator
     payload: bytes = b""
     is_retransmit: bool = False
     kind: SegmentKind = SegmentKind.DATA
@@ -77,9 +74,8 @@ class Segment:
     ack_sacks: tuple[int, ...] = ()
 
     def __init__(
-        self, session_id: int, seq: int, path_id: int, tag: str, l3_dest: L3Locator,
-        payload: bytes = b"", is_retransmit: bool = False, kind: SegmentKind = DATA,
-        ack_cum: int = 0, ack_sacks: tuple[int, ...] = (),
+        self, session_id: int, seq: int, path_id: int, tag: str, payload: bytes = b"", is_retransmit: bool = False,
+        kind: SegmentKind = DATA, ack_cum: int = 0, ack_sacks: tuple[int, ...] = (),
     ) -> None:
         # Straight into __dict__: a generated frozen __init__ calls object.__setattr__ per field.
         if kind is DATA and not payload:
@@ -90,14 +86,12 @@ class Segment:
             raise ValueError(f"payload exceeds {SEGMENT_PAYLOAD_BYTES} bytes")
         fields = self.__dict__
         fields["session_id"], fields["seq"], fields["path_id"] = session_id, seq, path_id
-        fields["tag"], fields["l3_dest"], fields["payload"] = tag, l3_dest, payload
-        fields["is_retransmit"], fields["kind"] = is_retransmit, kind
-        fields["ack_cum"], fields["ack_sacks"] = ack_cum, ack_sacks
+        fields["tag"], fields["payload"], fields["is_retransmit"] = tag, payload, is_retransmit
+        fields["kind"], fields["ack_cum"], fields["ack_sacks"] = kind, ack_cum, ack_sacks
 
     def header(self) -> bytes:
-        """Fixed-layout record of the fields other than ``tag``, ``l3_dest`` and
-        the payload bytes.  No hop changes it, so it is computed once and
-        :meth:`readdressed` copies keep it."""
+        """Fixed-layout record of the fields other than ``tag`` and the
+        payload bytes, computed once."""
         head = self.__dict__.get("_header")
         if head is None:
             sacks = self.ack_sacks
@@ -110,26 +104,12 @@ class Segment:
             self.__dict__["_header"] = head
         return head
 
-    def encode(self) -> bytes:
-        """Canonical byte form for trace hashing and determinism checks:
-        the header record, the tag, the ``l3_dest`` and, for data, the
-        payload's SHA-256 in place of the payload itself."""
-        return (
-            self.header()
-            + _pstr(self.tag)
-            + locator_bytes(self.l3_dest)
-            + (hashlib.sha256(self.payload).digest() if self.payload else b"")
-        )
-
-    def readdressed(self, l3_dest: L3Locator) -> "Segment":
-        """A copy bound for ``l3_dest``.  Every other field is copied as it
-        is, without re-validation: the segment was checked when its source
-        built it, and re-addressing changes nothing else."""
-        copy = object.__new__(Segment)
-        fields = copy.__dict__
-        fields.update(self.__dict__)
-        fields["l3_dest"] = l3_dest
-        return copy
+    def encode(self, l3_dest: L3Locator) -> bytes:
+        """Canonical byte form of one transmission toward ``l3_dest``, for trace hashing
+        and determinism checks: the header record, the tag, ``l3_dest`` and, for
+        data, the payload's SHA-256 in place of the payload itself."""
+        digest = hashlib.sha256(self.payload).digest() if self.payload else b""
+        return self.header() + _pstr(self.tag) + locator_bytes(l3_dest) + digest
 
 
 # Segment.__init__ writes each field by hand, and header() packs ``kind is ACK`` as the kind.
@@ -311,9 +291,7 @@ class SenderSession:
             payload = self.held.get(seq)
             if payload is None:  # an origin's next new segment
                 payload = self.held[seq] = next(self._source)
-            segment = Segment(
-                self.session_id, seq, pid, self.tag, self.paths[pid].first_hop, payload, is_retx
-            )
+            segment = Segment(self.session_id, seq, pid, self.tag, payload, is_retx)
             rate = self.rates[pid]
             gap = -(-len(payload) * 8 * rate.denominator // rate.numerator)  # ceil(bits / rate)
             next_free[pid] = now + gap
@@ -467,8 +445,7 @@ class ReceiverSession:
             del self._sacks[: len(delivered)]
             self.last_delivery_us = now
         ack = Segment(
-            self.session_id, segment.seq, segment.path_id, self.tag,
-            self.reverse_hops[segment.path_id], is_retransmit=segment.is_retransmit,
+            self.session_id, segment.seq, segment.path_id, self.tag, is_retransmit=segment.is_retransmit,
             kind=ACK, ack_cum=self.next_expected, ack_sacks=tuple(self._sacks),
         )
         return delivered, [ack]

@@ -12,9 +12,11 @@ order, the queue owns the single seeded RNG (consumed only for loss draws,
 in event order), and scheduling into the past is a hard fault.  The same
 (config, seed) therefore always yields the same event trace, byte for byte.
 
-Each event type has one handler and one trace encoder.  ``trace_hash`` (trace
-v2, see the README) covers a segment's header, tag, ``l3_dest`` and payload
-SHA-256, computed once per (session, seq), never the payload bytes.
+One segment object crosses every hop; each hop's event carries the L3
+destination its emitter chose.  Each event type has one handler and one trace
+encoder.  ``trace_hash`` (trace v2, see the README) covers a segment's header,
+tag, that destination and payload SHA-256, computed once per (session, seq),
+never the payload bytes.
 """
 
 from __future__ import annotations
@@ -83,6 +85,7 @@ class LsaFlood(NamedTuple):
 
 class LinkHop(NamedTuple):
     segment: Segment
+    l3_dest: L3Locator
     crossed: str
     remaining: tuple[str, ...]
     dest_node: str
@@ -90,6 +93,7 @@ class LinkHop(NamedTuple):
 
 class NodeArrival(NamedTuple):
     segment: Segment
+    l3_dest: L3Locator
     crossed: str
     node: str
 
@@ -275,6 +279,8 @@ class Simulation:
         self._trace = hashlib.sha256(TRACE_SALT)
         # Byte forms for the trace, each encoded once per simulation.
         self._name_bytes = cache(_pstr)
+        self._hop_prefix = cache(lambda lid: b"hop" + _pstr(lid))
+        self._arr_prefix = cache(lambda node: b"arr" + _pstr(node))
         # sid -> seq -> payload SHA-256, kept only while the session or tree is active.
         self._digests: dict[int, dict[int, bytes]] = {}
         self.events_processed = 0
@@ -485,13 +491,13 @@ class Simulation:
 
     def _handle_hop(self, event: LinkHop, now: int) -> None:
         self.link_counters[event.crossed].delivered += 1
-        self._enter_link(event.segment, event.remaining, event.dest_node, now)
+        self._enter_link(event.segment, event.l3_dest, event.remaining, event.dest_node, now)
 
     def _handle_arrival(self, event: NodeArrival, now: int) -> None:
         """Hand a segment to the node's sender (an ACK) or receiver (data).  One
-        that neither takes is in transit: the node's anchor forwards it, and the
-        copy is sent on as an endpoint's send is."""
-        segment, lid, node = event
+        that neither takes is in transit: the node's anchor names its next hop
+        and that hop's locator, and it is sent on as an endpoint's send is."""
+        segment, _, lid, node = event
         self.link_counters[lid].delivered += 1
         sid, pid = segment.session_id, segment.path_id
         if segment.kind is ACK:
@@ -508,7 +514,7 @@ class Simulation:
                 ends = self._neighbours.get((sid, pid, node))
                 if ends is not None and ends[1] is not None:
                     for ack in acks:
-                        self.transmit(ack, node, ends[1], now)
+                        self.transmit(ack, receiver.reverse_hops[pid], node, ends[1], now)
                 if delivered:
                     self._on_delivery(sid, node, delivered, now)
                 return
@@ -518,18 +524,19 @@ class Simulation:
             return
         forwarded = anchor.forward(segment, self.hop_locators[node])
         if forwarded is not None:
-            self.transmit(forwarded[1], node, forwarded[0], now)
+            self.transmit(segment, forwarded[1], node, forwarded[0], now)
 
-    def _segment_record(self, name: str, segment: Segment) -> bytes:
-        """The length-prefixed ``name`` followed by ``segment.encode()``.  The
+    def _segment_record(self, prefix: bytes, event: LinkHop | NodeArrival) -> bytes:
+        """``prefix`` followed by the event's ``segment.encode(l3_dest)``.  The
         header with the tag, and the payload digest, are built once per
-        segment; its readdressed copies carry them."""
+        segment, which crosses every hop as one object."""
+        segment = event.segment
         fields = segment.__dict__
         body = fields.get("_trace")
         if body is None:
             body = fields["_trace"] = (segment.header() + self._name_bytes(segment.tag),
                                        self._payload_digest(segment))
-        return self._name_bytes(name) + body[0] + locator_bytes(segment.l3_dest) + body[1]
+        return prefix + body[0] + locator_bytes(event.l3_dest) + body[1]
 
     def _payload_digest(self, segment: Segment) -> bytes:
         """SHA-256 of a data segment's payload, computed once per (session,
@@ -547,13 +554,13 @@ class Simulation:
 
     # -- substrate data plane ---------------------------------------------------
 
-    def transmit(self, segment: Segment, emitter: str, next_l5: str, now: int) -> None:
-        """Hand a segment to the substrate for exactly one overlay hop.
+    def transmit(self, segment: Segment, l3_dest: L3Locator, emitter: str, next_l5: str, now: int) -> None:
+        """Hand a segment to the substrate for exactly one overlay hop, bound for ``l3_dest``.
 
         Independently re-derives the expected next hop from the installed
-        path record and counts any disagreement: this is the compatibility
-        rule that a segment's substrate destination is always the very next
-        overlay hop, never a shortcut to the far end.
+        path record, and checks ``l3_dest`` against that leg's destination,
+        counting any disagreement: this is the compatibility rule that a
+        segment's substrate destination is always the very next overlay hop.
         """
         ends = self._neighbours.get((segment.session_id, segment.path_id, emitter))
         if ends is not None and ends[segment.kind is ACK] != next_l5:
@@ -561,12 +568,12 @@ class Simulation:
         leg = self.legs.get((emitter, next_l5))
         if leg is None:
             raise SimFault(f"no substrate leg {emitter!r} -> {next_l5!r}")
-        if leg.dest is not segment.l3_dest and leg.dest != segment.l3_dest:
+        if leg.dest is not l3_dest and leg.dest != l3_dest:
             self.l3_dest_violations += 1
-        self._enter_link(segment, leg.links, next_l5, now)
+        self._enter_link(segment, l3_dest, leg.links, next_l5, now)
 
     def _enter_link(
-        self, segment: Segment, links: tuple[str, ...], dest_node: str, now: int
+        self, segment: Segment, l3_dest: L3Locator, links: tuple[str, ...], dest_node: str, now: int
     ) -> None:
         lid = links[0]
         link = self.link_entries[lid]
@@ -589,9 +596,9 @@ class Simulation:
         arrival = now + link.latency_us + serialization
         # tuple.__new__ skips the NamedTuple's Python-level __new__.
         if len(links) > 1:
-            self.queue.push(arrival, tuple.__new__(LinkHop, (segment, lid, links[1:], dest_node)))
+            self.queue.push(arrival, tuple.__new__(LinkHop, (segment, l3_dest, lid, links[1:], dest_node)))
         else:
-            self.queue.push(arrival, tuple.__new__(NodeArrival, (segment, lid, dest_node)))
+            self.queue.push(arrival, tuple.__new__(NodeArrival, (segment, l3_dest, lid, dest_node)))
 
     # -- session machinery ------------------------------------------------------
 
@@ -611,7 +618,8 @@ class Simulation:
         for segment, at in sender.schedule(now):
             if anchor is not None:
                 anchor.account_relay(segment)
-            self.transmit(segment, node, self.path_hops[(sid, segment.path_id)][1], at)
+            ref = sender.paths[segment.path_id]
+            self.transmit(segment, ref.first_hop, node, ref.hops[1], at)
         self._arm(sid, node, sender, now)
 
     def _arm(self, sid: int, node: str, sender: SenderSession, now: int) -> None:
@@ -1065,8 +1073,8 @@ class Simulation:
 # and rank).  Plain functions, so a simulation is freed as soon as it is dropped.
 _EVENTS: dict[type, tuple[Callable[..., None], Callable[[Simulation, Any], bytes]]] = {
     LsaFlood: (Simulation._handle_lsa, lambda sim, e: sim._lsa_prefix[e.to_anchor, e.from_anchor] + e.lsa.encode()),
-    LinkHop: (Simulation._handle_hop, lambda sim, e: b"hop" + sim._segment_record(e.crossed, e.segment)),
-    NodeArrival: (Simulation._handle_arrival, lambda sim, e: b"arr" + sim._segment_record(e.node, e.segment)),
+    LinkHop: (Simulation._handle_hop, lambda sim, e: sim._segment_record(sim._hop_prefix(e.crossed), e)),
+    NodeArrival: (Simulation._handle_arrival, lambda sim, e: sim._segment_record(sim._arr_prefix(e.node), e)),
     SessionWake: (Simulation._session_wake,
                   lambda sim, e: b"wak" + e.sid.to_bytes(8, "big") + sim._name_bytes(e.node)),
     ScenarioAction: (Simulation._scenario_action, lambda sim, e: b"act" + e.index.to_bytes(8, "big")),

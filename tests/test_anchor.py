@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from anchornet.addressing import L3Locator
@@ -20,26 +22,24 @@ PATH = L5Path(0, ("host.h1", "anchor-a", "anchor-b", "host.h2"), 3, None)
 
 
 def data_segment(payload=b"x" * 100, pid=0, tag="atlas"):
-    return Segment(1, 0, pid, tag, PORT, payload)
+    return Segment(1, 0, pid, tag, payload)
 
 
 def test_forward_rewrites_to_next_hop():
     anchor = make_anchor()
     anchor.install_path(1, PATH)
-    hop, copy = anchor.forward(data_segment(), LOCATORS)
-    assert hop == "anchor-b"
-    assert copy.l3_dest == LOCATORS["anchor-b"]
-    assert copy.payload == b"x" * 100
+    segment = data_segment()
+    fields = dataclasses.astuple(segment)
+    assert anchor.forward(segment, LOCATORS) == ("anchor-b", LOCATORS["anchor-b"])
+    assert dataclasses.astuple(segment) == fields
 
 
 def test_forward_ack_retraces_reverse_entry():
     anchor = make_anchor()
     anchor.install_path(1, L5Path(0, ("host.h2", "anchor-b", "anchor-a", "host.h1"), 3, None))
     # an ack flowing back toward host.h2's side traverses prev-hop entries
-    ack = Segment(1, 0, 0, "atlas", PORT, b"", kind=SegmentKind.ACK, ack_cum=1)
-    hop, copy = anchor.forward(ack, LOCATORS)
-    assert hop == "anchor-b"
-    assert copy.l3_dest == LOCATORS["anchor-b"]
+    ack = Segment(1, 0, 0, "atlas", b"", kind=SegmentKind.ACK, ack_cum=1)
+    assert anchor.forward(ack, LOCATORS) == ("anchor-b", LOCATORS["anchor-b"])
 
 
 def test_unknown_session_counts_drop_and_emits_nothing():
@@ -79,7 +79,7 @@ def test_tag_report_is_per_tag():
     anchor.install_path(1, PATH)
     anchor.install_path(2, L5Path(1, ("host.h1", "anchor-a", "anchor-b"), 2, None))
     anchor.forward(data_segment(payload=b"z" * 10, tag="atlas"), LOCATORS)
-    seg = Segment(2, 0, 1, "cms", PORT, b"q" * 20)
+    seg = Segment(2, 0, 1, "cms", b"q" * 20)
     anchor.forward(seg, LOCATORS)
     report = anchor.tag_report()
     assert report["atlas"] == (1, 10)

@@ -45,9 +45,12 @@ def test_scale_probe_runs_session_churn_at_the_given_seed(scenario_dir):
 
 def test_scale_probe_times_each_setup_step_of_a_resized_failover_flood(scenario_dir):
     result = _probe(scenario_dir, "--anchors", "20")
-    assert set(result) == {"anchors", "parse_s", "build_s", "run_s", "events", "events_per_s", "peak_rss_mb"}
+    assert set(result) == {
+        "anchors", "parse_s", "build_s", "run_s", "report_s", "events", "events_per_s", "peak_rss_mb",
+    }
     assert result["anchors"] == 20
     assert result["parse_s"] > 0 and result["build_s"] > 0 and result["run_s"] > 0
+    assert 0 <= result["report_s"] <= result["run_s"]
     assert result["events"] > 0 and result["peak_rss_mb"] > 0
     # run_s is rounded to the millisecond, events_per_s to the event
     low, high = (result["events"] / (result["run_s"] + d) for d in (0.0005, -0.0005))

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import random
 
@@ -48,7 +47,7 @@ def drive(sender, until=10_000_000):
             emissions.append((at, segment))
             ack = Segment(
                 session_id=1, seq=segment.seq, path_id=segment.path_id, tag="atlas",
-                l3_dest=HOP_B, kind=SegmentKind.ACK, is_retransmit=segment.is_retransmit,
+                kind=SegmentKind.ACK, is_retransmit=segment.is_retransmit,
                 ack_cum=segment.seq + 1, ack_sacks=(),
             )
             sender.on_ack(ack, now + 1)
@@ -130,7 +129,7 @@ def test_ack_removes_from_retransmit_queue():
     sender = make_sender(n_paths=1, rates={0: 8}, total=2 * SEGMENT_PAYLOAD_BYTES)
     sender.schedule(0)
     assert 0 in sender.retx_deadline
-    ack = Segment(1, 0, 0, "atlas", HOP_B, kind=SegmentKind.ACK, ack_cum=1)
+    ack = Segment(1, 0, 0, "atlas", kind=SegmentKind.ACK, ack_cum=1)
     sender.on_ack(ack, 500)
     assert 0 not in sender.retx_deadline
     assert 0 in acked_seqs(sender)
@@ -139,7 +138,7 @@ def test_ack_removes_from_retransmit_queue():
 def test_duplicate_ack_is_idempotent():
     sender = make_sender(n_paths=1, rates={0: 8}, total=2 * SEGMENT_PAYLOAD_BYTES)
     sender.schedule(0)
-    ack = Segment(1, 0, 0, "atlas", HOP_B, kind=SegmentKind.ACK, ack_cum=1)
+    ack = Segment(1, 0, 0, "atlas", kind=SegmentKind.ACK, ack_cum=1)
     sender.on_ack(ack, 500)
     state = (acked_seqs(sender), dict(sender.retx_deadline), dict(sender.rtt_estimate_us))
     sender.on_ack(ack, 900)
@@ -149,11 +148,11 @@ def test_duplicate_ack_is_idempotent():
 def test_rtt_smoothing_seven_eighths():
     sender = make_sender(n_paths=1, rates={0: 8}, total=4 * SEGMENT_PAYLOAD_BYTES)
     (s0, _), = sender.schedule(0)
-    ack0 = Segment(1, 0, 0, "atlas", HOP_B, kind=SegmentKind.ACK, ack_cum=1)
+    ack0 = Segment(1, 0, 0, "atlas", kind=SegmentKind.ACK, ack_cum=1)
     sender.on_ack(ack0, 1000)  # first sample initializes
     assert sender.rtt_estimate_us[0] == 1000
     (s1, _), = sender.schedule(8192)
-    ack1 = Segment(1, 1, 0, "atlas", HOP_B, kind=SegmentKind.ACK, ack_cum=2)
+    ack1 = Segment(1, 1, 0, "atlas", kind=SegmentKind.ACK, ack_cum=2)
     sender.on_ack(ack1, 8192 + 2000)
     assert sender.rtt_estimate_us[0] == (7 * 1000 + 2000) // 8 == 1125
 
@@ -164,7 +163,7 @@ def test_retransmitted_seq_never_samples_rtt():
     deadline = sender.retx_deadline[0]
     sender.schedule(deadline + 10)  # retransmit seq 0
     assert 0 in sender._ever_retransmitted
-    ack = Segment(1, 0, 0, "atlas", HOP_B, kind=SegmentKind.ACK, is_retransmit=True, ack_cum=1)
+    ack = Segment(1, 0, 0, "atlas", kind=SegmentKind.ACK, is_retransmit=True, ack_cum=1)
     before = dict(sender.rtt_estimate_us)
     sender.on_ack(ack, deadline + 500)
     assert sender.rtt_estimate_us == before
@@ -202,7 +201,7 @@ def make_receiver(total=3 * SEGMENT_PAYLOAD_BYTES):
 
 
 def seg(seq, payload=None, pid=0):
-    return Segment(1, seq, pid, "atlas", HOP_A, payload or bytes([seq % 251]) * SEGMENT_PAYLOAD_BYTES)
+    return Segment(1, seq, pid, "atlas", payload or bytes([seq % 251]) * SEGMENT_PAYLOAD_BYTES)
 
 
 def test_reorder_buffer_delivers_prefix():
@@ -262,7 +261,7 @@ def test_delivery_is_prefix_of_stream_for_any_arrival_order(order):
     got = bytearray()
     for seq in order:
         delivered, _ = rx.on_receive(
-            Segment(1, seq, 0, "atlas", HOP_A, bytes([seq]) * SEGMENT_PAYLOAD_BYTES), 10
+            Segment(1, seq, 0, "atlas", bytes([seq]) * SEGMENT_PAYLOAD_BYTES), 10
         )
         got.extend(b"".join(delivered))
         assert stream.startswith(bytes(got))
@@ -391,47 +390,25 @@ def test_ack_floor_matches_rebuilt_range_under_reordering_and_loss():
 
 def test_segment_payload_bounds():
     with pytest.raises(ValueError):
-        Segment(1, 0, 0, "t", HOP_A, b"")
+        Segment(1, 0, 0, "t", b"")
     with pytest.raises(ValueError):
-        Segment(1, 0, 0, "t", HOP_A, b"x" * (SEGMENT_PAYLOAD_BYTES + 1))
+        Segment(1, 0, 0, "t", b"x" * (SEGMENT_PAYLOAD_BYTES + 1))
     with pytest.raises(ValueError):
-        Segment(1, 0, 0, "t", HOP_A, b"x", kind=SegmentKind.ACK)
+        Segment(1, 0, 0, "t", b"x", kind=SegmentKind.ACK)
 
 
 def test_segment_encoding_round_trip_stability():
-    s = Segment(7, 3, 1, "cms", HOP_A, b"abc", ack_cum=0)
-    assert s.encode() == s.encode()
-    s2 = Segment(7, 3, 1, "cms", HOP_A, b"abd", ack_cum=0)
-    assert s.encode() != s2.encode()
-
-
-@pytest.mark.parametrize(
-    "segment",
-    [
-        Segment(7, 3, 1, "cms", HOP_A, b"abc"),
-        Segment(7, 3, 1, "cms", HOP_A, b"abc", is_retransmit=True),
-        Segment(7, 3, 1, "cms", HOP_A, kind=SegmentKind.ACK, ack_cum=2, ack_sacks=(4, 6)),
-    ],
-    ids=["data", "retransmit", "ack-with-sacks"],
-)
-def test_readdressed_equals_replace_and_leaves_original(segment):
-    before = dataclasses.astuple(segment)
-    segment.header()  # a cached header must not go stale on the copy
-    copy = segment.readdressed(HOP_B)
-    assert copy == dataclasses.replace(segment, l3_dest=HOP_B)
-    assert dataclasses.astuple(copy) == dataclasses.astuple(
-        dataclasses.replace(segment, l3_dest=HOP_B)
-    )
-    assert copy.header() == dataclasses.replace(segment, l3_dest=HOP_B).header()
-    assert copy.encode() == dataclasses.replace(segment, l3_dest=HOP_B).encode()
-    assert dataclasses.astuple(segment) == before
-    assert segment.l3_dest == HOP_A
+    s = Segment(7, 3, 1, "cms", b"abc", ack_cum=0)
+    assert s.encode(HOP_A) == s.encode(HOP_A)
+    s2 = Segment(7, 3, 1, "cms", b"abd", ack_cum=0)
+    assert s.encode(HOP_A) != s2.encode(HOP_A)
+    assert s.encode(HOP_A) != s.encode(HOP_B)
 
 
 def test_encode_digests_the_payload():
-    s = Segment(7, 3, 1, "cms", HOP_A, b"abc" * 1000)
-    assert s.encode().endswith(hashlib.sha256(s.payload).digest())
-    assert len(s.encode()) < len(s.payload)
+    s = Segment(7, 3, 1, "cms", b"abc" * 1000)
+    assert s.encode(HOP_A).endswith(hashlib.sha256(s.payload).digest())
+    assert len(s.encode(HOP_A)) < len(s.payload)
 
 
 class _SortAndMinSender(SenderSession):

@@ -11,7 +11,7 @@ from anchornet import gateway, simnet
 from anchornet.addressing import L3Locator, ResolverTable
 from anchornet.allocator import Demand, DemandMatrix, domain_shares, water_fill
 from anchornet.gateway import synth_payload
-from anchornet.metrics import allocation_summary, canonical_json, compare, replay
+from anchornet.metrics import allocation_summary, canonical_json, compare, database_digests, replay
 from anchornet.scenario import load_scenario, parse_scenario
 from anchornet.session import SEGMENT_PAYLOAD_BYTES, PathRef, Segment, SegmentKind, SenderSession
 from anchornet.simnet import (
@@ -84,9 +84,9 @@ def _lossy_config():
 
 def test_seeded_loss_fraction_regression():
     sim = Simulation(_lossy_config())
-    segment = Segment(1, 0, 0, "t", L3Locator("d1", "y"), b"p" * SEGMENT_PAYLOAD_BYTES)
+    segment = Segment(1, 0, 0, "t", b"p" * SEGMENT_PAYLOAD_BYTES)
     for _ in range(10000):
-        sim._enter_link(segment, ("l1",), "a1", now=0)
+        sim._enter_link(segment, L3Locator("d1", "y"), ("l1",), "a1", now=0)
     counters = sim.link_counters["l1"]
     assert counters.transmitted == 10000
     fraction = counters.dropped / 10000
@@ -101,9 +101,9 @@ def test_zero_loss_consumes_no_randomness():
     sim = Simulation(build(raw))
     before = sim.queue.rng.random()
     sim2 = Simulation(build(raw))
-    segment = Segment(1, 0, 0, "t", L3Locator("d1", "y"), b"p" * 100)
+    segment = Segment(1, 0, 0, "t", b"p" * 100)
     for _ in range(50):
-        sim2._enter_link(segment, ("l1",), "a1", now=0)
+        sim2._enter_link(segment, L3Locator("d1", "y"), ("l1",), "a1", now=0)
     assert sim2.queue.rng.random() == before
 
 
@@ -191,10 +191,10 @@ def test_a_segment_sent_past_either_end_of_its_path_is_a_violation(fixture_paths
     hops, back = ("anchor-east", "relay-north"), ("relay-north", "anchor-east")
     sender = SenderSession(99, "atlas", [PathRef(0, hops, 1000, sim.legs[hops].dest)], {0: 1}, 8192)
     sim._claim((0, 99, 0), hops, sender, "probe:0")
-    ack = Segment(99, 0, 0, "atlas", sim.legs[hops].dest, kind=SegmentKind.ACK)
-    sim.transmit(ack, *hops, 0)
+    ack = Segment(99, 0, 0, "atlas", kind=SegmentKind.ACK)
+    sim.transmit(ack, sim.legs[hops].dest, *hops, 0)
     assert sim.l3_dest_violations == 1
-    sim.transmit(Segment(99, 0, 0, "atlas", sim.legs[back].dest, b"x"), *back, 0)
+    sim.transmit(Segment(99, 0, 0, "atlas", b"x"), sim.legs[back].dest, *back, 0)
     assert sim.l3_dest_violations == 2
 
 
@@ -209,15 +209,20 @@ def _dual_path_sending(fixture_paths):
     return sim, transfer.sid, pid
 
 
+def _pushed(sim, act):
+    """The events that ``act()`` pushes onto the simulation's queue."""
+    before = {id(entry) for entry in sim.queue._heap}
+    act()
+    return [entry[2] for entry in sim.queue._heap if id(entry) not in before]
+
+
 def _arrive(sim, sid, pid, kind, node, crossed="nw-trunk"):
     """A segment of (sid, pid) arriving at ``node``, handled as ``step``
     handles a NodeArrival.  Returns the events it pushed."""
     payload = b"x" if kind is SegmentKind.DATA else b""
-    segment = Segment(sid, 0, pid, "atlas", L3Locator("net", "pa"), payload, kind=kind)
-    before = {id(entry) for entry in sim.queue._heap}
+    event = NodeArrival(Segment(sid, 0, pid, "atlas", payload, kind=kind), L3Locator("net", "pa"), crossed, node)
     handle, _ = sim._events[NodeArrival]
-    handle(sim, NodeArrival(segment, crossed, node), sim.queue.now)
-    return [entry[2] for entry in sim.queue._heap if id(entry) not in before]
+    return _pushed(sim, lambda: handle(sim, event, sim.queue.now))
 
 
 @pytest.mark.parametrize("table, kind", [
@@ -248,6 +253,58 @@ def test_a_transit_copy_addressed_off_its_leg_is_a_violation(fixture_paths):
     assert sim.l3_dest_violations == 0
     assert len(_arrive(sim, sid, pid, SegmentKind.DATA, "relay-north")) == 1
     assert sim.l3_dest_violations == 1
+
+
+def test_a_sender_that_addresses_off_its_first_leg_is_a_violation(fixture_paths):
+    """Both paths leave caltech.h1 over its access leg; the one through
+    relay-north names the host's own port as its first hop."""
+    sim, sid, pid = _dual_path_sending(fixture_paths)
+    sender = sim.transfers[sid].sender
+    wrong = sim.legs[("anchor-west", "caltech.h1")].dest
+    sender.paths[pid] = dataclasses.replace(sender.paths[pid], first_hop=wrong)
+    pushed = _pushed(sim, lambda: sim._pump(sid, "caltech.h1", sender, sim.queue.now))
+    sent = sorted((event.segment.path_id, event.l3_dest) for event in pushed if isinstance(event, NodeArrival))
+    assert len(sent) == 2 and (pid, wrong) in sent  # one segment on each path
+    assert sim.l3_dest_violations == 1
+
+
+def test_a_receiver_that_acknowledges_off_its_reverse_leg_is_a_violation(fixture_paths):
+    """cern.h1 acknowledges toward anchor-east, to the locator its receiver
+    holds for the path: right once, then wrong."""
+    sim, sid, pid = _dual_path_sending(fixture_paths)
+    (ack,) = _arrive(sim, sid, pid, SegmentKind.DATA, "cern.h1", "e-access")
+    assert ack.l3_dest == sim.legs[("cern.h1", "anchor-east")].dest
+    assert sim.l3_dest_violations == 0
+    wrong = sim.legs[("anchor-east", "cern.h1")].dest
+    sim.receivers[(sid, "cern.h1")].set_reverse_hop(pid, wrong)
+    (ack,) = _arrive(sim, sid, pid, SegmentKind.DATA, "cern.h1", "e-access")
+    assert ack.l3_dest == wrong
+    assert sim.l3_dest_violations == 1
+
+
+def test_one_segment_object_crosses_every_hop(fixture_paths):
+    """Every arrival of one (session, seq, retransmission, kind) carries the
+    object its source built, with its fields as they were, and names the
+    locator of the leg it came over."""
+    sim = Simulation(load_scenario(fixture_paths["dual-path"]))
+    arrivals: dict[tuple, list] = {}
+    while sim.queue.peek_time() is not None and sim.queue.peek_time() <= sim.config.horizon_us:
+        event = sim.queue._heap[0][2]  # the event step() pops next
+        if isinstance(event, NodeArrival):
+            seg = event.segment
+            key = (seg.session_id, seg.seq, seg.is_retransmit, seg.kind)
+            arrivals.setdefault(key, []).append((seg, dataclasses.astuple(seg), event.l3_dest, event.node))
+        sim.step()
+    assert len(arrivals) == 2 * 256  # each segment of the lossless 2 MiB transfer, and its ACK
+    for (sid, _, _, kind), hops in arrivals.items():
+        segment, fields, _, _ = hops[0]
+        path = sim.path_hops[(sid, segment.path_id)]
+        if kind is SegmentKind.ACK:
+            path = path[::-1]
+        assert [node for *_, node in hops] == list(path[1:])
+        for (seg, seen, l3_dest, node), prev in zip(hops, path):
+            assert seg is segment and seen == fields == dataclasses.astuple(segment)
+            assert l3_dest == sim.legs[(prev, node)].dest
 
 
 def test_a_transit_segment_of_a_removed_path_is_dropped_without_an_event(fixture_paths):
@@ -589,6 +646,20 @@ def test_report_is_written_for_an_unreachable_subscriber(fixture_paths):
     assert canonical_json(report)
 
 
+def test_report_database_digests_are_each_anchors_own_digest():
+    """Stopped while the bootstrap flood is two hops out (500 us a hop):
+    gw-origin and gw-mid hold all four advertisements, while gw-far and
+    gw-side each still miss the other's.  Each memoized digest is the
+    anchor's own, and so is the report's."""
+    sim = Simulation(build(gateway_chain([], horizon_us=1200)))
+    report = sim.run()
+    digests = database_digests(sim)
+    assert digests == {name: anchor.db.digest() for name, anchor in sim.anchors.items()}
+    assert len(set(digests.values())) == 3 and digests["gw-origin"] == digests["gw-mid"]
+    assert {name: row["db_digest"] for name, row in report["anchors"].items()} == digests
+    assert report["topology"]["db_identical"] is False
+
+
 # -- allocation summary --------------------------------------------------------------
 
 
@@ -814,27 +885,39 @@ def _with_field(segment, name, value):
     return copy
 
 
+def _record(sim, event):
+    """The trace bytes ``step`` adds for ``event`` after its time and rank."""
+    _, encode = sim._events[type(event)]
+    return encode(sim, event)
+
+
 def test_hop_record_covers_every_header_field_the_destination_name_and_payload(fixture_paths):
     sim = Simulation(load_scenario(fixture_paths["dual-path"]))
     assert not sim._digests  # no session is open yet, so nothing is cached
-    data = Segment(7, 3, 1, "atlas", L3Locator("net", "pa"), b"abc" * 100, ack_cum=2)
-    ack = Segment(7, 3, 1, "atlas", L3Locator("net", "pa"), kind=SegmentKind.ACK,
-                  ack_cum=2, ack_sacks=(5, 9))
+    dest, other = L3Locator("net", "pa"), L3Locator("net", "pb")
+    data = Segment(7, 3, 1, "atlas", b"abc" * 100, ack_cum=2)
+    ack = Segment(7, 3, 1, "atlas", kind=SegmentKind.ACK, ack_cum=2, ack_sacks=(5, 9))
     changes = {
-        "session_id": 8, "seq": 4, "path_id": 2, "tag": "cms",
-        "l3_dest": L3Locator("net", "pb"), "is_retransmit": True, "ack_cum": 3,
-        "ack_sacks": (5, 10),
+        "session_id": 8, "seq": 4, "path_id": 2, "tag": "cms", "is_retransmit": True,
+        "ack_cum": 3, "ack_sacks": (5, 10),
     }
+
+    def hop(segment, crossed="link-1", l3_dest=dest):
+        return _record(sim, LinkHop(segment, l3_dest, crossed, ("link-2",), "relay-north"))
+
     for segment in (data, ack):
-        record = sim._segment_record("link-1", segment)
-        assert record == _pstr("link-1") + segment.encode()
-        assert sim._segment_record("link-2", segment) != record
+        record = hop(segment)
+        assert record == b"hop" + _pstr("link-1") + segment.encode(dest)
+        arrival = _record(sim, NodeArrival(segment, dest, "link-1", "relay-north"))
+        assert arrival == b"arr" + _pstr("relay-north") + segment.encode(dest)
+        assert hop(segment, crossed="link-2") != record
+        assert hop(segment, l3_dest=other) != record
         for name, value in changes.items():
-            assert sim._segment_record("link-1", _with_field(segment, name, value)) != record, name
+            assert hop(_with_field(segment, name, value)) != record, name
         flipped = SegmentKind.ACK if segment.kind is SegmentKind.DATA else SegmentKind.DATA
-        assert sim._segment_record("link-1", _with_field(segment, "kind", flipped)) != record
+        assert hop(_with_field(segment, "kind", flipped)) != record
     one_byte = _with_field(data, "payload", data.payload[:-1] + b"x")
-    assert sim._segment_record("link-1", one_byte) != sim._segment_record("link-1", data)
+    assert hop(one_byte) != hop(data)
 
 
 @pytest.mark.parametrize("name", ["dual-path", "transatlantic-pubsub", "two-domains-weighted"])
@@ -848,8 +931,8 @@ def test_cached_payload_digest_is_sha256_of_payload_while_session_is_active(fixt
             cached = sim._digests.get(segment.session_id, {}).get(segment.seq)
             reused += cached is not None
             assert sim._payload_digest(segment) == hashlib.sha256(segment.payload).digest()
-            record = sim._segment_record(event.crossed, segment)
-            assert record == _pstr(event.crossed) + segment.encode()
+            kind, name = (b"hop", event.crossed) if isinstance(event, LinkHop) else (b"arr", event.node)
+            assert _record(sim, event) == kind + _pstr(name) + segment.encode(event.l3_dest)
             checked += 1
         sim.step()
         active = {sid for sid, t in sim.transfers.items() if t.status == "active"}
