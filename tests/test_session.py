@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import random
 
@@ -403,6 +404,29 @@ def test_segment_encoding_round_trip_stability():
     s2 = Segment(7, 3, 1, "cms", b"abd", ack_cum=0)
     assert s.encode(HOP_A) != s2.encode(HOP_A)
     assert s.encode(HOP_A) != s.encode(HOP_B)
+
+
+@pytest.mark.parametrize(
+    "segment",
+    [
+        Segment(7, 3, 1, "cms", b"abc"),
+        Segment(7, 3, 1, "cms", b"abc", is_retransmit=True),
+        Segment(7, 3, 1, "cms", kind=SegmentKind.ACK, ack_cum=2, ack_sacks=(4, 6)),
+    ],
+    ids=["data", "retransmit", "ack-with-sacks"],
+)
+def test_readdressed_equals_replace_and_leaves_original(segment):
+    """Re-addressing a transmission changes only its locator: the record of
+    a segment whose header is already cached, sent toward another hop, is the
+    record of an equal segment built afresh, and the segment is unchanged."""
+    before = dataclasses.astuple(segment)
+    segment.encode(HOP_A)  # a cached header must not go stale for the next hop
+    fresh = dataclasses.replace(segment)
+    assert fresh == segment
+    assert segment.header() == fresh.header()
+    assert segment.encode(HOP_B) == fresh.encode(HOP_B)
+    assert segment.encode(HOP_B) != segment.encode(HOP_A)
+    assert dataclasses.astuple(segment) == before
 
 
 def test_encode_digests_the_payload():
