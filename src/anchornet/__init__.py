@@ -27,7 +27,6 @@ from .topology import (
     Adjacency,
     LinkStateAdvertisement,
     TopologyDatabase,
-    converge,
     originate_lsa,
 )
 
@@ -53,7 +52,6 @@ __all__ = [
     "Simulation",
     "TopologyDatabase",
     "build_tree",
-    "converge",
     "domain_shares",
     "k_disjoint_paths",
     "load_scenario",

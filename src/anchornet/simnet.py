@@ -448,7 +448,8 @@ class Simulation:
         self._check_repath(name, now)
 
     def _flood(self, sender: str, skip: Optional[str], lsa: LinkStateAdvertisement, now: int) -> None:
-        """Send ``lsa`` from ``sender`` to each of its anchor peers but ``skip``."""
+        """Send ``lsa`` from ``sender`` to each of its anchor peers but ``skip``.  A peer
+        is in ``_lsa_peers`` while its leg's links are all up (see ``_link_down``)."""
         push, sent = self.queue.push, 0
         for peer, latency in self._lsa_peers[sender]:
             if peer != skip:
@@ -1032,6 +1033,9 @@ class Simulation:
             if any(lid in leg.links for leg in legs.values())
         ]
         for name in affected:
+            # No link comes back up, so an advertisement never again crosses a leg through this one.
+            legs = self.out_legs[name]
+            self._lsa_peers[name] = [(v, lat) for v, lat in self._lsa_peers[name] if lid not in legs[v].links]
             self._originate(name, now)
 
     # -- allocation ------------------------------------------------------------------

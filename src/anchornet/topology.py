@@ -1,28 +1,29 @@
 """Link-state topology discovery for the overlay control plane.
 
-Every anchor periodically describes its adjacencies in a sequence-numbered
-advertisement and floods it to its peers; stale or duplicate advertisements
-are suppressed, so one origination crosses each adjacency at most once per
-direction.  At quiescence all anchors in a connected component hold
-byte-identical databases.  Deliberately single-area and deliberately much
+Every anchor describes its usable legs in a sequence-numbered advertisement,
+at start-up and whenever one of its links fails; ``Simulation._flood`` floods
+it to the anchor's peers over the legs whose links are all up.  Stale and
+duplicate advertisements are suppressed, so one origination crosses each
+adjacency at most once per direction.  At quiescence all anchors in a
+connected component hold byte-identical databases; an anchor cut off by a
+failed link keeps what it last heard.  Deliberately single-area and much
 simpler than an inter-domain path-vector protocol.
 
-Advertisements and databases are immutable, so their derived views -- the
-canonical encoding, the digest and the weighted graph -- are computed
-lazily, on first read, and cached on the object.  An anchor's
-``LinkStateStore`` accepts an advertisement in place and hands out immutable
-snapshots; ``has_edge`` reads one edge of the graph without building it.
+Advertisements and databases are immutable, so their derived views -- an
+advertisement's encoding, a database's digest and graph -- are computed
+lazily, on first read, and cached.  An anchor's ``LinkStateStore`` accepts
+an advertisement in place and hands out immutable snapshots; ``has_edge``
+reads one edge of the graph without building it.
 """
 
 from __future__ import annotations
 
 import hashlib
-from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from types import MappingProxyType
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
 from .addressing import as_fraction
 
@@ -91,7 +92,7 @@ class LinkStateAdvertisement:
 
     def encode(self) -> bytes:
         """Canonical byte form: fixed field order, big-endian integers,
-        length-prefixed strings.  Used for database equality and hashing."""
+        length-prefixed strings.  Hashed into the database digest."""
         return self._encoded
 
     @cached_property
@@ -160,13 +161,6 @@ class TopologyDatabase:
     def _with(self, lsa: LinkStateAdvertisement) -> "TopologyDatabase":
         return TopologyDatabase({**self.lsas, lsa.origin: lsa})
 
-    def encode(self) -> bytes:
-        return self._encoded
-
-    @cached_property
-    def _encoded(self) -> bytes:
-        return b"".join([self.lsas[origin].encode() for origin in sorted(self.lsas)])
-
     def digest(self) -> str:
         return self._digest
 
@@ -181,11 +175,11 @@ class TopologyDatabase:
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, TopologyDatabase):
-            return self.encode() == other.encode()
+            return self.digest() == other.digest()
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self.encode())
+        return hash(self.digest())
 
     @property
     def anchors(self) -> frozenset[str]:
@@ -236,53 +230,3 @@ class LinkStateStore(TopologyDatabase):
         store.lsas[lsa.origin] = lsa  # type: ignore[index]
         return store
 
-
-@dataclass
-class ConvergeResult:
-    databases: dict[str, TopologyDatabase]
-    transmissions: dict[tuple[str, int], int]
-    messages_processed: int
-
-
-def converge(configs: Mapping[str, Sequence[Adjacency]]) -> ConvergeResult:
-    """Flood every anchor's advertisement to quiescence over in-memory channels.
-
-    ``configs`` maps each anchor name to its adjacency legs; anchor-to-anchor
-    channels are exactly the legs whose neighbor is itself a configured
-    anchor.  Messages are processed in deterministic FIFO order; quiescence
-    is the empty message queue.  Partitioned components converge
-    independently.
-    """
-    anchors = sorted(configs)
-    anchor_set = set(anchors)
-    dbs: dict[str, TopologyDatabase] = {a: TopologyDatabase() for a in anchors}
-    peers = {
-        a: sorted({adj.neighbor for adj in configs[a] if adj.neighbor in anchor_set})
-        for a in anchors
-    }
-    transmissions: dict[tuple[str, int], int] = {}
-    queue: deque[tuple[str, str, LinkStateAdvertisement]] = deque()
-
-    def send(sender: str, receiver: str, lsa: LinkStateAdvertisement) -> None:
-        key = (lsa.origin, lsa.seq)
-        transmissions[key] = transmissions.get(key, 0) + 1
-        queue.append((sender, receiver, lsa))
-
-    states = {a: AnchorLinkState(a, tuple(configs[a])) for a in anchors}
-    for a in anchors:
-        states[a], lsa = originate_lsa(states[a])
-        dbs[a], _ = dbs[a].receive(lsa)
-        for peer in peers[a]:
-            send(a, peer, lsa)
-
-    processed = 0
-    while queue:
-        sender, receiver, lsa = queue.popleft()
-        processed += 1
-        dbs[receiver], flood = dbs[receiver].receive(lsa)
-        if flood:
-            for peer in peers[receiver]:
-                if peer != sender:
-                    send(receiver, peer, lsa)
-
-    return ConvergeResult(dbs, transmissions, processed)

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import json
-from typing import Any
+from typing import Any, Mapping, Sequence
 
 from anchornet.scenario import ScenarioConfig, parse_scenario
+from anchornet.simnet import Simulation
+from anchornet.topology import Adjacency
 
 
 def build(raw: dict[str, Any]) -> ScenarioConfig:
@@ -126,3 +128,40 @@ def gateway_chain(events: list[dict[str, Any]], *, seed: int = 9, horizon_us: in
         "policy": [{"tag": "cms", "weight": 1}],
         "events": events,
     }
+
+
+def flood_run(configs: Mapping[str, Sequence[Adjacency]], events: Sequence[dict[str, Any]] = ()) -> Simulation:
+    """Run per-anchor adjacency legs, as ``oracles.random_connected_adjacency``
+    gives them, as a scenario with ``events``; return the simulation after its run.
+
+    Each adjacency becomes one domain named by its ``domain_id``, with one
+    attachment per anchor (named by the anchor), one link of the adjacency's
+    capacity and latency (with the domain's id) and one peering.  An anchor
+    with no adjacency gets a one-attachment domain of its own.
+    """
+    domains, links = [], []
+    ports: dict[str, list[dict[str, str]]] = {name: [] for name in configs}
+    peers: dict[str, list[dict[str, str]]] = {name: [] for name in configs}
+    for u in sorted(configs):
+        for adj in configs[u]:
+            v, dom = adj.neighbor, adj.domain_id
+            if u < v:
+                domains.append({"id": dom, "attachments": [u, v]})
+                links.append({"id": dom, "domain": dom, "endpoints": [u, v],
+                              "capacity_mbps": int(adj.capacity_mbps), "latency_us": adj.latency_us})
+                ports[u].append({"domain": dom, "attachment": u})
+                ports[v].append({"domain": dom, "attachment": v})
+                peers[u].append({"anchor": v, "domain": dom})
+        if not configs[u]:
+            domains.append({"id": f"solo-{u}", "attachments": [u]})
+            ports[u].append({"domain": f"solo-{u}", "attachment": u})
+    sim = Simulation(build({
+        "name": "flood-run",
+        "domains": domains,
+        "links": links,
+        "anchors": [{"name": name, "ports": ports[name], "peers": peers[name]} for name in sorted(configs)],
+        "policy": [{"tag": "ops", "weight": 1}],
+        "events": list(events),
+    }))
+    sim.run()
+    return sim

@@ -17,7 +17,6 @@ from anchornet.metrics import canonical_json, compare
 from anchornet.pathfinder import k_disjoint_paths
 from anchornet.scenario import MODE_BASELINE, load_scenario
 from anchornet.simnet import run_scenario
-from anchornet.topology import converge
 from oracles import (
     bisect_water_fill,
     db_from_edges,
@@ -27,7 +26,7 @@ from oracles import (
     random_fill_instance,
     reference_k_disjoint,
 )
-from scenario_builders import build, three_path_lossy
+from scenario_builders import build, flood_run, three_path_lossy
 
 
 def _timed(config, **kw):
@@ -105,22 +104,27 @@ def test_criterion_2_water_filling_oracle():
     _ok(2, f"500 instances match the bisection oracle within 1e-9 ({elapsed:.1f}s)")
 
 
-def test_criterion_3_topology_convergence():
+def test_criterion_3_topology_convergence(runs):
     start = time.perf_counter()
     rng = random.Random(3033)
     for trial in range(100):
         configs = random_connected_adjacency(rng, max_nodes=20)
         edges = sum(len(v) for v in configs.values()) // 2
-        result = converge(configs)
-        digests = {db.digest() for db in result.databases.values()}
-        assert len(digests) == 1, trial
+        sim = flood_run(configs)
+        digests = {name: anchor.db.digest() for name, anchor in sim.anchors.items()}
+        assert len(set(digests.values())) == 1, trial
         expected = flood_fixpoint(configs)
-        assert all(result.databases[n] == expected[n] for n in configs), trial
-        for (origin, seq), count in result.transmissions.items():
+        assert all(digests[n] == expected[n].digest() for n in configs), trial
+        for (origin, seq), count in sim.lsa_tx.items():
             assert count <= 2 * edges, (trial, origin, seq, count)
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0
-    _ok(3, f"100 random graphs converge byte-identically within 2x|edges| ({elapsed:.1f}s)")
+    flooding = runs["flooding"][0]["topology"]
+    assert flooding["db_identical"] is True
+    assert flooding["max_transmissions_per_origination"] <= 2 * flooding["adjacency_count"], flooding
+    _ok(3, f"100 random graphs converge byte-identically within 2x|edges| ({elapsed:.1f}s); "
+           f"flooding-20: {flooding['max_transmissions_per_origination']} transmissions "
+           f"<= 2x{flooding['adjacency_count']}")
 
 
 def test_criterion_4_pathfinder_oracle():

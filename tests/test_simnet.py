@@ -369,10 +369,10 @@ class _CountedRepaths(Simulation):
 
 
 # The benchmark's failover-flood workload on 40 anchors and 20 chords at seeds 1 and 2,
-# pinned before flooding updated each anchor's database in place.
+# pinned once advertisements crossed only legs whose links are all up.
 _FAILOVER_FLOOD_TRACES = {
-    1: "698fa63d05a35bc17fa0d154a17a2c903929912ef4a1649da2c8dc17c8333f56",
-    2: "3ef477b9493b2a854f29d4c8983ebba8cda6f82de52b10f84233c28e532c701d",
+    1: "80813dd7413ceb07a86b25cec28ab55aa174132ff295dbcbb20f33e5648181e6",
+    2: "a5461e3333dc15137c4515c6ded8451609919462b1db95ec12230913a7e340a3",
 }
 
 
@@ -660,6 +660,21 @@ def test_report_database_digests_are_each_anchors_own_digest():
     assert report["topology"]["db_identical"] is False
 
 
+def test_an_advertisement_never_crosses_a_failed_link():
+    """trunk-os, gw-side's only leg, fails at 1,000 us, when gw-far's first
+    advertisement is one hop short of gw-side.  gw-origin and gw-side each
+    advertise again; gw-origin's new advertisement reaches gw-mid and gw-far,
+    and neither new one crosses the cut."""
+    sim = Simulation(build(gateway_chain([{"time_us": 1000, "kind": "link_down", "link": "trunk-os"}])))
+    report = sim.run()
+    seqs = {name: {o: lsa.seq for o, lsa in anchor.db.lsas.items()} for name, anchor in sim.anchors.items()}
+    rest = {"gw-far": 1, "gw-mid": 1, "gw-origin": 2, "gw-side": 1}
+    assert seqs == {"gw-far": rest, "gw-mid": rest, "gw-origin": rest,
+                    "gw-side": {"gw-mid": 1, "gw-origin": 1, "gw-side": 2}}
+    assert {key: n for key, n in sim.lsa_tx.items() if key[1] == 2} == {("gw-origin", 2): 2}
+    assert report["topology"]["db_identical"] is False
+
+
 # -- allocation summary --------------------------------------------------------------
 
 
@@ -786,15 +801,15 @@ def test_replayed_report_is_the_v1_report(fixture_paths, name):
 RUN_TRACE_HASHES = {
     "repath": (
         lambda paths: run_scenario(_BUILT["repath"]()),
-        "cd130d1a6b0fa1fa55474638aaf7dd029a9e2bbab719710deef2f2e67a6285b2",
+        "defda3634c980581c539b38876523abe412a213ee4eda81b5211369bdb059301",
     ),
     "no-path": (
         lambda paths: run_scenario(_BUILT["no-path"]()),
-        "1593e3f752079842f9b061eb5b80f177f26ef7d1478311c64a2a1e92affd5d64",
+        "f933a1c5e27d0b2f1c7d052d7881069eff929ef66c2148be1f7311664bb6ed39",
     ),
     "dual-path-failover-baseline": (
         lambda paths: run_scenario(_dual_path_losing_nw_trunk(paths), mode="baseline-single-path"),
-        "2fc8ed801556c5c143c82501bd43d92f7f934d7c45f046dba1ec98787b0c68ce",
+        "de4b6dd69823eb5674445836934984e727c606fc2c07c93f29bbace3d419f599",
     ),
     "transatlantic-pubsub-baseline": (
         lambda paths: run_scenario(
@@ -837,9 +852,9 @@ MERSENNE_V1_REPORT_HASHES = {
     "two-domains-weighted": "f3ce01b234e9100914faeb2d7c04fe33cebed8696386012a74e2fa3f04d16f35",
 }
 MERSENNE_RUN_TRACE_HASHES = {
-    "repath": "1bafb53bf9ff757d09dcf10caad8f1c0c3c5775e19d0fab4e8de4bcad1d734d8",
-    "no-path": "1b28adde91758a7fe1cfa20282fc553cc2a2af6c03065b293ab08e79fafe1580",
-    "dual-path-failover-baseline": "3b0c68a5234657986d19a40a8c4f04990f7892145cb8cb5689fa40dde31554ad",
+    "repath": "958c8e53a48336cdacd644f7d4c923dda0b251df7363fd867f178006ca6dd2e1",
+    "no-path": "b3c17c94a58396f6de5ae257d09596d6c4226f18c424a8131b56ff27bc2c9958",
+    "dual-path-failover-baseline": "dca82a13de816707ab89d7d4d877e0cd6b8338289d0c4197effc7ad9ee03aa98",
     "transatlantic-pubsub-baseline": "46fb5b1e4e81289e0005137497b659503e741eb8926852e925d6a20eb8363d83",
     "pubsub-mid-stream-join": "96d4467abe1d69578edcf6b7d5eb3031ddce2116e999d79b2df7b288870faa05",
 }

@@ -13,11 +13,11 @@ from anchornet.topology import (
     LinkStateAdvertisement,
     LsaContentMismatch,
     TopologyDatabase,
-    converge,
     has_edge,
     originate_lsa,
 )
 from oracles import flood_fixpoint, random_connected_adjacency
+from scenario_builders import flood_run
 
 
 def adj(neighbor, cap=100, lat=100, domain="net"):
@@ -115,29 +115,46 @@ def test_graph_is_read_only():
 
 
 def _fresh_views(db):
-    """Graph, encoding and digest of ``db`` computed on new, uncached objects."""
+    """Graph and digest of ``db`` computed on new, uncached objects."""
     lsas = {
         origin: LinkStateAdvertisement(lsa.origin, lsa.seq, lsa.adjacencies)
         for origin, lsa in db.lsas.items()
     }
     copy = TopologyDatabase(lsas)
     encoded = b"".join(lsas[origin].encode() for origin in sorted(lsas))
-    return dict(copy.graph()), encoded, hashlib.sha256(encoded).hexdigest()
+    return dict(copy.graph()), hashlib.sha256(encoded).hexdigest()
 
 
 def _views(db):
-    return dict(db.graph()), db.encode(), db.digest()
+    return dict(db.graph()), db.digest()
+
+
+def _databases(sim):
+    return {name: anchor.db for name, anchor in sim.anchors.items()}
+
+
+def _seqs(db):
+    return {origin: lsa.seq for origin, lsa in db.lsas.items()}
+
+
+def _line(*names):
+    """Adjacency legs of anchors joined in a line, one domain per adjacency."""
+    configs = {name: [] for name in names}
+    for u, v in zip(names, names[1:]):
+        configs[u].append(adj(v, domain=f"net-{u}-{v}"))
+        configs[v].append(adj(u, domain=f"net-{u}-{v}"))
+    return configs
 
 
 def test_cached_views_match_fresh_computation():
     rng = random.Random(17)
     for _ in range(20):
         configs = random_connected_adjacency(rng, max_nodes=12)
-        result = converge(configs)
-        # Replay the converged advertisements into one database in a random
+        databases = _databases(flood_run(configs))
+        # Replay the flooded advertisements into one database in a random
         # order, reading every view of each intermediate database so that
         # its cache is filled before the next one is derived from it.
-        lsas = list(next(iter(result.databases.values())).lsas.values())
+        lsas = list(next(iter(databases.values())).lsas.values())
         rng.shuffle(lsas)
         db = TopologyDatabase()
         history = [db]
@@ -145,44 +162,46 @@ def test_cached_views_match_fresh_computation():
             _views(db)
             db, _ = db.receive(lsa)
             history.append(db)
-        for db in history + list(result.databases.values()):
+        for db in history + list(databases.values()):
             fresh = _fresh_views(db)
             assert _views(db) == fresh
             assert _views(db) == fresh  # second read comes from the cache
 
 
 def test_three_anchor_line_converges():
-    configs = {
-        "a": [adj("b")],
-        "b": [adj("a"), adj("c")],
-        "c": [adj("b")],
-    }
-    result = converge(configs)
-    dbs = set(db.digest() for db in result.databases.values())
-    assert len(dbs) == 1
-    assert set(result.databases["a"].lsas) == {"a", "b", "c"}
+    databases = _databases(flood_run(_line("a", "b", "c")))
+    assert len({db.digest() for db in databases.values()}) == 1
+    assert set(databases["a"].lsas) == {"a", "b", "c"}
 
 
 def test_partitioned_components_converge_independently():
-    configs = {
-        "a": [adj("b")],
-        "b": [adj("a")],
-        "c": [],
-    }
-    result = converge(configs)
-    assert set(result.databases["a"].lsas) == {"a", "b"}
-    assert result.databases["a"] == result.databases["b"]
-    assert set(result.databases["c"].lsas) == {"c"}
+    configs = {**_line("a", "b"), "c": []}
+    sim = flood_run(configs)
+    databases = _databases(sim)
+    assert set(databases["a"].lsas) == {"a", "b"}
+    assert databases["a"] == databases["b"]
+    assert set(databases["c"].lsas) == {"c"}
+    assert sim.lsa_tx == {("a", 1): 1, ("b", 1): 1}
+
+    # A failed link cuts the line a - b - c in two: b and c each advertise
+    # again, and each new advertisement stays on its own side of the cut.
+    sim = flood_run(_line("a", "b", "c"), [{"time_us": 10_000, "kind": "link_down", "link": "net-b-c"}])
+    databases = _databases(sim)
+    assert databases["a"] == databases["b"] != databases["c"]
+    assert _seqs(databases["b"]) == {"a": 1, "b": 2, "c": 1}
+    assert _seqs(databases["c"]) == {"a": 1, "b": 1, "c": 2}
+    assert databases["c"].lsas["c"].adjacencies == ()
+    assert {key: n for key, n in sim.lsa_tx.items() if key[1] == 2} == {("b", 2): 1}
 
 
 def test_converge_matches_flood_fixpoint_oracle():
     rng = random.Random(99)
     for _ in range(25):
         configs = random_connected_adjacency(rng, max_nodes=12)
-        result = converge(configs)
+        sim = flood_run(configs)
         expected = flood_fixpoint(configs)
         for name in configs:
-            assert result.databases[name] == expected[name], name
+            assert sim.anchors[name].db.digest() == expected[name].digest(), name
 
 
 def test_transmission_bound_per_origination():
@@ -190,28 +209,28 @@ def test_transmission_bound_per_origination():
     for _ in range(25):
         configs = random_connected_adjacency(rng, max_nodes=12)
         edges = sum(len(v) for v in configs.values()) // 2
-        result = converge(configs)
-        for (origin, seq), count in result.transmissions.items():
+        sim = flood_run(configs)
+        for (origin, seq), count in sim.lsa_tx.items():
             assert count <= 2 * edges, (origin, seq, count, edges)
 
 
 def test_converge_is_deterministic():
     rng = random.Random(13)
     configs = random_connected_adjacency(rng, max_nodes=15)
-    one = converge(configs)
-    two = converge(configs)
-    assert {n: d.digest() for n, d in one.databases.items()} == {
-        n: d.digest() for n, d in two.databases.items()
+    one = flood_run(configs)
+    two = flood_run(configs)
+    assert {n: d.digest() for n, d in _databases(one).items()} == {
+        n: d.digest() for n, d in _databases(two).items()
     }
-    assert one.transmissions == two.transmissions
+    assert one.lsa_tx == two.lsa_tx
+    assert one._trace.hexdigest() == two._trace.hexdigest()
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=0, max_value=2**31))
 def test_random_graph_convergence_property(seed):
     configs = random_connected_adjacency(random.Random(seed), max_nodes=10)
-    result = converge(configs)
-    digests = {d.digest() for d in result.databases.values()}
+    digests = {db.digest() for db in _databases(flood_run(configs)).values()}
     assert len(digests) == 1  # generator always produces one component
 
 
