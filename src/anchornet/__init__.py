@@ -23,12 +23,7 @@ from .pubsub import DistributionTree, build_tree
 from .scenario import ScenarioConfig, load_scenario, parse_scenario, validate_text
 from .session import ReceiverSession, Segment, SenderSession
 from .simnet import Simulation, run_scenario
-from .topology import (
-    Adjacency,
-    LinkStateAdvertisement,
-    TopologyDatabase,
-    originate_lsa,
-)
+from .topology import Adjacency, LinkStateAdvertisement, TopologyDatabase
 
 __version__ = "0.1.0"
 
@@ -55,7 +50,6 @@ __all__ = [
     "domain_shares",
     "k_disjoint_paths",
     "load_scenario",
-    "originate_lsa",
     "parse_address",
     "parse_scenario",
     "run_scenario",

@@ -16,7 +16,7 @@ from .addressing import L3Locator
 from .gateway import GatewayCatalog
 from .pathfinder import L5Path
 from .session import ACK, Segment
-from .topology import AnchorLinkState, LinkStateStore, TopologyDatabase
+from .topology import LinkStateStore
 
 
 class NotOnPath(ValueError):
@@ -25,32 +25,23 @@ class NotOnPath(ValueError):
 
 @dataclass
 class Anchor:
-    """One anchor point's mutable control and data plane state.  Its link-state
-    ``store`` is written in place and replaced by what its ``receive`` returns;
-    ``db`` is a snapshot of it that no later advertisement changes."""
+    """One anchor point's mutable control and data plane state.  Its one
+    link-state database ``db`` holds its own advertisement among the others
+    and takes each newer one in place."""
 
     name: str
     ports: tuple[L3Locator, ...]
-    link_state: AnchorLinkState = None  # type: ignore[assignment]
-    store: LinkStateStore = field(default_factory=LinkStateStore)
+    db: LinkStateStore = field(default_factory=LinkStateStore)
     next_hop: dict[tuple[int, int], str] = field(default_factory=dict)
     prev_hop: dict[tuple[int, int], str] = field(default_factory=dict)
     counters: dict[str, list[int]] = field(default_factory=dict)
     dropped_unknown: int = 0
     catalog: Optional[GatewayCatalog] = None
 
-    def __post_init__(self) -> None:
-        if self.link_state is None:
-            self.link_state = AnchorLinkState(self.name)
-
     def primary_port(self) -> L3Locator:
         return min(self.ports)
 
     # -- control plane ------------------------------------------------------
-
-    @property
-    def db(self) -> TopologyDatabase:
-        return self.store.snapshot()
 
     def install_path(self, session_id: int, path: L5Path) -> None:
         """Program forwarding for one (session, path): data toward the

@@ -224,7 +224,7 @@ def database_digests(sim: Simulation) -> dict[str, str]:
     memo: dict[frozenset[tuple[str, int]], str] = {}
     digests = {}
     for name, anchor in sim.anchors.items():
-        lsas = anchor.store.lsas
+        lsas = anchor.db.lsas
         key = frozenset(zip(lsas, map(attrgetter("seq"), lsas.values())))
         if key not in memo:
             memo[key] = anchor.db.digest()

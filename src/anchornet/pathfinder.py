@@ -89,7 +89,7 @@ def k_disjoint_paths(db: TopologyDatabase, src: str, dst: str, k: int) -> list[L
     for name in (src, dst):
         if name not in graph:
             raise ValueError(f"node {name!r} not present in topology")
-    anchors = db.anchors
+    anchors = db.lsas
     banned: set[frozenset[str]] = set()
 
     def neighbours(node: str) -> Iterator[tuple[str, int]]:

@@ -56,12 +56,12 @@ class DistributionTree:
 def anchor_of(db: TopologyDatabase, name: str) -> str:
     """The attachment anchor of a node: itself if it is an anchor, else the
     single anchor its access leg hangs off."""
-    if name in db.anchors:
+    if name in db.lsas:
         return name
     graph = db.graph()
     if name not in graph:
         raise ValueError(f"node {name!r} not present in topology")
-    uplinks = sorted({adj.neighbor for adj in graph[name] if adj.neighbor in db.anchors})
+    uplinks = sorted({adj.neighbor for adj in graph[name] if adj.neighbor in db.lsas})
     if not uplinks:
         raise ValueError(f"host {name!r} has no anchor uplink")
     return uplinks[0]
@@ -80,7 +80,7 @@ def _cost_tree_paths(
     per node, so the union of the returned paths is a tree.  Subscribers
     whose anchors the search cannot reach are reported together.
     """
-    anchors = db.anchors
+    anchors = db.lsas
     graph = db.graph()
     root = anchor_of(db, publisher)
     sub_anchors = {sub: anchor_of(db, sub) for sub in sorted(subscribers)}

@@ -56,7 +56,7 @@ from .session import (
     SenderSession,
     locator_bytes,
 )
-from .topology import Adjacency, AnchorLinkState, LinkStateAdvertisement, _pstr, has_edge, originate_lsa
+from .topology import Adjacency, LinkStateAdvertisement, _pstr, has_edge
 
 TRACE_SALT = b"anchornet-trace-v2"
 _STAMP = struct.Struct(">QQ")  # time, insertion rank
@@ -440,10 +440,11 @@ class Simulation:
             self._originate(name, 0)
 
     def _originate(self, name: str, now: int) -> None:
-        anchor = self.anchors[name]
-        anchor.link_state = AnchorLinkState(name, self._anchor_adjacencies(name), anchor.link_state.seq)
-        anchor.link_state, lsa = originate_lsa(anchor.link_state)
-        anchor.store, _ = anchor.store.receive(lsa)
+        db = self.anchors[name].db
+        # Names are unique, so only this anchor writes its own entry: the seq advances by one.
+        own = db.lsas.get(name)
+        lsa = LinkStateAdvertisement(name, (own.seq if own else 0) + 1, self._anchor_adjacencies(name))
+        db.receive(lsa)
         self._flood(name, None, lsa, now)
         self._check_repath(name, now)
 
@@ -459,8 +460,7 @@ class Simulation:
             self.lsa_tx[lsa.origin, lsa.seq] = self.lsa_tx.get((lsa.origin, lsa.seq), 0) + sent
 
     def _handle_lsa(self, event: LsaFlood, now: int) -> None:
-        anchor = self.anchors[event.to_anchor]
-        anchor.store, flood = anchor.store.receive(event.lsa)
+        _, flood = self.anchors[event.to_anchor].db.receive(event.lsa)
         if flood:
             self._flood(event.to_anchor, event.from_anchor, event.lsa, now)
             self._check_repath(event.to_anchor, now)
@@ -811,7 +811,7 @@ class Simulation:
         homed = self._homed.get(anchor_name)
         if not homed:
             return
-        lsas = self.anchors[anchor_name].store.lsas
+        lsas = self.anchors[anchor_name].db.lsas
         for transfer in list(homed.values()):
             if any(not has_edge(lsas, u, v) for path in transfer.used for u, v in zip(path.hops, path.hops[1:])):
                 self._repath(transfer, now)
@@ -1027,7 +1027,10 @@ class Simulation:
             self._link_down(fields["link"], now)
 
     def _link_down(self, lid: str, now: int) -> None:
-        self.link_entries[lid].up = False
+        entry = self.link_entries[lid]
+        if not entry.up:  # already down: every anchor's advertisement already says so
+            return
+        entry.up = False
         affected = [
             name for name, legs in sorted(self.out_legs.items())
             if any(lid in leg.links for leg in legs.values())

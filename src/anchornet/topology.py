@@ -9,11 +9,11 @@ connected component hold byte-identical databases; an anchor cut off by a
 failed link keeps what it last heard.  Deliberately single-area and much
 simpler than an inter-domain path-vector protocol.
 
-Advertisements and databases are immutable, so their derived views -- an
-advertisement's encoding, a database's digest and graph -- are computed
-lazily, on first read, and cached.  An anchor's ``LinkStateStore`` accepts
-an advertisement in place and hands out immutable snapshots; ``has_edge``
-reads one edge of the graph without building it.
+Derived views -- an advertisement's encoding, a database's digest and
+graph -- are computed lazily, on first read, and cached.  A
+``TopologyDatabase`` is an immutable value; an anchor's ``LinkStateStore``
+replaces each advertisement in place and drops its cached views when it
+does.  ``has_edge`` reads one edge of the graph without building it.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from types import MappingProxyType
-from typing import Mapping, Optional
+from typing import Mapping
 
 from .addressing import as_fraction
 
@@ -104,25 +104,6 @@ class LinkStateAdvertisement:
         return body
 
 
-@dataclass(frozen=True)
-class AnchorLinkState:
-    """Per-anchor origination state: own name, last emitted seq, current legs."""
-
-    origin: str
-    adjacencies: tuple[Adjacency, ...] = ()
-    seq: int = 0
-
-
-def originate_lsa(state: AnchorLinkState) -> tuple[AnchorLinkState, LinkStateAdvertisement]:
-    """Emit a fresh advertisement reflecting the anchor's current port state.
-
-    The sequence number advances by one on every origination, including
-    re-originations after a link failure.
-    """
-    lsa = LinkStateAdvertisement(state.origin, state.seq + 1, state.adjacencies)
-    return AnchorLinkState(state.origin, state.adjacencies, lsa.seq), lsa
-
-
 def has_edge(lsas: Mapping[str, LinkStateAdvertisement], u: str, v: str) -> bool:
     """Whether ``TopologyDatabase(lsas).graph()`` has ``u -> v``: ``u`` advertises
     ``v``, or ``u`` advertises nothing and ``v`` advertises ``u`` (a host's mirror edge)."""
@@ -181,10 +162,6 @@ class TopologyDatabase:
     def __hash__(self) -> int:
         return hash(self.digest())
 
-    @property
-    def anchors(self) -> frozenset[str]:
-        return frozenset(self.lsas)
-
     def graph(self) -> Mapping[str, tuple[Adjacency, ...]]:
         """Derived digraph of anchors and hosts, read-only and shared by
         every caller.
@@ -214,19 +191,11 @@ class TopologyDatabase:
 
 class LinkStateStore(TopologyDatabase):
     """One anchor's database: a dict that the inherited ``receive``, with its one
-    rule, updates in place.  ``snapshot()`` shares the dict; the first
-    advertisement accepted after it goes into a copy, returned as a new store,
-    so no snapshot ever changes.  Route from a snapshot, never from the store."""
-
-    _snapshot: Optional[TopologyDatabase] = None
-
-    def snapshot(self) -> TopologyDatabase:
-        if self._snapshot is None:
-            self._snapshot = TopologyDatabase(self.lsas)
-        return self._snapshot
+    rule, updates in place.  Each accepted advertisement drops the cached digest
+    and graph, so every view is of the current contents."""
 
     def _with(self, lsa: LinkStateAdvertisement) -> "LinkStateStore":
-        store = self if self._snapshot is None else LinkStateStore(dict(self.lsas))
-        store.lsas[lsa.origin] = lsa  # type: ignore[index]
-        return store
-
+        self.lsas[lsa.origin] = lsa  # type: ignore[index]
+        self.__dict__.pop("_digest", None)
+        self.__dict__.pop("_graph", None)
+        return self

@@ -439,6 +439,23 @@ def test_link_down_triggers_repath_and_completion(fixture_paths):
     assert report["links"]["nw-trunk"]["up"] is False
 
 
+def test_a_repeated_link_down_advertises_nothing_new(fixture_paths):
+    """nw-trunk fails at 20 ms and is reported failed again at 30 ms: the
+    second report changes no advertisement, so nothing is flooded again."""
+    raw = json.loads(fixture_paths["dual-path"].read_text())
+    runs = []
+    for times in ([20_000], [20_000, 30_000]):
+        events = [{"time_us": t, "kind": "link_down", "link": "nw-trunk"} for t in times]
+        sim = Simulation(parse_scenario(json.dumps({**raw, "events": raw["events"] + events})))
+        runs.append((sim, sim.run()))
+    (once, once_report), (twice, twice_report) = runs
+    assert {key: n for key, n in twice.lsa_tx.items() if key[1] > 1} == {
+        ("anchor-west", 2): 3, ("relay-north", 2): 3,
+    }
+    assert twice.lsa_tx == once.lsa_tx
+    assert twice_report["sessions"] == once_report["sessions"]
+
+
 def test_flooding_without_sessions_never_builds_a_graph(fixture_paths, monkeypatch):
     calls = []
     graph = TopologyDatabase.graph

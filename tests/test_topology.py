@@ -9,12 +9,10 @@ from hypothesis import given, settings, strategies as st
 from anchornet.anchor import Anchor
 from anchornet.topology import (
     Adjacency,
-    AnchorLinkState,
     LinkStateAdvertisement,
     LsaContentMismatch,
     TopologyDatabase,
     has_edge,
-    originate_lsa,
 )
 from oracles import flood_fixpoint, random_connected_adjacency
 from scenario_builders import flood_run
@@ -22,27 +20,6 @@ from scenario_builders import flood_run
 
 def adj(neighbor, cap=100, lat=100, domain="net"):
     return Adjacency(neighbor, Fraction(cap), lat, domain)
-
-
-def test_originate_reflects_configuration():
-    state = AnchorLinkState("a", (adj("b"), adj("c")))
-    state, lsa = originate_lsa(state)
-    assert lsa.seq == 1
-    assert {a.neighbor for a in lsa.adjacencies} == {"b", "c"}
-
-
-def test_originate_increments_seq():
-    state = AnchorLinkState("a", (adj("b"),))
-    state, first = originate_lsa(state)
-    state, second = originate_lsa(state)
-    assert (first.seq, second.seq) == (1, 2)
-
-
-def test_isolated_anchor_originates_empty_lsa():
-    state, lsa = originate_lsa(AnchorLinkState("a"))
-    assert lsa.adjacencies == ()
-    db, flood = TopologyDatabase().receive(lsa)
-    assert flood and db.lsas["a"] is lsa
 
 
 def test_receive_new_origin_floods():
@@ -181,6 +158,9 @@ def test_partitioned_components_converge_independently():
     assert set(databases["a"].lsas) == {"a", "b"}
     assert databases["a"] == databases["b"]
     assert set(databases["c"].lsas) == {"c"}
+    # The isolated anchor originates once, with no adjacencies, and sends nothing.
+    assert _seqs(databases["c"]) == {"c": 1}
+    assert databases["c"].lsas["c"].adjacencies == ()
     assert sim.lsa_tx == {("a", 1): 1, ("b", 1): 1}
 
     # A failed link cuts the line a - b - c in two: b and c each advertise
@@ -263,36 +243,35 @@ def test_has_edge_reads_the_graph_without_building_it(seed):
             assert has_edge(lsas, u, v) == (v in neighbours), (u, v)
 
 
-# One receipt: origin, seq, which of two adjacency sets, and whether to take a
-# snapshot of the anchor's database first.
+# One receipt: origin, seq, which of two adjacency sets, and whether to read the
+# anchor's database views after it.
 _RECEIPTS = st.lists(
     st.tuples(st.sampled_from("abc"), st.integers(1, 4), st.booleans(), st.booleans()), max_size=40
 )
 
 
+def _check_views(store):
+    fresh = TopologyDatabase(dict(store.lsas))
+    assert _views(store) == _views(fresh) == _fresh_views(store)
+    assert store == fresh
+
+
 @settings(max_examples=80, deadline=None)
 @given(_RECEIPTS)
-def test_an_anchors_store_decides_as_receive_does_and_keeps_every_snapshot(receipts):
+def test_an_anchors_database_decides_as_receive_does_and_its_views_follow_it(receipts):
     anchor, db = Anchor("a", ()), TopologyDatabase()
-    snapshots = []
-    for origin, seq, variant, snap in receipts:
-        if snap:
-            taken = anchor.db
-            snapshots.append((taken, dict(taken.lsas), _fresh_views(taken)))
-            if len(snapshots) % 2:
-                _views(taken)  # fill the caches of every other snapshot now
+    for origin, seq, variant, read in receipts:
         lsa = LinkStateAdvertisement(origin, seq, (adj("b" if variant else "c"),))
         try:
             db, expected = db.receive(lsa)
         except LsaContentMismatch as exc:
             with pytest.raises(LsaContentMismatch, match=re.escape(str(exc))):
-                anchor.store.receive(lsa)
+                anchor.db.receive(lsa)
         else:
-            anchor.store, flood = anchor.store.receive(lsa)
-            assert flood == expected
-        assert anchor.store.lsas == db.lsas
-        assert all(anchor.store.lsas[o] is db.lsas[o] for o in db.lsas)
-    assert anchor.db == db
-    for taken, lsas, views in snapshots:
-        assert taken.lsas == lsas
-        assert _views(taken) == views
+            written, flood = anchor.db.receive(lsa)
+            assert written is anchor.db and flood == expected
+        assert anchor.db.lsas == db.lsas
+        assert all(anchor.db.lsas[o] is db.lsas[o] for o in db.lsas)
+        if read:  # cached views that a later accepted receipt must drop
+            _check_views(anchor.db)
+    _check_views(anchor.db)
