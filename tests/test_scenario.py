@@ -368,18 +368,21 @@ def _intended_change(site: str, value) -> bool:
 
 def _corpus_outcomes():
     """The digest of the diagnostics of every corpus input but the exempt,
-    and the exempt with theirs.  ``_build`` is ``validate_text`` less the
-    JSON decoding, which the corpus need not repeat 11,000 times."""
+    the exempt with theirs, and the keys of the inputs that get none.
+    ``_build`` is ``validate_text`` less the JSON decoding, which the corpus
+    need not repeat 11,000 times."""
     bases_ = {name: json.loads(text) for name, text in bases().items()}
-    pinned, exempt = hashlib.sha256(), []
+    pinned, exempt, accepted = hashlib.sha256(), [], []
     for key, path, label, value, scenario in corpus():
         diagnostics = [str(d) for d in _build(scenario)[1]]
+        if not diagnostics:
+            accepted.append(key)
         site = _site(bases_[key.split(":")[0]], path)
         if label in RAISED_BEFORE.get(site, "").split(" ") or _intended_change(site, value):
             exempt.append((key, diagnostics))
         else:
             pinned.update(f"{key}\t{json.dumps(diagnostics)}\n".encode())
-    return pinned.hexdigest(), exempt
+    return pinned.hexdigest(), exempt, accepted
 
 
 # Measured at 79fb0a7 with validate_text, on the same corpus and exemptions;
@@ -390,10 +393,15 @@ def _corpus_outcomes():
 # gained ``events[3].src: 'anchor-east' is not a gateway anchor``.
 CORPUS_DIGEST = "c85e4184b62e6af9bf0d2193e3c2e3221e276ce63935e0b020882f27bba9e603"
 CORPUS_EXEMPT = 3527
+# sha256 of the sorted keys, one a line, of the 804 inputs that get no diagnostic,
+# measured at e89f4d7: a rewrite of the validator that re-pins CORPUS_DIGEST
+# must still accept exactly these.
+CORPUS_ACCEPTED = "1c28328dea7b3aa59ba5475e704b24d1c90488900d6a8166cfe9c92afe5d71c7"
 
 
 def test_corpus_diagnostics_are_pinned():
-    digest, exempt = _corpus_outcomes()
+    digest, exempt, accepted = _corpus_outcomes()
+    assert hashlib.sha256("\n".join(sorted(accepted)).encode()).hexdigest() == CORPUS_ACCEPTED
     assert digest == CORPUS_DIGEST
     assert len(exempt) == CORPUS_EXEMPT
     for key, diagnostics in exempt:
