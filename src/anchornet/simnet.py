@@ -944,8 +944,6 @@ class Simulation:
 
     def _subscribe_object(self, gw_name: str, object_name: str, tag: str, k: int, now: int) -> None:
         anchor = self.anchors[gw_name]
-        if anchor.catalog is None:
-            raise SimFault(f"{gw_name!r} is not a gateway")
         addr = parse_address(object_name, AddressKind.DATA)
         if anchor.catalog.lookup(addr, now) is not None:
             return  # already staged locally
@@ -985,10 +983,7 @@ class Simulation:
             k = fields.get("k_paths", 2)
             object_name = fields.get("object")
             if object_name is not None:
-                src_gw = self.anchors.get(fields["src"])
-                if src_gw is None or src_gw.catalog is None:
-                    raise SimFault(f"publisher {fields['src']!r} is not a gateway")
-                entry = src_gw.catalog.lookup(parse_address(object_name, AddressKind.DATA), now)
+                entry = self.anchors[fields["src"]].catalog.lookup(parse_address(object_name, AddressKind.DATA), now)
                 if entry is None:
                     raise ObjectUnavailable(object_name)
                 total, stream, ttl = entry.size, object_name, entry.ttl_us

@@ -138,4 +138,4 @@ def test_bad_rate_cap_is_a_diagnostic_not_a_simulation_fault(tmp_path, capsys, f
     path = tmp_path / "capped.json"
     path.write_text(json.dumps(raw))
     assert main(["run", str(path), "--out", str(tmp_path / "r.json")]) == 1
-    assert capsys.readouterr().err == f"{path}: events[0].rate_cap_mbps: must be a positive number, got 'fast'\n"
+    assert capsys.readouterr().err == f"{path}: events[0].rate_cap_mbps: not a number: 'fast'\n"

@@ -185,8 +185,9 @@ def test_a_session_from_its_source_to_itself_is_reported(fixture_paths, mode, fi
     else:
         event["subscribers"].append(event["src"])
     diags = validate_text(json.dumps(raw))
+    place = "dst" if field == "dst" else f"subscribers[{len(event['subscribers']) - 1}]"
     assert [(d.path, d.message) for d in diags] == [
-        ("events[0]", f"session {event['id']!r} sends from {event['src']!r} to itself")
+        (f"events[0].{place}", f"session {event['id']!r} sends from {event['src']!r} to itself")
     ]
 
 
@@ -227,13 +228,21 @@ def test_scenario_hash_ignores_seed_and_mode():
     (("domains", 0, "attachments"), "xy", "must be a list of ids, got 'xy'"),
     (("links", 0, "endpoints"), "ab", "must name two distinct attachments"),
     (("events", 3, "subscribers"), "cern.h1", "pubsub session needs subscribers"),
-    (("events", 0, "rate_cap_mbps"), "fast", "must be a positive number, got 'fast'"),
-    (("events", 0, "rate_cap_mbps"), -5, "must be a positive number, got -5"),
+    (("events", 0, "rate_cap_mbps"), "fast", "not a number: 'fast'"),
+    (("events", 0, "rate_cap_mbps"), -5, "must be positive, got -5"),
     (("events", 2, "k_paths"), 0, "must be a positive integer, got 0"),
     (("events", 3, "object"), "Bad Name", "not a valid data name: 'Bad Name'"),
     (("events", 3, "object"), 5, "not a valid data name: 5"),
     (("events", 0, "object"), "Bad Name", "not a valid data name: 'Bad Name'"),
     (("events", 3, "src"), "caltech.h1", "'caltech.h1' is not a gateway anchor"),
+    (("policy", 0, "weight"), -0.5, "tag 'atlas' weight must be positive, got -1/2"),
+    (("policy", 0, "weight"), "heavy", "not a number: 'heavy'"),
+    (("policy", 0, "tag"), "t" * 33, f"tag must be 1..32 bytes, got {'t' * 33!r}"),
+    (("policy", 0, "tag"), "\ud800", "tag must be 1..32 bytes, got '\\ud800'"),
+    (("domains", 0, "attachments"), ["h1-port", "h1-port"], "attachment ids must be unique within the domain"),
+    (("links", 0, "endpoints"), ["h1-port", "nowhere"], "attachment 'nowhere' not declared in domain 'west-site'"),
+    (("links", 0, "loss_prob"), 1.5, "must lie in [0, 1), got 3/2"),
+    (("links", 0, "cost"), "x", "not a number: 'x'"),
 ])
 def test_value_of_the_wrong_kind_is_reported_at_its_field(path, value, message):
     raw = every_event_kind()
@@ -242,6 +251,8 @@ def test_value_of_the_wrong_kind_is_reported_at_its_field(path, value, message):
         target = target[key]
     target[path[-1]] = value
     where = "".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in path).lstrip(".")
+    if isinstance(value, list):  # a list of ids reports the element that fails
+        where += f"[{len(value) - 1}]"
     assert str(validate_text(json.dumps(raw))[0]) == f"{where}: {message}"
 
 
@@ -390,8 +401,11 @@ def _corpus_outcomes():
 # open_session left the pinned entries for the exempt: every other entry's
 # diagnostics are unchanged.  Re-measured when a staged open_session's ``src``
 # had to be a gateway: one entry changed, ``every-event-kind:.anchors[3].gateway=del``
-# gained ``events[3].src: 'anchor-east' is not a gateway anchor``.
-CORPUS_DIGEST = "c85e4184b62e6af9bf0d2193e3c2e3221e276ce63935e0b020882f27bba9e603"
+# gained ``events[3].src: 'anchor-east' is not a gateway anchor``.  Re-measured when
+# the validator's rules became rows of one walker: a nested entry reports at its
+# field, a list element at its index, and a number of the wrong kind as
+# ``not a number: 'x'``; the accepted inputs (CORPUS_ACCEPTED) did not change.
+CORPUS_DIGEST = "ee601860a0f75f27f38884274a3c6bb793420e89fe6b8770a453d2a6e5ad157d"
 CORPUS_EXEMPT = 3527
 # sha256 of the sorted keys, one a line, of the 804 inputs that get no diagnostic,
 # measured at e89f4d7: a rewrite of the validator that re-pins CORPUS_DIGEST

@@ -211,9 +211,21 @@ def _dual_path_sending(fixture_paths):
 
 def _pushed(sim, act):
     """The events that ``act()`` pushes onto the simulation's queue."""
-    before = {id(entry) for entry in sim.queue._heap}
+    before = {id(entry) for entry in sim.queue.snapshot()}
     act()
-    return [entry[2] for entry in sim.queue._heap if id(entry) not in before]
+    return [entry[2] for entry in sim.queue.snapshot() if id(entry) not in before]
+
+
+def _on_pop(sim, see):
+    """Call ``see(event)`` with each event that ``sim.step()`` pops, before it is handled."""
+    pop = sim.queue.pop
+
+    def popped():
+        entry = pop()
+        see(entry[2])
+        return entry
+
+    sim.queue.pop = popped
 
 
 def _arrive(sim, sid, pid, kind, node, crossed="nw-trunk"):
@@ -288,12 +300,15 @@ def test_one_segment_object_crosses_every_hop(fixture_paths):
     locator of the leg it came over."""
     sim = Simulation(load_scenario(fixture_paths["dual-path"]))
     arrivals: dict[tuple, list] = {}
-    while sim.queue.peek_time() is not None and sim.queue.peek_time() <= sim.config.horizon_us:
-        event = sim.queue._heap[0][2]  # the event step() pops next
+
+    def see(event):
         if isinstance(event, NodeArrival):
             seg = event.segment
             key = (seg.session_id, seg.seq, seg.is_retransmit, seg.kind)
             arrivals.setdefault(key, []).append((seg, dataclasses.astuple(seg), event.l3_dest, event.node))
+
+    _on_pop(sim, see)
+    while sim.queue.peek_time() is not None and sim.queue.peek_time() <= sim.config.horizon_us:
         sim.step()
     assert len(arrivals) == 2 * 256  # each segment of the lossless 2 MiB transfer, and its ACK
     for (sid, _, _, kind), hops in arrivals.items():
@@ -956,8 +971,9 @@ def test_hop_record_covers_every_header_field_the_destination_name_and_payload(f
 def test_cached_payload_digest_is_sha256_of_payload_while_session_is_active(fixture_paths, name):
     sim = Simulation(load_scenario(fixture_paths[name]))
     checked, reused = 0, 0
-    while sim.queue.peek_time() is not None and sim.queue.peek_time() <= sim.config.horizon_us:
-        event = sim.queue._heap[0][2]  # the event step() pops next
+
+    def see(event):
+        nonlocal checked, reused
         segment = getattr(event, "segment", None)
         if segment is not None and segment.payload:
             cached = sim._digests.get(segment.session_id, {}).get(segment.seq)
@@ -966,6 +982,9 @@ def test_cached_payload_digest_is_sha256_of_payload_while_session_is_active(fixt
             kind, name = (b"hop", event.crossed) if isinstance(event, LinkHop) else (b"arr", event.node)
             assert _record(sim, event) == kind + _pstr(name) + segment.encode(event.l3_dest)
             checked += 1
+
+    _on_pop(sim, see)
+    while sim.queue.peek_time() is not None and sim.queue.peek_time() <= sim.config.horizon_us:
         sim.step()
         active = {sid for sid, t in sim.transfers.items() if t.status == "active"}
         active |= {sid for sid, p in sim.pubs.items() if p.status == "active"}
