@@ -292,8 +292,7 @@ TABLES = {
         ("id", None, _new(_TEXT, "links", "duplicate link id {0!r}"), "missing or not a string"),
         ("domain", None, _in("domains"), "unknown domain {0!r}"),
         ("endpoints", [], lambda v, ids, f: _IDS(v, ids, f) and len(v) == 2 and v[0] != v[1],
-         "must name two distinct attachments",
-         (_attached, "attachment {0!r} not declared in domain {2[domain]!r}")),
+         "must name two distinct attachments", (_attached, "attachment {0!r} not declared in domain {2[domain]!r}")),
         ("capacity_mbps", None, _POSITIVE_NUMBER, _NAN),
         ("latency_us", 0, _NATURAL, _NONNEGATIVE),
         ("loss_prob", 0.0, _FRACTION, _NAN),
