@@ -15,8 +15,10 @@ report included), the process's peak RSS in MB, and whether the transfer complet
 ``--seed`` (default 1; ``anchorbench/workloads.py``) with N sessions
 arriving over ``--span-us`` microseconds (default 400,000).  Its line adds
 the allocation epochs, the most concurrent claimants, the host seconds
-spent in allocation epochs, the size of the canonical report in MB, and
-whether every session completed byte-exact.
+spent in allocation epochs, the size of the canonical report in MB,
+whether every session completed byte-exact, and the entries left in the
+simulator's per-session tables after the run (``senders``, ``receivers``,
+``path_hops`` and ``_neighbours``; 0 once every session has ended).
 
 ``--anchors N`` runs the benchmark's failover-flood workload at seed
 ``--seed`` (default 1) on a mesh of N anchors with N // 2 chords.  Its line
@@ -130,6 +132,7 @@ def probe_sessions(sessions: int, span_us: int, seed: int = 1) -> dict:
             s["status"] == "complete" and s["delivered_sha256"] == s["source_sha256"]
             for s in report["sessions"].values()
         ),
+        "held_entries": sum(map(len, (sim.senders, sim.receivers, sim.path_hops, sim._neighbours))),
     }
 
 

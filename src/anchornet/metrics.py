@@ -70,7 +70,7 @@ def build_report(sim: Simulation) -> dict[str, Any]:
         per_path: dict[str, Any] = {}
         for pid in sorted(t.sender.stats):
             st = t.sender.stats[pid]
-            span = max((t.t_complete or sim.clock_end) - t.t_open, 1)
+            span = max((sim.clock_end if t.t_end is None else t.t_end) - t.t_open, 1)
             per_path[str(pid)] = {
                 "emitted_segments": st.emitted_segments,
                 "emitted_bytes": st.emitted_bytes,

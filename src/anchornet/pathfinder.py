@@ -19,7 +19,7 @@ from typing import Any, Callable, Collection, Iterable, Iterator, Optional
 from .topology import TopologyDatabase
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class L5Path:
     """A simple overlay path: source, anchors, destination.
 

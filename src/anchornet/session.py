@@ -137,7 +137,7 @@ class PathRef:
     first_hop: L3Locator
 
 
-@dataclass
+@dataclass(slots=True)
 class PathStats:
     emitted_segments: int = 0
     emitted_bytes: int = 0
@@ -388,6 +388,21 @@ class SenderSession:
         self._scheduled_wakes.discard(at)
         return held
 
+    def ended(self) -> EndedSender:
+        return EndedSender(self.stats, self.rates, self.start_seq, self.send_next, self.complete)
+
+
+@dataclass(frozen=True, slots=True, eq=False)
+class EndedSender:
+    """What is kept of a sender once its transfer or tree edge has ended: the
+    report's figures, and ``send_next`` for a graft at the publisher."""
+
+    stats: dict[int, PathStats]
+    rates: dict[int, Fraction]
+    start_seq: int
+    send_next: int
+    complete: bool
+
 
 class ReceiverSession:
     """Receive side: selective-repeat reordering with prefix delivery.
@@ -456,6 +471,31 @@ class ReceiverSession:
 
     def delivered_digest(self) -> str:
         return self._hash.hexdigest()
+
+    def ended(self) -> EndedReceiver:
+        return EndedReceiver(self.reverse_hops, self.next_expected, self.complete, self.delivered_bytes,
+                             self.last_delivery_us, self.delivered_digest())
+
+
+@dataclass(frozen=True, slots=True, eq=False)
+class EndedReceiver:
+    """What is kept of a receiver once its transfer completed or its tree ended:
+    the report's figures, and what a late duplicate's ACK needs.  With nothing
+    buffered, that ACK is the one the live receiver would have sent."""
+
+    reverse_hops: dict[int, L3Locator]
+    next_expected: int
+    complete: bool
+    delivered_bytes: int
+    last_delivery_us: Optional[int]
+    digest: str
+
+    def on_receive(self, segment: Segment, now: int) -> tuple[list[bytes], list[Segment]]:
+        return [], [Segment(segment.session_id, segment.seq, segment.path_id, segment.tag,
+                            is_retransmit=segment.is_retransmit, kind=ACK, ack_cum=self.next_expected)]
+
+    def delivered_digest(self) -> str:
+        return self.digest
 
 
 def segment_count(total_bytes: int) -> int:

@@ -50,6 +50,8 @@ from .pubsub import DistributionTree, build_tree
 from .scenario import MODE_BASELINE, ScenarioConfig
 from .session import (
     ACK,
+    EndedReceiver,
+    EndedSender,
     PathRef,
     ReceiverSession,
     Segment,
@@ -184,7 +186,7 @@ class LinkEntry:
     serialization_us: dict[int, int] = field(default_factory=dict)
 
 
-@dataclass
+@dataclass(slots=True)
 class Transfer:
     """Runtime record for one unicast transfer."""
 
@@ -199,14 +201,15 @@ class Transfer:
     t_open: int
     discovered: list[L5Path]
     used: list[L5Path]
-    sender: SenderSession
-    receiver: ReceiverSession
+    sender: SenderSession | EndedSender
+    receiver: ReceiverSession | EndedReceiver
     source: PayloadStream
     potential_mbps: Fraction
     residual_potential_mbps: Fraction
     rate_cap_mbps: Optional[Fraction] = None
     status: str = "active"
     t_complete: Optional[int] = None
+    t_end: Optional[int] = None
     next_pid: int = 0
     on_complete: Any = None
 
@@ -221,7 +224,8 @@ class TreeEdge:
     pid: int
     parent: str
     child: str
-    sender: SenderSession
+    sender: SenderSession | EndedSender
+    receiver: ReceiverSession | EndedReceiver
 
 
 @dataclass
@@ -229,7 +233,7 @@ class SubscriberLeg:
     name: str
     anchor: str
     join_seq: int
-    receiver: ReceiverSession
+    receiver: ReceiverSession | EndedReceiver
     complete_at: Optional[int] = None
 
 
@@ -294,6 +298,7 @@ class Simulation:
         # home anchor -> sid -> each active transfer homed there, in sid order
         self._homed: dict[str, dict[int, Transfer]] = {}
         self.pubs: dict[int, PubTransfer] = {}
+        # Held only for active transfers, uncompleted tree edges and active trees' receivers.
         self.senders: dict[tuple[int, str], dict[int, SenderSession]] = {}
         self.receivers: dict[tuple[int, str], ReceiverSession] = {}
         self.path_hops: dict[tuple[int, int], tuple[str, ...]] = {}
@@ -495,12 +500,16 @@ class Simulation:
         self._enter_link(event.segment, event.l3_dest, event.remaining, event.dest_node, now)
 
     def _handle_arrival(self, event: NodeArrival, now: int) -> None:
-        """Hand a segment to the node's sender (an ACK) or receiver (data).  One
-        that neither takes is in transit: the node's anchor names its next hop
-        and that hop's locator, and it is sent on as an endpoint's send is."""
+        """Hand a segment to the node's sender (an ACK) or receiver (data), of a
+        live or an ended session.  One that neither takes is in transit: the node's
+        anchor names its next hop and that hop's locator, and it is sent on as an
+        endpoint's send is."""
         segment, _, lid, node = event
         self.link_counters[lid].delivered += 1
         sid, pid = segment.session_id, segment.path_id
+        # A late segment is an ended transfer's or a tree's: an active transfer's
+        # that no table takes is in transit, and a tree's segments never are.
+        late = sid not in self._digests or sid in self.pubs
         if segment.kind is ACK:
             group = self.senders.get((sid, node))
             if group and pid in group:
@@ -508,14 +517,21 @@ class Simulation:
                 sender.on_ack(segment, now)
                 self._after_sender_progress(sid, node, sender, now)
                 return
+            if late and self._late_end(sid, pid, node, True) is not None:
+                return
         else:
             receiver = self.receivers.get((sid, node))
+            if receiver is None and late:
+                receiver = self._late_end(sid, pid, node, False)
             if receiver is not None:
                 delivered, acks = receiver.on_receive(segment, now)
+                back = receiver.reverse_hops.get(pid)
                 ends = self._neighbours.get((sid, pid, node))
-                if ends is not None and ends[1] is not None:
+                # An ended path has no entries: its reverse leg ends at the port of the hop before.
+                before = ends[1] if ends is not None else self.owner.get(back)
+                if before is not None:
                     for ack in acks:
-                        self.transmit(ack, receiver.reverse_hops[pid], node, ends[1], now)
+                        self.transmit(ack, back, node, before, now)
                 if delivered:
                     self._on_delivery(sid, node, delivered, now)
                 return
@@ -526,6 +542,22 @@ class Simulation:
         forwarded = anchor.forward(segment, self.hop_locators[node])
         if forwarded is not None:
             self.transmit(segment, forwarded[1], node, forwarded[0], now)
+
+    def _late_end(self, sid: int, pid: int, node: str, ack: bool) -> Any:
+        """The end at ``node`` of the ended transfer, or of the ended tree edge
+        ``pid``, that a late segment reaches: an ACK's completed sender, or
+        data's receiver.  None if ``node`` is no such end."""
+        transfer = self.transfers.get(sid)
+        if transfer is not None:
+            sender, src, receiver, dst = transfer.sender, transfer.src, transfer.receiver, transfer.dst
+        elif sid in self.pubs and pid < len(self.pubs[sid].edges):
+            edge = self.pubs[sid].edges[pid]
+            sender, src, receiver, dst = edge.sender, edge.parent, edge.receiver, edge.child
+        else:
+            return None
+        if ack:
+            return sender if node == src and sender.complete else None
+        return receiver if node == dst else None
 
     def _segment_record(self, prefix: bytes, event: LinkHop | NodeArrival) -> bytes:
         """``prefix`` followed by the event's ``segment.encode(l3_dest)``.  The
@@ -628,24 +660,21 @@ class Simulation:
         if wake is not None and sender.claim_wake(wake):
             self.queue.push(wake, SessionWake(sid, node))
 
-    def _after_sender_progress(
-        self, sid: int, node: str, sender: SenderSession, now: int
-    ) -> None:
-        if sender.complete:
-            transfer = self.transfers.get(sid)
-            if transfer is not None and transfer.status == "active":
-                self._end(transfer, "complete", now)
-                return
-            pub = self.pubs.get(sid)
-            if pub is not None and pub.status == "active":
-                (pid,) = sender.paths
-                released = self._drop_claim((1, sid, pid))
-                if all(edge.sender.complete for edge in pub.edges):
-                    self._end(pub, "complete", now)
-                elif released:  # the tree goes on: its other claimants take the freed capacity
-                    self._reallocate(now)
-                return
-        self._arm(sid, node, sender, now)
+    def _after_sender_progress(self, sid: int, node: str, sender: SenderSession, now: int) -> None:
+        if not sender.complete:
+            self._arm(sid, node, sender, now)
+        elif sid in self.transfers:
+            self._end(self.transfers[sid], "complete", now)
+        else:
+            pub = self.pubs[sid]
+            (pid,) = sender.paths
+            self._drop_claim((1, sid, pid))
+            self._release(sid, pid)
+            pub.edges[pid].sender = sender.ended()
+            if all(edge.sender.complete for edge in pub.edges):
+                self._end(pub, "complete", now)
+            else:  # the tree goes on: its other claimants take the freed capacity
+                self._reallocate(now)
 
     def _on_delivery(self, sid: int, node: str, delivered: list[bytes], now: int) -> None:
         pub = self.pubs.get(sid)
@@ -688,17 +717,28 @@ class Simulation:
         hops and each hop's neighbours on them, its demand over the links
         those hops cross, and its sender's registration at the first hop.
         The only writer of all of them.  A sender born complete (a tree edge
-        grafted at the stream's end) claims no rate."""
+        grafted at the stream's end) claims nothing."""
+        if sender.complete:
+            return
         _, sid, pid = key
         self.path_hops[(sid, pid)] = hops
         self._neighbours.update(
             ((sid, pid, hop), (after, before)) for before, hop, after in zip((None, *hops), hops, (*hops[1:], None))
         )
-        if not sender.complete:
-            links = frozenset(lid for u, v in zip(hops, hops[1:]) for lid in self.legs[(u, v)].links)
-            demand = Demand(demand_id, self.policy[sender.tag], links, demand_cap_mbps=cap, tag=sender.tag)
-            self.filling.add(key, demand)
+        links = frozenset(lid for u, v in zip(hops, hops[1:]) for lid in self.legs[(u, v)].links)
+        demand = Demand(demand_id, self.policy[sender.tag], links, demand_cap_mbps=cap, tag=sender.tag)
+        self.filling.add(key, demand)
         self.senders.setdefault((sid, hops[0]), {})[pid] = sender
+
+    def _release(self, sid: int, pid: int) -> None:
+        """Drop what ``_claim`` wrote but the demand."""
+        hops = self.path_hops.pop((sid, pid))
+        group = self.senders[(sid, hops[0])]
+        del group[pid]
+        if not group:
+            del self.senders[(sid, hops[0])]
+        for hop in hops:
+            del self._neighbours[(sid, pid, hop)]
 
     def _use_paths(self, transfer: Transfer, paths: list[L5Path], now: int) -> None:
         """Send ``transfer`` over ``paths`` (only the first in baseline mode):
@@ -729,16 +769,11 @@ class Simulation:
                 if name in self.anchors:
                     self.anchors[name].remove_path(transfer.sid, path.path_id)
 
-    def _drop_claim(self, key: tuple[int, int, int]) -> bool:
-        """Release a claim, if it is held: a completed tree edge that hears a
-        late duplicate ACK was released already.  Whether it was held."""
-        demand = self.filling.demand.get(key)
-        if demand is None:
-            return False
+    def _drop_claim(self, key: tuple[int, int, int]) -> None:
+        demand = self.filling.demand[key]
         self.tag_totals[demand.tag] = _minus(self.tag_totals[demand.tag], self.filling.rate[key])
         self._released[demand.session_id] = None
         self.filling.remove(key)
-        return True
 
     def _open_unicast(
         self, id_str: str, src: str, dst: str, tag: str, total_bytes: int, k: int, stream: str,
@@ -778,20 +813,28 @@ class Simulation:
     def _end(self, session: Transfer | PubTransfer, status: str, now: int) -> None:
         """Move an active transfer or tree to its terminal ``status``
         (``complete`` or ``no_path``); the only writer of a terminal status.
-        A transfer's path claims are released here; a tree's edge claims
-        were released as each edge's sender completed."""
+        Its table entries go and what its report reads is frozen: a transfer's
+        here, but for its receiver after ``no_path``, which still takes what was
+        already past the break; a tree's edge by edge as each sender completed,
+        and its receivers here."""
         session.status = status
         del self._digests[session.sid]
         if isinstance(session, Transfer):
             del self._homed[session.home_anchor][session.sid]
             self._unregister_paths(session)
+            for pid in session.sender.stats:  # every path it ever used; a wake already queued then finds no sender
+                self._release(session.sid, pid)
+            del self.receivers[(session.sid, session.dst)]
+            session.sender, session.t_end = session.sender.ended(), now
             if status == "complete":
-                session.t_complete = now
+                session.receiver, session.t_complete = session.receiver.ended(), now
                 if session.on_complete is not None:
                     session.on_complete(now)
-            else:
-                # Disarm the sender: a wake already queued finds no group and fires nothing.
-                del self.senders[(session.sid, session.src)]
+        else:
+            for node in {edge.child for edge in session.edges}.union(session.subscribers):
+                del self.receivers[(session.sid, node)]
+            for holder in (*session.edges, *session.subscribers.values()):
+                holder.receiver = holder.receiver.ended()
         self._reallocate(now)
 
     def _repath(self, transfer: Transfer, now: int) -> None:
@@ -895,14 +938,14 @@ class Simulation:
             pub.sid, pub.tag, [ref], {pid: Fraction(1)}, pub.total_bytes,
             source=source, start_seq=start_seq, now=now,
         )
-        edge = TreeEdge(pid, parent, child, sender)
-        pub.edges.append(edge)
-        pub.downstream.setdefault(parent, []).append(edge)
-        self._claim((1, pub.sid, pid), (parent, child), sender, f"{pub.id_str}:{parent}>{child}")
         receiver = ReceiverSession(
             pub.sid, pub.tag, {pid: self.legs[(child, parent)].dest},
             pub.total_bytes, start_seq=start_seq,
         )
+        edge = TreeEdge(pid, parent, child, sender, receiver)
+        pub.edges.append(edge)
+        pub.downstream.setdefault(parent, []).append(edge)
+        self._claim((1, pub.sid, pid), (parent, child), sender, f"{pub.id_str}:{parent}>{child}")
         self.receivers[(pub.sid, child)] = receiver
         return edge
 

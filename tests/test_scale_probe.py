@@ -26,13 +26,14 @@ def test_scale_probe_runs_session_churn_at_the_given_size(scenario_dir):
     result = _probe(scenario_dir, "--sessions", "12", "--span-us", "20000")
     assert set(result) == {
         "sessions", "span_us", "events", "events_per_s", "host_s", "peak_rss_mb",
-        "epochs", "concurrent_max", "alloc_s", "report_mb", "complete",
+        "epochs", "concurrent_max", "alloc_s", "report_mb", "complete", "held_entries",
     }
     assert result["sessions"] == 12 and result["span_us"] == 20000
     assert result["epochs"] == 24  # one open and one close per session
     assert 2 <= result["concurrent_max"] <= 24
     assert 0 < result["alloc_s"] < result["host_s"]
     assert result["report_mb"] > 0 and result["complete"] is True
+    assert result["held_entries"] == 0  # every session ended, and left no entry behind
 
 
 def test_scale_probe_runs_session_churn_at_the_given_seed(scenario_dir):
