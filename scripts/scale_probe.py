@@ -16,9 +16,10 @@ report included), the process's peak RSS in MB, and whether the transfer complet
 arriving over ``--span-us`` microseconds (default 400,000).  Its line adds
 the allocation epochs, the most concurrent claimants, the host seconds
 spent in allocation epochs, the size of the canonical report in MB,
-whether every session completed byte-exact, and the entries left in the
-simulator's per-session tables after the run (``senders``, ``receivers``,
-``path_hops`` and ``_neighbours``; 0 once every session has ended).
+whether every session completed byte-exact, and the per-session entries
+left after the run: the allocator's claims, their ``_neighbours``, the
+anchors' forwarding entries, the payload digests and the trees' receiver
+maps (0 once every session has ended).
 
 ``--anchors N`` runs the benchmark's failover-flood workload at seed
 ``--seed`` (default 1) on a mesh of N anchors with N // 2 chords.  Its line
@@ -132,7 +133,9 @@ def probe_sessions(sessions: int, span_us: int, seed: int = 1) -> dict:
             s["status"] == "complete" and s["delivered_sha256"] == s["source_sha256"]
             for s in report["sessions"].values()
         ),
-        "held_entries": sum(map(len, (sim.senders, sim.receivers, sim.path_hops, sim._neighbours))),
+        "held_entries": sum(map(len, (sim.filling.demand, sim._neighbours, sim._digests)))
+        + sum(len(a.next_hop) + len(a.prev_hop) for a in sim.anchors.values())
+        + sum(len(pub.receivers) for pub in sim.pubs.values()),
     }
 
 

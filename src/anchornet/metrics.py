@@ -107,9 +107,9 @@ def build_report(sim: Simulation) -> dict[str, Any]:
             st = edge.sender.stats[edge.pid]
             edges.append(
                 {
-                    "from": edge.parent,
-                    "to": edge.child,
-                    "tree_edge": edge.parent in sim.anchors and edge.child in sim.anchors,
+                    "from": edge.src,
+                    "to": edge.dst,
+                    "tree_edge": edge.src in sim.anchors and edge.dst in sim.anchors,
                     "start_seq": edge.sender.start_seq,
                     "original_segments": st.emitted_segments - st.retransmitted_segments,
                     "retransmitted_segments": st.retransmitted_segments,

@@ -222,8 +222,8 @@ class Transfer:
 @dataclass
 class TreeEdge:
     pid: int
-    parent: str
-    child: str
+    src: str
+    dst: str
     sender: SenderSession | EndedSender
     receiver: ReceiverSession | EndedReceiver
 
@@ -253,6 +253,7 @@ class PubTransfer:
     edges: list[TreeEdge] = field(default_factory=list)
     subscribers: dict[str, SubscriberLeg] = field(default_factory=dict)
     downstream: dict[str, list[TreeEdge]] = field(default_factory=dict)
+    receivers: dict[str, ReceiverSession] = field(default_factory=dict)  # node -> its receiver, while active
     next_pid: int = 0
     status: str = "active"
     stage_ttl_us: Optional[int] = None
@@ -298,11 +299,7 @@ class Simulation:
         # home anchor -> sid -> each active transfer homed there, in sid order
         self._homed: dict[str, dict[int, Transfer]] = {}
         self.pubs: dict[int, PubTransfer] = {}
-        # Held only for active transfers, uncompleted tree edges and active trees' receivers.
-        self.senders: dict[tuple[int, str], dict[int, SenderSession]] = {}
-        self.receivers: dict[tuple[int, str], ReceiverSession] = {}
-        self.path_hops: dict[tuple[int, int], tuple[str, ...]] = {}
-        # (sid, pid, hop) -> (successor, predecessor), None past either end.
+        # (sid, pid, hop) -> (successor, predecessor), None past either end, for each held claim.
         self._neighbours: dict[tuple[int, int, str], tuple[Optional[str], Optional[str]]] = {}
         self.alloc_epochs: list[dict[str, Any]] = []
         # Demand id -> None for each claimant released since the last epoch.
@@ -500,40 +497,38 @@ class Simulation:
         self._enter_link(event.segment, event.l3_dest, event.remaining, event.dest_node, now)
 
     def _handle_arrival(self, event: NodeArrival, now: int) -> None:
-        """Hand a segment to the node's sender (an ACK) or receiver (data), of a
-        live or an ended session.  One that neither takes is in transit: the node's
-        anchor names its next hop and that hop's locator, and it is sent on as an
-        endpoint's send is."""
+        """Hand a segment to the transfer or tree edge that owns it: an ACK at
+        its source to its sender, data at its destination to its receiver, live
+        or ended.  Anything else is in transit: the node's anchor names its next
+        hop and that hop's locator, and it is sent on as an endpoint's send is."""
         segment, _, lid, node = event
         self.link_counters[lid].delivered += 1
         sid, pid = segment.session_id, segment.path_id
-        # A late segment is an ended transfer's or a tree's: an active transfer's
-        # that no table takes is in transit, and a tree's segments never are.
-        late = sid not in self._digests or sid in self.pubs
-        if segment.kind is ACK:
-            group = self.senders.get((sid, node))
-            if group and pid in group:
-                sender = group[pid]
-                sender.on_ack(segment, now)
-                self._after_sender_progress(sid, node, sender, now)
-                return
-            if late and self._late_end(sid, pid, node, True) is not None:
-                return
-        else:
-            receiver = self.receivers.get((sid, node))
-            if receiver is None and late:
-                receiver = self._late_end(sid, pid, node, False)
-            if receiver is not None:
+        owner: Transfer | TreeEdge | None = self.transfers.get(sid)
+        if owner is None and sid in self.pubs and pid < len(self.pubs[sid].edges):
+            owner = self.pubs[sid].edges[pid]
+        if owner is not None:
+            if segment.kind is ACK:
+                sender = owner.sender
+                # At the source a live sender (its session is active) takes the ACK and a
+                # completed one drops it; one ended incomplete (``no_path``) takes none.
+                if node == owner.src and (sid in self._digests or sender.complete):
+                    if not sender.complete:
+                        sender.on_ack(segment, now)
+                        self._after_sender_progress(sid, owner, now)
+                    return
+            elif node == owner.dst:
+                receiver = owner.receiver
                 delivered, acks = receiver.on_receive(segment, now)
                 back = receiver.reverse_hops.get(pid)
                 ends = self._neighbours.get((sid, pid, node))
-                # An ended path has no entries: its reverse leg ends at the port of the hop before.
+                # A released path has no entries: its reverse leg ends at the port of the hop before.
                 before = ends[1] if ends is not None else self.owner.get(back)
                 if before is not None:
                     for ack in acks:
                         self.transmit(ack, back, node, before, now)
-                if delivered:
-                    self._on_delivery(sid, node, delivered, now)
+                if delivered and sid in self.pubs:
+                    self._on_delivery(self.pubs[sid], node, delivered, now)
                 return
         anchor = self.anchors.get(node)
         if anchor is None:
@@ -542,22 +537,6 @@ class Simulation:
         forwarded = anchor.forward(segment, self.hop_locators[node])
         if forwarded is not None:
             self.transmit(segment, forwarded[1], node, forwarded[0], now)
-
-    def _late_end(self, sid: int, pid: int, node: str, ack: bool) -> Any:
-        """The end at ``node`` of the ended transfer, or of the ended tree edge
-        ``pid``, that a late segment reaches: an ACK's completed sender, or
-        data's receiver.  None if ``node`` is no such end."""
-        transfer = self.transfers.get(sid)
-        if transfer is not None:
-            sender, src, receiver, dst = transfer.sender, transfer.src, transfer.receiver, transfer.dst
-        elif sid in self.pubs and pid < len(self.pubs[sid].edges):
-            edge = self.pubs[sid].edges[pid]
-            sender, src, receiver, dst = edge.sender, edge.parent, edge.receiver, edge.child
-        else:
-            return None
-        if ack:
-            return sender if node == src and sender.complete else None
-        return receiver if node == dst else None
 
     def _segment_record(self, prefix: bytes, event: LinkHop | NodeArrival) -> bytes:
         """``prefix`` followed by the event's ``segment.encode(l3_dest)``.  The
@@ -636,13 +615,15 @@ class Simulation:
     # -- session machinery ------------------------------------------------------
 
     def _session_wake(self, event: SessionWake, now: int) -> None:
+        """Pump each live sender at the node that claimed this wake: an active
+        transfer's, or the uncompleted edges out of the node in ``downstream`` order."""
         sid, node = event.sid, event.node
-        group = self.senders.get((sid, node))
-        if not group:
-            return
-        # Each distinct sender that claimed this wake, once, in the order of its
-        # lowest path id: a group holds its path ids in the ascending order they were claimed.
-        for sender in dict.fromkeys(group.values()):
+        transfer = self.transfers.get(sid)
+        if transfer is not None:
+            senders = [transfer.sender] if transfer.status == "active" else []
+        else:
+            senders = [edge.sender for edge in self.pubs[sid].downstream.get(node, ()) if not edge.sender.complete]
+        for sender in senders:
             if sender.release_wake(now):
                 self._pump(sid, node, sender, now)
 
@@ -660,29 +641,26 @@ class Simulation:
         if wake is not None and sender.claim_wake(wake):
             self.queue.push(wake, SessionWake(sid, node))
 
-    def _after_sender_progress(self, sid: int, node: str, sender: SenderSession, now: int) -> None:
+    def _after_sender_progress(self, sid: int, owner: Transfer | TreeEdge, now: int) -> None:
+        """After an ACK: arm the sender of ``owner`` again, or end what it completed."""
+        sender = owner.sender
         if not sender.complete:
-            self._arm(sid, node, sender, now)
+            self._arm(sid, owner.src, sender, now)
         elif sid in self.transfers:
-            self._end(self.transfers[sid], "complete", now)
+            self._end(owner, "complete", now)
         else:
+            self._end_claim((1, sid, owner.pid), (owner.src, owner.dst))
+            owner.sender = sender.ended()
             pub = self.pubs[sid]
-            (pid,) = sender.paths
-            self._drop_claim((1, sid, pid))
-            self._release(sid, pid)
-            pub.edges[pid].sender = sender.ended()
             if all(edge.sender.complete for edge in pub.edges):
                 self._end(pub, "complete", now)
             else:  # the tree goes on: its other claimants take the freed capacity
                 self._reallocate(now)
 
-    def _on_delivery(self, sid: int, node: str, delivered: list[bytes], now: int) -> None:
-        pub = self.pubs.get(sid)
-        if pub is None:
-            return
+    def _on_delivery(self, pub: PubTransfer, node: str, delivered: list[bytes], now: int) -> None:
         for edge in pub.downstream.get(node, ()):
             edge.sender.feed(delivered)
-            self._arm(sid, node, edge.sender, now)
+            self._arm(pub.sid, node, edge.sender, now)
         leg = pub.subscribers.get(node)
         if leg is not None:
             self._subscriber_progress(pub, leg, now)
@@ -713,37 +691,40 @@ class Simulation:
         demand_id: str,
         cap: Optional[Fraction] = None,
     ) -> None:
-        """Install one allocator claimant, a unicast path or a tree edge: its
-        hops and each hop's neighbours on them, its demand over the links
-        those hops cross, and its sender's registration at the first hop.
-        The only writer of all of them.  A sender born complete (a tree edge
-        grafted at the stream's end) claims nothing."""
+        """Install one allocator claimant, a unicast path or a tree edge: each
+        hop's neighbours on its hops, and its demand over the links those hops
+        cross.  ``sender``, the transfer's or edge's, paces it.  A sender born
+        complete (a tree edge grafted at the stream's end) claims nothing."""
         if sender.complete:
             return
         _, sid, pid = key
-        self.path_hops[(sid, pid)] = hops
         self._neighbours.update(
             ((sid, pid, hop), (after, before)) for before, hop, after in zip((None, *hops), hops, (*hops[1:], None))
         )
         links = frozenset(lid for u, v in zip(hops, hops[1:]) for lid in self.legs[(u, v)].links)
         demand = Demand(demand_id, self.policy[sender.tag], links, demand_cap_mbps=cap, tag=sender.tag)
         self.filling.add(key, demand)
-        self.senders.setdefault((sid, hops[0]), {})[pid] = sender
 
-    def _release(self, sid: int, pid: int) -> None:
-        """Drop what ``_claim`` wrote but the demand."""
-        hops = self.path_hops.pop((sid, pid))
-        group = self.senders[(sid, hops[0])]
-        del group[pid]
-        if not group:
-            del self.senders[(sid, hops[0])]
+    def _end_claim(self, key: tuple[int, int, int], hops: tuple[str, ...]) -> None:
+        """End the claim ``key`` over ``hops``, a transfer's path at its repath
+        or end, or a tree edge whose sender completed: drop its demand, its
+        neighbours and the anchors' forwarding entries.  The only releaser."""
+        _, sid, pid = key
+        demand = self.filling.demand[key]
+        self.tag_totals[demand.tag] = _minus(self.tag_totals[demand.tag], self.filling.rate[key])
+        self._released[demand.session_id] = None
+        self.filling.remove(key)
         for hop in hops:
             del self._neighbours[(sid, pid, hop)]
+            if hop in self.anchors:
+                self.anchors[hop].remove_path(sid, pid)
 
     def _use_paths(self, transfer: Transfer, paths: list[L5Path], now: int) -> None:
-        """Send ``transfer`` over ``paths`` (only the first in baseline mode):
-        claim each one, program the anchors on it and its reverse hop, then
-        reallocate and arm the sender."""
+        """Send ``transfer`` over ``paths`` (only the first in baseline mode)
+        instead of those it used: end their claims, claim each new one, program
+        the anchors on it and its reverse hop, then reallocate and arm the sender."""
+        for path in transfer.used:
+            self._end_claim((0, transfer.sid, path.path_id), path.hops)
         used = paths[:1] if self.mode == MODE_BASELINE else list(paths)
         transfer.used = used
         refs = [_path_ref(path, self.legs) for path in used]
@@ -761,19 +742,6 @@ class Simulation:
             )
         self._reallocate(now)
         self._arm(transfer.sid, transfer.src, transfer.sender, now)
-
-    def _unregister_paths(self, transfer: Transfer) -> None:
-        for path in transfer.used:
-            self._drop_claim((0, transfer.sid, path.path_id))
-            for name in path.hops:
-                if name in self.anchors:
-                    self.anchors[name].remove_path(transfer.sid, path.path_id)
-
-    def _drop_claim(self, key: tuple[int, int, int]) -> None:
-        demand = self.filling.demand[key]
-        self.tag_totals[demand.tag] = _minus(self.tag_totals[demand.tag], self.filling.rate[key])
-        self._released[demand.session_id] = None
-        self.filling.remove(key)
 
     def _open_unicast(
         self, id_str: str, src: str, dst: str, tag: str, total_bytes: int, k: int, stream: str,
@@ -806,33 +774,29 @@ class Simulation:
         self.transfers[sid] = transfer
         self._homed.setdefault(home, {})[sid] = transfer
         self._digests[sid] = {}
-        self.receivers[(sid, dst)] = receiver
         self._use_paths(transfer, discovered, now)
         return transfer
 
     def _end(self, session: Transfer | PubTransfer, status: str, now: int) -> None:
         """Move an active transfer or tree to its terminal ``status``
         (``complete`` or ``no_path``); the only writer of a terminal status.
-        Its table entries go and what its report reads is frozen: a transfer's
-        here, but for its receiver after ``no_path``, which still takes what was
+        Its claims end and what its report reads is frozen: a transfer's here,
+        but for its receiver after ``no_path``, which still takes what was
         already past the break; a tree's edge by edge as each sender completed,
         and its receivers here."""
         session.status = status
         del self._digests[session.sid]
         if isinstance(session, Transfer):
             del self._homed[session.home_anchor][session.sid]
-            self._unregister_paths(session)
-            for pid in session.sender.stats:  # every path it ever used; a wake already queued then finds no sender
-                self._release(session.sid, pid)
-            del self.receivers[(session.sid, session.dst)]
+            for path in session.used:
+                self._end_claim((0, session.sid, path.path_id), path.hops)
             session.sender, session.t_end = session.sender.ended(), now
             if status == "complete":
                 session.receiver, session.t_complete = session.receiver.ended(), now
                 if session.on_complete is not None:
                     session.on_complete(now)
         else:
-            for node in {edge.child for edge in session.edges}.union(session.subscribers):
-                del self.receivers[(session.sid, node)]
+            session.receivers.clear()
             for holder in (*session.edges, *session.subscribers.values()):
                 holder.receiver = holder.receiver.ended()
         self._reallocate(now)
@@ -845,7 +809,6 @@ class Simulation:
         if not fresh:
             self._end(transfer, "no_path", now)
             return
-        self._unregister_paths(transfer)
         renumbered = [replace(path, path_id=transfer.next_pid + i) for i, path in enumerate(fresh)]
         self._use_paths(transfer, renumbered, now)
         transfer.next_pid += len(transfer.used)
@@ -895,29 +858,26 @@ class Simulation:
             self.link_cost,
         )
         pub.tree = tree
-        reached = {edge.child for edge in pub.edges} | {pub.publisher}
-        added = [
+        added = [  # a node that an edge already reaches has a receiver
             self._add_pub_edge(pub, parent, child, now)
             for parent, child in [(pub.publisher, tree.root), *_tree_edges_top_down(tree)]
-            if child not in reached
+            if child != pub.publisher and child not in pub.receivers
         ]
         for sub in sorted(set(subscribers)):
             anchor = tree.subscriber_anchors[sub]
             if sub != anchor:
                 added.append(self._add_pub_edge(pub, anchor, sub, now))
-            elif (pub.sid, anchor) not in self.receivers:
+            elif anchor not in pub.receivers:
                 # Subscriber is the anchor itself (a gateway); its relay receiver,
                 # if it has one, doubles as the delivery point.
-                self.receivers[(pub.sid, anchor)] = ReceiverSession(
-                    pub.sid, pub.tag, {}, pub.total_bytes
-                )
-            receiver = self.receivers[(pub.sid, sub)]
+                pub.receivers[anchor] = ReceiverSession(pub.sid, pub.tag, {}, pub.total_bytes)
+            receiver = pub.receivers[sub]
             leg = SubscriberLeg(sub, anchor, receiver.start_seq, receiver)
             pub.subscribers[sub] = leg
             self._subscriber_progress(pub, leg, now)
         self._reallocate(now)  # pushes no event: the arms push in the order the edges were added
         for edge in added:
-            self._arm(pub.sid, edge.parent, edge.sender, now)
+            self._arm(pub.sid, edge.src, edge.sender, now)
 
     def _add_pub_edge(self, pub: PubTransfer, parent: str, child: str, now: int) -> TreeEdge:
         """Add the edge ``parent`` -> ``child``, starting where ``parent``'s stream
@@ -930,7 +890,7 @@ class Simulation:
         ref = PathRef(pid, (parent, child), leg.latency_us, leg.dest)
         source = None
         if parent != pub.publisher:
-            start_seq = self.receivers[(pub.sid, parent)].next_expected
+            start_seq = pub.receivers[parent].next_expected
         else:
             start_seq = min((edge.sender.send_next for edge in pub.downstream.get(parent, ())), default=0)
             source = pub.source.segments(start_seq)
@@ -946,7 +906,7 @@ class Simulation:
         pub.edges.append(edge)
         pub.downstream.setdefault(parent, []).append(edge)
         self._claim((1, pub.sid, pid), (parent, child), sender, f"{pub.id_str}:{parent}>{child}")
-        self.receivers[(pub.sid, child)] = receiver
+        pub.receivers[child] = receiver
         return edge
 
     # -- gateway actions --------------------------------------------------------
@@ -1091,12 +1051,12 @@ class Simulation:
         changed: dict[SenderSession, dict[int, Fraction]] = {}
         moves: dict[tuple[str, int], int] = {}  # (tag, denominator) -> numerator of the summed moves
         for key, old in filling.fill().items():
-            _, sid, pid = key
+            kind, sid, pid = key
             (num, den), demand = filling.rate[key], filling.demand[key]
             moves[demand.tag, den] = moves.get((demand.tag, den), 0) + num
             if old:
                 moves[demand.tag, old[1]] = moves.get((demand.tag, old[1]), 0) - old[0]
-            sender = self.senders[(sid, self.path_hops[(sid, pid)][0])][pid]  # registered at its first hop
+            sender = (self.pubs[sid].edges[pid] if kind else self.transfers[sid]).sender
             changed.setdefault(sender, {})[pid] = Fraction(num, den)
             # n / d is the correctly rounded float, as float(Fraction(n, d)) is
             rates[demand.session_id] = num / den
@@ -1142,13 +1102,9 @@ def _tree_edges_top_down(tree: DistributionTree) -> list[tuple[str, str]]:
     children: dict[str, list[str]] = {}
     for parent, child in sorted(tree.edges):
         children.setdefault(parent, []).append(child)
-    out: list[tuple[str, str]] = []
-    frontier = [tree.root]
-    while frontier:
-        node = frontier.pop(0)
-        for child in children.get(node, ()):
-            out.append((node, child))
-            frontier.append(child)
+    out = [(tree.root, child) for child in children.get(tree.root, ())]
+    for _, node in out:  # breadth first: the loop reaches each edge appended
+        out.extend((node, child) for child in children.get(node, ()))
     return out
 
 

@@ -290,7 +290,7 @@ def test_a_receiver_that_acknowledges_off_its_reverse_leg_is_a_violation(fixture
     assert ack.l3_dest == sim.legs[("cern.h1", "anchor-east")].dest
     assert sim.l3_dest_violations == 0
     wrong = sim.legs[("anchor-east", "cern.h1")].dest
-    sim.receivers[(sid, "cern.h1")].set_reverse_hop(pid, wrong)
+    sim.transfers[sid].receiver.set_reverse_hop(pid, wrong)
     (ack,) = _arrive(sim, sid, pid, SegmentKind.DATA, "cern.h1", "e-access")
     assert ack.l3_dest == wrong
     assert sim.l3_dest_violations == 1
@@ -302,10 +302,10 @@ def test_one_segment_object_crosses_every_hop(fixture_paths):
     locator of the leg it came over."""
     sim = Simulation(load_scenario(fixture_paths["dual-path"]))
     arrivals: dict[tuple, list] = {}
-    path_hops = {}  # each path's hops, recorded while its session is active: an ended one's entry goes
+    path_hops = {}  # each path's hops, recorded while it is in use: a repath replaces it
 
     def see(event):
-        path_hops.update(sim.path_hops)
+        path_hops.update(((t.sid, path.path_id), path.hops) for t in sim.transfers.values() for path in t.used)
         if isinstance(event, NodeArrival):
             seg = event.segment
             key = (seg.session_id, seg.seq, seg.is_retransmit, seg.kind)
@@ -398,7 +398,7 @@ def test_a_duplicate_at_an_ended_destination_gets_the_final_ack(fixture_paths):
     sim = Simulation(load_scenario(fixture_paths["dual-path"]))
     sim.run()
     (transfer,) = sim.transfers.values()
-    assert isinstance(transfer.receiver, EndedReceiver) and not sim.receivers
+    assert isinstance(transfer.receiver, EndedReceiver) and not _forwarding_entries(sim) and not sim._neighbours
     delivered, digest = transfer.receiver.delivered_bytes, transfer.receiver.delivered_digest()
     for path in transfer.used:
         before = path.hops[-2]
@@ -421,7 +421,7 @@ def test_a_completed_tree_edge_takes_late_segments_as_before():
     pub = sim.pubs[1]
     first, second = pub.edges
     assert isinstance(first.sender, EndedSender) and not second.sender.complete
-    assert (pub.sid, first.pid) not in sim.path_hops and (pub.sid, "relay") in sim.receivers
+    assert not [key for key in sim._neighbours if key[:2] == (pub.sid, first.pid)] and "relay" in pub.receivers
     total = segment_count(pub.total_bytes)
 
     def duplicate_at_relay():
@@ -437,7 +437,7 @@ def test_a_completed_tree_edge_takes_late_segments_as_before():
     assert (1, pub.sid, first.pid) not in sim.filling.demand
     duplicate_at_relay()
     sim.run()
-    assert pub.status == "complete" and not sim.receivers
+    assert pub.status == "complete" and not pub.receivers
     assert all(isinstance(end.receiver, EndedReceiver) for end in (*pub.edges, *pub.subscribers.values()))
     duplicate_at_relay()
 
@@ -476,11 +476,22 @@ def test_a_repath_check_visits_only_the_active_transfers_homed_there():
 
 
 class _CountedRepaths(Simulation):
+    """Counts repaths, and the data segments of replaced paths that reach the
+    destination of their still active transfer."""
+
     repaths = 0
+    replaced_arrivals = 0
 
     def _repath(self, transfer, now):
         self.repaths += 1
         super()._repath(transfer, now)
+
+    def _handle_arrival(self, event, now):
+        segment, transfer = event.segment, self.transfers.get(event.segment.session_id)
+        if (transfer is not None and transfer.status == "active" and event.node == transfer.dst
+                and segment.kind is SegmentKind.DATA and all(p.path_id != segment.path_id for p in transfer.used)):
+            self.replaced_arrivals += 1
+        super()._handle_arrival(event, now)
 
 
 # The benchmark's failover-flood workload on 40 anchors and 20 chords at seeds 1 and 2,
@@ -489,6 +500,9 @@ _FAILOVER_FLOOD_TRACES = {
     1: "80813dd7413ceb07a86b25cec28ab55aa174132ff295dbcbb20f33e5648181e6",
     2: "a5461e3333dc15137c4515c6ded8451609919462b1db95ec12230913a7e340a3",
 }
+# Of those runs, the data segments of a replaced path that reach their destination while
+# the transfer is active: the pins cover a path released at its repath, not at its end.
+_FAILOVER_FLOOD_REPLACED_ARRIVALS = {1: 13, 2: 8}
 
 
 @pytest.mark.parametrize("seed", sorted(_FAILOVER_FLOOD_TRACES))
@@ -500,6 +514,7 @@ def test_failover_flood_keeps_its_pinned_trace(seed):
     report = sim.run()
     assert sim.repaths >= 1
     assert all(t.status == "complete" for t in sim.transfers.values())
+    assert sim.replaced_arrivals == _FAILOVER_FLOOD_REPLACED_ARRIVALS[seed]
     assert report["trace_hash"] == _FAILOVER_FLOOD_TRACES[seed]
 
 
@@ -659,22 +674,23 @@ def test_senders_hold_only_unacknowledged_segments(fixture_paths, scenario):
     while sim.queue.peek_time() is not None:
         sim.step()
         origins = {t.sender for t in sim.transfers.values()} | {
-            e.sender for pub in sim.pubs.values() for e in pub.edges if e.parent == pub.publisher
+            e.sender for pub in sim.pubs.values() for e in pub.edges if e.src == pub.publisher
         }
-        for group in sim.senders.values():
-            for sender in set(group.values()):
-                held, acked, nxt = set(sender.held), acked_seqs(sender), sender.send_next
-                assert not held & acked
-                # Of the segments sent, exactly the unacknowledged ones are held ...
-                sent = {seq for seq in held if seq < nxt}
-                assert sent == set(range(sender.start_seq, nxt)) - acked
-                assert len(sent) <= nxt - sender.start_seq - len(acked)
-                # ... and of those not yet sent, only a relay's contiguous
-                # backlog of what its upstream hop delivered.
-                backlog = sorted(held - sent)
-                assert backlog == list(range(nxt, nxt + len(backlog)))
-                assert not (backlog and sender in origins)
-                most_held = max(most_held, len(held))
+        live = [t.sender for t in sim.transfers.values() if t.status == "active"]
+        live += [e.sender for pub in sim.pubs.values() for e in pub.edges if not e.sender.complete]
+        for sender in live:
+            held, acked, nxt = set(sender.held), acked_seqs(sender), sender.send_next
+            assert not held & acked
+            # Of the segments sent, exactly the unacknowledged ones are held ...
+            sent = {seq for seq in held if seq < nxt}
+            assert sent == set(range(sender.start_seq, nxt)) - acked
+            assert len(sent) <= nxt - sender.start_seq - len(acked)
+            # ... and of those not yet sent, only a relay's contiguous
+            # backlog of what its upstream hop delivered.
+            backlog = sorted(held - sent)
+            assert backlog == list(range(nxt, nxt + len(backlog)))
+            assert not (backlog and sender in origins)
+            most_held = max(most_held, len(held))
     assert all(t.status == "complete" for t in sim.transfers.values())
     assert all(pub.status == "complete" for pub in sim.pubs.values())
     assert most_held > 0
@@ -1121,9 +1137,25 @@ def test_cached_payload_digest_is_sha256_of_payload_while_session_is_active(fixt
 
 
 def _sender(sim, key):
-    """The sender that the claimant ``key`` paces: registered at its first hop."""
-    _, sid, pid = key
-    return sim.senders[(sid, sim.path_hops[(sid, pid)][0])][pid]
+    """The sender that paces the claimant ``key``: its transfer's or its tree edge's."""
+    kind, sid, pid = key
+    return (sim.pubs[sid].edges[pid] if kind else sim.transfers[sid]).sender
+
+
+def _forwarding_entries(sim):
+    """Each anchor's (session, path) keys in its forwarding tables."""
+    return {name: a.next_hop.keys() | a.prev_hop.keys() for name, a in sim.anchors.items() if a.next_hop or a.prev_hop}
+
+
+def _assert_nothing_held(sim):
+    """Every session has ended and left no entry behind: no claim, neighbour,
+    forwarding entry, digest or tree receiver, and no live sender or receiver."""
+    assert not (sim.filling.demand or sim._neighbours or _forwarding_entries(sim) or sim._digests)
+    assert not any(pub.receivers for pub in sim.pubs.values())
+    assert all(isinstance(t.sender, EndedSender) and isinstance(t.receiver, EndedReceiver)
+               for t in sim.transfers.values())
+    assert all(isinstance(e.sender, EndedSender) for pub in sim.pubs.values() for e in pub.edges
+               if e.sender.start_seq < segment_count(pub.total_bytes))  # one grafted at the stream's end never sent
 
 
 class _EpochCheckedSimulation(Simulation):
@@ -1175,9 +1207,9 @@ class _EpochCheckedSimulation(Simulation):
             for edge in pub.edges:
                 if edge.sender.complete:
                     continue
-                links = frozenset(self.legs[(edge.parent, edge.child)].links)
+                links = frozenset(self.legs[(edge.src, edge.dst)].links)
                 demands.append(Demand(
-                    f"{pub.id_str}:{edge.parent}>{edge.child}", self.policy[pub.tag], links,
+                    f"{pub.id_str}:{edge.src}>{edge.dst}", self.policy[pub.tag], links,
                     tag=pub.tag,
                 ))
                 targets.append(((1, sid, edge.pid), edge.sender, edge.pid))
@@ -1195,26 +1227,37 @@ class _EpochCheckedSimulation(Simulation):
         assert list(alloc.rates_exact.items()) == list(rates.items())
         assert list(alloc.residuals_exact.items()) == list(residuals.items())
 
+    def _end(self, session, status, now):
+        """What has ended is frozen: a transfer's sender and, once complete,
+        its receiver (after ``no_path`` it still takes what was past the
+        break); a tree's receivers, and its edges' senders as each completed."""
+        super()._end(session, status, now)
+        if session.sid in self.transfers:
+            assert isinstance(session.sender, EndedSender)
+            assert isinstance(session.receiver, EndedReceiver) == (status == "complete")
+        else:
+            assert all(isinstance(end.receiver, EndedReceiver) for end in (*session.edges, *session.subscribers.values()))
+            total = segment_count(session.total_bytes)  # an edge grafted at the stream's end never sent
+            assert all(isinstance(edge.sender, EndedSender) for edge in session.edges if edge.sender.start_seq < total)
+
     def _check_tables(self):
-        """Entries only for active transfers (each path they ever used), for
-        the uncompleted edges of trees and for active trees' receivers."""
-        senders, receivers = {}, set()  # (sid, path id) -> its sender; (sid, node)
+        """Entries only for the claims that active sessions hold, each paced by
+        its transfer's or edge's live sender and with its hops in
+        ``_neighbours``.  Digests only for active sessions, and receiver maps
+        only for active trees."""
+        claims = {}  # claim key -> (hops, the sender of its transfer or edge)
         for sid, transfer in self.transfers.items():
             if transfer.status == "active":
-                senders.update(((sid, pid), transfer.sender) for pid in transfer.sender.stats)
-                receivers.add((sid, transfer.dst))
+                claims.update(((0, sid, path.path_id), (path.hops, transfer.sender)) for path in transfer.used)
         for sid, pub in self.pubs.items():
-            if pub.status == "active":
-                senders.update(((sid, edge.pid), edge.sender) for edge in pub.edges if not edge.sender.complete)
-                receivers.update((sid, node) for node in {edge.child for edge in pub.edges}.union(pub.subscribers))
-        assert set(self.path_hops) == set(senders)
-        registered = {(sid, pid): (node, sender) for (sid, node), group in self.senders.items()
-                      for pid, sender in group.items()}
-        assert registered == {key: (self.path_hops[key][0], sender) for key, sender in senders.items()}
-        assert all(self.senders.values())
-        hop_keys = {(sid, pid, hop) for (sid, pid), hops in self.path_hops.items() for hop in hops}
-        assert set(self._neighbours) == hop_keys
-        assert set(self.receivers) == receivers
+            claims.update(((1, sid, e.pid), ((e.src, e.dst), e.sender)) for e in pub.edges if not e.sender.complete)
+            nodes = {edge.dst for edge in pub.edges}.union(pub.subscribers) if pub.status == "active" else set()
+            assert set(pub.receivers) == nodes
+        assert set(self.filling.demand) == set(claims)
+        assert {key[:2] for key in self._neighbours} == {key[1:] for key in self.filling.demand}
+        for (_, _, pid), (_, sender) in claims.items():
+            assert isinstance(sender, SenderSession) and not sender.complete and pid in sender.paths
+        assert set(self._neighbours) == {(sid, pid, hop) for (_, sid, pid), (hops, _) in claims.items() for hop in hops}
         active = {sid for sid, t in self.transfers.items() if t.status == "active"}
         assert set(self._digests) == active | {sid for sid, p in self.pubs.items() if p.status == "active"}
 
@@ -1286,7 +1329,7 @@ def test_session_churn_epochs_match_a_fresh_fill(seed):
     assert max(epoch["concurrent"] for epoch in sim.alloc_epochs) > 100
     assert all(t.status == "complete" for t in sim.transfers.values())
     assert not sim.filling.demand and not sim.replayed
-    assert not (sim.senders or sim.receivers or sim.path_hops or sim._neighbours)
+    _assert_nothing_held(sim)
 
 
 def test_fanout_join_epochs_match_a_fresh_fill_and_hold_only_active_entries():
@@ -1300,7 +1343,7 @@ def test_fanout_join_epochs_match_a_fresh_fill_and_hold_only_active_entries():
     assert len(sim.checked) == len(sim.alloc_epochs) > 20
     assert sim.transfers and all(t.status == "complete" for t in sim.transfers.values())
     assert sim.pubs and all(p.status == "complete" for p in sim.pubs.values())
-    assert not (sim.senders or sim.receivers or sim.path_hops or sim._neighbours or sim._digests)
+    _assert_nothing_held(sim)
 
 
 class _CountedPumps(Simulation):
@@ -1312,14 +1355,16 @@ class _CountedPumps(Simulation):
 
 
 class _PumpEverySender(_CountedPumps):
-    """Pumps every sender registered at a wake's session and node, as the
+    """Pumps every live sender of a wake's session at its node, as the
     simulator once did, not only the senders that claimed that wake."""
 
     def _session_wake(self, event, now):
-        group = self.senders.get((event.sid, event.node))
-        if not group:
-            return
-        for sender in dict.fromkeys(group[pid] for pid in sorted(group)):
+        transfer = self.transfers.get(event.sid)
+        if transfer is not None:
+            senders = [transfer.sender] if transfer.status == "active" else []
+        else:
+            senders = [e.sender for e in self.pubs[event.sid].downstream.get(event.node, ()) if not e.sender.complete]
+        for sender in senders:
             sender.release_wake(now)
             self._pump(event.sid, event.node, sender, now)
 
@@ -1363,8 +1408,9 @@ def test_no_claim_holds_a_completed_sender(fixture_paths, name):
     while sim.queue.peek_time() is not None and sim.queue.peek_time() <= sim.config.horizon_us:
         sim.step()
         assert not [key for key in sim.filling.demand if _sender(sim, key).complete]
-        # a wake pumps a group's senders in the order of their path ids as stored
-        assert all(list(group) == sorted(group) for group in sim.senders.values())
+        # a wake pumps a node's edges in downstream order, the ascending order of their path ids
+        assert all([e.pid for e in edges] == sorted(e.pid for e in edges)
+                   for pub in sim.pubs.values() for edges in pub.downstream.values())
         exercised |= any(
             edge.sender.complete
             for pub in sim.pubs.values() if pub.status == "active" for edge in pub.edges
@@ -1401,7 +1447,7 @@ def test_a_completed_tree_edge_frees_its_capacity_at_once():
     while not sim.pubs or not sim.pubs[1].edges[0].sender.complete:
         sim.step()
     first, second = sim.pubs[1].edges
-    assert (first.parent, first.child, second.parent, second.child) == ("origin", "relay", "relay", "leaf")
+    assert (first.src, first.dst, second.src, second.dst) == ("origin", "relay", "relay", "leaf")
     assert sim.pubs[1].status == "active" and not second.sender.complete
     assert second.sender.rates == {second.pid: 100}
     epoch = sim.alloc_epochs[-1]
@@ -1542,7 +1588,7 @@ def test_a_subscriber_listed_twice_gets_one_leg_and_one_edge(fixture_paths):
     report = sim.run()
     (pub,) = sim.pubs.values()
     assert sorted(pub.subscribers) == ["us.sub1", "us.sub2", "us.sub3"]
-    children = [edge.child for edge in pub.edges]
+    children = [edge.dst for edge in pub.edges]
     assert sorted(children) == sorted(set(children))
     assert all(sub in children for sub in pub.subscribers)
     assert report["pubsub"]["pub1"]["status"] == "complete"
@@ -1603,8 +1649,8 @@ def test_every_root_edge_reads_the_published_stream_from_its_own_start_seq(monke
     sim = Simulation(_mid_stream_join())
     report = sim.run()
     (pub,) = sim.pubs.values()
-    roots = [edge for edge in pub.edges if edge.parent == pub.publisher]
-    assert [edge.child for edge in roots] == ["gw-mid", "gw-side"]
+    roots = [edge for edge in pub.edges if edge.src == pub.publisher]
+    assert [edge.dst for edge in roots] == ["gw-mid", "gw-side"]
     assert roots[0].sender.start_seq == 0 < roots[1].sender.start_seq
     assert reads == [(pub.source, edge.sender.start_seq) for edge in roots] + [(pub.source, 0)]
     whole = synth_payload(JOIN_OBJECT, JOIN_BYTES)
