@@ -14,11 +14,10 @@ import argparse
 import os
 import re
 import sys
-from typing import Optional
+from typing import Any, Callable
 
 from .metrics import (
     TopologyMismatch,
-    canonical_json,
     compare,
     load_report,
     render_compare_table,
@@ -29,8 +28,6 @@ from .scenario import (
     MODE_BASELINE,
     MODE_L5,
     ConfigInvalid,
-    ParseError,
-    ScenarioConfig,
     load_scenario,
 )
 from .simnet import Simulation
@@ -69,19 +66,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load(path: str) -> Optional[ScenarioConfig]:
-    """The scenario in ``path``, or None once why it cannot be used is printed."""
+def _load(path: str, use: Callable[[str], Any] = load_scenario) -> Any:
+    """``use(path)``, or None once why the file cannot be used is printed."""
     try:
-        return load_scenario(path)
+        return use(path)
     except OSError as exc:
         print(f"{path}: {exc.strerror or exc}", file=sys.stderr)
     except UnicodeDecodeError as exc:
         print(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}", file=sys.stderr)
-    except ParseError as exc:
-        print(f"{path}: {exc}", file=sys.stderr)
     except ConfigInvalid as exc:
         for diagnostic in exc.diagnostics:
             print(f"{path}: {diagnostic}", file=sys.stderr)
+    except ValueError as exc:  # a ParseError, or JSON that is not a metrics report
+        print(f"{path}: {exc}", file=sys.stderr)
     return None
 
 
@@ -98,15 +95,17 @@ def _cmd_run(args: argparse.Namespace) -> int:
         return 1
     mode = _MODE_ALIASES[args.mode] if args.mode else None
     try:
-        report = Simulation(config, seed=args.seed, mode=mode).run()
+        sim = Simulation(config, seed=args.seed, mode=mode)
+        out = args.out  # one file in the output directory, whatever the scenario's name holds, by default
+        if out is None:
+            stem = re.sub(r"[^\w.-]", "_", config.name)
+            out = os.path.join(os.environ.get("ANCHORNET_OUT_DIR", "."), f"{stem}-{sim.mode}-{sim.seed}.json")
+        if _load(out, lambda path: open(path, "a").close() or path) is None:  # unwritable: found before the run
+            return 1
+        report = sim.run()
     except Exception as exc:  # runtime faults are reported, not swallowed
         print(f"{args.scenario}: simulation fault: {exc}", file=sys.stderr)
         return 2
-    out = args.out
-    if out is None:  # one file in the output directory, whatever the scenario's name holds
-        stem = re.sub(r"[^\w.-]", "_", report["scenario"])
-        out = os.path.join(os.environ.get("ANCHORNET_OUT_DIR", "."),
-                           f"{stem}-{report['mode']}-{report['seed']}.json")
     write_report(report, out)
     print(summary_line(report))
     print(f"report: {out}")
@@ -114,15 +113,18 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
+    reports = [_load(path, load_report) for path in (args.report_a, args.report_b)]
+    if None in reports:
+        return 1
     try:
-        result = compare(load_report(args.report_a), load_report(args.report_b))
+        result = compare(*reports)
     except TopologyMismatch as exc:
         print(f"compare: {exc}", file=sys.stderr)
         return 1
     print(render_compare_table(result))
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(canonical_json(result))
+        if _load(args.out, lambda path: write_report(result, path) or path) is None:
+            return 1
         print(f"comparison: {args.out}")
     return 0
 

@@ -265,8 +265,12 @@ def write_report(report: dict[str, Any], path: str) -> None:
 
 
 def load_report(path: str) -> dict[str, Any]:
+    """The report in ``path``; ValueError when the file holds no anchornet-metrics/2 report."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        report = json.load(fh)
+    if type(report) is not dict or report.get("schema") != "anchornet-metrics/2":
+        raise ValueError("not an anchornet-metrics/2 report")
+    return report
 
 
 def summary_line(report: dict[str, Any]) -> str:

@@ -4,6 +4,7 @@ import pytest
 
 from anchornet.cli import main
 from anchornet.metrics import TopologyMismatch, compare, load_report
+from anchornet.simnet import Simulation
 
 
 def test_validate_ok(capsys, fixture_paths):
@@ -139,3 +140,39 @@ def test_bad_rate_cap_is_a_diagnostic_not_a_simulation_fault(tmp_path, capsys, f
     path.write_text(json.dumps(raw))
     assert main(["run", str(path), "--out", str(tmp_path / "r.json")]) == 1
     assert capsys.readouterr().err == f"{path}: events[0].rate_cap_mbps: not a number: 'fast'\n"
+
+
+@pytest.fixture(scope="module")
+def report(tmp_path_factory, fixture_paths):
+    out = tmp_path_factory.mktemp("report") / "dual-path.json"
+    assert main(["run", str(fixture_paths["dual-path"]), "--out", str(out)]) == 0
+    return out
+
+
+UNREADABLE = {  # the bytes of a file that compare cannot use, and the reason it gives
+    "missing.json": (None, "No such file or directory"),
+    "not-json.json": (b"{ not json", "Expecting property name enclosed in double quotes: line 1 column 3 (char 2)"),
+    "not-a-report.json": (b'{"scenario": "dual-path"}', "not an anchornet-metrics/2 report"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNREADABLE))
+def test_compare_of_a_file_that_holds_no_report_is_one_line_and_exit_1(tmp_path, capsys, report, name):
+    path = tmp_path / name
+    content, reason = UNREADABLE[name]
+    if content is not None:
+        path.write_bytes(content)
+    capsys.readouterr()
+    assert main(["compare", str(report), str(path)]) == 1
+    assert capsys.readouterr() == ("", f"{path}: {reason}\n")
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_an_out_path_that_cannot_be_written_is_one_line_and_exit_1(tmp_path, capsys, monkeypatch, fixture_paths,
+                                                                   report, command):
+    out = tmp_path / "missing" / "out.json"
+    monkeypatch.setattr(Simulation, "run", lambda self: pytest.fail("the run started"))
+    inputs = [str(fixture_paths["dual-path"])] if command == "run" else [str(report), str(report)]
+    capsys.readouterr()
+    assert main([command, *inputs, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"{out}: No such file or directory\n"

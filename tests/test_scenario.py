@@ -215,34 +215,64 @@ def test_scenario_hash_ignores_seed_and_mode():
     assert c.scenario_hash() != a.scenario_hash()
 
 
+# Fixed ids, so that rewording a message renames no case.
 @pytest.mark.parametrize("path, value, message", [
-    (("seed",), True, "must be an integer, got True"),
-    (("horizon_us",), True, "must be a positive integer, got True"),
-    (("links", 0, "latency_us"), True, "must be a nonnegative integer, got True"),
-    (("events", 0, "time_us"), True, "must be a nonnegative integer, got True"),
-    (("events", 0, "bytes"), True, "must be a positive integer, got True"),
-    (("events", 0, "k_paths"), True, "must be a positive integer, got True"),
-    (("events", 1, "size_bytes"), True, "must be a positive integer, got True"),
-    (("events", 1, "ttl_us"), True, "must be a positive integer, got True"),
-    (("anchors", 3, "gateway"), "no", "must be a boolean, got 'no'"),
-    (("domains", 0, "attachments"), "xy", "must be a list of ids, got 'xy'"),
-    (("links", 0, "endpoints"), "ab", "must name two distinct attachments"),
-    (("events", 3, "subscribers"), "cern.h1", "pubsub session needs subscribers"),
-    (("events", 0, "rate_cap_mbps"), "fast", "not a number: 'fast'"),
-    (("events", 0, "rate_cap_mbps"), -5, "must be positive, got -5"),
-    (("events", 2, "k_paths"), 0, "must be a positive integer, got 0"),
-    (("events", 3, "object"), "Bad Name", "not a valid data name: 'Bad Name'"),
-    (("events", 3, "object"), 5, "not a valid data name: 5"),
-    (("events", 0, "object"), "Bad Name", "not a valid data name: 'Bad Name'"),
-    (("events", 3, "src"), "caltech.h1", "'caltech.h1' is not a gateway anchor"),
-    (("policy", 0, "weight"), -0.5, "tag 'atlas' weight must be positive, got -1/2"),
-    (("policy", 0, "weight"), "heavy", "not a number: 'heavy'"),
-    (("policy", 0, "tag"), "t" * 33, f"tag must be 1..32 bytes, got {'t' * 33!r}"),
-    (("policy", 0, "tag"), "\ud800", "tag must be 1..32 bytes, got '\\ud800'"),
-    (("domains", 0, "attachments"), ["h1-port", "h1-port"], "attachment ids must be unique within the domain"),
-    (("links", 0, "endpoints"), ["h1-port", "nowhere"], "attachment 'nowhere' not declared in domain 'west-site'"),
-    (("links", 0, "loss_prob"), 1.5, "must lie in [0, 1), got 3/2"),
-    (("links", 0, "cost"), "x", "not a number: 'x'"),
+    pytest.param(("seed",), True, "must be an integer, got True",
+                 id="path0-True-must be an integer, got True"),
+    pytest.param(("horizon_us",), True, "must be a positive integer, got True",
+                 id="path1-True-must be a positive integer, got True"),
+    pytest.param(("links", 0, "latency_us"), True, "must be a nonnegative integer, got True",
+                 id="path2-True-must be a nonnegative integer, got True"),
+    pytest.param(("events", 0, "time_us"), True, "must be a nonnegative integer, got True",
+                 id="path3-True-must be a nonnegative integer, got True"),
+    pytest.param(("events", 0, "bytes"), True, "must be a positive integer, got True",
+                 id="path4-True-must be a positive integer, got True"),
+    pytest.param(("events", 0, "k_paths"), True, "must be a positive integer, got True",
+                 id="path5-True-must be a positive integer, got True"),
+    pytest.param(("events", 1, "size_bytes"), True, "must be a positive integer, got True",
+                 id="path6-True-must be a positive integer, got True"),
+    pytest.param(("events", 1, "ttl_us"), True, "must be a positive integer, got True",
+                 id="path7-True-must be a positive integer, got True"),
+    pytest.param(("anchors", 3, "gateway"), "no", "must be a boolean, got 'no'",
+                 id="path8-no-must be a boolean, got 'no'"),
+    pytest.param(("domains", 0, "attachments"), "xy", "must be a list of ids, got 'xy'",
+                 id="path9-xy-must be a list of ids, got 'xy'"),
+    pytest.param(("links", 0, "endpoints"), "ab", "must name two distinct attachments",
+                 id="path10-ab-must name two distinct attachments"),
+    pytest.param(("events", 3, "subscribers"), "cern.h1", "pubsub session needs subscribers",
+                 id="path11-cern.h1-pubsub session needs subscribers"),
+    pytest.param(("events", 0, "rate_cap_mbps"), "fast", "not a number: 'fast'",
+                 id="path12-fast-not a number: 'fast'"),
+    pytest.param(("events", 0, "rate_cap_mbps"), -5, "must be positive, got -5",
+                 id="path13--5-must be positive, got -5"),
+    pytest.param(("events", 2, "k_paths"), 0, "must be a positive integer, got 0",
+                 id="path14-0-must be a positive integer, got 0"),
+    pytest.param(("events", 3, "object"), "Bad Name", "not a valid data name: 'Bad Name'",
+                 id="path15-Bad Name-not a valid data name: 'Bad Name'"),
+    pytest.param(("events", 3, "object"), 5, "not a valid data name: 5",
+                 id="path16-5-not a valid data name: 5"),
+    pytest.param(("events", 0, "object"), "Bad Name", "not a valid data name: 'Bad Name'",
+                 id="path17-Bad Name-not a valid data name: 'Bad Name'"),
+    pytest.param(("events", 3, "src"), "caltech.h1", "'caltech.h1' is not a gateway anchor",
+                 id="path18-caltech.h1-'caltech.h1' is not a gateway anchor"),
+    pytest.param(("policy", 0, "weight"), -0.5, "tag 'atlas' weight must be positive, got -1/2",
+                 id="path19--0.5-tag 'atlas' weight must be positive, got -1/2"),
+    pytest.param(("policy", 0, "weight"), "heavy", "not a number: 'heavy'",
+                 id="path20-heavy-not a number: 'heavy'"),
+    pytest.param(("policy", 0, "tag"), "t" * 33, f"tag must be 1..32 bytes, got {'t' * 33!r}",
+                 id=f"path21-{'t' * 33}-tag must be 1..32 bytes, got {'t' * 33!r}"),
+    pytest.param(("policy", 0, "tag"), "\ud800", "tag must be 1..32 bytes, got '\\ud800'",
+                 id="path22-\ud800-tag must be 1..32 bytes, got '\\ud800'"),  # pytest prints ids escaped
+    pytest.param(("domains", 0, "attachments"), ["h1-port", "h1-port"],
+                 "attachment ids must be unique within the domain",
+                 id="path23-value23-attachment ids must be unique within the domain"),
+    pytest.param(("links", 0, "endpoints"), ["h1-port", "nowhere"],
+                 "attachment 'nowhere' not declared in domain 'west-site'",
+                 id="path24-value24-attachment 'nowhere' not declared in domain 'west-site'"),
+    pytest.param(("links", 0, "loss_prob"), 1.5, "must lie in [0, 1), got 3/2",
+                 id="path25-1.5-must lie in [0, 1), got 3/2"),
+    pytest.param(("links", 0, "cost"), "x", "not a number: 'x'",
+                 id="path26-x-not a number: 'x'"),
 ])
 def test_value_of_the_wrong_kind_is_reported_at_its_field(path, value, message):
     raw = every_event_kind()
