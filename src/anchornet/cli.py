@@ -82,6 +82,12 @@ def _load(path: str, use: Callable[[str], Any] = load_scenario) -> Any:
     return None
 
 
+def _touch(path: str) -> str:
+    """``path``, once a file there can be written; it is created, empty, if missing."""
+    open(path, "a").close()
+    return path
+
+
 def _cmd_validate(args: argparse.Namespace) -> int:
     if _load(args.scenario) is None:
         return 1
@@ -96,11 +102,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
     mode = _MODE_ALIASES[args.mode] if args.mode else None
     try:
         sim = Simulation(config, seed=args.seed, mode=mode)
-        out = args.out  # one file in the output directory, whatever the scenario's name holds, by default
-        if out is None:
+        out = args.out
+        if out is None:  # one file in the output directory, whatever the scenario's name holds
             stem = re.sub(r"[^\w.-]", "_", config.name)
             out = os.path.join(os.environ.get("ANCHORNET_OUT_DIR", "."), f"{stem}-{sim.mode}-{sim.seed}.json")
-        if _load(out, lambda path: open(path, "a").close() or path) is None:  # unwritable: found before the run
+        if _load(out, _touch) is None:  # found before the run, not after it
             return 1
         report = sim.run()
     except Exception as exc:  # runtime faults are reported, not swallowed
@@ -121,10 +127,11 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     except TopologyMismatch as exc:
         print(f"compare: {exc}", file=sys.stderr)
         return 1
+    if args.out and _load(args.out, _touch) is None:
+        return 1
     print(render_compare_table(result))
     if args.out:
-        if _load(args.out, lambda path: write_report(result, path) or path) is None:
-            return 1
+        write_report(result, args.out)
         print(f"comparison: {args.out}")
     return 0
 

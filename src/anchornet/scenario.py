@@ -6,8 +6,8 @@ ports and peerings, hosts with a home anchor), the science-domain policy
 table, and a timed event script.  Field names here are a frozen external
 interface: the shipped fixtures and the metrics reports use them verbatim.
 
-Validation never raises: every problem becomes a ``Diagnostic``.  A table of
-rows, one per field it checks, states each kind of entry; one walker, ``_walk``,
+Validation never raises: every problem becomes a ``Diagnostic``.  Each kind
+of entry has a table of rows, each about one field, and one walker, ``_walk``,
 takes a list of entries through a table and reports each failure.
 """
 
@@ -127,7 +127,8 @@ class ScenarioConfig:
     raw: dict[str, Any] = field(repr=False, default_factory=dict)
 
     def scenario_hash(self) -> str:
-        """Digest of all but seed and mode, so that the reports of two runs of one scenario compare."""
+        """Digest of everything except seed and mode, so reports from two
+        runs of the same scenario are comparable."""
         payload = {key: self.raw.get(key) for key in ("name", *SECTIONS)}
         blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()
@@ -137,7 +138,8 @@ class ScenarioConfig:
 
 
 def load_scenario(path: str) -> ScenarioConfig:
-    """Parse a scenario file: ParseError, with a position, on bad syntax; ConfigInvalid on bad structure."""
+    """Parse a scenario file; raises ParseError with position on bad syntax
+    and ConfigInvalid with field-level diagnostics on bad structure."""
     with open(path, "r", encoding="utf-8") as fh:
         return parse_scenario(fh.read())
 
@@ -340,13 +342,13 @@ CONFIGS = {  # the config object of each entry a section kept, made for a scenar
 def _walk(table: Any, entries: Any, where: tuple, ids: dict[str, Any], outer: Optional[dict] = None) -> list:
     """The (place, fields) of each (place, entry) that passes every row of ``table``, or of ``table(entry)``;
     the first row that fails an entry is reported, but every one of the root's.  ``fields`` start as ``outer``."""
-    kept = []
+    kept, rows = [], table if type(table) is tuple else None
     for at, entry in entries:
         if type(entry) is not dict:
             ids["diagnostics"].append(((*where, at), "must be an object, got {0!r}", entry, None))
             continue
         fields = {} if outer is None else dict(outer)
-        for key, default, test, message, each in table if type(table) is tuple else table(entry):
+        for key, default, test, message, each in rows or table(entry):
             value = fields[key] if key in fields else entry.get(key, default)
             if (verdict := test(value, ids, fields)) is not True:
                 ids["diagnostics"].append(((*where, at, key), verdict or message, value, fields))
