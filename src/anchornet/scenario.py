@@ -179,9 +179,9 @@ def _decode(text: str) -> Any:
 # ``each`` walks a value that passed: a table each entry of a list or a nested entry, a (test,
 # message) pair each id of a list.  An integer is a JSON integer, a number a JSON integer or float,
 # never a boolean; an id is any JSON value but a list or an object, and every declared id a string.
-# A section's last row declares the entry that passed.  Shared tests and their makers take a line each.
+# A section's last row declares the entry that passed.  The tests that rows share take a line each.
 _CONTAINERS = frozenset((list, dict))
-_table = lambda *rows: tuple((*row, None, None)[:5] for row in rows)  # rows of five
+_table = lambda *rows: tuple((*row, None, None)[:5] for row in rows)  # no message or each: None
 _number = lambda v: type(v) is int or type(v) is float and math.isfinite(v)
 _in = lambda namespace: lambda v, ids, f: type(v) is str and v in ids[namespace]
 _new = lambda test, namespace, message: lambda v, ids, f: test(v, ids, f) and (v not in ids[namespace] or message)
@@ -218,7 +218,8 @@ def _port(value: Any, ids: Any, fields: Any) -> Any:
 
 
 def _peering(domain: Any, ids: Any, fields: Any) -> Any:
-    """A declared domain; the pair's first peering or one declared back, which claims it; both anchors' port."""
+    """A declared domain, for the first peering of its anchor pair or one that the other anchor declares
+    back, which claims the pair; and one where both anchors have a port."""
     if domain not in ids["domains"]:
         return False
     name, other = fields["name"], fields["anchor"]
