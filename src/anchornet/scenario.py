@@ -342,7 +342,7 @@ CONFIGS = {  # the config object of each entry a section kept, made for a scenar
 
 def _walk(table: Any, entries: Any, where: tuple, ids: dict[str, Any], outer: Optional[dict] = None) -> list:
     """The (place, fields) of each (place, entry) that passes every row of ``table``, or of ``table(entry)``;
-    the first row that fails an entry is reported, but every one of the root's.  ``fields`` start as ``outer``."""
+    the first row that fails an entry is reported, but every one of the root's.  ``fields`` start from ``outer``."""
     kept, rows = [], table if type(table) is tuple else None
     for at, entry in entries:
         if type(entry) is not dict:
@@ -384,7 +384,7 @@ def _build(raw: Any) -> tuple[Optional[ScenarioConfig], list[Diagnostic]]:
         for i, anchor in kept[section] if section == "anchors" else ():  # a peer may name a later anchor
             if anchor["peers"]:
                 _walk(PEER, enumerate(anchor["peers"]), (section, i, "peers"), ids, {"name": anchor["name"]})
-    if ids["diagnostics"]:  # ``anchors[2].ports[0]`` for ("anchors", 2, "ports", 0)
+    if ids["diagnostics"]:  # ("anchors", 2, "ports", 0) reads anchors[2].ports[0]; a place of None, nothing
         return None, [Diagnostic("".join(f"[{k}]" if type(k) is int else f".{k}" for k in where if k is not None)[1:],
                                  message.format(value, _number(value) and as_fraction(value), fields))
                       for where, message, value, fields in ids["diagnostics"]]

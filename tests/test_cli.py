@@ -175,4 +175,4 @@ def test_an_out_path_that_cannot_be_written_is_one_line_and_exit_1(tmp_path, cap
     inputs = [str(fixture_paths["dual-path"])] if command == "run" else [str(report), str(report)]
     capsys.readouterr()
     assert main([command, *inputs, "--out", str(out)]) == 1
-    assert capsys.readouterr().err == f"{out}: No such file or directory\n"
+    assert capsys.readouterr() == ("", f"{out}: No such file or directory\n")
