@@ -16,7 +16,7 @@ from .addressing import L3Locator
 from .gateway import GatewayCatalog
 from .pathfinder import L5Path
 from .session import ACK, Segment
-from .topology import LinkStateStore
+from .topology import TopologyDatabase
 
 
 class NotOnPath(ValueError):
@@ -31,7 +31,7 @@ class Anchor:
 
     name: str
     ports: tuple[L3Locator, ...]
-    db: LinkStateStore = field(default_factory=LinkStateStore)
+    db: TopologyDatabase = field(default_factory=TopologyDatabase)
     next_hop: dict[tuple[int, int], str] = field(default_factory=dict)
     prev_hop: dict[tuple[int, int], str] = field(default_factory=dict)
     counters: dict[str, list[int]] = field(default_factory=dict)

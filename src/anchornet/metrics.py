@@ -131,7 +131,7 @@ def build_report(sim: Simulation) -> dict[str, Any]:
             unicast_cost: Optional[float] = float(unicast_cost_crossings(
                 sim.anchors[home].db, pub.publisher, sorted(pub.tree.subscribers), sim.link_cost,
             ))
-        except Unreachable:  # a subscriber was cut off after the tree was built
+        except Unreachable:  # a subscriber or the publisher was cut off after the tree was built
             unicast_cost = None
         trees[pub.id_str] = {
             "sid": pub.sid,
@@ -264,12 +264,27 @@ def write_report(report: dict[str, Any], path: str) -> None:
         fh.write(canonical_json(report))
 
 
+# The fields that ``compare`` and ``summary_line`` read, as key paths, in the order compare reads them.
+_READ_FIELDS = (("scenario_hash",), ("scenario",), ("summary", "headline_fraction"),
+                ("summary", "throughput_mbps"), ("links",), ("allocation", "domain_shares_mbps"),
+                ("mode",), ("seed",))
+
+
 def load_report(path: str) -> dict[str, Any]:
-    """The report in ``path``; ValueError when the file holds no anchornet-metrics/2 report."""
+    """The report in ``path``; ValueError when the file holds no anchornet-metrics/2
+    report, or one that lacks a field ``compare`` or ``summary_line`` reads."""
     with open(path, "r", encoding="utf-8") as fh:
         report = json.load(fh)
     if type(report) is not dict or report.get("schema") != "anchornet-metrics/2":
         raise ValueError("not an anchornet-metrics/2 report")
+    links = report.get("links")
+    per_link = [("links", lid, "data_original") for lid in (links if type(links) is dict else ())]
+    for keys in (*_READ_FIELDS, *per_link):
+        node = report
+        for key in keys:
+            if type(node) is not dict or key not in node:
+                raise ValueError(f"report lacks {'.'.join(keys)}")
+            node = node[key]
     return report
 
 

@@ -22,11 +22,12 @@ from .topology import TopologyDatabase
 
 
 class Unreachable(ValueError):
-    """One or more subscribers cannot be reached from the publisher."""
+    """One or more subscribers, or the publisher itself, cannot be reached:
+    cut off from the publisher's anchor, or absent from its database."""
 
     def __init__(self, subscribers: Sequence[str]) -> None:
         self.subscribers = tuple(sorted(subscribers))
-        super().__init__(f"unreachable subscribers: {', '.join(self.subscribers)}")
+        super().__init__(f"unreachable: {', '.join(self.subscribers)}")
 
 
 LinkCost = Mapping[frozenset, Fraction]
@@ -55,12 +56,13 @@ class DistributionTree:
 
 def anchor_of(db: TopologyDatabase, name: str) -> str:
     """The attachment anchor of a node: itself if it is an anchor, else the
-    single anchor its access leg hangs off."""
+    single anchor its access leg hangs off.  A node the database does not
+    hold, such as a host whose access link failed, is ``Unreachable``."""
     if name in db.lsas:
         return name
     graph = db.graph()
     if name not in graph:
-        raise ValueError(f"node {name!r} not present in topology")
+        raise Unreachable([name])
     uplinks = sorted({adj.neighbor for adj in graph[name] if adj.neighbor in db.lsas})
     if not uplinks:
         raise ValueError(f"host {name!r} has no anchor uplink")
@@ -72,9 +74,9 @@ def _cost_tree_paths(
     publisher: str,
     subscribers: Sequence[str],
     link_cost: LinkCost,
-) -> tuple[str, dict[str, str], dict[str, tuple[str, ...]]]:
-    """The root anchor, each subscriber's anchor, and the cost-shortest path
-    from the root to each of those anchors over anchors only.
+) -> tuple[str, dict[str, str], dict[str, tuple[Fraction, tuple[str, ...]]]]:
+    """The root anchor, each subscriber's anchor, and the cost and hops of the
+    cost-shortest path from the root to each of those anchors over anchors only.
 
     One search keyed on (cost, lexicographic path) yields one predecessor
     per node, so the union of the returned paths is a tree.  Subscribers
@@ -94,7 +96,7 @@ def _cost_tree_paths(
     missing = [sub for sub, anc in sub_anchors.items() if anc not in found]
     if missing:
         raise Unreachable(missing)
-    return root, sub_anchors, {anc: hops for anc, (_, hops) in found.items()}
+    return root, sub_anchors, found
 
 
 def build_tree(
@@ -112,7 +114,7 @@ def build_tree(
     root, sub_anchors, paths = _cost_tree_paths(db, publisher, subscribers, link_cost or {})
     edges: set[tuple[str, str]] = set()
     for anc in sorted(paths):
-        hops = paths[anc]
+        hops = paths[anc][1]
         edges.update(zip(hops, hops[1:]))
     return DistributionTree(
         root=root,
@@ -130,11 +132,5 @@ def unicast_cost_crossings(
 ) -> Fraction:
     """Cost of serving every subscriber with its own shortest path; the
     baseline against which tree savings are measured."""
-    costs: LinkCost = link_cost or {}
-    _, sub_anchors, paths = _cost_tree_paths(db, publisher, subscribers, costs)
-    total = Fraction(0)
-    for anc in sub_anchors.values():
-        hops = paths[anc]
-        for u, v in zip(hops, hops[1:]):
-            total += costs.get(frozenset((u, v)), Fraction(1))
-    return total
+    _, sub_anchors, paths = _cost_tree_paths(db, publisher, subscribers, link_cost or {})
+    return sum((paths[anc][0] for anc in sub_anchors.values()), Fraction(0))

@@ -91,17 +91,14 @@ class Segment:
 
     def header(self) -> bytes:
         """Fixed-layout record of the fields other than ``tag`` and the
-        payload bytes, computed once."""
-        head = self.__dict__.get("_header")
-        if head is None:
-            sacks = self.ack_sacks
-            head = _HEADER.pack(
-                self.session_id, self.seq, self.path_id, self.kind is ACK, self.is_retransmit,
-                self.ack_cum, len(self.payload), len(sacks),
-            )
-            if sacks:
-                head += struct.pack(f">{len(sacks)}Q", *sacks)
-            self.__dict__["_header"] = head
+        payload bytes."""
+        sacks = self.ack_sacks
+        head = _HEADER.pack(
+            self.session_id, self.seq, self.path_id, self.kind is ACK, self.is_retransmit,
+            self.ack_cum, len(self.payload), len(sacks),
+        )
+        if sacks:
+            head += struct.pack(f">{len(sacks)}Q", *sacks)
         return head
 
     def encode(self, l3_dest: L3Locator) -> bytes:

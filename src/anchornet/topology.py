@@ -9,17 +9,18 @@ connected component hold byte-identical databases; an anchor cut off by a
 failed link keeps what it last heard.  Deliberately single-area and much
 simpler than an inter-domain path-vector protocol.
 
-Derived views -- an advertisement's encoding, a database's digest and
-graph -- are computed lazily, on first read, and cached.  A
-``TopologyDatabase`` is an immutable value; an anchor's ``LinkStateStore``
-replaces each advertisement in place and drops its cached views when it
-does.  ``has_edge`` reads one edge of the graph without building it.
+Each anchor keeps one ``TopologyDatabase``, as a forwarding element keeps
+one link-state table: ``receive`` overwrites an origin's entry when a newer
+advertisement arrives.  An advertisement's encoding and a database's graph
+are computed on first read and cached; accepting an advertisement drops the
+graph.  A digest is computed on each read.  ``has_edge`` reads one edge of
+the graph without building it.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from types import MappingProxyType
@@ -113,22 +114,20 @@ def has_edge(lsas: Mapping[str, LinkStateAdvertisement], u: str, v: str) -> bool
     return lsa is not None and any(adj.neighbor == v for adj in lsa.adjacencies)
 
 
-@dataclass(frozen=True)
 class TopologyDatabase:
-    """Newest advertisement per origin, plus the derived weighted digraph.
+    """One anchor's link-state table: the newest advertisement per origin,
+    which ``receive`` overwrites in place, plus the derived weighted digraph."""
 
-    ``lsas`` must not be mutated after construction: the derived views are
-    cached on first read.
-    """
-
-    lsas: Mapping[str, LinkStateAdvertisement] = field(default_factory=dict)
+    def __init__(self, lsas: Mapping[str, LinkStateAdvertisement] | None = None) -> None:
+        self.lsas: dict[str, LinkStateAdvertisement] = dict(lsas or {})
+        self._graph: Mapping[str, tuple[Adjacency, ...]] | None = None
 
     def receive(self, lsa: LinkStateAdvertisement) -> tuple["TopologyDatabase", bool]:
         """Apply one advertisement.
 
-        Returns the (possibly unchanged) database and whether the caller
-        should flood the advertisement onward: true exactly when the origin
-        is new or the seq is strictly newer than the stored one.
+        Returns this database and whether the caller should flood the
+        advertisement onward: true exactly when the origin is new or the seq
+        is strictly newer than the stored one, and only then is it stored.
         """
         stored = self.lsas.get(lsa.origin)
         if stored is not None and lsa.seq <= stored.seq:
@@ -137,65 +136,38 @@ class TopologyDatabase:
                     f"origin {lsa.origin!r} seq {lsa.seq} advertised twice with different content"
                 )
             return self, False
-        return self._with(lsa), True
-
-    def _with(self, lsa: LinkStateAdvertisement) -> "TopologyDatabase":
-        return TopologyDatabase({**self.lsas, lsa.origin: lsa})
+        self.lsas[lsa.origin] = lsa
+        self._graph = None
+        return self, True
 
     def digest(self) -> str:
-        return self._digest
-
-    @cached_property
-    def _digest(self) -> str:
-        # Streams the advertisements rather than caching the whole encoding,
-        # so taking every anchor's digest does not hold every database's bytes.
+        """SHA-256 of the advertisements' encodings in origin order, streamed,
+        so taking every anchor's digest does not hold every database's bytes."""
         h = hashlib.sha256()
         for origin in sorted(self.lsas):
             h.update(self.lsas[origin].encode())
         return h.hexdigest()
 
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, TopologyDatabase):
-            return self.digest() == other.digest()
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.digest())
-
     def graph(self) -> Mapping[str, tuple[Adjacency, ...]]:
         """Derived digraph of anchors and hosts, read-only and shared by
-        every caller.
+        every caller until the next accepted advertisement.
 
         Anchor-to-anchor edges come from each endpoint's own advertisement.
         Hosts never advertise, so they are recognized as neighbors without
         an advertisement of their own and get the mirror edge back to their
         anchor, making them routable leaves.
         """
+        if self._graph is None:
+            nodes: dict[str, list[Adjacency]] = {origin: [] for origin in self.lsas}
+            for origin in sorted(self.lsas):
+                for adj in self.lsas[origin].adjacencies:
+                    nodes.setdefault(adj.neighbor, [])
+                    nodes[origin].append(adj)
+                    if adj.neighbor not in self.lsas:
+                        nodes[adj.neighbor].append(
+                            Adjacency(origin, adj.capacity_mbps, adj.latency_us, adj.domain_id)
+                        )
+            self._graph = MappingProxyType(
+                {name: tuple(sorted(edges)) for name, edges in sorted(nodes.items())}
+            )
         return self._graph
-
-    @cached_property
-    def _graph(self) -> Mapping[str, tuple[Adjacency, ...]]:
-        nodes: dict[str, list[Adjacency]] = {origin: [] for origin in self.lsas}
-        for origin in sorted(self.lsas):
-            for adj in self.lsas[origin].adjacencies:
-                nodes.setdefault(adj.neighbor, [])
-                nodes[origin].append(adj)
-                if adj.neighbor not in self.lsas:
-                    nodes[adj.neighbor].append(
-                        Adjacency(origin, adj.capacity_mbps, adj.latency_us, adj.domain_id)
-                    )
-        return MappingProxyType(
-            {name: tuple(sorted(edges)) for name, edges in sorted(nodes.items())}
-        )
-
-
-class LinkStateStore(TopologyDatabase):
-    """One anchor's database: a dict that the inherited ``receive``, with its one
-    rule, updates in place.  Each accepted advertisement drops the cached digest
-    and graph, so every view is of the current contents."""
-
-    def _with(self, lsa: LinkStateAdvertisement) -> "LinkStateStore":
-        self.lsas[lsa.origin] = lsa  # type: ignore[index]
-        self.__dict__.pop("_digest", None)
-        self.__dict__.pop("_graph", None)
-        return self

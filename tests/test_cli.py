@@ -153,6 +153,7 @@ UNREADABLE = {  # the bytes of a file that compare cannot use, and the reason it
     "missing.json": (None, "No such file or directory"),
     "not-json.json": (b"{ not json", "Expecting property name enclosed in double quotes: line 1 column 3 (char 2)"),
     "not-a-report.json": (b'{"scenario": "dual-path"}', "not an anchornet-metrics/2 report"),
+    "incomplete.json": (b'{"schema": "anchornet-metrics/2"}', "report lacks scenario_hash"),
 }
 
 
@@ -165,6 +166,17 @@ def test_compare_of_a_file_that_holds_no_report_is_one_line_and_exit_1(tmp_path,
     capsys.readouterr()
     assert main(["compare", str(report), str(path)]) == 1
     assert capsys.readouterr() == ("", f"{path}: {reason}\n")
+
+
+def test_compare_of_a_report_without_a_field_it_reads_names_the_field(tmp_path, capsys, report):
+    raw = json.loads(report.read_text())
+    lid = min(raw["links"])
+    del raw["links"][lid]["data_original"]
+    path = tmp_path / "cut.json"
+    path.write_text(json.dumps(raw))
+    capsys.readouterr()
+    assert main(["compare", str(report), str(path)]) == 1
+    assert capsys.readouterr() == ("", f"{path}: report lacks links.{lid}.data_original\n")
 
 
 @pytest.mark.parametrize("command", ["run", "compare"])

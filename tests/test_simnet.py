@@ -798,15 +798,22 @@ def test_substrate_leg_tie_breaks(attachments, links, leg):
 
 
 def test_report_is_written_for_an_unreachable_subscriber(fixture_paths):
-    # spur-a carries us-a's only peering: us.sub1 is cut off from the publisher
-    raw = json.loads(fixture_paths["transatlantic-pubsub"].read_text())
-    raw["events"].append({"time_us": 25_000, "kind": "link_down", "link": "spur-a"})
-    report = run_scenario(parse_scenario(json.dumps(raw)))
-    tree = report["pubsub"]["pub1"]
-    assert tree["unicast_cost"] is None
-    assert tree["tree_cost"] > 0
-    assert tree["subscribers"]["us.sub1"]["complete_at_us"] is None
-    assert canonical_json(report)
+    cases = [  # the link that fails at 25 ms, the horizon, and the subscribers left incomplete
+        ("spur-a", None, ["us.sub1"]),  # us-a's only peering: us.sub1 is cut off from the publisher
+        # An access link takes its host out of the publisher's home database.
+        ("eu-access", None, []),  # the publisher's, after it has sent everything
+        ("a-access", 50_000, ["us.sub1"]),  # us.sub1's, whose edge then retransmits to the horizon
+    ]
+    for link, horizon_us, incomplete in cases:
+        raw = json.loads(fixture_paths["transatlantic-pubsub"].read_text())
+        raw["events"].append({"time_us": 25_000, "kind": "link_down", "link": link})
+        raw["horizon_us"] = horizon_us or raw["horizon_us"]
+        report = run_scenario(parse_scenario(json.dumps(raw)))
+        tree = report["pubsub"]["pub1"]
+        assert tree["unicast_cost"] is None, link
+        assert tree["tree_cost"] > 0
+        assert [sub for sub, row in tree["subscribers"].items() if row["complete_at_us"] is None] == incomplete
+        assert canonical_json(report)
 
 
 def test_report_database_digests_are_each_anchors_own_digest():
