@@ -123,6 +123,29 @@ def _line(*names):
     return configs
 
 
+def test_cached_views_match_fresh_computation():
+    rng = random.Random(17)
+    for _ in range(20):
+        configs = random_connected_adjacency(rng, max_nodes=12)
+        databases = _databases(flood_run(configs))
+        # Replay the flooded advertisements into one database in a random
+        # order, reading every view before each receipt so that a cached
+        # graph is there for the receipt to drop.
+        lsas = list(next(iter(databases.values())).lsas.values())
+        rng.shuffle(lsas)
+        db = TopologyDatabase()
+        for lsa in lsas:
+            _views(db)
+            db, _ = db.receive(lsa)
+            fresh = _fresh_views(db)
+            assert _views(db) == fresh
+            assert _views(db) == fresh  # second read comes from the cache
+        for db in databases.values():
+            fresh = _fresh_views(db)
+            assert _views(db) == fresh
+            assert _views(db) == fresh
+
+
 def test_three_anchor_line_converges():
     databases = _databases(flood_run(_line("a", "b", "c")))
     assert len({db.digest() for db in databases.values()}) == 1
@@ -228,7 +251,7 @@ _VARIANTS = {False: (adj("b"),), True: (adj("c"), adj("host.x", domain="site"))}
 
 @settings(max_examples=80, deadline=None)
 @given(_RECEIPTS)
-def test_receive_keeps_the_newest_advertisement_and_its_views_follow_it(receipts):
+def test_an_anchors_database_decides_as_receive_does_and_its_views_follow_it(receipts):
     """Each of an anchor's decisions against a plain model of the rule: keep the
     newest seq per origin, flood exactly when the origin is new or the seq newer,
     fault on an equal seq with other content.  After each receipt every view is
