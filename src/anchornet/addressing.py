@@ -11,10 +11,10 @@ data name resolves to the empty set).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Union
 
 MAX_NAME_BYTES = 255
 MAX_TAG_BYTES = 32
@@ -170,58 +170,41 @@ def _as_address(addr: AddressLike) -> L5Address:
     return addr if isinstance(addr, L5Address) else parse_address(addr)
 
 
-@dataclass(frozen=True)
 class ResolverTable:
-    """Immutable name-to-locator map; every mutation returns a new version.
+    """Name-to-locator map, updated in place.  It holds the scenario's full locator
+    universe, so that registrations against bogus attachment points fail loudly."""
 
-    The table is constructed with the scenario's full locator universe so
-    that registrations against bogus attachment points fail loudly.
-    """
+    def __init__(self, locators: Iterable[L3Locator], registrations: Iterable[tuple[str, L3Locator]] = ()) -> None:
+        """One ``register`` per (name, locator) of ``registrations``; names are not parsed again."""
+        self.known_locators = frozenset(locators)
+        self.entries: dict[str, set[L3Locator]] = {}
+        for name, loc in registrations:
+            self._add(name, loc)
 
-    known_locators: frozenset[L3Locator]
-    entries: Mapping[str, frozenset[L3Locator]] = field(default_factory=dict)
-    version: int = 0
-
-    @classmethod
-    def new(cls, locators: Iterable[L3Locator], registrations: Iterable[tuple[str, L3Locator]] = ()) -> ResolverTable:
-        """One ``register`` per (name, locator) of ``registrations``, in one pass; names are not parsed again."""
-        known, pairs, entries = frozenset(locators), list(registrations), {}
-        for name, loc in pairs:
-            if loc not in known:
-                raise UnknownLocator(str(loc))
-            entries[name] = entries.get(name, frozenset()) | {loc}
-        return cls(known, entries, len(pairs))
+    def _add(self, name: str, loc: L3Locator) -> None:
+        if loc not in self.known_locators:
+            raise UnknownLocator(str(loc))
+        self.entries.setdefault(name, set()).add(loc)
 
     def resolve(self, addr: AddressLike) -> frozenset[L3Locator]:
-        """Look up all locators for a name.  Pure; never mutates the table.
-
-        Unknown endpoint-kind names raise UnknownEndpoint; unknown data-kind
-        names resolve to the empty set (object not yet staged anywhere).
-        """
+        """All locators for a name; never mutates the table.  An unknown
+        endpoint-kind name raises UnknownEndpoint; an unknown data-kind name
+        resolves to the empty set (object not yet staged anywhere)."""
         a = _as_address(addr)
         found = self.entries.get(a.canonical)
         if found:
-            return found
+            return frozenset(found)
         if a.kind is AddressKind.ENDPOINT:
             raise UnknownEndpoint(a.canonical)
         return frozenset()
 
-    def register(self, addr: AddressLike, loc: L3Locator) -> "ResolverTable":
-        """Add one (name, locator) entry.  The locator set is idempotent for
-        duplicates but the version still advances by exactly one per call."""
-        if loc not in self.known_locators:
-            raise UnknownLocator(str(loc))
-        a = _as_address(addr)
-        entries = dict(self.entries)
-        entries[a.canonical] = entries.get(a.canonical, frozenset()) | {loc}
-        return ResolverTable(self.known_locators, entries, self.version + 1)
+    def register(self, addr: AddressLike, loc: L3Locator) -> None:
+        """Add one (name, locator) entry; a duplicate leaves the table as it is."""
+        self._add(_as_address(addr).canonical, loc)
 
-    def unregister(self, addr: AddressLike, loc: L3Locator) -> "ResolverTable":
-        a = _as_address(addr)
-        entries = dict(self.entries)
-        remaining = entries.get(a.canonical, frozenset()) - {loc}
-        if remaining:
-            entries[a.canonical] = remaining
-        else:
-            entries.pop(a.canonical, None)
-        return ResolverTable(self.known_locators, entries, self.version + 1)
+    def unregister(self, addr: AddressLike, loc: L3Locator) -> None:
+        name = _as_address(addr).canonical
+        found = self.entries.get(name, set())
+        found.discard(loc)
+        if not found:
+            self.entries.pop(name, None)

@@ -128,13 +128,15 @@ def select_source(
 
     Nearest means minimal shortest-path latency in the requester's topology
     view; ties break on the lexicographically smallest gateway name.  The
-    requester itself is excluded (fetching from yourself is a no-op).
+    requester itself is excluded (fetching from yourself is a no-op), and so
+    is a gateway that the view does not hold yet: it is unreachable.
     """
     from .pathfinder import k_disjoint_paths
 
     ranked: list[tuple[int, str]] = []
+    graph = db.graph()
     for gw in sorted(set(candidates)):
-        if gw == requester:
+        if gw == requester or gw not in graph:
             continue
         paths = k_disjoint_paths(db, gw, requester, 1)
         if paths:

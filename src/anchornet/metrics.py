@@ -264,27 +264,37 @@ def write_report(report: dict[str, Any], path: str) -> None:
         fh.write(canonical_json(report))
 
 
-# The fields that ``compare`` and ``summary_line`` read, as key paths, in the order compare reads them.
-_READ_FIELDS = (("scenario_hash",), ("scenario",), ("summary", "headline_fraction"),
-                ("summary", "throughput_mbps"), ("links",), ("allocation", "domain_shares_mbps"),
-                ("mode",), ("seed",))
+# The JSON types that each kind of field read below may hold.
+_KINDS = {"an object": (dict,), "an integer": (int,), "a number": (int, float),
+          "a number or null": (int, float, type(None))}
+# The fields that ``compare`` and ``summary_line`` read, as key paths, in the order compare
+# reads them, each with the kind it must be (``None``: any).
+_READ_FIELDS = ((("scenario_hash",), None), (("scenario",), None),
+                (("summary", "headline_fraction"), "a number or null"),
+                (("summary", "throughput_mbps"), "a number"), (("links",), "an object"),
+                (("allocation", "domain_shares_mbps"), "an object"), (("mode",), None), (("seed",), None))
 
 
 def load_report(path: str) -> dict[str, Any]:
     """The report in ``path``; ValueError when the file holds no anchornet-metrics/2
-    report, or one that lacks a field ``compare`` or ``summary_line`` reads."""
+    report, or one that lacks a field ``compare`` or ``summary_line`` reads or
+    holds it with a type they cannot use."""
     with open(path, "r", encoding="utf-8") as fh:
         report = json.load(fh)
     if type(report) is not dict or report.get("schema") != "anchornet-metrics/2":
         raise ValueError("not an anchornet-metrics/2 report")
     links = report.get("links")
-    per_link = [("links", lid, "data_original") for lid in (links if type(links) is dict else ())]
-    for keys in (*_READ_FIELDS, *per_link):
+    per_link = []
+    for lid in links if type(links) is dict else ():
+        per_link += [(("links", lid), "an object"), (("links", lid, "data_original"), "an integer")]
+    for keys, kind in (*_READ_FIELDS, *per_link):
         node = report
         for key in keys:
             if type(node) is not dict or key not in node:
                 raise ValueError(f"report lacks {'.'.join(keys)}")
             node = node[key]
+        if kind is not None and type(node) not in _KINDS[kind]:
+            raise ValueError(f"report's {'.'.join(keys)} is not {kind}")
     return report
 
 

@@ -195,7 +195,8 @@ class SenderSession:
         self._retx_ready: dict[int, int] = {}
         self._deadline_heap: list[tuple[int, int]] = []
         self._ready_heap: list[tuple[int, int]] = []
-        self._ever_retransmitted: set[int] = set()
+        # seq -> its original send's time, until it is acknowledged or sent again:
+        # Karn's rule, only a segment sent once samples the RTT.
         self._last_send: dict[int, int] = {}
         self._scheduled_wakes: set[int] = set()
 
@@ -295,13 +296,14 @@ class SenderSession:
             deadline = now + 2 * self.rtt_estimate_us[pid]
             self.retx_deadline[seq] = deadline
             heapq.heappush(self._deadline_heap, (deadline, seq))
-            self._last_send[seq] = now
             st = self.stats[pid]
             st.emitted_segments += 1
             st.emitted_bytes += len(payload)
             if is_retx:
-                self._ever_retransmitted.add(seq)
+                self._last_send.pop(seq, None)
                 st.retransmitted_segments += 1
+            else:
+                self._last_send[seq] = now
             out.append((segment, now))
         return out
 
@@ -327,14 +329,7 @@ class SenderSession:
         if ack.session_id != self.session_id:
             raise ValueError(f"ack for session {ack.session_id}, expected {self.session_id}")
         floor, acked = self._ack_floor, self.acked
-        newly_sampled = (
-            ack.seq >= floor
-            and ack.seq not in acked
-            and not ack.is_retransmit
-            and ack.seq not in self._ever_retransmitted
-            and ack.seq in self._last_send
-        )
-        if newly_sampled:
+        if ack.seq in self._last_send:
             sample = now - self._last_send[ack.seq]
             pid = ack.path_id
             if pid in self._rtt_sampled:
@@ -361,7 +356,6 @@ class SenderSession:
             self.retx_deadline.pop(seq, None)
             self._retx_ready.pop(seq, None)
             self._last_send.pop(seq, None)
-            self._ever_retransmitted.discard(seq)
 
     @property
     def complete(self) -> bool:

@@ -211,7 +211,7 @@ class Transfer:
     t_complete: Optional[int] = None
     t_end: Optional[int] = None
     next_pid: int = 0
-    on_complete: Any = None
+    stage_ttl_us: Optional[int] = None  # a fetch's: stage the object at ``dst`` on completion
 
     @property
     def source_digest(self) -> str:
@@ -379,7 +379,7 @@ class Simulation:
         for hcfg in cfg.hosts:
             self.host_anchor[hcfg.name] = hcfg.anchor
             self.owner[locators[hcfg.port.domain, hcfg.port.attachment]] = hcfg.name
-        self.resolver = ResolverTable.new(locators.values(), ((name, port) for port, name in self.owner.items()))
+        self.resolver = ResolverTable(locators.values(), ((name, port) for port, name in self.owner.items()))
 
         # Directed overlay hops: anchor peerings plus host access legs.
         self.legs: dict[tuple[str, str], Leg] = {}
@@ -745,7 +745,7 @@ class Simulation:
 
     def _open_unicast(
         self, id_str: str, src: str, dst: str, tag: str, total_bytes: int, k: int, stream: str,
-        now: int, *, rate_cap_mbps: Optional[Fraction] = None, on_complete: Any = None,
+        now: int, *, rate_cap_mbps: Optional[Fraction] = None, stage_ttl_us: Optional[int] = None,
     ) -> Transfer:
         """Open a transfer of ``total_bytes`` of the object named ``stream``."""
         sid = self._next_sid
@@ -769,7 +769,7 @@ class Simulation:
             residual_potential_mbps=sum(
                 (p.min_capacity_mbps or Fraction(0) for p in discovered), Fraction(0)
             ),
-            rate_cap_mbps=rate_cap_mbps, next_pid=len(discovered), on_complete=on_complete,
+            rate_cap_mbps=rate_cap_mbps, next_pid=len(discovered), stage_ttl_us=stage_ttl_us,
         )
         self.transfers[sid] = transfer
         self._homed.setdefault(home, {})[sid] = transfer
@@ -793,8 +793,9 @@ class Simulation:
             session.sender, session.t_end = session.sender.ended(), now
             if status == "complete":
                 session.receiver, session.t_complete = session.receiver.ended(), now
-                if session.on_complete is not None:
-                    session.on_complete(now)
+                if session.stage_ttl_us is not None:
+                    self._stage_replica(
+                        session.dst, session.source.name, session.total_bytes, session.stage_ttl_us, now)
         else:
             session.receivers.clear()
             for holder in (*session.edges, *session.subscribers.values()):
@@ -919,7 +920,7 @@ class Simulation:
             return
         addr = parse_address(object_name, AddressKind.DATA)
         anchor.catalog.stage(addr, size, ttl_us or SWEEP_INTERVAL_US, now)
-        self.resolver = self.resolver.register(addr, anchor.primary_port())
+        self.resolver.register(addr, anchor.primary_port())
         self._arm_sweep(now)
 
     def _arm_sweep(self, now: int) -> None:
@@ -939,7 +940,7 @@ class Simulation:
                 continue
             for purged in catalog.sweep(now):
                 addr = parse_address(purged, AddressKind.DATA)
-                self.resolver = self.resolver.unregister(addr, self.anchors[name].primary_port())
+                self.resolver.unregister(addr, self.anchors[name].primary_port())
             if len(catalog):
                 any_left = True
         if any_left:
@@ -954,26 +955,16 @@ class Simulation:
         if tree_sid is not None and self.pubs[tree_sid].status == "active":
             self._graft(self.pubs[tree_sid], [gw_name], now)
             return
-        locators = self.resolver.resolve(addr)
-        if not locators:
-            raise ObjectUnavailable(object_name)
-        candidates = []
-        for loc in sorted(locators):
-            owner = self.owner[loc]
-            catalog = self.anchors[owner].catalog if owner in self.anchors else None
-            if catalog is not None and catalog.lookup(addr, now) is not None:
-                candidates.append(owner)
+        # Only a gateway registers a data name; a purge on touch keeps its entry until the sweep.
+        owners = (self.owner[loc] for loc in sorted(self.resolver.resolve(addr)))
+        candidates = [owner for owner in owners if self.anchors[owner].catalog.lookup(addr, now) is not None]
         if not candidates:
             raise ObjectUnavailable(object_name)
         source = select_source(candidates, anchor.db, gw_name)
         entry = self.anchors[source].catalog.lookup(addr, now)
-
-        def staged(t: int, size=entry.size, ttl=entry.ttl_us) -> None:
-            self._stage_replica(gw_name, object_name, size, ttl, t)
-
         self._open_unicast(
             f"fetch.{object_name}.{gw_name}", source, gw_name, tag, entry.size, k, object_name,
-            now, on_complete=staged,
+            now, stage_ttl_us=entry.ttl_us,
         )
 
     # -- scenario script -----------------------------------------------------------

@@ -20,7 +20,7 @@ LOC_B = L3Locator("east", "p2")
 
 
 def make_table():
-    return ResolverTable.new([LOC_A, LOC_B])
+    return ResolverTable([LOC_A, LOC_B])
 
 
 def test_parse_well_formed():
@@ -85,7 +85,8 @@ def test_equality_is_on_canonical_text():
 
 
 def test_resolve_known_endpoint():
-    table = make_table().register("host.a", LOC_A)
+    table = make_table()
+    table.register("host.a", LOC_A)
     assert table.resolve("host.a") == frozenset({LOC_A})
 
 
@@ -100,19 +101,20 @@ def test_resolve_unknown_data_name_is_empty():
 
 
 def test_resolve_is_pure():
-    table = make_table().register("host.a", LOC_A)
-    before = table.version
+    table = make_table()
+    table.register("host.a", LOC_A)
+    before = {name: set(locs) for name, locs in table.entries.items()}
     table.resolve("host.a")
-    assert table.version == before
+    table.resolve(parse_address("dataset.run9", AddressKind.DATA))
+    assert table.entries == before
     assert table.resolve("host.a") == table.resolve("host.a")
 
 
-def test_register_idempotent_set_but_not_version():
-    t0 = make_table()
-    t1 = t0.register("host.a", LOC_A)
-    t2 = t1.register("host.a", LOC_A)
-    assert t1.resolve("host.a") == t2.resolve("host.a") == frozenset({LOC_A})
-    assert (t1.version, t2.version) == (1, 2)
+def test_register_idempotent_set():
+    table = make_table()
+    table.register("host.a", LOC_A)
+    table.register("host.a", LOC_A)
+    assert table.resolve("host.a") == frozenset({LOC_A})
 
 
 def test_register_bogus_locator():
@@ -122,26 +124,21 @@ def test_register_bogus_locator():
 
 def test_register_two_locators_for_data_name():
     addr = parse_address("dataset.run9", AddressKind.DATA)
-    table = make_table().register(addr, LOC_A).register(addr, LOC_B)
+    table = make_table()
+    table.register(addr, LOC_A)
+    table.register(addr, LOC_B)
     assert table.resolve(addr) == frozenset({LOC_A, LOC_B})
 
 
-def test_unregister_advances_version_and_removes():
+def test_unregister_removes():
     addr = parse_address("dataset.run9", AddressKind.DATA)
-    table = make_table().register(addr, LOC_A)
-    gone = table.unregister(addr, LOC_A)
-    assert gone.version == table.version + 1
-    assert gone.resolve(addr) == frozenset()
-
-
-@given(st.lists(st.sampled_from(["host.a", "host.b", "host.c"]), min_size=1, max_size=6))
-def test_version_strictly_increases(names):
     table = make_table()
-    versions = [table.version]
-    for name in names:
-        table = table.register(name, LOC_A)
-        versions.append(table.version)
-    assert versions == sorted(set(versions))
+    table.register(addr, LOC_A)
+    table.register(addr, LOC_B)
+    table.unregister(addr, LOC_A)
+    assert table.resolve(addr) == frozenset({LOC_B})
+    table.unregister(addr, LOC_B)
+    assert table.resolve(addr) == frozenset() and addr.canonical not in table.entries
 
 
 @given(st.lists(st.tuples(st.sampled_from(["host.a", "host.b", "obj.c"]), st.sampled_from([LOC_A, LOC_B])),
@@ -149,13 +146,13 @@ def test_version_strictly_increases(names):
 def test_a_table_built_in_one_pass_equals_one_register_per_entry(registrations):
     table = make_table()
     for name, loc in registrations:
-        table = table.register(name, loc)
-    assert ResolverTable.new([LOC_A, LOC_B], registrations) == table
+        table.register(name, loc)
+    assert ResolverTable([LOC_A, LOC_B], registrations).entries == table.entries
 
 
 def test_a_table_built_in_one_pass_rejects_a_locator_outside_the_universe():
     with pytest.raises(UnknownLocator):
-        ResolverTable.new([LOC_A, LOC_B], [("host.a", LOC_A), ("host.b", L3Locator("nowhere", "p9"))])
+        ResolverTable([LOC_A, LOC_B], [("host.a", LOC_A), ("host.b", L3Locator("nowhere", "p9"))])
 
 
 @given(st.lists(st.sampled_from(["a", "z9", "-", ".", "\n", "A", "_", "é", "\ud800", "b" * 100]), max_size=10).map("".join))

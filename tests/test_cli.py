@@ -179,6 +179,28 @@ def test_compare_of_a_report_without_a_field_it_reads_names_the_field(tmp_path, 
     assert capsys.readouterr() == ("", f"{path}: report lacks links.{lid}.data_original\n")
 
 
+MISTYPED = {  # a field that compare reads, set to a value of the wrong type, and the reason it gives
+    "links-as-a-list": (("links",), [], "report's links is not an object"),
+    "fraction-as-text": (("summary", "headline_fraction"), "0.5",
+                         "report's summary.headline_fraction is not a number or null"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MISTYPED))
+def test_compare_of_a_report_with_a_mistyped_field_names_the_field(tmp_path, capsys, report, name):
+    keys, value, reason = MISTYPED[name]
+    raw = json.loads(report.read_text())
+    node = raw
+    for key in keys[:-1]:
+        node = node[key]
+    node[keys[-1]] = value
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(raw))
+    capsys.readouterr()
+    assert main(["compare", str(report), str(path)]) == 1
+    assert capsys.readouterr() == ("", f"{path}: {reason}\n")
+
+
 @pytest.mark.parametrize("command", ["run", "compare"])
 def test_an_out_path_that_cannot_be_written_is_one_line_and_exit_1(tmp_path, capsys, monkeypatch, fixture_paths,
                                                                    report, command):

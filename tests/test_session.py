@@ -163,7 +163,7 @@ def test_retransmitted_seq_never_samples_rtt():
     sender.schedule(0)
     deadline = sender.retx_deadline[0]
     sender.schedule(deadline + 10)  # retransmit seq 0
-    assert 0 in sender._ever_retransmitted
+    assert 0 not in sender._last_send
     ack = Segment(1, 0, 0, "atlas", kind=SegmentKind.ACK, is_retransmit=True, ack_cum=1)
     before = dict(sender.rtt_estimate_us)
     sender.on_ack(ack, deadline + 500)
@@ -171,8 +171,8 @@ def test_retransmitted_seq_never_samples_rtt():
 
 
 def test_acknowledged_seqs_leave_the_rtt_bookkeeping():
-    """Send times and retransmit marks are read only for seqs not yet
-    acknowledged: once every send is acknowledged, neither holds an entry."""
+    """Send times are read only for seqs not yet acknowledged: once every
+    send is acknowledged, none is held."""
     total = 5 * SEGMENT_PAYLOAD_BYTES
     sender = make_sender(n_paths=2, rates={0: 8, 1: 8}, total=total)
     rx = ReceiverSession(1, "atlas", {0: HOP_B, 1: HOP_B}, total)
@@ -188,7 +188,7 @@ def test_acknowledged_seqs_leave_the_rtt_bookkeeping():
                 sender.on_ack(ack, now + 1)
         now = max(sender.next_wake(now) or now, now + 1)
     assert sender.complete and retransmitted == [1]
-    assert sender._last_send == {} and sender._ever_retransmitted == set()
+    assert sender._last_send == {}
 
 
 def test_retransmit_deadline_is_twice_rtt_estimate():
@@ -322,13 +322,7 @@ def _on_ack_rebuilding_range(sender, ack, now):
     cumulative range from ``start_seq`` is rebuilt on every ACK.  It keeps
     every acknowledged seq in ``acked`` and leaves the floor at ``start_seq``,
     so ``acked_seqs`` reads it and the sender under test alike."""
-    newly_sampled = (
-        ack.seq not in sender.acked
-        and not ack.is_retransmit
-        and ack.seq not in sender._ever_retransmitted
-        and ack.seq in sender._last_send
-    )
-    if newly_sampled:
+    if ack.seq not in sender.acked and ack.seq in sender._last_send:
         sample = now - sender._last_send[ack.seq]
         pid = ack.path_id
         if pid in sender._rtt_sampled:

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import hashlib
 import json
 import sys
@@ -150,16 +151,15 @@ def test_run_twice_same_seed_identical_reports(fixture_paths):
 @pytest.mark.parametrize("name", ["dual-path", "transatlantic-pubsub", "two-domains-weighted", "flooding-20"])
 def test_the_resolver_built_in_one_pass_equals_one_register_per_port(fixture_paths, name):
     config = load_scenario(str(fixture_paths[name]))
-    table = ResolverTable.new(L3Locator(dom.id, att) for dom in config.domains for att in dom.attachments)
+    table = ResolverTable(L3Locator(dom.id, att) for dom in config.domains for att in dom.attachments)
     for acfg in config.anchors:
         for port in acfg.ports:
-            table = table.register(acfg.name, L3Locator(port.domain, port.attachment))
+            table.register(acfg.name, L3Locator(port.domain, port.attachment))
     for hcfg in config.hosts:
-        table = table.register(hcfg.name, L3Locator(hcfg.port.domain, hcfg.port.attachment))
+        table.register(hcfg.name, L3Locator(hcfg.port.domain, hcfg.port.attachment))
     resolver = Simulation(config).resolver
     assert resolver.known_locators == table.known_locators
     assert resolver.entries == table.entries
-    assert resolver.version == table.version
 
 
 def test_conservation_per_link(fixture_paths):
@@ -1519,6 +1519,25 @@ def test_cache_effect_second_fetch_uses_nearer_replica():
     assert report["sessions"][f"fetch.{obj}.gw-far"]["src"] == "gw-mid"
 
 
+def test_a_fetch_skips_a_replica_that_the_requester_has_not_heard_of_yet():
+    # At 600 us gw-side's advertisement is still three 500 us hops from gw-far.
+    obj = "cms.obj"
+    raw = gateway_chain(
+        [
+            {"time_us": 0, "kind": "stage", "gateway": "gw-side",
+             "object": obj, "size_bytes": 81920, "ttl_us": 800_000},
+            {"time_us": 0, "kind": "stage", "gateway": "gw-mid",
+             "object": obj, "size_bytes": 81920, "ttl_us": 800_000},
+            {"time_us": 600, "kind": "subscribe", "gateway": "gw-far",
+             "object": obj, "tag": "cms"},
+        ]
+    )
+    report = run_scenario(build(raw))
+    fetch = report["sessions"][f"fetch.{obj}.gw-far"]
+    assert (fetch["src"], fetch["status"]) == ("gw-mid", "complete")
+    assert obj in report["anchors"]["gw-far"]["catalog"]
+
+
 def test_expired_object_is_unavailable():
     obj = "cms.dataset.gamma"
     raw = gateway_chain(
@@ -1697,10 +1716,29 @@ def test_subscriber_at_a_relay_that_holds_the_whole_stream_completes(join_us):
 
 def test_dropped_simulation_is_freed_without_the_cycle_collector(fixture_paths):
     # A reference cycle through the simulation would keep every dropped one,
-    # with its queue and sessions, alive until the collector runs.
-    sim = Simulation(load_scenario(fixture_paths["dual-path"]))
-    for _ in range(50):
-        sim.step()
-    ref = weakref.ref(sim)
-    del sim
-    assert ref() is None
+    # with its queue and sessions, alive until the collector runs: here one
+    # stepped part way, and one run to its end after a replica fetch.
+    obj = "cms.dataset.alpha"
+    fetching = build(gateway_chain(
+        [
+            {"time_us": 1000, "kind": "stage", "gateway": "gw-origin",
+             "object": obj, "size_bytes": 81920, "ttl_us": 800_000},
+            {"time_us": 5000, "kind": "subscribe", "gateway": "gw-far",
+             "object": obj, "tag": "cms"},
+        ]
+    ))
+    gc.disable()
+    try:
+        sim = Simulation(load_scenario(fixture_paths["dual-path"]))
+        for _ in range(50):
+            sim.step()
+        ref = weakref.ref(sim)
+        del sim
+        assert ref() is None
+        sim = Simulation(fetching)
+        assert sim.run()["sessions"][f"fetch.{obj}.gw-far"]["status"] == "complete"
+        ref = weakref.ref(sim)
+        del sim
+        assert ref() is None
+    finally:
+        gc.enable()
