@@ -18,8 +18,8 @@ the allocation epochs, the most concurrent claimants, the host seconds
 spent in allocation epochs, the size of the canonical report in MB,
 whether every session completed byte-exact, and the per-session entries
 left after the run: the allocator's claims, their ``_neighbours``, the
-anchors' forwarding entries, the payload digests and the trees' receiver
-maps (0 once every session has ended).
+anchors' routes, the payload digests and the trees' receiver maps (0 once
+every session has ended).
 
 ``--anchors N`` runs the benchmark's failover-flood workload at seed
 ``--seed`` (default 1) on a mesh of N anchors with N // 2 chords.  Its line
@@ -134,7 +134,7 @@ def probe_sessions(sessions: int, span_us: int, seed: int = 1) -> dict:
             for s in report["sessions"].values()
         ),
         "held_entries": sum(map(len, (sim.filling.demand, sim._neighbours, sim._digests)))
-        + sum(len(a.next_hop) + len(a.prev_hop) for a in sim.anchors.values())
+        + sum(len(a.routes) for a in sim.anchors.values())
         + sum(len(pub.receivers) for pub in sim.pubs.values()),
     }
 

@@ -10,17 +10,12 @@ statistics follow the science groups wherever the substrate carries them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Optional
+from typing import Optional
 
 from .addressing import L3Locator
 from .gateway import GatewayCatalog
-from .pathfinder import L5Path
 from .session import ACK, Segment
 from .topology import TopologyDatabase
-
-
-class NotOnPath(ValueError):
-    """Path installation attempted at an anchor the path does not traverse."""
 
 
 @dataclass
@@ -32,8 +27,10 @@ class Anchor:
     name: str
     ports: tuple[L3Locator, ...]
     db: TopologyDatabase = field(default_factory=TopologyDatabase)
-    next_hop: dict[tuple[int, int], str] = field(default_factory=dict)
-    prev_hop: dict[tuple[int, int], str] = field(default_factory=dict)
+    # (session, path) -> (successor, predecessor), None past either end; the
+    # simulator's claims write and remove these.
+    routes: dict[tuple[int, int], tuple[Optional[str], Optional[str]]] = field(default_factory=dict)
+    locators: dict[str, L3Locator] = field(default_factory=dict)  # neighbour -> its leg's destination
     counters: dict[str, list[int]] = field(default_factory=dict)
     dropped_unknown: int = 0
     catalog: Optional[GatewayCatalog] = None
@@ -41,46 +38,31 @@ class Anchor:
     def primary_port(self) -> L3Locator:
         return min(self.ports)
 
-    # -- control plane ------------------------------------------------------
-
-    def install_path(self, session_id: int, path: L5Path) -> None:
-        """Program forwarding for one (session, path): data toward the
-        successor hop, acknowledgements toward the predecessor.  Idempotent."""
-        if self.name not in path.hops:
-            raise NotOnPath(f"{self.name!r} is not a hop of {path.hops}")
-        idx = path.hops.index(self.name)
-        key = (session_id, path.path_id)
-        if idx + 1 < len(path.hops):
-            self.next_hop[key] = path.hops[idx + 1]
-        if idx > 0:
-            self.prev_hop[key] = path.hops[idx - 1]
-
     def remove_path(self, session_id: int, path_id: int) -> None:
-        self.next_hop.pop((session_id, path_id), None)
-        self.prev_hop.pop((session_id, path_id), None)
+        self.routes.pop((session_id, path_id), None)
 
     # -- data plane ----------------------------------------------------------
 
-    def forward(
-        self, segment: Segment, locators: Mapping[str, L3Locator]
-    ) -> Optional[tuple[str, L3Locator]]:
+    def forward(self, segment: Segment) -> Optional[tuple[str, L3Locator]]:
         """Re-address a transit segment to its next hop: the hop's name and
         ``locators[name]``, the L3 destination it is sent on to.  The
         segment itself is not changed.
 
-        Data segments follow the forward table; acknowledgements retrace
-        the reverse entry.  Unknown (session, path) pairs are counted and
-        dropped (``None``), never raised: a teardown racing with a late
-        segment is normal, not a fault.
+        Data segments go to the route's successor; acknowledgements retrace
+        it to its predecessor.  Unknown (session, path) pairs, and a segment
+        past either end of its route, are counted and dropped (``None``),
+        never raised: a teardown racing with a late segment is normal, not a
+        fault.
         """
         is_ack = segment.kind is ACK
-        hop = (self.prev_hop if is_ack else self.next_hop).get((segment.session_id, segment.path_id))
+        route = self.routes.get((segment.session_id, segment.path_id))
+        hop = route[is_ack] if route else None
         if hop is None:
             self.dropped_unknown += 1
             return None
         if not is_ack:
             self.account_relay(segment)
-        return hop, locators[hop]
+        return hop, self.locators[hop]
 
     def account_relay(self, segment: Segment) -> None:
         """Count one data segment this anchor sends on: forwarded, or

@@ -82,10 +82,11 @@ def _load(path: str, use: Callable[[str], Any] = load_scenario) -> Any:
     return None
 
 
-def _touch(path: str) -> str:
-    """``path``, once a file there can be written; it is created, empty, if missing."""
+def _touch(path: str) -> bool:
+    """Whether ``path`` was missing, once a file there can be written; it is created, empty, if so."""
+    missing = not os.path.exists(path)
     open(path, "a").close()
-    return path
+    return missing
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
@@ -100,17 +101,21 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if config is None:
         return 1
     mode = _MODE_ALIASES[args.mode] if args.mode else None
+    created = None
     try:
         sim = Simulation(config, seed=args.seed, mode=mode)
         out = args.out
         if out is None:  # one file in the output directory, whatever the scenario's name holds
             stem = re.sub(r"[^\w.-]", "_", config.name)
             out = os.path.join(os.environ.get("ANCHORNET_OUT_DIR", "."), f"{stem}-{sim.mode}-{sim.seed}.json")
-        if _load(out, _touch) is None:  # found before the run, not after it
+        created = _load(out, _touch)
+        if created is None:  # found before the run, not after it
             return 1
         report = sim.run()
     except Exception as exc:  # runtime faults are reported, not swallowed
         print(f"{args.scenario}: simulation fault: {exc}", file=sys.stderr)
+        if created:  # no empty report is left behind
+            os.remove(out)
         return 2
     write_report(report, out)
     print(summary_line(report))

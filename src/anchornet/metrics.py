@@ -197,7 +197,7 @@ def build_report(sim: Simulation) -> dict[str, Any]:
         "topology": {
             "db_identical": db_identical,
             "anchor_count": len(sim.anchors),
-            "adjacency_count": len(sim.adjacency_links),
+            "adjacency_count": len(sim.peerings),
             "lsa_transmissions": per_origin,
             "max_transmissions_per_origination": max(sim.lsa_tx.values(), default=0),
         },

@@ -189,12 +189,13 @@ class SenderSession:
         self.acked: set[int] = set()
         self._ack_floor = start_seq
         # seq -> deadline, for segments in flight and for expired ones waiting
-        # to go again.  Each has a heap of (deadline, seq), pruned lazily: an
-        # entry counts only while its dict still maps seq to that deadline.
+        # to go again.  In-flight ones have a heap of (deadline, seq), pruned
+        # lazily: an entry counts only while ``retx_deadline`` still maps seq to
+        # that deadline.  Every deadline lies after the instant it is set, so
+        # segments expire in (deadline, seq) order: the ready dict's own order.
         self.retx_deadline: dict[int, int] = {}
         self._retx_ready: dict[int, int] = {}
         self._deadline_heap: list[tuple[int, int]] = []
-        self._ready_heap: list[tuple[int, int]] = []
         # seq -> its original send's time, until it is acknowledged or sent again:
         # Karn's rule, only a segment sent once samples the RTT.
         self._last_send: dict[int, int] = {}
@@ -244,12 +245,11 @@ class SenderSession:
     # -- scheduling -------------------------------------------------------
 
     def _take_work(self) -> Optional[tuple[int, bool]]:
-        ready, heap = self._retx_ready, self._ready_heap
-        while ready:
-            deadline, seq = heapq.heappop(heap)
-            if ready.get(seq) == deadline:
-                del ready[seq]
-                return seq, True
+        ready = self._retx_ready
+        if ready:
+            seq = next(iter(ready))
+            del ready[seq]
+            return seq, True
         if self.send_next < self.total_segments and self._segment_available(self.send_next):
             seq = self.send_next
             self.send_next += 1
@@ -260,12 +260,10 @@ class SenderSession:
         """Move timed-out in-flight segments onto the retransmission queue."""
         pending, heap = self.retx_deadline, self._deadline_heap
         while heap and heap[0][0] <= now:
-            entry = heapq.heappop(heap)
-            deadline, seq = entry
+            deadline, seq = heapq.heappop(heap)
             if pending.get(seq) == deadline:
                 del pending[seq]
                 self._retx_ready[seq] = deadline
-                heapq.heappush(self._ready_heap, entry)
 
     def schedule(self, now: int) -> list[tuple[Segment, int]]:
         """Emit every segment due at this instant.

@@ -254,7 +254,6 @@ class PubTransfer:
     subscribers: dict[str, SubscriberLeg] = field(default_factory=dict)
     downstream: dict[str, list[TreeEdge]] = field(default_factory=dict)
     receivers: dict[str, ReceiverSession] = field(default_factory=dict)  # node -> its receiver, while active
-    next_pid: int = 0
     status: str = "active"
     stage_ttl_us: Optional[int] = None
 
@@ -383,7 +382,7 @@ class Simulation:
 
         # Directed overlay hops: anchor peerings plus host access legs.
         self.legs: dict[tuple[str, str], Leg] = {}
-        self.adjacency_links: dict[frozenset[str], tuple[str, ...]] = {}
+        self.link_cost: dict[frozenset[str], Fraction] = {}  # anchor pair -> its leg's summed link cost
         # Each anchor's least attachment per domain, where its legs there start:
         # of the sorted pairs, the last written per domain is its least.
         first_att = {
@@ -400,26 +399,20 @@ class Simulation:
             b_att = first_att[b_name][domain]
             self.legs[(a_name, b_name)] = self._make_leg(domain, a_att, b_att)
             self.legs[(b_name, a_name)] = self._make_leg(domain, b_att, a_att)
-            self.adjacency_links[frozenset((a_name, b_name))] = self.legs[(a_name, b_name)].links
+            self.link_cost[frozenset((a_name, b_name))] = sum(
+                (self.links[lid].cost for lid in self.legs[(a_name, b_name)].links), Fraction(0))
         for hcfg in cfg.hosts:
             domain = hcfg.port.domain
             anchor_att = first_att[hcfg.anchor][domain]
             self.legs[(hcfg.name, hcfg.anchor)] = self._make_leg(domain, hcfg.port.attachment, anchor_att)
             self.legs[(hcfg.anchor, hcfg.name)] = self._make_leg(domain, anchor_att, hcfg.port.attachment)
 
-        # Each anchor's outgoing legs and next-hop locators, by neighbour name.
+        # Each anchor's outgoing legs, and its locators, by neighbour name.
         self.out_legs: dict[str, dict[str, Leg]] = {name: {} for name in self.anchors}
         for (u, v), leg in self.legs.items():
             if u in self.anchors:
                 self.out_legs[u][v] = leg
-        self.hop_locators: dict[str, dict[str, L3Locator]] = {
-            name: {v: leg.dest for v, leg in legs.items()} for name, legs in self.out_legs.items()
-        }
-
-        self.link_cost: dict[frozenset[str], Fraction] = {
-            pair: sum((self.links[lid].cost for lid in chain), Fraction(0))
-            for pair, chain in self.adjacency_links.items()
-        }
+                self.anchors[u].locators[v] = leg.dest
 
     def _anchor_adjacencies(self, name: str) -> tuple[Adjacency, ...]:
         """The anchor's current usable legs, for advertisement."""
@@ -534,7 +527,7 @@ class Simulation:
         if anchor is None:
             self.dropped_unknown_hosts += 1
             return
-        forwarded = anchor.forward(segment, self.hop_locators[node])
+        forwarded = anchor.forward(segment)
         if forwarded is not None:
             self.transmit(segment, forwarded[1], node, forwarded[0], now)
 
@@ -692,15 +685,18 @@ class Simulation:
         cap: Optional[Fraction] = None,
     ) -> None:
         """Install one allocator claimant, a unicast path or a tree edge: each
-        hop's neighbours on its hops, and its demand over the links those hops
-        cross.  ``sender``, the transfer's or edge's, paces it.  A sender born
-        complete (a tree edge grafted at the stream's end) claims nothing."""
+        hop's neighbours on its hops, in ``_neighbours`` and as each anchor
+        hop's route, and its demand over the links those hops cross.
+        ``sender``, the transfer's or edge's, paces it.  A sender born
+        complete (a tree edge grafted at the stream's end) claims nothing.
+        The only installer."""
         if sender.complete:
             return
         _, sid, pid = key
-        self._neighbours.update(
-            ((sid, pid, hop), (after, before)) for before, hop, after in zip((None, *hops), hops, (*hops[1:], None))
-        )
+        for before, hop, after in zip((None, *hops), hops, (*hops[1:], None)):
+            ends = self._neighbours[(sid, pid, hop)] = (after, before)
+            if hop in self.anchors:
+                self.anchors[hop].routes[(sid, pid)] = ends
         links = frozenset(lid for u, v in zip(hops, hops[1:]) for lid in self.legs[(u, v)].links)
         demand = Demand(demand_id, self.policy[sender.tag], links, demand_cap_mbps=cap, tag=sender.tag)
         self.filling.add(key, demand)
@@ -708,7 +704,7 @@ class Simulation:
     def _end_claim(self, key: tuple[int, int, int], hops: tuple[str, ...]) -> None:
         """End the claim ``key`` over ``hops``, a transfer's path at its repath
         or end, or a tree edge whose sender completed: drop its demand, its
-        neighbours and the anchors' forwarding entries.  The only releaser."""
+        neighbours and the anchors' routes.  The only releaser."""
         _, sid, pid = key
         demand = self.filling.demand[key]
         self.tag_totals[demand.tag] = _minus(self.tag_totals[demand.tag], self.filling.rate[key])
@@ -721,8 +717,8 @@ class Simulation:
 
     def _use_paths(self, transfer: Transfer, paths: list[L5Path], now: int) -> None:
         """Send ``transfer`` over ``paths`` (only the first in baseline mode)
-        instead of those it used: end their claims, claim each new one, program
-        the anchors on it and its reverse hop, then reallocate and arm the sender."""
+        instead of those it used: end their claims, claim each new one and set
+        its reverse hop, then reallocate and arm the sender."""
         for path in transfer.used:
             self._end_claim((0, transfer.sid, path.path_id), path.hops)
         used = paths[:1] if self.mode == MODE_BASELINE else list(paths)
@@ -734,9 +730,6 @@ class Simulation:
                 (0, transfer.sid, path.path_id), path.hops, transfer.sender,
                 f"{transfer.id_str}:{path.path_id}", transfer.rate_cap_mbps,
             )
-            for name in path.hops:
-                if name in self.anchors:
-                    self.anchors[name].install_path(transfer.sid, path)
             transfer.receiver.set_reverse_hop(
                 path.path_id, self.legs[(path.hops[-1], path.hops[-2])].dest
             )
@@ -868,11 +861,7 @@ class Simulation:
             anchor = tree.subscriber_anchors[sub]
             if sub != anchor:
                 added.append(self._add_pub_edge(pub, anchor, sub, now))
-            elif anchor not in pub.receivers:
-                # Subscriber is the anchor itself (a gateway); its relay receiver,
-                # if it has one, doubles as the delivery point.
-                pub.receivers[anchor] = ReceiverSession(pub.sid, pub.tag, {}, pub.total_bytes)
-            receiver = pub.receivers[sub]
+            receiver = pub.receivers[sub]  # a gateway subscriber's is its relay receiver
             leg = SubscriberLeg(sub, anchor, receiver.start_seq, receiver)
             pub.subscribers[sub] = leg
             self._subscriber_progress(pub, leg, now)
@@ -885,8 +874,7 @@ class Simulation:
         stands.  Its sender relays what ``parent`` receives, unless ``parent`` is
         the publisher: then it reads the tree's source from the lowest seq the
         publisher's edges send next, or from 0 when it has none."""
-        pid = pub.next_pid
-        pub.next_pid += 1
+        pid = len(pub.edges)
         leg = self.legs[(parent, child)]
         ref = PathRef(pid, (parent, child), leg.latency_us, leg.dest)
         source = None
@@ -953,7 +941,8 @@ class Simulation:
             return  # already staged locally
         tree_sid = self._trees_by_object.get(object_name)
         if tree_sid is not None and self.pubs[tree_sid].status == "active":
-            self._graft(self.pubs[tree_sid], [gw_name], now)
+            if self.pubs[tree_sid].publisher != gw_name:  # the publisher holds the whole stream
+                self._graft(self.pubs[tree_sid], [gw_name], now)
             return
         # Only a gateway registers a data name; a purge on touch keeps its entry until the sweep.
         owners = (self.owner[loc] for loc in sorted(self.resolver.resolve(addr)))

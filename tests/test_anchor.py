@@ -1,10 +1,7 @@
 import dataclasses
 
-import pytest
-
 from anchornet.addressing import L3Locator
-from anchornet.anchor import Anchor, NotOnPath
-from anchornet.pathfinder import L5Path
+from anchornet.anchor import Anchor
 from anchornet.session import Segment, SegmentKind
 
 PORT = L3Locator("core", "a-port")
@@ -15,10 +12,11 @@ LOCATORS = {
 
 
 def make_anchor():
-    return Anchor(name="anchor-a", ports=(PORT,))
+    return Anchor(name="anchor-a", ports=(PORT,), locators=dict(LOCATORS))
 
 
-PATH = L5Path(0, ("host.h1", "anchor-a", "anchor-b", "host.h2"), 3, None)
+# anchor-a's (successor, predecessor) on host.h1 -> anchor-a -> anchor-b -> host.h2
+ROUTE = ("anchor-b", "host.h1")
 
 
 def data_segment(payload=b"x" * 100, pid=0, tag="atlas"):
@@ -27,39 +25,33 @@ def data_segment(payload=b"x" * 100, pid=0, tag="atlas"):
 
 def test_forward_rewrites_to_next_hop():
     anchor = make_anchor()
-    anchor.install_path(1, PATH)
+    anchor.routes[1, 0] = ROUTE
     segment = data_segment()
     fields = dataclasses.astuple(segment)
-    assert anchor.forward(segment, LOCATORS) == ("anchor-b", LOCATORS["anchor-b"])
+    assert anchor.forward(segment) == ("anchor-b", LOCATORS["anchor-b"])
     assert dataclasses.astuple(segment) == fields
 
 
 def test_forward_ack_retraces_reverse_entry():
     anchor = make_anchor()
-    anchor.install_path(1, L5Path(0, ("host.h2", "anchor-b", "anchor-a", "host.h1"), 3, None))
-    # an ack flowing back toward host.h2's side traverses prev-hop entries
+    anchor.routes[1, 0] = ("host.h1", "anchor-b")  # on host.h2 -> anchor-b -> anchor-a -> host.h1
+    # an ack flowing back toward host.h2's side goes to the predecessor
     ack = Segment(1, 0, 0, "atlas", b"", kind=SegmentKind.ACK, ack_cum=1)
-    assert anchor.forward(ack, LOCATORS) == ("anchor-b", LOCATORS["anchor-b"])
+    assert anchor.forward(ack) == ("anchor-b", LOCATORS["anchor-b"])
 
 
 def test_unknown_session_counts_drop_and_emits_nothing():
     anchor = make_anchor()
-    assert anchor.forward(data_segment(), LOCATORS) is None
+    assert anchor.forward(data_segment()) is None
     assert anchor.dropped_unknown == 1
 
 
-def test_install_requires_membership():
+def test_a_segment_past_the_end_of_its_route_counts_drop():
     anchor = make_anchor()
-    with pytest.raises(NotOnPath):
-        anchor.install_path(1, L5Path(0, ("x", "y"), 1, None))
-
-
-def test_install_is_idempotent():
-    anchor = make_anchor()
-    anchor.install_path(1, PATH)
-    table = dict(anchor.next_hop)
-    anchor.install_path(1, PATH)
-    assert anchor.next_hop == table
+    anchor.routes[1, 0] = ("anchor-b", None)  # anchor-a is the path's first hop
+    ack = Segment(1, 0, 0, "atlas", b"", kind=SegmentKind.ACK, ack_cum=1)
+    assert anchor.forward(ack) is None
+    assert anchor.dropped_unknown == 1
 
 
 def test_tag_report_zero_without_traffic():
@@ -68,19 +60,18 @@ def test_tag_report_zero_without_traffic():
 
 def test_tag_report_counts_segments_and_bytes():
     anchor = make_anchor()
-    anchor.install_path(1, PATH)
+    anchor.routes[1, 0] = ROUTE
     for _ in range(10):
-        anchor.forward(data_segment(payload=b"z" * 8192), LOCATORS)
+        anchor.forward(data_segment(payload=b"z" * 8192))
     assert anchor.tag_report() == {"atlas": (10, 81920)}
 
 
 def test_tag_report_is_per_tag():
     anchor = make_anchor()
-    anchor.install_path(1, PATH)
-    anchor.install_path(2, L5Path(1, ("host.h1", "anchor-a", "anchor-b"), 2, None))
-    anchor.forward(data_segment(payload=b"z" * 10, tag="atlas"), LOCATORS)
+    anchor.routes[1, 0] = anchor.routes[2, 1] = ROUTE
+    anchor.forward(data_segment(payload=b"z" * 10, tag="atlas"))
     seg = Segment(2, 0, 1, "cms", b"q" * 20)
-    anchor.forward(seg, LOCATORS)
+    anchor.forward(seg)
     report = anchor.tag_report()
     assert report["atlas"] == (1, 10)
     assert report["cms"] == (1, 20)
@@ -88,10 +79,10 @@ def test_tag_report_is_per_tag():
 
 def test_counters_monotone_nondecreasing():
     anchor = make_anchor()
-    anchor.install_path(1, PATH)
+    anchor.routes[1, 0] = ROUTE
     last = 0
     for _ in range(5):
-        anchor.forward(data_segment(payload=b"z" * 100), LOCATORS)
+        anchor.forward(data_segment(payload=b"z" * 100))
         now = anchor.tag_report()["atlas"][1]
         assert now >= last
         last = now
@@ -99,7 +90,7 @@ def test_counters_monotone_nondecreasing():
 
 def test_remove_path_then_drop():
     anchor = make_anchor()
-    anchor.install_path(1, PATH)
+    anchor.routes[1, 0] = ROUTE
     anchor.remove_path(1, 0)
-    assert anchor.forward(data_segment(), LOCATORS) is None
+    assert anchor.forward(data_segment()) is None
     assert anchor.dropped_unknown == 1

@@ -210,3 +210,21 @@ def test_an_out_path_that_cannot_be_written_is_one_line_and_exit_1(tmp_path, cap
     capsys.readouterr()
     assert main([command, *inputs, "--out", str(out)]) == 1
     assert capsys.readouterr() == ("", f"{out}: No such file or directory\n")
+
+
+@pytest.mark.parametrize("existed", [False, True])
+def test_a_faulted_run_removes_only_the_report_file_it_created(tmp_path, capsys, monkeypatch, fixture_paths, existed):
+    out = tmp_path / "rep.json"
+    if existed:
+        out.write_text("kept")
+
+    def fault(self):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(Simulation, "run", fault)
+    assert main(["run", str(fixture_paths["dual-path"]), "--out", str(out)]) == 2
+    assert "simulation fault: boom" in capsys.readouterr().err
+    if existed:
+        assert out.read_text() == "kept"
+    else:
+        assert not out.exists()

@@ -239,20 +239,19 @@ def _arrive(sim, sid, pid, kind, node, crossed="nw-trunk"):
     return _pushed(sim, lambda: handle(sim, event, sim.queue.now))
 
 
-@pytest.mark.parametrize("table, kind", [
-    ("next_hop", SegmentKind.DATA), ("prev_hop", SegmentKind.ACK),
-])
-def test_a_transit_anchor_that_forwards_off_its_path_is_a_violation(fixture_paths, table, kind):
+@pytest.mark.parametrize("side, kind", [(0, SegmentKind.DATA), (1, SegmentKind.ACK)])
+def test_a_transit_anchor_that_forwards_off_its_path_is_a_violation(fixture_paths, side, kind):
     """relay-north sends data on to anchor-east and ACKs back to anchor-west.
-    A forwarding entry that names its other neighbour sends the segment
-    there, and the hop counts it against the path record."""
+    A route whose successor or predecessor names its other neighbour sends
+    the segment there, and the hop counts it against the path record."""
     sim, sid, pid = _dual_path_sending(fixture_paths)
-    entries = getattr(sim.anchors["relay-north"], table)
-    wrong = {"anchor-east": "anchor-west", "anchor-west": "anchor-east"}[entries[(sid, pid)]]
-    entries[(sid, pid)] = wrong
+    routes = sim.anchors["relay-north"].routes
+    route = list(routes[(sid, pid)])
+    wrong = route[side] = {"anchor-east": "anchor-west", "anchor-west": "anchor-east"}[route[side]]
+    routes[(sid, pid)] = tuple(route)
     other = SegmentKind.ACK if kind is SegmentKind.DATA else SegmentKind.DATA
     assert len(_arrive(sim, sid, pid, other, "relay-north")) == 1
-    assert sim.l3_dest_violations == 0  # the direction the other table serves
+    assert sim.l3_dest_violations == 0  # the direction the route's other side serves
     (pushed,) = _arrive(sim, sid, pid, kind, "relay-north")
     assert sim.l3_dest_violations == 1
     assert (pushed.dest_node if isinstance(pushed, LinkHop) else pushed.node) == wrong
@@ -262,7 +261,7 @@ def test_a_transit_copy_addressed_off_its_leg_is_a_violation(fixture_paths):
     """The next hop is right but the locator the anchor readdresses to is
     not that leg's destination."""
     sim, sid, pid = _dual_path_sending(fixture_paths)
-    sim.hop_locators["relay-north"]["anchor-east"] = sim.legs[("relay-north", "anchor-west")].dest
+    sim.anchors["relay-north"].locators["anchor-east"] = sim.legs[("relay-north", "anchor-west")].dest
     assert len(_arrive(sim, sid, pid, SegmentKind.ACK, "relay-north")) == 1
     assert sim.l3_dest_violations == 0
     assert len(_arrive(sim, sid, pid, SegmentKind.DATA, "relay-north")) == 1
@@ -1150,8 +1149,8 @@ def _sender(sim, key):
 
 
 def _forwarding_entries(sim):
-    """Each anchor's (session, path) keys in its forwarding tables."""
-    return {name: a.next_hop.keys() | a.prev_hop.keys() for name, a in sim.anchors.items() if a.next_hop or a.prev_hop}
+    """Each anchor's routes, where it has any."""
+    return {name: a.routes for name, a in sim.anchors.items() if a.routes}
 
 
 def _assert_nothing_held(sim):
@@ -1250,8 +1249,9 @@ class _EpochCheckedSimulation(Simulation):
     def _check_tables(self):
         """Entries only for the claims that active sessions hold, each paced by
         its transfer's or edge's live sender and with its hops in
-        ``_neighbours``.  Digests only for active sessions, and receiver maps
-        only for active trees."""
+        ``_neighbours`` and, at each anchor hop, in that anchor's routes.
+        Digests only for active sessions, and receiver maps only for active
+        trees."""
         claims = {}  # claim key -> (hops, the sender of its transfer or edge)
         for sid, transfer in self.transfers.items():
             if transfer.status == "active":
@@ -1265,6 +1265,11 @@ class _EpochCheckedSimulation(Simulation):
         for (_, _, pid), (_, sender) in claims.items():
             assert isinstance(sender, SenderSession) and not sender.complete and pid in sender.paths
         assert set(self._neighbours) == {(sid, pid, hop) for (_, sid, pid), (hops, _) in claims.items() for hop in hops}
+        routes = {}  # anchor -> its hops' entries in _neighbours, in one pass
+        for (sid, pid, hop), ends in self._neighbours.items():
+            if hop in self.anchors:
+                routes.setdefault(hop, {})[sid, pid] = ends
+        assert _forwarding_entries(self) == routes
         active = {sid for sid, t in self.transfers.items() if t.status == "active"}
         assert set(self._digests) == active | {sid for sid, p in self.pubs.items() if p.status == "active"}
 
@@ -1712,6 +1717,27 @@ def test_subscriber_at_a_relay_that_holds_the_whole_stream_completes(join_us):
     assert mid["delivered_sha256"] == hashlib.sha256(synth_payload(obj, total)).hexdigest()
     assert mid["complete_at_us"] == join_us
     assert obj in report["anchors"]["gw-mid"]["catalog"]
+
+
+def test_a_publisher_that_subscribes_to_its_own_tree_adds_no_subscriber():
+    """gw-origin's entry has expired when it subscribes, but it publishes the
+    active tree of the object and holds the whole stream: the subscription
+    changes nothing, and no leg is left that nothing feeds."""
+    obj = "cms.obj"
+    events = [
+        {"time_us": 0, "kind": "stage", "gateway": "gw-origin",
+         "object": obj, "size_bytes": 4 * 1024 * 1024, "ttl_us": 5000},
+        {"time_us": 2000, "kind": "open_session", "id": "feed", "session_mode": "pubsub",
+         "src": "gw-origin", "subscribers": ["gw-far"], "tag": "cms", "object": obj},
+    ]
+    alone = run_scenario(build(gateway_chain(events)))
+    events.append({"time_us": 10_000, "kind": "subscribe", "gateway": "gw-origin", "object": obj, "tag": "cms"})
+    report = run_scenario(build(gateway_chain(events)))
+    tree = report["pubsub"]["feed"]
+    assert tree["status"] == "complete"
+    assert list(tree["subscribers"]) == ["gw-far"]
+    assert tree["subscribers"]["gw-far"]["complete_at_us"] is not None
+    assert tree == alone["pubsub"]["feed"]
 
 
 def test_dropped_simulation_is_freed_without_the_cycle_collector(fixture_paths):
