@@ -18,7 +18,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from anchornet.metrics import compare, write_report
 from anchornet.scenario import MODE_BASELINE, load_scenario
-from anchornet.simnet import run_scenario
+from anchornet.simnet import Simulation
 
 SCENARIOS = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 
@@ -35,8 +35,8 @@ def main() -> int:
             write_report(report, os.path.join(args.out_dir, name))
 
     dual = load_scenario(os.path.join(SCENARIOS, "dual-path.json"))
-    baseline = run_scenario(dual, mode=MODE_BASELINE)
-    multipath = run_scenario(dual)
+    baseline = Simulation(dual, mode=MODE_BASELINE).run()
+    multipath = Simulation(dual).run()
     save(baseline)
     save(multipath)
     ratio = compare(baseline, multipath)["throughput_ratio"]
@@ -48,8 +48,8 @@ def main() -> int:
     print(f"  recovery ratio   : {ratio:8.2f}x")
 
     pubsub = load_scenario(os.path.join(SCENARIOS, "transatlantic-pubsub.json"))
-    tree_run = run_scenario(pubsub)
-    unicast_run = run_scenario(pubsub, mode=MODE_BASELINE)
+    tree_run = Simulation(pubsub).run()
+    unicast_run = Simulation(pubsub, mode=MODE_BASELINE).run()
     save(tree_run)
     save(unicast_run)
     segments = tree_run["pubsub"]["pub1"]["segments_total"]
@@ -58,14 +58,14 @@ def main() -> int:
           f"crossings for {segments} segments")
     print(f"  3x unicast       : {unicast_run['links']['atlantic-cable']['data_original']:4d} crossings")
 
-    weighted = run_scenario(load_scenario(os.path.join(SCENARIOS, "two-domains-weighted.json")))
+    weighted = Simulation(load_scenario(os.path.join(SCENARIOS, "two-domains-weighted.json"))).run()
     save(weighted)
     shares = weighted["allocation"]["domain_shares_mbps"]
     print("== two-domains-weighted: policy-driven capacity split ==")
     for tag, share in sorted(shares.items()):
         print(f"  {tag:8s}: {share:6.2f} Mbps")
 
-    flooding = run_scenario(load_scenario(os.path.join(SCENARIOS, "flooding-20.json")))
+    flooding = Simulation(load_scenario(os.path.join(SCENARIOS, "flooding-20.json"))).run()
     save(flooding)
     topo = flooding["topology"]
     print("== flooding-20: control-plane convergence ==")

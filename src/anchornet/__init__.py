@@ -22,7 +22,7 @@ from .pathfinder import L5Path, k_disjoint_paths
 from .pubsub import DistributionTree, build_tree
 from .scenario import ScenarioConfig, load_scenario, parse_scenario, validate_text
 from .session import ReceiverSession, Segment, SenderSession
-from .simnet import Simulation, run_scenario
+from .simnet import Simulation
 from .topology import Adjacency, LinkStateAdvertisement, TopologyDatabase
 
 __version__ = "0.1.0"
@@ -52,7 +52,6 @@ __all__ = [
     "load_scenario",
     "parse_address",
     "parse_scenario",
-    "run_scenario",
     "validate_text",
     "water_fill",
 ]

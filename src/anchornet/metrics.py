@@ -64,18 +64,24 @@ def build_report(sim: Simulation) -> dict[str, Any]:
         throughput = (
             Fraction(delivered * 8, max(end - t.t_open, 1)) if end is not None else Fraction(0)
         )
+        potential = residual = Fraction(0)
+        for path in t.discovered:  # the paths found at open: their raw and their residual bottlenecks
+            potential += min(sim.legs[hop].raw_mbps for hop in zip(path.hops, path.hops[1:]))
+            residual += path.min_capacity_mbps or 0
         total_throughput += throughput
-        total_potential += t.potential_mbps
-        total_residual += t.residual_potential_mbps
+        total_potential += potential
+        total_residual += residual
         per_path: dict[str, Any] = {}
         for pid in sorted(t.sender.stats):
             st = t.sender.stats[pid]
+            # The last granted rate, 0 if none: n / d is the correctly rounded float, as float(Fraction(n, d)) is.
+            num, den = t.sender.rates.get(pid, (0, 1))
             span = max((sim.clock_end if t.t_end is None else t.t_end) - t.t_open, 1)
             per_path[str(pid)] = {
                 "emitted_segments": st.emitted_segments,
                 "emitted_bytes": st.emitted_bytes,
                 "retransmitted_segments": st.retransmitted_segments,
-                "rate_mbps": float(t.sender.rates.get(pid, 0)),
+                "rate_mbps": num / den,
                 "measured_mbps": st.emitted_bytes * 8 / span,
             }
         sessions[t.id_str] = {
@@ -92,8 +98,8 @@ def build_report(sim: Simulation) -> dict[str, Any]:
             "source_sha256": t.source_digest,
             "delivered_sha256": t.receiver.delivered_digest(),
             "throughput_mbps": float(throughput),
-            "potential_mbps": float(t.potential_mbps),
-            "residual_potential_mbps": float(t.residual_potential_mbps),
+            "potential_mbps": float(potential),
+            "residual_potential_mbps": float(residual),
             "paths": [list(p.hops) for p in t.used],
             "discovered_paths": [list(p.hops) for p in t.discovered],
             "per_path": per_path,
@@ -105,6 +111,7 @@ def build_report(sim: Simulation) -> dict[str, Any]:
         edges = []
         for edge in pub.edges:
             st = edge.sender.stats[edge.pid]
+            num, den = edge.sender.rates.get(edge.pid, (0, 1))
             edges.append(
                 {
                     "from": edge.src,
@@ -113,7 +120,7 @@ def build_report(sim: Simulation) -> dict[str, Any]:
                     "start_seq": edge.sender.start_seq,
                     "original_segments": st.emitted_segments - st.retransmitted_segments,
                     "retransmitted_segments": st.retransmitted_segments,
-                    "rate_mbps": float(edge.sender.rates.get(edge.pid, 0)),
+                    "rate_mbps": num / den,
                 }
             )
         subs = {}

@@ -25,10 +25,9 @@ import struct
 from bisect import insort
 from dataclasses import dataclass, fields as dataclass_fields
 from enum import Enum
-from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
-from .addressing import L3Locator, as_fraction
+from .addressing import L3Locator
 from .topology import _pstr
 
 SEGMENT_PAYLOAD_BYTES = 8192
@@ -43,7 +42,7 @@ class NoPaths(ValueError):
 
 
 class MissingRate(ValueError):
-    """Every assigned path needs a positive paced rate."""
+    """A granted rate must be positive."""
 
 
 class SegmentKind(Enum):
@@ -148,7 +147,8 @@ class SenderSession:
     tree relay is supplied through :meth:`feed` as its upstream hop delivers.
     Either way a segment's payload is held only until it is acknowledged.
     ``start_seq`` lets a sender begin mid-stream: earlier segments are
-    treated as already acknowledged and are never requested or sent.
+    treated as already acknowledged and are never requested or sent.  A path
+    is paced only once :meth:`set_rates` has granted it a rate.
     """
 
     def __init__(
@@ -156,7 +156,6 @@ class SenderSession:
         session_id: int,
         tag: str,
         paths: Sequence[PathRef],
-        rates_mbps: Mapping[int, "Fraction | float | int"],
         total_bytes: int,
         *,
         source: Optional[Iterator[bytes]] = None,
@@ -177,12 +176,12 @@ class SenderSession:
         self._fed_next = start_seq
 
         self.paths: dict[int, PathRef] = {}
-        self.rates: dict[int, Fraction] = {}
+        self.rates: dict[int, tuple[int, int]] = {}  # path -> its granted Mbit/s, (numerator, denominator)
         self.next_free: dict[int, int] = {}
         self.rtt_estimate_us: dict[int, int] = {}
         self._rtt_sampled: set[int] = set()
         self.stats: dict[int, PathStats] = {}
-        self.set_paths(paths, rates_mbps, now)
+        self.set_paths(paths, now)
 
         # Acknowledged: every seq from start_seq below the floor, and those in ``acked``, all
         # at or above it.  ACKs raise the floor out of order across paths: it only moves up.
@@ -214,17 +213,9 @@ class SenderSession:
 
     # -- path management --------------------------------------------------
 
-    def set_paths(
-        self,
-        paths: Sequence[PathRef],
-        rates_mbps: Mapping[int, "Fraction | float | int"],
-        now: int,
-    ) -> None:
+    def set_paths(self, paths: Sequence[PathRef], now: int) -> None:
         if not paths:
             raise NoPaths("cannot replace path set with an empty one")
-        for ref in paths:
-            if ref.path_id not in rates_mbps:
-                raise MissingRate(f"no rate for path {ref.path_id}")
         self.paths = {p.path_id: p for p in paths}
         for pid, ref in self.paths.items():
             self.next_free.setdefault(pid, now)
@@ -232,14 +223,13 @@ class SenderSession:
                 pid, max(2 * ref.metric_us, RTT_INITIAL_FLOOR_US)
             )
             self.stats.setdefault(pid, PathStats())
-        self.set_rates(rates_mbps)
 
-    def set_rates(self, rates_mbps: Mapping[int, "Fraction | float | int"]) -> None:
-        """Set the rate of each path named; the other paths keep theirs."""
+    def set_rates(self, rates_mbps: Mapping[int, tuple[int, int]]) -> None:
+        """Grant each path named its rate, a reduced (numerator, denominator)
+        pair; the other paths keep theirs."""
         for pid, rate in rates_mbps.items():
-            rate = as_fraction(rate)
-            if rate.numerator <= 0:
-                raise MissingRate(f"rate for path {pid} must be positive, got {rate}")
+            if rate[0] <= 0:
+                raise MissingRate(f"rate for path {pid} must be positive, got {rate[0]}/{rate[1]}")
             self.rates[pid] = rate
 
     # -- scheduling -------------------------------------------------------
@@ -288,8 +278,8 @@ class SenderSession:
             if payload is None:  # an origin's next new segment
                 payload = self.held[seq] = next(self._source)
             segment = Segment(self.session_id, seq, pid, self.tag, payload, is_retx)
-            rate = self.rates[pid]
-            gap = -(-len(payload) * 8 * rate.denominator // rate.numerator)  # ceil(bits / rate)
+            num, den = self.rates[pid]
+            gap = -(-len(payload) * 8 * den // num)  # ceil(bits / rate)
             next_free[pid] = now + gap
             deadline = now + 2 * self.rtt_estimate_us[pid]
             self.retx_deadline[seq] = deadline
@@ -387,7 +377,7 @@ class EndedSender:
     report's figures, and ``send_next`` for a graft at the publisher."""
 
     stats: dict[int, PathStats]
-    rates: dict[int, Fraction]
+    rates: dict[int, tuple[int, int]]
     start_seq: int
     send_next: int
     complete: bool

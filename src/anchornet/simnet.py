@@ -204,8 +204,6 @@ class Transfer:
     sender: SenderSession | EndedSender
     receiver: ReceiverSession | EndedReceiver
     source: PayloadStream
-    potential_mbps: Fraction
-    residual_potential_mbps: Fraction
     rate_cap_mbps: Optional[Fraction] = None
     status: str = "active"
     t_complete: Optional[int] = None
@@ -673,9 +671,6 @@ class Simulation:
             return endpoint
         return self.host_anchor[endpoint]
 
-    def _path_raw_bottleneck(self, hops: tuple[str, ...]) -> Fraction:
-        return min(self.legs[(u, v)].raw_mbps for u, v in zip(hops, hops[1:]))
-
     def _claim(
         self,
         key: tuple[int, int, int],
@@ -685,17 +680,18 @@ class Simulation:
         cap: Optional[Fraction] = None,
     ) -> None:
         """Install one allocator claimant, a unicast path or a tree edge: each
-        hop's neighbours on its hops, in ``_neighbours`` and as each anchor
-        hop's route, and its demand over the links those hops cross.
-        ``sender``, the transfer's or edge's, paces it.  A sender born
-        complete (a tree edge grafted at the stream's end) claims nothing.
-        The only installer."""
+        hop's neighbours on its hops, in ``_neighbours`` and, at a hop with
+        both (always an anchor), as its route, and its demand over the links
+        those hops cross.  A claim's ends hold no route: the transfer or edge
+        that owns its segments takes them there.  ``sender``, the transfer's
+        or edge's, paces it.  A sender born complete (a tree edge grafted at
+        the stream's end) claims nothing.  The only installer."""
         if sender.complete:
             return
         _, sid, pid = key
         for before, hop, after in zip((None, *hops), hops, (*hops[1:], None)):
             ends = self._neighbours[(sid, pid, hop)] = (after, before)
-            if hop in self.anchors:
+            if None not in ends:
                 self.anchors[hop].routes[(sid, pid)] = ends
         links = frozenset(lid for u, v in zip(hops, hops[1:]) for lid in self.legs[(u, v)].links)
         demand = Demand(demand_id, self.policy[sender.tag], links, demand_cap_mbps=cap, tag=sender.tag)
@@ -712,8 +708,8 @@ class Simulation:
         self.filling.remove(key)
         for hop in hops:
             del self._neighbours[(sid, pid, hop)]
-            if hop in self.anchors:
-                self.anchors[hop].remove_path(sid, pid)
+        for hop in hops[1:-1]:  # the hops that hold a route
+            self.anchors[hop].remove_path(sid, pid)
 
     def _use_paths(self, transfer: Transfer, paths: list[L5Path], now: int) -> None:
         """Send ``transfer`` over ``paths`` (only the first in baseline mode)
@@ -724,7 +720,7 @@ class Simulation:
         used = paths[:1] if self.mode == MODE_BASELINE else list(paths)
         transfer.used = used
         refs = [_path_ref(path, self.legs) for path in used]
-        transfer.sender.set_paths(refs, {r.path_id: Fraction(1) for r in refs}, now)
+        transfer.sender.set_paths(refs, now)
         for path in used:
             self._claim(
                 (0, transfer.sid, path.path_id), path.hops, transfer.sender,
@@ -750,19 +746,13 @@ class Simulation:
         # The sender starts on the best path; _use_paths installs the rest.
         source = PayloadStream(stream, total_bytes)
         sender = SenderSession(
-            sid, tag, [_path_ref(discovered[0], self.legs)], {0: Fraction(1)}, total_bytes,
-            source=source.segments(), now=now,
-        )
+            sid, tag, [_path_ref(discovered[0], self.legs)], total_bytes, source=source.segments(), now=now)
         receiver = ReceiverSession(sid, tag, {}, total_bytes)
         transfer = Transfer(
             id_str=id_str, sid=sid, src=src, dst=dst, tag=tag, total_bytes=total_bytes, k=k,
             home_anchor=home, t_open=now, discovered=discovered, used=[], sender=sender,
-            receiver=receiver, source=source,
-            potential_mbps=sum((self._path_raw_bottleneck(p.hops) for p in discovered), Fraction(0)),
-            residual_potential_mbps=sum(
-                (p.min_capacity_mbps or Fraction(0) for p in discovered), Fraction(0)
-            ),
-            rate_cap_mbps=rate_cap_mbps, next_pid=len(discovered), stage_ttl_us=stage_ttl_us,
+            receiver=receiver, source=source, rate_cap_mbps=rate_cap_mbps, next_pid=len(discovered),
+            stage_ttl_us=stage_ttl_us,
         )
         self.transfers[sid] = transfer
         self._homed.setdefault(home, {})[sid] = transfer
@@ -884,8 +874,7 @@ class Simulation:
             start_seq = min((edge.sender.send_next for edge in pub.downstream.get(parent, ())), default=0)
             source = pub.source.segments(start_seq)
         sender = SenderSession(
-            pub.sid, pub.tag, [ref], {pid: Fraction(1)}, pub.total_bytes,
-            source=source, start_seq=start_seq, now=now,
+            pub.sid, pub.tag, [ref], pub.total_bytes, source=source, start_seq=start_seq, now=now,
         )
         receiver = ReceiverSession(
             pub.sid, pub.tag, {pid: self.legs[(child, parent)].dest},
@@ -1028,16 +1017,17 @@ class Simulation:
         filling = self.filling
         rates: dict[str, Optional[float]] = self._released
         self._released = {}
-        changed: dict[SenderSession, dict[int, Fraction]] = {}
+        changed: dict[SenderSession, dict[int, tuple[int, int]]] = {}
         moves: dict[tuple[str, int], int] = {}  # (tag, denominator) -> numerator of the summed moves
         for key, old in filling.fill().items():
             kind, sid, pid = key
-            (num, den), demand = filling.rate[key], filling.demand[key]
+            rate, demand = filling.rate[key], filling.demand[key]
+            num, den = rate
             moves[demand.tag, den] = moves.get((demand.tag, den), 0) + num
             if old:
                 moves[demand.tag, old[1]] = moves.get((demand.tag, old[1]), 0) - old[0]
             sender = (self.pubs[sid].edges[pid] if kind else self.transfers[sid]).sender
-            changed.setdefault(sender, {})[pid] = Fraction(num, den)
+            changed.setdefault(sender, {})[pid] = rate
             # n / d is the correctly rounded float, as float(Fraction(n, d)) is
             rates[demand.session_id] = num / den
         for (tag, den), num in moves.items():
@@ -1086,11 +1076,3 @@ def _tree_edges_top_down(tree: DistributionTree) -> list[tuple[str, str]]:
     for _, node in out:  # breadth first: the loop reaches each edge appended
         out.extend((node, child) for child in children.get(node, ()))
     return out
-
-
-def run_scenario(
-    config: ScenarioConfig, *, seed: Optional[int] = None, mode: Optional[str] = None
-) -> dict[str, Any]:
-    """Validate-and-run convenience wrapper returning the metrics report."""
-    sim = Simulation(config, seed=seed, mode=mode)
-    return sim.run()

@@ -3,7 +3,8 @@
 These deliberately share no code with the package: brute-force enumeration
 instead of Dijkstra, float bisection instead of exact progressive filling,
 round-by-round exact filling instead of a shared fill level, a set-union
-fixpoint instead of message flooding, and an explicit token-bucket replay
+fixpoint and relaxed latency distances instead of message flooding, a flood
+count from anchor degrees instead of counted sends, and an explicit token-bucket replay
 instead of slot arithmetic.  ``MersennePayloadStream`` is the earlier payload
 generator, kept so that pins taken with it can still be reproduced.
 """
@@ -308,6 +309,47 @@ def flood_fixpoint(
         for m in members:
             result[m] = db
     return result
+
+
+def _peers(configs: Mapping[str, Sequence[Adjacency]]) -> dict[str, dict[str, int]]:
+    """Each anchor's peers, one per adjacent pair, and the latency to each."""
+    peers: dict[str, dict[str, int]] = {a: {} for a in configs}
+    for a, adjs in configs.items():
+        for adj in adjs:
+            if adj.neighbor in configs:
+                peers[a][adj.neighbor] = peers[adj.neighbor][a] = adj.latency_us
+    return peers
+
+
+def flood_arrivals(configs: Mapping[str, Sequence[Adjacency]]) -> dict[str, dict[str, int]]:
+    """Per origin, when each other anchor that its origination at time 0
+    reaches first accepts it.  A flood crosses a leg at its latency alone and
+    an anchor passes its first copy straight on, so that time is the anchor's
+    latency distance from the origin: here found by relaxing every adjacency
+    until no distance shortens."""
+    peers = _peers(configs)
+    result = {}
+    for origin in sorted(configs):
+        dist, changed = {origin: 0}, True
+        while changed:
+            changed = False
+            for u in list(dist):
+                for v, latency in peers[u].items():
+                    if v not in dist or dist[u] + latency < dist[v]:
+                        dist[v], changed = dist[u] + latency, True
+        del dist[origin]
+        result[origin] = dist
+    return result
+
+
+def flood_transmissions(configs: Mapping[str, Sequence[Adjacency]]) -> dict[str, int]:
+    """Per origin, the transmissions that flooding its one origination makes:
+    the origin sends to each anchor peer, and each other anchor the flood
+    reaches sends its first copy on to each peer but the one it came from.
+    On a connected overlay of N anchors and E adjacencies that is 2E - (N - 1)."""
+    peers = _peers(configs)
+    return {origin: len(peers[origin]) + sum(len(peers[a]) - 1 for a in reached)
+            for origin, reached in flood_arrivals(configs).items()}
 
 
 def random_connected_adjacency(

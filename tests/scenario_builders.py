@@ -130,9 +130,13 @@ def gateway_chain(events: list[dict[str, Any]], *, seed: int = 9, horizon_us: in
     }
 
 
-def flood_run(configs: Mapping[str, Sequence[Adjacency]], events: Sequence[dict[str, Any]] = ()) -> Simulation:
+def flood_run(
+    configs: Mapping[str, Sequence[Adjacency]], events: Sequence[dict[str, Any]] = (),
+    simulation: type[Simulation] = Simulation,
+) -> Simulation:
     """Run per-anchor adjacency legs, as ``oracles.random_connected_adjacency``
-    gives them, as a scenario with ``events``; return the simulation after its run.
+    gives them, as a scenario with ``events`` in a ``simulation``; return it
+    after its run.
 
     Each adjacency becomes one domain named by its ``domain_id``, with one
     attachment per anchor (named by the anchor), one link of the adjacency's
@@ -155,7 +159,7 @@ def flood_run(configs: Mapping[str, Sequence[Adjacency]], events: Sequence[dict[
         if not configs[u]:
             domains.append({"id": f"solo-{u}", "attachments": [u]})
             ports[u].append({"domain": f"solo-{u}", "attachment": u})
-    sim = Simulation(build({
+    sim = simulation(build({
         "name": "flood-run",
         "domains": domains,
         "links": links,

@@ -16,11 +16,12 @@ from anchornet.allocator import Demand, DemandMatrix, water_fill
 from anchornet.metrics import canonical_json, compare
 from anchornet.pathfinder import k_disjoint_paths
 from anchornet.scenario import MODE_BASELINE, load_scenario
-from anchornet.simnet import run_scenario
+from anchornet.simnet import Simulation
 from oracles import (
     bisect_water_fill,
     db_from_edges,
     flood_fixpoint,
+    flood_transmissions,
     max_min_property_holds,
     random_connected_adjacency,
     random_fill_instance,
@@ -31,7 +32,7 @@ from scenario_builders import build, flood_run, three_path_lossy
 
 def _timed(config, **kw):
     start = time.perf_counter()
-    report = run_scenario(config, **kw)
+    report = Simulation(config, **kw).run()
     return report, time.perf_counter() - start
 
 
@@ -115,16 +116,21 @@ def test_criterion_3_topology_convergence(runs):
         assert len(set(digests.values())) == 1, trial
         expected = flood_fixpoint(configs)
         assert all(digests[n] == expected[n].digest() for n in configs), trial
+        counts = flood_transmissions(configs)
+        assert sim.lsa_tx == {(origin, 1): count for origin, count in counts.items()}, trial
         for (origin, seq), count in sim.lsa_tx.items():
             assert count <= 2 * edges, (trial, origin, seq, count)
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0
     flooding = runs["flooding"][0]["topology"]
     assert flooding["db_identical"] is True
+    exact = 2 * flooding["adjacency_count"] - (flooding["anchor_count"] - 1)  # a connected overlay
+    assert set(flooding["lsa_transmissions"].values()) == {exact}, flooding
     assert flooding["max_transmissions_per_origination"] <= 2 * flooding["adjacency_count"], flooding
-    _ok(3, f"100 random graphs converge byte-identically within 2x|edges| ({elapsed:.1f}s); "
-           f"flooding-20: {flooding['max_transmissions_per_origination']} transmissions "
-           f"<= 2x{flooding['adjacency_count']}")
+    _ok(3, f"100 random graphs converge byte-identically, each origination in exactly the flood "
+           f"oracle's transmissions, within 2x|edges| ({elapsed:.1f}s); flooding-20: "
+           f"{flooding['max_transmissions_per_origination']} transmissions = 2x{flooding['adjacency_count']} "
+           f"- {flooding['anchor_count'] - 1} <= 2x{flooding['adjacency_count']}")
 
 
 def test_criterion_4_pathfinder_oracle():

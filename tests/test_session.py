@@ -32,11 +32,18 @@ def chunks(stream):
                  for lo in range(0, len(stream), SEGMENT_PAYLOAD_BYTES)])
 
 
+def granted(sender, rates):
+    """``sender`` with each path's rate in ``rates``, whole Mbit/s, granted as
+    the allocator grants it: a (numerator, denominator) pair."""
+    sender.set_rates({pid: (rate, 1) for pid, rate in rates.items()})
+    return sender
+
+
 def make_sender(n_paths=1, rates=None, total=10 * SEGMENT_PAYLOAD_BYTES, payload=None):
     paths = [ref(i) for i in range(n_paths)]
     rates = rates or {i: 8 for i in range(n_paths)}
     payload = payload if payload is not None else bytes(total)
-    return SenderSession(1, "atlas", paths, rates, total, source=chunks(payload), now=0)
+    return granted(SenderSession(1, "atlas", paths, total, source=chunks(payload), now=0), rates)
 
 
 def drive(sender, until=10_000_000):
@@ -61,18 +68,20 @@ def drive(sender, until=10_000_000):
 
 def test_open_requires_paths():
     with pytest.raises(NoPaths):
-        SenderSession(1, "atlas", [], {}, 100)
+        SenderSession(1, "atlas", [], 100)
 
 
-def test_open_requires_rate_per_path():
+@pytest.mark.parametrize("rate", [(0, 1), (-8, 1)])
+def test_set_rates_rejects_a_grant_that_is_not_positive(rate):
+    sender = make_sender(n_paths=2)
     with pytest.raises(MissingRate):
-        SenderSession(1, "atlas", [ref(0), ref(1)], {0: 50}, 100)
+        sender.set_rates({1: rate})
+    assert sender.rates == {0: (8, 1), 1: (8, 1)}
 
 
 def test_two_paths_construct():
-    sender = SenderSession(1, "atlas", [ref(0), ref(1)], {0: 50, 1: 50}, 100,
-                           source=chunks(b"x" * 100))
-    assert set(sender.paths) == {0, 1}
+    sender = SenderSession(1, "atlas", [ref(0), ref(1)], 100, source=chunks(b"x" * 100))
+    assert set(sender.paths) == {0, 1} and sender.rates == {}
 
 
 def test_pacing_gap_matches_rate():
@@ -296,10 +305,9 @@ def test_sacks_match_sorted_buffer_rule_under_random_arrivals_with_duplicates():
 def test_mid_stream_start_seq():
     total = 6 * SEGMENT_PAYLOAD_BYTES
     stream = b"".join(bytes([i]) * SEGMENT_PAYLOAD_BYTES for i in range(6))
-    sender = SenderSession(
-        1, "atlas", [ref(0)], {0: 80}, total,
-        source=chunks(stream[3 * SEGMENT_PAYLOAD_BYTES:]), start_seq=3, now=0,
-    )
+    sender = granted(SenderSession(
+        1, "atlas", [ref(0)], total, source=chunks(stream[3 * SEGMENT_PAYLOAD_BYTES:]), start_seq=3, now=0,
+    ), {0: 80})
     rx = ReceiverSession(1, "atlas", {0: HOP_B}, total, start_seq=3)
     now = 0
     while not sender.complete:
@@ -349,10 +357,10 @@ def test_ack_floor_matches_rebuilt_range_under_reordering_and_loss():
         rates = {pid: rng.choice([40, 80, 200]) for pid in range(n_paths)}
 
         def open_sender():
-            return SenderSession(
-                1, "atlas", [ref(pid) for pid in range(n_paths)], rates, total,
+            return granted(SenderSession(
+                1, "atlas", [ref(pid) for pid in range(n_paths)], total,
                 source=chunks(stream[start * SEGMENT_PAYLOAD_BYTES:]), start_seq=start, now=0,
-            )
+            ), rates)
 
         fast, slow = open_sender(), open_sender()
         rx = ReceiverSession(1, "atlas", {pid: HOP_B for pid in range(n_paths)}, total,
@@ -474,8 +482,8 @@ def test_retransmit_heaps_match_sort_and_min_rule_on_lossy_multipath_runs():
         n_paths = rng.randint(1, 3)
         paths = [ref(pid, metric=rng.choice([50, 100, 400])) for pid in range(n_paths)]
         rates = {pid: rng.choice([40, 80, 200]) for pid in range(n_paths)}
-        fast = SenderSession(1, "atlas", paths, rates, total, source=chunks(stream), now=0)
-        slow = _SortAndMinSender(1, "atlas", paths, rates, total, source=chunks(stream), now=0)
+        fast = granted(SenderSession(1, "atlas", paths, total, source=chunks(stream), now=0), rates)
+        slow = granted(_SortAndMinSender(1, "atlas", paths, total, source=chunks(stream), now=0), rates)
         rx = ReceiverSession(1, "atlas", {pid: HOP_B for pid in range(n_paths)}, total)
         data, acks = [], []
         now = 0

@@ -4,6 +4,7 @@ import hashlib
 import json
 import sys
 import weakref
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -27,7 +28,6 @@ from anchornet.simnet import (
     ScenarioAction,
     SimFault,
     Simulation,
-    run_scenario,
 )
 from anchornet.topology import TopologyDatabase, _pstr
 from oracles import MersennePayloadStream, acked_seqs, progressive_fill_exact
@@ -114,7 +114,7 @@ def test_zero_loss_consumes_no_randomness():
 
 
 def test_empty_scenario_yields_empty_report():
-    report = run_scenario(
+    report = Simulation(
         build(
             {
                 "name": "empty",
@@ -129,7 +129,7 @@ def test_empty_scenario_yields_empty_report():
                 "events": [],
             }
         )
-    )
+    ).run()
     assert report["events_processed"] == 0
     assert report["trace_hash"] == hashlib.sha256(TRACE_SALT).hexdigest()
     assert report["faults"] == {
@@ -164,13 +164,13 @@ def test_the_resolver_built_in_one_pass_equals_one_register_per_port(fixture_pat
 
 def test_conservation_per_link(fixture_paths):
     config = load_scenario(str(fixture_paths["dual-path"]))
-    report = run_scenario(config)
+    report = Simulation(config).run()
     for lid, row in report["links"].items():
         assert row["transmitted"] == row["delivered"] + row["dropped"] + row["in_flight_at_end"], lid
 
 
 def test_lossy_transfer_conserves_per_link():
-    report = run_scenario(build(three_path_lossy()))
+    report = Simulation(build(three_path_lossy())).run()
     assert report["sessions"]["bulk"]["status"] == "complete"
     for lid, row in report["links"].items():
         assert row["transmitted"] == row["delivered"] + row["dropped"] + row["in_flight_at_end"], lid
@@ -179,7 +179,7 @@ def test_lossy_transfer_conserves_per_link():
 
 
 def test_lossy_transfer_delivers_byte_exact_stream():
-    report = run_scenario(build(three_path_lossy()))
+    report = Simulation(build(three_path_lossy())).run()
     session = report["sessions"]["bulk"]
     assert session["bytes_delivered"] == session["bytes_total"]
     assert session["delivered_sha256"] == session["source_sha256"]
@@ -191,7 +191,7 @@ def test_a_segment_sent_past_either_end_of_its_path_is_a_violation(fixture_paths
     hop has no predecessor and the last no successor."""
     sim = Simulation(load_scenario(fixture_paths["dual-path"]))
     hops, back = ("anchor-east", "relay-north"), ("relay-north", "anchor-east")
-    sender = SenderSession(99, "atlas", [PathRef(0, hops, 1000, sim.legs[hops].dest)], {0: 1}, 8192)
+    sender = SenderSession(99, "atlas", [PathRef(0, hops, 1000, sim.legs[hops].dest)], 8192)
     sim._claim((0, 99, 0), hops, sender, "probe:0")
     ack = Segment(99, 0, 0, "atlas", kind=SegmentKind.ACK)
     sim.transmit(ack, sim.legs[hops].dest, *hops, 0)
@@ -519,7 +519,7 @@ def test_failover_flood_keeps_its_pinned_trace(seed):
 
 def test_tag_accounting_conserves_forwarded_bytes(fixture_paths):
     config = load_scenario(str(fixture_paths["dual-path"]))
-    report = run_scenario(config)
+    report = Simulation(config).run()
     delivered = report["sessions"]["bulk"]["bytes_delivered"]
     forwarded = sum(
         row["per_tag"].get("atlas", (0, 0))[1] for row in report["anchors"].values()
@@ -530,8 +530,8 @@ def test_tag_accounting_conserves_forwarded_bytes(fixture_paths):
 
 
 def test_seed_change_alters_only_stochastic_quantities():
-    base = run_scenario(build(three_path_lossy(seed=3)))
-    other = run_scenario(build(three_path_lossy(seed=4)))
+    base = Simulation(build(three_path_lossy(seed=3))).run()
+    other = Simulation(build(three_path_lossy(seed=4))).run()
     assert base["allocation"]["final_rates_mbps"] == other["allocation"]["final_rates_mbps"]
     assert base["sessions"]["bulk"]["paths"] == other["sessions"]["bulk"]["paths"]
     drops = lambda r: sum(row["dropped"] for row in r["links"].values())
@@ -550,14 +550,14 @@ def _dual_path_losing_nw_trunk(fixture_paths):
 def test_a_failed_access_link_ends_the_transfer_with_no_path(fixture_paths, link, mode):
     raw = json.loads(fixture_paths["dual-path"].read_text())
     raw["events"].append({"time_us": 30_000, "kind": "link_down", "link": link})
-    report = run_scenario(parse_scenario(json.dumps(raw)), mode=mode)
+    report = Simulation(parse_scenario(json.dumps(raw)), mode=mode).run()
     session = report["sessions"]["bulk"]
     assert session["status"] == "no_path"
     assert 0 < session["bytes_delivered"] < session["bytes_total"]
 
 
 def test_link_down_triggers_repath_and_completion(fixture_paths):
-    report = run_scenario(_dual_path_losing_nw_trunk(fixture_paths), mode="baseline-single-path")
+    report = Simulation(_dual_path_losing_nw_trunk(fixture_paths), mode="baseline-single-path").run()
     session = report["sessions"]["bulk"]
     assert session["status"] == "complete"
     assert session["delivered_sha256"] == session["source_sha256"]
@@ -594,14 +594,14 @@ def test_flooding_without_sessions_never_builds_a_graph(fixture_paths, monkeypat
         return graph(db)
 
     monkeypatch.setattr(TopologyDatabase, "graph", counting_graph)
-    report = run_scenario(load_scenario(fixture_paths["flooding-20"]))
+    report = Simulation(load_scenario(fixture_paths["flooding-20"])).run()
     assert report["events_processed"] > 0
     assert calls == []
 
 
 def test_horizon_stops_execution():
     raw = three_path_lossy(horizon_us=25_000)
-    report = run_scenario(build(raw))
+    report = Simulation(build(raw)).run()
     assert report["clock_end_us"] <= 25_000
     assert report["sessions"]["bulk"]["status"] == "active"
 
@@ -612,7 +612,7 @@ def test_session_without_path_stops_pacing():
     raw["events"] += [
         {"time_us": 30_000, "kind": "link_down", "link": f"trunk-{i}w"} for i in (1, 2, 3)
     ]
-    report = run_scenario(build(raw))
+    report = Simulation(build(raw)).run()
     assert report["sessions"]["bulk"]["status"] == "no_path"
     # the queue drains once the segments in flight land, long before the
     # 10 s horizon, and the sender stops pushing into removed paths
@@ -625,9 +625,9 @@ def test_a_no_path_session_measures_its_paths_up_to_its_end():
     not the session's measured rates."""
     raw = three_path_lossy()
     raw["events"] += [{"time_us": 30_000, "kind": "link_down", "link": f"trunk-{i}w"} for i in (1, 2, 3)]
-    alone = run_scenario(build(raw))
+    alone = Simulation(build(raw)).run()
     raw["events"].append({"time_us": 200_000, "kind": "link_down", "link": "trunk-1e"})
-    later = run_scenario(build(raw))
+    later = Simulation(build(raw)).run()
     assert alone["clock_end_us"] < 100_000 < 200_000 < later["clock_end_us"]
     session = alone["sessions"]["bulk"]
     assert session["status"] == "no_path"
@@ -736,7 +736,7 @@ def test_multi_link_internal_domain_path():
              "src": "h.a", "dst": "h.b", "tag": "t", "bytes": 131072, "k_paths": 1}
         ],
     }
-    report = run_scenario(build(raw))
+    report = Simulation(build(raw)).run()
     session = report["sessions"]["xfer"]
     assert session["status"] == "complete"
     assert session["delivered_sha256"] == session["source_sha256"]
@@ -807,7 +807,7 @@ def test_report_is_written_for_an_unreachable_subscriber(fixture_paths):
         raw = json.loads(fixture_paths["transatlantic-pubsub"].read_text())
         raw["events"].append({"time_us": 25_000, "kind": "link_down", "link": link})
         raw["horizon_us"] = horizon_us or raw["horizon_us"]
-        report = run_scenario(parse_scenario(json.dumps(raw)))
+        report = Simulation(parse_scenario(json.dumps(raw))).run()
         tree = report["pubsub"]["pub1"]
         assert tree["unicast_cost"] is None, link
         assert tree["tree_cost"] > 0
@@ -890,7 +890,7 @@ def test_final_rates_skip_trailing_empty_epoch():
     "name", ["dual-path", "transatlantic-pubsub", "two-domains-weighted", "flooding-20"]
 )
 def test_report_peak_rates_and_shares_share_one_epoch(fixture_paths, name):
-    report = run_scenario(load_scenario(fixture_paths[name]))
+    report = Simulation(load_scenario(fixture_paths[name])).run()
     alloc = report["allocation"]
     epochs = alloc["epochs"]
     # flooding-20 opens no session, so it has no epoch at all
@@ -918,7 +918,7 @@ FIXTURE_TRACE_HASHES = {
 
 @pytest.mark.parametrize("name", sorted(FIXTURE_TRACE_HASHES))
 def test_fixture_trace_hash_is_pinned(fixture_paths, name):
-    report = run_scenario(load_scenario(fixture_paths[name]))
+    report = Simulation(load_scenario(fixture_paths[name])).run()
     assert report["trace_hash"] == FIXTURE_TRACE_HASHES[name]
     assert report["faults"]["dropped_unknown"] == DROPPED_UNKNOWN[name]
 
@@ -935,7 +935,7 @@ FIXTURE_REPORT_HASHES = {
 
 @pytest.mark.parametrize("name", sorted(FIXTURE_REPORT_HASHES))
 def test_fixture_report_is_pinned(fixture_paths, name):
-    report = canonical_json(run_scenario(load_scenario(fixture_paths[name])))
+    report = canonical_json(Simulation(load_scenario(fixture_paths[name])).run())
     assert hashlib.sha256(report.encode()).hexdigest() == FIXTURE_REPORT_HASHES[name]
 
 
@@ -960,7 +960,7 @@ def _as_v1(report):
 
 @pytest.mark.parametrize("name", sorted(V1_REPORT_HASHES))
 def test_replayed_report_is_the_v1_report(fixture_paths, name):
-    report = run_scenario(load_scenario(fixture_paths[name]))
+    report = Simulation(load_scenario(fixture_paths[name])).run()
     v1 = _as_v1(report)
     assert hashlib.sha256(canonical_json(v1).encode()).hexdigest() == V1_REPORT_HASHES[name]
     assert compare(v1, report) == compare(report, v1) == compare(report, report)
@@ -970,25 +970,25 @@ def test_replayed_report_is_the_v1_report(fixture_paths, name):
 # branches, pinned the same way: (how to run it, its trace hash).
 RUN_TRACE_HASHES = {
     "repath": (
-        lambda paths: run_scenario(_BUILT["repath"]()),
+        lambda paths: Simulation(_BUILT["repath"]()).run(),
         "defda3634c980581c539b38876523abe412a213ee4eda81b5211369bdb059301",
     ),
     "no-path": (
-        lambda paths: run_scenario(_BUILT["no-path"]()),
+        lambda paths: Simulation(_BUILT["no-path"]()).run(),
         "f933a1c5e27d0b2f1c7d052d7881069eff929ef66c2148be1f7311664bb6ed39",
     ),
     "dual-path-failover-baseline": (
-        lambda paths: run_scenario(_dual_path_losing_nw_trunk(paths), mode="baseline-single-path"),
+        lambda paths: Simulation(_dual_path_losing_nw_trunk(paths), mode="baseline-single-path").run(),
         "de4b6dd69823eb5674445836934984e727c606fc2c07c93f29bbace3d419f599",
     ),
     "transatlantic-pubsub-baseline": (
-        lambda paths: run_scenario(
+        lambda paths: Simulation(
             load_scenario(paths["transatlantic-pubsub"]), mode="baseline-single-path"
-        ),
+        ).run(),
         "08415c0d1fed109533bce4c28b7dde9a79fca024ab822e49a83e1c3398924827",
     ),
     "pubsub-mid-stream-join": (
-        lambda paths: run_scenario(_mid_stream_join()),
+        lambda paths: Simulation(_mid_stream_join()).run(),
         "c66c6a0309e3dcf3288630c2ce20e2003fb63293294d69e32ab3a4607ff96604",
     ),
 }
@@ -1053,7 +1053,7 @@ def mersenne_payload(monkeypatch):
 def test_fixture_pins_under_the_mersenne_payload_are_the_earlier_ones(
     fixture_paths, mersenne_payload, name
 ):
-    report = run_scenario(load_scenario(fixture_paths[name]))
+    report = Simulation(load_scenario(fixture_paths[name])).run()
     assert report["trace_hash"] == MERSENNE_TRACE_HASHES[name]
     assert hashlib.sha256(canonical_json(report).encode()).hexdigest() == MERSENNE_REPORT_HASHES[name]
     if name in MERSENNE_V1_REPORT_HASHES:
@@ -1249,9 +1249,9 @@ class _EpochCheckedSimulation(Simulation):
     def _check_tables(self):
         """Entries only for the claims that active sessions hold, each paced by
         its transfer's or edge's live sender and with its hops in
-        ``_neighbours`` and, at each anchor hop, in that anchor's routes.
-        Digests only for active sessions, and receiver maps only for active
-        trees."""
+        ``_neighbours`` and, at each interior hop, in that anchor's routes:
+        neither end of a claim holds a route.  Digests only for active
+        sessions, and receiver maps only for active trees."""
         claims = {}  # claim key -> (hops, the sender of its transfer or edge)
         for sid, transfer in self.transfers.items():
             if transfer.status == "active":
@@ -1265,10 +1265,10 @@ class _EpochCheckedSimulation(Simulation):
         for (_, _, pid), (_, sender) in claims.items():
             assert isinstance(sender, SenderSession) and not sender.complete and pid in sender.paths
         assert set(self._neighbours) == {(sid, pid, hop) for (_, sid, pid), (hops, _) in claims.items() for hop in hops}
-        routes = {}  # anchor -> its hops' entries in _neighbours, in one pass
-        for (sid, pid, hop), ends in self._neighbours.items():
-            if hop in self.anchors:
-                routes.setdefault(hop, {})[sid, pid] = ends
+        routes = {}  # anchor -> its interior hops' entries in _neighbours
+        for (_, sid, pid), (hops, _) in claims.items():
+            for hop in hops[1:-1]:
+                routes.setdefault(hop, {})[sid, pid] = self._neighbours[sid, pid, hop]
         assert _forwarding_entries(self) == routes
         active = {sid for sid, t in self.transfers.items() if t.status == "active"}
         assert set(self._digests) == active | {sid for sid, p in self.pubs.items() if p.status == "active"}
@@ -1277,7 +1277,7 @@ class _EpochCheckedSimulation(Simulation):
         matrix = DemandMatrix(tuple(demands))
         alloc = water_fill(self.link_avail, matrix)
         for demand, (_, sender, pid) in zip(demands, targets):
-            assert sender.rates[pid] == alloc.rates_exact[demand.session_id]
+            assert Fraction(*sender.rates[pid]) == alloc.rates_exact[demand.session_id]
         assert self.replayed == {k: float(v) for k, v in alloc.rates_exact.items()}
         epoch = self.alloc_epochs[-1]
         assert epoch["concurrent"] == len(demands)
@@ -1461,7 +1461,7 @@ def test_a_completed_tree_edge_frees_its_capacity_at_once():
     first, second = sim.pubs[1].edges
     assert (first.src, first.dst, second.src, second.dst) == ("origin", "relay", "relay", "leaf")
     assert sim.pubs[1].status == "active" and not second.sender.complete
-    assert second.sender.rates == {second.pid: 100}
+    assert second.sender.rates == {second.pid: (100, 1)}
     epoch = sim.alloc_epochs[-1]
     assert epoch["time_us"] == sim.queue.now and epoch["concurrent"] == 1
     assert epoch["rates_mbps"] == {"feed:origin>relay": None, "feed:relay>leaf": 100.0}
@@ -1472,6 +1472,47 @@ def test_a_completed_tree_edge_frees_its_capacity_at_once():
     assert report["pubsub"]["feed"]["status"] == "complete"
     assert report["allocation"]["peak_rates_mbps"] == {"feed:origin>relay": 50.0, "feed:relay>leaf": 50.0}
     assert report["allocation"]["final_rates_mbps"] == {"feed:relay>leaf": 100.0}
+
+
+def _grafted_at_the_stream_end():
+    """A tree of a 40-segment object from gw-origin to gw-mid and to gw-side,
+    over a 5 Mbit/s trunk-os.  gw-far subscribes at 100 ms, when gw-mid holds
+    the whole stream: its edge gw-mid > gw-far starts at the stream's end and
+    never claims."""
+    obj = "cms.obj"
+    raw = gateway_chain([
+        {"time_us": 1000, "kind": "stage", "gateway": "gw-origin", "object": obj,
+         "size_bytes": 40 * SEGMENT_PAYLOAD_BYTES, "ttl_us": 800_000},
+        {"time_us": 10_000, "kind": "open_session", "id": "feed", "session_mode": "pubsub", "src": "gw-origin",
+         "subscribers": ["gw-mid", "gw-side"], "tag": "cms", "object": obj, "k_paths": 1},
+        {"time_us": 100_000, "kind": "subscribe", "gateway": "gw-far", "object": obj, "tag": "cms"},
+    ])
+    for link in raw["links"]:
+        if link["id"] == "trunk-os":
+            link["capacity_mbps"] = 5
+    return build(raw)
+
+
+@pytest.mark.parametrize("name", [*sorted(FIXTURE_TRACE_HASHES), "grafted-at-the-stream-end"])
+def test_a_reported_rate_is_the_last_one_the_epochs_granted(fixture_paths, name):
+    """Each path's and tree edge's ``rate_mbps`` is the last rate the epochs
+    gave its claimant, or 0 if they never gave it one."""
+    if name in fixture_paths:
+        report = Simulation(load_scenario(fixture_paths[name])).run()
+    else:
+        report = Simulation(_grafted_at_the_stream_end()).run()
+    granted = {}
+    for epoch in report["allocation"]["epochs"]:
+        granted.update((claimant, rate) for claimant, rate in epoch["rates_mbps"].items() if rate is not None)
+    reported = {f"{sid}:{pid}": row["rate_mbps"]
+                for sid, session in report["sessions"].items() for pid, row in session["per_path"].items()}
+    reported.update((f"{sid}:{edge['from']}>{edge['to']}", edge["rate_mbps"])
+                    for sid, tree in report["pubsub"].items() for edge in tree["edges"])
+    assert reported == {claimant: granted.get(claimant, 0.0) for claimant in reported}
+    if name not in fixture_paths:
+        (late,) = [edge for edge in report["pubsub"]["feed"]["edges"] if edge["to"] == "gw-far"]
+        assert (late["from"], late["start_seq"], late["original_segments"]) == ("gw-mid", 40, 0)
+        assert "feed:gw-mid>gw-far" not in granted and late["rate_mbps"] == 0.0
 
 
 def test_unknown_event_type_is_a_fault(fixture_paths):
@@ -1495,7 +1536,7 @@ def test_stage_then_subscribe_replicates_object():
              "object": obj, "tag": "cms"},
         ]
     )
-    report = run_scenario(build(raw))
+    report = Simulation(build(raw)).run()
     fetch = report["sessions"][f"fetch.{obj}.gw-far"]
     assert fetch["status"] == "complete"
     expected = hashlib.sha256(synth_payload(obj, 81920)).hexdigest()
@@ -1516,7 +1557,7 @@ def test_cache_effect_second_fetch_uses_nearer_replica():
              "object": obj, "tag": "cms"},
         ]
     )
-    report = run_scenario(build(raw))
+    report = Simulation(build(raw)).run()
     segments = (81920 + SEGMENT_PAYLOAD_BYTES - 1) // SEGMENT_PAYLOAD_BYTES
     # origin-to-mid trunk carried only the first fetch
     assert report["links"]["trunk-om"]["data_original"] == segments
@@ -1537,7 +1578,7 @@ def test_a_fetch_skips_a_replica_that_the_requester_has_not_heard_of_yet():
              "object": obj, "tag": "cms"},
         ]
     )
-    report = run_scenario(build(raw))
+    report = Simulation(build(raw)).run()
     fetch = report["sessions"][f"fetch.{obj}.gw-far"]
     assert (fetch["src"], fetch["status"]) == ("gw-mid", "complete")
     assert obj in report["anchors"]["gw-far"]["catalog"]
@@ -1554,7 +1595,7 @@ def test_expired_object_is_unavailable():
         ]
     )
     with pytest.raises(Exception) as err:
-        run_scenario(build(raw))
+        Simulation(build(raw)).run()
     assert "gamma" in str(err.value)
 
 
@@ -1567,7 +1608,7 @@ def test_sweep_purges_catalog_and_resolver():
         ],
         horizon_us=2_500_000,
     )
-    report = run_scenario(build(raw))
+    report = Simulation(build(raw)).run()
     assert report["anchors"]["gw-origin"]["catalog"] == []
 
 
@@ -1599,7 +1640,7 @@ def test_pubsub_loss_on_one_edge_stays_on_that_edge(fixture_paths):
         if link["id"] == "spur-a":
             link["loss_prob"] = 0.15
     raw["horizon_us"] = 5_000_000
-    report = run_scenario(parse_scenario(json.dumps(raw)))
+    report = Simulation(parse_scenario(json.dumps(raw))).run()
     tree = report["pubsub"]["pub1"]
     assert tree["status"] == "complete"
     retx = {(e["from"], e["to"]): e["retransmitted_segments"] for e in tree["edges"]}
@@ -1623,7 +1664,7 @@ def test_a_subscriber_listed_twice_gets_one_leg_and_one_edge(fixture_paths):
     assert sorted(children) == sorted(set(children))
     assert all(sub in children for sub in pub.subscribers)
     assert report["pubsub"]["pub1"]["status"] == "complete"
-    assert report["trace_hash"] == run_scenario(load_scenario(fixture_paths["transatlantic-pubsub"]))["trace_hash"]
+    assert report["trace_hash"] == Simulation(load_scenario(fixture_paths["transatlantic-pubsub"])).run()["trace_hash"]
 
 
 JOIN_OBJECT, JOIN_BYTES = "cms.dataset.epsilon", 40 * SEGMENT_PAYLOAD_BYTES
@@ -1646,7 +1687,7 @@ def _mid_stream_join():
 
 def test_pubsub_object_mid_stream_join():
     obj, total = JOIN_OBJECT, JOIN_BYTES
-    report = run_scenario(_mid_stream_join())
+    report = Simulation(_mid_stream_join()).run()
     tree = report["pubsub"]["feed"]
     assert tree["status"] == "complete"
     assert len(tree["subscribers"]) == 2
@@ -1710,7 +1751,7 @@ def test_subscriber_at_a_relay_that_holds_the_whole_stream_completes(join_us):
     for link in raw["links"]:
         if link["id"] == "trunk-mf":
             link["capacity_mbps"] = 5
-    report = run_scenario(build(raw))
+    report = Simulation(build(raw)).run()
     mid = report["pubsub"]["feed"]["subscribers"]["gw-mid"]
     assert mid["join_seq"] == 0
     assert mid["bytes_delivered"] == total
@@ -1730,9 +1771,9 @@ def test_a_publisher_that_subscribes_to_its_own_tree_adds_no_subscriber():
         {"time_us": 2000, "kind": "open_session", "id": "feed", "session_mode": "pubsub",
          "src": "gw-origin", "subscribers": ["gw-far"], "tag": "cms", "object": obj},
     ]
-    alone = run_scenario(build(gateway_chain(events)))
+    alone = Simulation(build(gateway_chain(events))).run()
     events.append({"time_us": 10_000, "kind": "subscribe", "gateway": "gw-origin", "object": obj, "tag": "cms"})
-    report = run_scenario(build(gateway_chain(events)))
+    report = Simulation(build(gateway_chain(events))).run()
     tree = report["pubsub"]["feed"]
     assert tree["status"] == "complete"
     assert list(tree["subscribers"]) == ["gw-far"]

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from anchornet.anchor import Anchor
+from anchornet.simnet import Simulation
 from anchornet.topology import (
     Adjacency,
     LinkStateAdvertisement,
@@ -13,7 +14,7 @@ from anchornet.topology import (
     TopologyDatabase,
     has_edge,
 )
-from oracles import flood_fixpoint, random_connected_adjacency
+from oracles import flood_arrivals, flood_fixpoint, flood_transmissions, random_connected_adjacency
 from scenario_builders import flood_run
 
 
@@ -186,13 +187,39 @@ def test_converge_matches_flood_fixpoint_oracle():
 
 
 def test_transmission_bound_per_origination():
+    """Each origination takes exactly the oracle's count of transmissions, on a
+    connected overlay 2E - (N - 1), within the 2E bound."""
     rng = random.Random(5)
     for _ in range(25):
         configs = random_connected_adjacency(rng, max_nodes=12)
         edges = sum(len(v) for v in configs.values()) // 2
         sim = flood_run(configs)
+        expected = flood_transmissions(configs)
+        assert set(expected.values()) == {2 * edges - (len(configs) - 1)}
+        assert sim.lsa_tx == {(origin, 1): count for origin, count in expected.items()}
         for (origin, seq), count in sim.lsa_tx.items():
             assert count <= 2 * edges, (origin, seq, count, edges)
+
+
+class _ArrivalRecordingSimulation(Simulation):
+    """Notes when each anchor first accepts each origin's advertisement."""
+
+    def __init__(self, config):
+        super().__init__(config)
+        self.arrivals = {}  # origin -> anchor -> time of its first acceptance
+
+    def _handle_lsa(self, event, now):
+        origin = event.lsa.origin
+        if origin not in self.anchors[event.to_anchor].db.lsas:
+            self.arrivals.setdefault(origin, {})[event.to_anchor] = now
+        super()._handle_lsa(event, now)
+
+
+def test_each_anchor_first_accepts_an_origination_at_its_latency_distance():
+    for seed in range(60):
+        configs = random_connected_adjacency(random.Random(seed), max_nodes=12)
+        sim = flood_run(configs, simulation=_ArrivalRecordingSimulation)
+        assert sim.arrivals == flood_arrivals(configs), seed
 
 
 def test_converge_is_deterministic():
