@@ -171,20 +171,12 @@ def _as_address(addr: AddressLike) -> L5Address:
 
 
 class ResolverTable:
-    """Name-to-locator map, updated in place.  It holds the scenario's full locator
-    universe, so that registrations against bogus attachment points fail loudly."""
+    """Name-to-locator map, updated in place.  It holds its locator universe,
+    so that registrations against bogus attachment points fail loudly."""
 
-    def __init__(self, locators: Iterable[L3Locator], registrations: Iterable[tuple[str, L3Locator]] = ()) -> None:
-        """One ``register`` per (name, locator) of ``registrations``; names are not parsed again."""
+    def __init__(self, locators: Iterable[L3Locator]) -> None:
         self.known_locators = frozenset(locators)
         self.entries: dict[str, set[L3Locator]] = {}
-        for name, loc in registrations:
-            self._add(name, loc)
-
-    def _add(self, name: str, loc: L3Locator) -> None:
-        if loc not in self.known_locators:
-            raise UnknownLocator(str(loc))
-        self.entries.setdefault(name, set()).add(loc)
 
     def resolve(self, addr: AddressLike) -> frozenset[L3Locator]:
         """All locators for a name; never mutates the table.  An unknown
@@ -200,7 +192,9 @@ class ResolverTable:
 
     def register(self, addr: AddressLike, loc: L3Locator) -> None:
         """Add one (name, locator) entry; a duplicate leaves the table as it is."""
-        self._add(_as_address(addr).canonical, loc)
+        if loc not in self.known_locators:
+            raise UnknownLocator(str(loc))
+        self.entries.setdefault(_as_address(addr).canonical, set()).add(loc)
 
     def unregister(self, addr: AddressLike, loc: L3Locator) -> None:
         name = _as_address(addr).canonical

@@ -31,7 +31,7 @@ from functools import cache
 from math import ceil
 from typing import Any, Callable, NamedTuple, Optional
 
-from .addressing import AddressKind, L3Locator, ResolverTable, as_fraction, parse_address
+from .addressing import AddressKind, L3Locator, as_fraction, parse_address
 # domain_shares and water_fill are unused here, but anchorbench/layers.py wraps them by these names.
 from .allocator import Demand, Filling, _minus, domain_shares, water_fill  # noqa: F401
 from .anchor import Anchor
@@ -363,7 +363,7 @@ class Simulation:
         self.policy = cfg.policy_weights()
         # Exact allocated rate per science-domain tag, kept by delta.
         self.tag_totals = {tag: (0, 1) for tag in sorted(self.policy)}
-        # Every attachment's locator, made once: the resolver's universe, the ports and ``owner``.
+        # Every attachment's locator, made once: the ports and ``owner``.
         locators = {(dom.id, att): L3Locator(dom.id, att) for dom in cfg.domains for att in dom.attachments}
         # Port -> the node that owns it: anchors' ports in config order, then hosts'.
         self.owner: dict[L3Locator, str] = {}
@@ -376,7 +376,6 @@ class Simulation:
         for hcfg in cfg.hosts:
             self.host_anchor[hcfg.name] = hcfg.anchor
             self.owner[locators[hcfg.port.domain, hcfg.port.attachment]] = hcfg.name
-        self.resolver = ResolverTable(locators.values(), ((name, port) for port, name in self.owner.items()))
 
         # Directed overlay hops: anchor peerings plus host access legs.
         self.legs: dict[tuple[str, str], Leg] = {}
@@ -890,14 +889,12 @@ class Simulation:
     # -- gateway actions --------------------------------------------------------
 
     def _stage_replica(
-        self, gw_name: str, object_name: str, size: int, ttl_us: Optional[int], now: int
+        self, gw_name: str, object_name: str, size: int, ttl_us: int, now: int
     ) -> None:
         anchor = self.anchors.get(gw_name)
         if anchor is None or anchor.catalog is None:
             return
-        addr = parse_address(object_name, AddressKind.DATA)
-        anchor.catalog.stage(addr, size, ttl_us or SWEEP_INTERVAL_US, now)
-        self.resolver.register(addr, anchor.primary_port())
+        anchor.catalog.stage(parse_address(object_name, AddressKind.DATA), size, ttl_us, now)
         self._arm_sweep(now)
 
     def _arm_sweep(self, now: int) -> None:
@@ -910,36 +907,28 @@ class Simulation:
 
     def _gateway_sweep(self, event: GatewaySweep, now: int) -> None:
         self._sweep_armed = False
-        any_left = False
-        for name in sorted(self.anchors):
-            catalog = self.anchors[name].catalog
-            if catalog is None:
-                continue
-            for purged in catalog.sweep(now):
-                addr = parse_address(purged, AddressKind.DATA)
-                self.resolver.unregister(addr, self.anchors[name].primary_port())
-            if len(catalog):
-                any_left = True
-        if any_left:
+        catalogs = [anchor.catalog for anchor in self.anchors.values() if anchor.catalog is not None]
+        for catalog in catalogs:
+            catalog.sweep(now)
+        if any(catalogs):  # a catalog still holds an entry
             self._arm_sweep(now)
 
     def _subscribe_object(self, gw_name: str, object_name: str, tag: str, k: int, now: int) -> None:
         anchor = self.anchors[gw_name]
-        addr = parse_address(object_name, AddressKind.DATA)
-        if anchor.catalog.lookup(addr, now) is not None:
+        if anchor.catalog.lookup(object_name, now) is not None:
             return  # already staged locally
         tree_sid = self._trees_by_object.get(object_name)
         if tree_sid is not None and self.pubs[tree_sid].status == "active":
             if self.pubs[tree_sid].publisher != gw_name:  # the publisher holds the whole stream
                 self._graft(self.pubs[tree_sid], [gw_name], now)
             return
-        # Only a gateway registers a data name; a purge on touch keeps its entry until the sweep.
-        owners = (self.owner[loc] for loc in sorted(self.resolver.resolve(addr)))
-        candidates = [owner for owner in owners if self.anchors[owner].catalog.lookup(addr, now) is not None]
+        # The gateways' catalogs are the one record of where an object is staged.
+        candidates = {name: entry for name, a in self.anchors.items()
+                      if a.catalog is not None and (entry := a.catalog.lookup(object_name, now)) is not None}
         if not candidates:
             raise ObjectUnavailable(object_name)
-        source = select_source(candidates, anchor.db, gw_name)
-        entry = self.anchors[source].catalog.lookup(addr, now)
+        source = select_source(list(candidates), anchor.db, gw_name)
+        entry = candidates[source]
         self._open_unicast(
             f"fetch.{object_name}.{gw_name}", source, gw_name, tag, entry.size, k, object_name,
             now, stage_ttl_us=entry.ttl_us,
@@ -955,7 +944,7 @@ class Simulation:
             k = fields.get("k_paths", 2)
             object_name = fields.get("object")
             if object_name is not None:
-                entry = self.anchors[fields["src"]].catalog.lookup(parse_address(object_name, AddressKind.DATA), now)
+                entry = self.anchors[fields["src"]].catalog.lookup(object_name, now)
                 if entry is None:
                     raise ObjectUnavailable(object_name)
                 total, stream, ttl = entry.size, object_name, entry.ttl_us

@@ -141,20 +141,6 @@ def test_unregister_removes():
     assert table.resolve(addr) == frozenset() and addr.canonical not in table.entries
 
 
-@given(st.lists(st.tuples(st.sampled_from(["host.a", "host.b", "obj.c"]), st.sampled_from([LOC_A, LOC_B])),
-                max_size=8))
-def test_a_table_built_in_one_pass_equals_one_register_per_entry(registrations):
-    table = make_table()
-    for name, loc in registrations:
-        table.register(name, loc)
-    assert ResolverTable([LOC_A, LOC_B], registrations).entries == table.entries
-
-
-def test_a_table_built_in_one_pass_rejects_a_locator_outside_the_universe():
-    with pytest.raises(UnknownLocator):
-        ResolverTable([LOC_A, LOC_B], [("host.a", LOC_A), ("host.b", L3Locator("nowhere", "p9"))])
-
-
 @given(st.lists(st.sampled_from(["a", "z9", "-", ".", "\n", "A", "_", "é", "\ud800", "b" * 100]), max_size=10).map("".join))
 def test_is_name_holds_exactly_when_parse_address_succeeds(text):
     try:

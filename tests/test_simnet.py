@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from anchornet import gateway, simnet
-from anchornet.addressing import L3Locator, ResolverTable
+from anchornet.addressing import L3Locator
 from anchornet.allocator import Demand, DemandMatrix, domain_shares, water_fill
 from anchornet.gateway import synth_payload
 from anchornet.metrics import allocation_summary, canonical_json, compare, database_digests, replay
@@ -146,20 +146,6 @@ def test_run_twice_same_seed_identical_reports(fixture_paths):
     fresh = load_scenario(str(fixture_paths["dual-path"]))
     a, b, c = (canonical_json(Simulation(cfg).run()) for cfg in (config, config, fresh))
     assert a == b == c
-
-
-@pytest.mark.parametrize("name", ["dual-path", "transatlantic-pubsub", "two-domains-weighted", "flooding-20"])
-def test_the_resolver_built_in_one_pass_equals_one_register_per_port(fixture_paths, name):
-    config = load_scenario(str(fixture_paths[name]))
-    table = ResolverTable(L3Locator(dom.id, att) for dom in config.domains for att in dom.attachments)
-    for acfg in config.anchors:
-        for port in acfg.ports:
-            table.register(acfg.name, L3Locator(port.domain, port.attachment))
-    for hcfg in config.hosts:
-        table.register(hcfg.name, L3Locator(hcfg.port.domain, hcfg.port.attachment))
-    resolver = Simulation(config).resolver
-    assert resolver.known_locators == table.known_locators
-    assert resolver.entries == table.entries
 
 
 def test_conservation_per_link(fixture_paths):
@@ -1613,8 +1599,6 @@ def test_sweep_purges_catalog_and_resolver():
 
 
 def test_object_staged_at_two_gateways_resolves_to_both():
-    from anchornet.addressing import AddressKind, parse_address
-
     obj = "cms.dataset.zeta"
     raw = gateway_chain(
         [
@@ -1627,11 +1611,29 @@ def test_object_staged_at_two_gateways_resolves_to_both():
              "object": obj, "tag": "cms"},
         ]
     )
-    sim = Simulation(build(raw))
-    report = sim.run()
-    locators = sim.resolver.resolve(parse_address(obj, AddressKind.DATA))
-    assert len(locators) == 2
+    report = Simulation(build(raw)).run()
+    assert obj in report["anchors"]["gw-origin"]["catalog"]
+    assert obj in report["anchors"]["gw-far"]["catalog"]
     assert report["sessions"] == {}
+
+
+def test_an_expired_replica_nearer_the_requester_is_not_a_candidate_before_the_sweep():
+    # gw-mid's replica expires at 1,050 us; the first sweep would run at 1 s.
+    obj = "cms.obj"
+    raw = gateway_chain(
+        [
+            {"time_us": 1000, "kind": "stage", "gateway": "gw-mid",
+             "object": obj, "size_bytes": 81920, "ttl_us": 50},
+            {"time_us": 1000, "kind": "stage", "gateway": "gw-origin",
+             "object": obj, "size_bytes": 81920, "ttl_us": 800_000},
+            {"time_us": 10_000, "kind": "subscribe", "gateway": "gw-far",
+             "object": obj, "tag": "cms"},
+        ]
+    )
+    report = Simulation(build(raw)).run()
+    fetch = report["sessions"][f"fetch.{obj}.gw-far"]
+    assert (fetch["src"], fetch["status"]) == ("gw-origin", "complete")
+    assert report["anchors"]["gw-mid"]["catalog"] == []
 
 
 def test_pubsub_loss_on_one_edge_stays_on_that_edge(fixture_paths):
