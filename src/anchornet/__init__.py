@@ -9,14 +9,7 @@ Everything runs on a single-threaded, seeded event loop so experiments
 reproduce bit for bit.
 """
 
-from .addressing import (
-    AddressKind,
-    L3Locator,
-    L5Address,
-    ResolverTable,
-    ScienceDomainTag,
-    parse_address,
-)
+from .addressing import AddressKind, L3Locator, ResolverTable, ScienceDomainTag
 from .allocator import Demand, DemandMatrix, FlowAllocation, domain_shares, water_fill
 from .pathfinder import L5Path, k_disjoint_paths
 from .pubsub import DistributionTree, build_tree
@@ -35,7 +28,6 @@ __all__ = [
     "DistributionTree",
     "FlowAllocation",
     "L3Locator",
-    "L5Address",
     "L5Path",
     "LinkStateAdvertisement",
     "ReceiverSession",
@@ -50,7 +42,6 @@ __all__ = [
     "domain_shares",
     "k_disjoint_paths",
     "load_scenario",
-    "parse_address",
     "parse_scenario",
     "validate_text",
     "water_fill",

@@ -35,9 +35,6 @@ class Anchor:
     dropped_unknown: int = 0
     catalog: Optional[GatewayCatalog] = None
 
-    def remove_path(self, session_id: int, path_id: int) -> None:
-        self.routes.pop((session_id, path_id), None)
-
     # -- data plane ----------------------------------------------------------
 
     def forward(self, segment: Segment) -> Optional[tuple[str, L3Locator]]:

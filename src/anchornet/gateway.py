@@ -13,15 +13,10 @@ import hashlib
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
-from .addressing import AddressKind, L5Address
 from .session import SEGMENT_PAYLOAD_BYTES, segment_count
 from .topology import TopologyDatabase
 
 SWEEP_INTERVAL_US = 1_000_000
-
-
-class NotDataName(ValueError):
-    """Only data-kind names can be staged."""
 
 
 class ObjectUnavailable(LookupError):
@@ -81,30 +76,21 @@ class GatewayCatalog:
     def __init__(self) -> None:
         self.entries: dict[str, StagedObject] = {}
 
-    def stage(self, name: L5Address, size: int, ttl_us: int, now: int) -> StagedObject:
+    def stage(self, name: str, size: int, ttl_us: int, now: int) -> StagedObject:
         """Create or refresh a staged-object entry."""
-        if name.kind is not AddressKind.DATA:
-            raise NotDataName(f"{name.canonical!r} is an endpoint name, not a data name")
         if size <= 0:
-            raise ValueError(f"object {name.canonical!r} size must be positive")
-        entry = StagedObject(
-            name=name.canonical,
-            size=size,
-            staged_at_us=now,
-            ttl_us=ttl_us,
-        )
-        self.entries[name.canonical] = entry
+            raise ValueError(f"object {name!r} size must be positive")
+        entry = self.entries[name] = StagedObject(name, size, staged_at_us=now, ttl_us=ttl_us)
         return entry
 
-    def lookup(self, name: "L5Address | str", now: int) -> Optional[StagedObject]:
+    def lookup(self, name: str, now: int) -> Optional[StagedObject]:
         """Return the entry iff present and unexpired; purge it on touch
         otherwise.  An entry at exactly staged_at + ttl is still alive."""
-        key = name.canonical if isinstance(name, L5Address) else name
-        entry = self.entries.get(key)
+        entry = self.entries.get(name)
         if entry is None:
             return None
         if entry.expired(now):
-            del self.entries[key]
+            del self.entries[name]
             return None
         return entry
 

@@ -31,7 +31,7 @@ from functools import cache
 from math import ceil
 from typing import Any, Callable, NamedTuple, Optional
 
-from .addressing import AddressKind, L3Locator, as_fraction, parse_address
+from .addressing import L3Locator, as_fraction
 # domain_shares and water_fill are unused here, but anchorbench/layers.py wraps them by these names.
 from .allocator import Demand, Filling, _minus, domain_shares, water_fill  # noqa: F401
 from .anchor import Anchor
@@ -708,7 +708,7 @@ class Simulation:
         for hop in hops:
             del self._neighbours[(sid, pid, hop)]
         for hop in hops[1:-1]:  # the hops that hold a route
-            self.anchors[hop].remove_path(sid, pid)
+            del self.anchors[hop].routes[(sid, pid)]
 
     def _use_paths(self, transfer: Transfer, paths: list[L5Path], now: int) -> None:
         """Send ``transfer`` over ``paths`` (only the first in baseline mode)
@@ -894,7 +894,7 @@ class Simulation:
         anchor = self.anchors.get(gw_name)
         if anchor is None or anchor.catalog is None:
             return
-        anchor.catalog.stage(parse_address(object_name, AddressKind.DATA), size, ttl_us, now)
+        anchor.catalog.stage(object_name, size, ttl_us, now)
         self._arm_sweep(now)
 
     def _arm_sweep(self, now: int) -> None:

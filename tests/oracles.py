@@ -4,8 +4,9 @@ These deliberately share no code with the package: brute-force enumeration
 instead of Dijkstra, float bisection instead of exact progressive filling,
 round-by-round exact filling instead of a shared fill level, a set-union
 fixpoint and relaxed latency distances instead of message flooding, a flood
-count from anchor degrees instead of counted sends, and an explicit token-bucket replay
-instead of slot arithmetic.  ``MersennePayloadStream`` is the earlier payload
+count from anchor degrees instead of counted sends, an explicit token-bucket replay
+instead of slot arithmetic, and a label-by-label name check instead of one
+regular expression.  ``MersennePayloadStream`` is the earlier payload
 generator, kept so that pins taken with it can still be reproduced.
 """
 
@@ -19,6 +20,22 @@ from typing import Iterator, Mapping, Sequence
 
 from anchornet.session import SEGMENT_PAYLOAD_BYTES
 from anchornet.topology import Adjacency, LinkStateAdvertisement, TopologyDatabase
+
+# -- names ------------------------------------------------------------------------
+
+_LABEL_CHARS = frozenset("abcdefghijklmnopqrstuvwxyz0123456789-")
+
+
+def reference_is_name(text: str) -> bool:
+    """Whether ``text`` is a name: split on dots, every label is non-empty
+    and all lowercase ASCII letters, digits and hyphens, and the whole is at
+    most 255 bytes of UTF-8 (a lone surrogate has no UTF-8 form: no name)."""
+    try:
+        size = len(text.encode())
+    except UnicodeEncodeError:
+        return False
+    return size <= 255 and all(label and set(label) <= _LABEL_CHARS for label in text.split("."))
+
 
 # -- graph helpers ----------------------------------------------------------------
 
@@ -340,6 +357,14 @@ def flood_arrivals(configs: Mapping[str, Sequence[Adjacency]]) -> dict[str, dict
         del dist[origin]
         result[origin] = dist
     return result
+
+
+def flood_converged_us(configs: Mapping[str, Sequence[Adjacency]]) -> int:
+    """When every database holds every origination made at time 0: the
+    latest first arrival of any origin's flood, its largest latency
+    eccentricity.  Copies that lose a race may still be in flight then, for
+    at most one adjacency latency more."""
+    return max((max(dist.values(), default=0) for dist in flood_arrivals(configs).values()), default=0)
 
 
 def flood_transmissions(configs: Mapping[str, Sequence[Adjacency]]) -> dict[str, int]:

@@ -134,9 +134,19 @@ def flood_run(
     configs: Mapping[str, Sequence[Adjacency]], events: Sequence[dict[str, Any]] = (),
     simulation: type[Simulation] = Simulation,
 ) -> Simulation:
-    """Run per-anchor adjacency legs, as ``oracles.random_connected_adjacency``
-    gives them, as a scenario with ``events`` in a ``simulation``; return it
-    after its run.
+    """``flood_simulation(configs, events, simulation)`` after its run."""
+    sim = flood_simulation(configs, events, simulation)
+    sim.run()
+    return sim
+
+
+def flood_simulation(
+    configs: Mapping[str, Sequence[Adjacency]], events: Sequence[dict[str, Any]] = (),
+    simulation: type[Simulation] = Simulation,
+) -> Simulation:
+    """Per-anchor adjacency legs, as ``oracles.random_connected_adjacency``
+    gives them, as a scenario with ``events`` in a ``simulation`` that has
+    not run yet.
 
     Each adjacency becomes one domain named by its ``domain_id``, with one
     attachment per anchor (named by the anchor), one link of the adjacency's
@@ -159,7 +169,7 @@ def flood_run(
         if not configs[u]:
             domains.append({"id": f"solo-{u}", "attachments": [u]})
             ports[u].append({"domain": f"solo-{u}", "attachment": u})
-    sim = simulation(build({
+    return simulation(build({
         "name": "flood-run",
         "domains": domains,
         "links": links,
@@ -167,5 +177,3 @@ def flood_run(
         "policy": [{"tag": "ops", "weight": 1}],
         "events": list(events),
     }))
-    sim.run()
-    return sim

@@ -91,6 +91,6 @@ def test_counters_monotone_nondecreasing():
 def test_remove_path_then_drop():
     anchor = make_anchor()
     anchor.routes[1, 0] = ROUTE
-    anchor.remove_path(1, 0)
+    del anchor.routes[1, 0]
     assert anchor.forward(data_segment()) is None
     assert anchor.dropped_unknown == 1

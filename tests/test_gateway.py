@@ -3,10 +3,8 @@ import time
 
 import pytest
 
-from anchornet.addressing import AddressKind, parse_address
 from anchornet.gateway import (
     GatewayCatalog,
-    NotDataName,
     ObjectUnavailable,
     PayloadStream,
     select_source,
@@ -15,7 +13,7 @@ from anchornet.gateway import (
 from anchornet.session import SEGMENT_PAYLOAD_BYTES
 from oracles import db_from_edges
 
-OBJ = parse_address("cms.dataset.run42", AddressKind.DATA)
+OBJ = "cms.dataset.run42"
 
 
 def test_stage_then_lookup():
@@ -24,10 +22,12 @@ def test_stage_then_lookup():
     assert catalog.lookup(OBJ, 51) is entry
 
 
-def test_stage_endpoint_name_rejected():
+def test_stage_rejects_an_object_of_no_bytes():
     catalog = GatewayCatalog()
-    with pytest.raises(NotDataName):
-        catalog.stage(parse_address("host.h1"), 4096, 1000, 0)
+    for size in (0, -1):
+        with pytest.raises(ValueError, match="size must be positive"):
+            catalog.stage(OBJ, size, 1000, 0)
+    assert len(catalog) == 0
 
 
 def test_ttl_boundary_is_strict():
@@ -45,10 +45,9 @@ def test_lookup_unknown_is_absent_not_error():
 def test_sweep_purges_expired():
     catalog = GatewayCatalog()
     catalog.stage(OBJ, 100, ttl_us=100, now=0)
-    fresh = parse_address("cms.dataset.run43", AddressKind.DATA)
-    catalog.stage(fresh, 100, ttl_us=10_000_000, now=0)
+    catalog.stage("cms.dataset.run43", 100, ttl_us=10_000_000, now=0)
     purged = catalog.sweep(now=1_000_000)
-    assert purged == [OBJ.canonical]
+    assert purged == [OBJ]
     assert len(catalog) == 1
 
 

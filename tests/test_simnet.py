@@ -314,11 +314,21 @@ def test_one_segment_object_crosses_every_hop(fixture_paths):
 def test_a_transit_segment_of_a_removed_path_is_dropped_without_an_event(fixture_paths):
     sim, sid, pid = _dual_path_sending(fixture_paths)
     relay = sim.anchors["relay-north"]
-    relay.remove_path(sid, pid)
+    del relay.routes[sid, pid]
     for kind in (SegmentKind.DATA, SegmentKind.ACK):
         assert _arrive(sim, sid, pid, kind, "relay-north") == []
     assert relay.dropped_unknown == 2
     assert sim.l3_dest_violations == 0
+
+
+def test_ending_a_claim_whose_route_is_gone_raises(fixture_paths):
+    """A claim's end deletes the routes its start installed, so a route that
+    no anchor holds any more is a fault, not a silent no-op."""
+    sim, sid, pid = _dual_path_sending(fixture_paths)
+    (path,) = [p for p in sim.transfers[sid].used if p.path_id == pid]
+    del sim.anchors["relay-north"].routes[sid, pid]
+    with pytest.raises(KeyError):
+        sim._end_claim((0, sid, pid), path.hops)
 
 
 def test_a_segment_at_a_host_that_neither_sends_nor_receives_it_is_counted(fixture_paths):

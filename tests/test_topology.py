@@ -14,8 +14,14 @@ from anchornet.topology import (
     TopologyDatabase,
     has_edge,
 )
-from oracles import flood_arrivals, flood_fixpoint, flood_transmissions, random_connected_adjacency
-from scenario_builders import flood_run
+from oracles import (
+    flood_arrivals,
+    flood_converged_us,
+    flood_fixpoint,
+    flood_transmissions,
+    random_connected_adjacency,
+)
+from scenario_builders import flood_run, flood_simulation
 
 
 def adj(neighbor, cap=100, lat=100, domain="net"):
@@ -220,6 +226,38 @@ def test_each_anchor_first_accepts_an_origination_at_its_latency_distance():
         configs = random_connected_adjacency(random.Random(seed), max_nodes=12)
         sim = flood_run(configs, simulation=_ArrivalRecordingSimulation)
         assert sim.arrivals == flood_arrivals(configs), seed
+
+
+class _LastLsaSimulation(Simulation):
+    """Notes when it handles its last LSA event."""
+
+    last_lsa_us = None
+
+    def _handle_lsa(self, event, now):
+        self.last_lsa_us = now
+        super()._handle_lsa(event, now)
+
+
+def _run_through(sim, until_us):
+    while sim.queue.peek_time() is not None and sim.queue.peek_time() <= until_us:
+        sim.step()
+
+
+def test_databases_converge_at_the_oracles_time_and_copies_settle_within_one_latency():
+    """Every database equals the fixpoint once the queue has run through
+    ``flood_converged_us``, not every one does a microsecond earlier, and the
+    last LSA copy lands at most one adjacency latency after it."""
+    for seed in range(40):
+        configs = random_connected_adjacency(random.Random(seed), max_nodes=12)
+        converged, expected = flood_converged_us(configs), flood_fixpoint(configs)
+        sim = flood_simulation(configs, simulation=_LastLsaSimulation)
+        _run_through(sim, converged - 1)
+        assert any(sim.anchors[a].db.digest() != expected[a].digest() for a in configs), seed
+        _run_through(sim, converged)
+        assert all(sim.anchors[a].db.digest() == expected[a].digest() for a in configs), seed
+        sim.run()
+        latest = max(adj.latency_us for adjs in configs.values() for adj in adjs)
+        assert converged <= sim.last_lsa_us <= converged + latest, seed
 
 
 def test_converge_is_deterministic():
