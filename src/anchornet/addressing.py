@@ -70,18 +70,11 @@ def as_fraction(value: Rate) -> Fraction:
 
 @dataclass(frozen=True)
 class ScienceDomainTag:
-    """Policy weight for one science collaboration's traffic."""
+    """Policy weight for one science collaboration's traffic, as the scenario
+    validator accepted it: a tag of 1..MAX_TAG_BYTES bytes, a positive weight."""
 
     tag: str
     weight: Fraction
-
-    def __post_init__(self) -> None:
-        if not self.tag or len(self.tag.encode()) > MAX_TAG_BYTES:
-            raise ValueError(f"tag must be 1..{MAX_TAG_BYTES} bytes, got {self.tag!r}")
-        weight = as_fraction(self.weight)
-        object.__setattr__(self, "weight", weight)
-        if weight <= 0:
-            raise ValueError(f"tag {self.tag!r} weight must be positive, got {weight}")
 
 
 class ResolverTable:

@@ -20,12 +20,12 @@ from .topology import TopologyDatabase
 
 @dataclass
 class Anchor:
-    """One anchor point's mutable control and data plane state.  Its one
-    link-state database ``db`` holds its own advertisement among the others
-    and takes each newer one in place."""
+    """One anchor point's mutable control and data plane state, all of it its
+    own: its one link-state database ``db``, which holds its own advertisement
+    among the others and takes each newer one in place; its routes and its
+    neighbours' locators; its per-tag counters; and a gateway's catalog."""
 
     name: str
-    ports: tuple[L3Locator, ...]
     db: TopologyDatabase = field(default_factory=TopologyDatabase)
     # (session, path) -> (successor, predecessor), None past either end; the
     # simulator's claims write and remove these.

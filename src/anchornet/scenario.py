@@ -336,7 +336,7 @@ CONFIGS = {  # the config object of each entry a section kept, made for a scenar
     "anchors": lambda a, exact: AnchorCfg(a["name"], tuple([PortCfg(**port) for port in a["ports"]]),
                                           tuple([PeerCfg(p["anchor"], p["domain"]) for p in a["peers"]]), a["gateway"]),
     "hosts": lambda h, exact: HostCfg(h["name"], h["anchor"], PortCfg(**h["port"])),
-    "policy": lambda p, exact: ScienceDomainTag(p["tag"], p["weight"]),
+    "policy": lambda p, exact: ScienceDomainTag(p["tag"], exact(p["weight"])),
 }
 
 
@@ -388,11 +388,12 @@ def _build(raw: Any) -> tuple[Optional[ScenarioConfig], list[Diagnostic]]:
         return None, [Diagnostic("".join(f"[{k}]" if type(k) is int else f".{k}" for k in where if k is not None)[1:],
                                  message.format(value, _number(value) and as_fraction(value), fields))
                       for where, message, value, fields in ids["diagnostics"]]
-    script = []
-    for i, fields in kept["events"]:
-        del (event := dict(raw["events"][i]))["time_us"], event["kind"]
-        script.append(EventCfg(fields["time_us"], raw["events"][i]["kind"], event))
     exact = lru_cache(maxsize=None, typed=True)(as_fraction)  # the links of a scenario repeat a few numbers
+    script = []
+    for i, fields in kept["events"]:  # an event's fields are those its rows kept, defaults included
+        if fields.get("rate_cap_mbps") is not None:
+            fields["rate_cap_mbps"] = exact(fields["rate_cap_mbps"])
+        script.append(EventCfg(fields.pop("time_us"), raw["events"][i]["kind"], fields))
     return ScenarioConfig(
         name=str(raw.get("name", "unnamed")), seed=top["seed"], mode=top["mode"], horizon_us=top["horizon_us"],
         events=tuple(sorted(script, key=lambda e: e.time_us)), raw=raw,

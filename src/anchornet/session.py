@@ -166,7 +166,6 @@ class SenderSession:
             raise NoPaths("session opened with an empty path list")
         self.session_id = session_id
         self.tag = tag
-        self.total_bytes = total_bytes
         self.total_segments = segment_count(total_bytes)
         self.start_seq = start_seq
         self.send_next = start_seq
@@ -255,8 +254,8 @@ class SenderSession:
                 del pending[seq]
                 self._retx_ready[seq] = deadline
 
-    def schedule(self, now: int) -> list[tuple[Segment, int]]:
-        """Emit every segment due at this instant.
+    def schedule(self, now: int) -> list[Segment]:
+        """Emit every segment due at this instant, in emission order.
 
         Retransmissions go first (oldest deadline, then lowest seq); then new
         data, each assigned to the path with the earliest next-free slot,
@@ -264,7 +263,7 @@ class SenderSession:
         emit nothing now; :meth:`next_wake` says when to come back.
         """
         self.expire(now)
-        out: list[tuple[Segment, int]] = []
+        out: list[Segment] = []
         paths, next_free = self.paths, self.next_free
         while True:
             slot, pid = min(zip(map(next_free.__getitem__, paths), paths))
@@ -292,7 +291,7 @@ class SenderSession:
                 st.retransmitted_segments += 1
             else:
                 self._last_send[seq] = now
-            out.append((segment, now))
+            out.append(segment)
         return out
 
     def next_wake(self, now: int) -> Optional[int]:
@@ -388,13 +387,15 @@ class ReceiverSession:
 
     The delivered stream is always a contiguous extension from
     ``start_seq``; duplicates are re-acknowledged but never re-delivered.
+    ``reverse_hops`` maps each path to the hop its ACKs go back to: that
+    hop's name and the locator of the leg to it.
     """
 
     def __init__(
         self,
         session_id: int,
         tag: str,
-        reverse_hops: Mapping[int, L3Locator],
+        reverse_hops: Mapping[int, tuple[str, L3Locator]],
         total_bytes: int,
         *,
         start_seq: int = 0,
@@ -402,7 +403,6 @@ class ReceiverSession:
         self.session_id = session_id
         self.tag = tag
         self.reverse_hops = dict(reverse_hops)
-        self.total_bytes = total_bytes
         self.total_segments = segment_count(total_bytes)
         self.start_seq = start_seq
         self.next_expected = start_seq
@@ -413,12 +413,9 @@ class ReceiverSession:
         self._hash = hashlib.sha256()
         self.last_delivery_us: Optional[int] = None
 
-    def set_reverse_hop(self, path_id: int, locator: L3Locator) -> None:
-        self.reverse_hops[path_id] = locator
-
-    def on_receive(self, segment: Segment, now: int) -> tuple[list[bytes], list[Segment]]:
+    def on_receive(self, segment: Segment, now: int) -> tuple[list[bytes], Segment]:
         """Process one data segment; returns (the payloads it newly delivers,
-        in stream order, acks)."""
+        in stream order, its ack)."""
         if segment.session_id != self.session_id:
             raise ValueError(
                 f"segment for session {segment.session_id}, expected {self.session_id}"
@@ -442,7 +439,7 @@ class ReceiverSession:
             self.session_id, segment.seq, segment.path_id, self.tag, is_retransmit=segment.is_retransmit,
             kind=ACK, ack_cum=self.next_expected, ack_sacks=tuple(self._sacks),
         )
-        return delivered, [ack]
+        return delivered, ack
 
     @property
     def complete(self) -> bool:
@@ -459,19 +456,20 @@ class ReceiverSession:
 @dataclass(frozen=True, slots=True, eq=False)
 class EndedReceiver:
     """What is kept of a receiver once its transfer completed or its tree ended:
-    the report's figures, and what a late duplicate's ACK needs.  With nothing
-    buffered, that ACK is the one the live receiver would have sent."""
+    the report's figures, and what a late duplicate's ACK needs: its reverse
+    hops, and the floor it acknowledges.  With nothing buffered, that ACK is
+    the one the live receiver would have sent."""
 
-    reverse_hops: dict[int, L3Locator]
+    reverse_hops: dict[int, tuple[str, L3Locator]]
     next_expected: int
     complete: bool
     delivered_bytes: int
     last_delivery_us: Optional[int]
     digest: str
 
-    def on_receive(self, segment: Segment, now: int) -> tuple[list[bytes], list[Segment]]:
-        return [], [Segment(segment.session_id, segment.seq, segment.path_id, segment.tag,
-                            is_retransmit=segment.is_retransmit, kind=ACK, ack_cum=self.next_expected)]
+    def on_receive(self, segment: Segment, now: int) -> tuple[list[bytes], Segment]:
+        return [], Segment(segment.session_id, segment.seq, segment.path_id, segment.tag,
+                           is_retransmit=segment.is_retransmit, kind=ACK, ack_cum=self.next_expected)
 
     def delivered_digest(self) -> str:
         return self.digest

@@ -31,7 +31,7 @@ from functools import cache
 from math import ceil
 from typing import Any, Callable, NamedTuple, Optional
 
-from .addressing import L3Locator, as_fraction
+from .addressing import L3Locator
 # domain_shares and water_fill are unused here, but anchorbench/layers.py wraps them by these names.
 from .allocator import Demand, Filling, _minus, domain_shares, water_fill  # noqa: F401
 from .anchor import Anchor
@@ -363,19 +363,8 @@ class Simulation:
         self.policy = cfg.policy_weights()
         # Exact allocated rate per science-domain tag, kept by delta.
         self.tag_totals = {tag: (0, 1) for tag in sorted(self.policy)}
-        # Every attachment's locator, made once: the ports and ``owner``.
-        locators = {(dom.id, att): L3Locator(dom.id, att) for dom in cfg.domains for att in dom.attachments}
-        # Port -> the node that owns it: anchors' ports in config order, then hosts'.
-        self.owner: dict[L3Locator, str] = {}
-        self.anchors: dict[str, Anchor] = {}
-        self.host_anchor: dict[str, str] = {}
-        for acfg in cfg.anchors:
-            ports = tuple(locators[p.domain, p.attachment] for p in acfg.ports)
-            self.anchors[acfg.name] = Anchor(acfg.name, ports, catalog=GatewayCatalog() if acfg.gateway else None)
-            self.owner.update(dict.fromkeys(ports, acfg.name))
-        for hcfg in cfg.hosts:
-            self.host_anchor[hcfg.name] = hcfg.anchor
-            self.owner[locators[hcfg.port.domain, hcfg.port.attachment]] = hcfg.name
+        self.anchors = {a.name: Anchor(a.name, catalog=GatewayCatalog() if a.gateway else None) for a in cfg.anchors}
+        self.host_anchor = {h.name: h.anchor for h in cfg.hosts}
 
         # Directed overlay hops: anchor peerings plus host access legs.
         self.legs: dict[tuple[str, str], Leg] = {}
@@ -489,8 +478,8 @@ class Simulation:
     def _handle_arrival(self, event: NodeArrival, now: int) -> None:
         """Hand a segment to the transfer or tree edge that owns it: an ACK at
         its source to its sender, data at its destination to its receiver, live
-        or ended.  Anything else is in transit: the node's anchor names its next
-        hop and that hop's locator, and it is sent on as an endpoint's send is."""
+        or ended, whose ACK goes to the path's reverse hop.  Anything else is in
+        transit: the node's anchor names its next hop and that hop's locator."""
         segment, _, lid, node = event
         self.link_counters[lid].delivered += 1
         sid, pid = segment.session_id, segment.path_id
@@ -509,14 +498,9 @@ class Simulation:
                     return
             elif node == owner.dst:
                 receiver = owner.receiver
-                delivered, acks = receiver.on_receive(segment, now)
-                back = receiver.reverse_hops.get(pid)
-                ends = self._neighbours.get((sid, pid, node))
-                # A released path has no entries: its reverse leg ends at the port of the hop before.
-                before = ends[1] if ends is not None else self.owner.get(back)
-                if before is not None:
-                    for ack in acks:
-                        self.transmit(ack, back, node, before, now)
+                delivered, ack = receiver.on_receive(segment, now)
+                before, back = receiver.reverse_hops[pid]
+                self.transmit(ack, back, node, before, now)
                 if delivered and sid in self.pubs:
                     self._on_delivery(self.pubs[sid], node, delivered, now)
                 return
@@ -619,11 +603,11 @@ class Simulation:
 
     def _pump(self, sid: int, node: str, sender: SenderSession, now: int) -> None:
         anchor = self.anchors.get(node)
-        for segment, at in sender.schedule(now):
+        for segment in sender.schedule(now):
             if anchor is not None:
                 anchor.account_relay(segment)
             ref = sender.paths[segment.path_id]
-            self.transmit(segment, ref.first_hop, node, ref.hops[1], at)
+            self.transmit(segment, ref.first_hop, node, ref.hops[1], now)
         self._arm(sid, node, sender, now)
 
     def _arm(self, sid: int, node: str, sender: SenderSession, now: int) -> None:
@@ -712,8 +696,8 @@ class Simulation:
 
     def _use_paths(self, transfer: Transfer, paths: list[L5Path], now: int) -> None:
         """Send ``transfer`` over ``paths`` (only the first in baseline mode)
-        instead of those it used: end their claims, claim each new one and set
-        its reverse hop, then reallocate and arm the sender."""
+        instead of those it used: end their claims, claim each new one and give
+        the receiver its reverse hop, then reallocate and arm the sender."""
         for path in transfer.used:
             self._end_claim((0, transfer.sid, path.path_id), path.hops)
         used = paths[:1] if self.mode == MODE_BASELINE else list(paths)
@@ -725,9 +709,8 @@ class Simulation:
                 (0, transfer.sid, path.path_id), path.hops, transfer.sender,
                 f"{transfer.id_str}:{path.path_id}", transfer.rate_cap_mbps,
             )
-            transfer.receiver.set_reverse_hop(
-                path.path_id, self.legs[(path.hops[-1], path.hops[-2])].dest
-            )
+            before = path.hops[-2]
+            transfer.receiver.reverse_hops[path.path_id] = before, self.legs[(path.hops[-1], before)].dest
         self._reallocate(now)
         self._arm(transfer.sid, transfer.src, transfer.sender, now)
 
@@ -876,7 +859,7 @@ class Simulation:
             pub.sid, pub.tag, [ref], pub.total_bytes, source=source, start_seq=start_seq, now=now,
         )
         receiver = ReceiverSession(
-            pub.sid, pub.tag, {pid: self.legs[(child, parent)].dest},
+            pub.sid, pub.tag, {pid: (parent, self.legs[(child, parent)].dest)},
             pub.total_bytes, start_seq=start_seq,
         )
         edge = TreeEdge(pid, parent, child, sender, receiver)
@@ -940,9 +923,7 @@ class Simulation:
         event = self.config.events[action.index]
         fields = event.fields
         if event.kind == "open_session":
-            tag = fields["tag"]
-            k = fields.get("k_paths", 2)
-            object_name = fields.get("object")
+            tag, k, object_name = fields["tag"], fields["k_paths"], fields["object"]
             if object_name is not None:
                 entry = self.anchors[fields["src"]].catalog.lookup(object_name, now)
                 if entry is None:
@@ -950,7 +931,7 @@ class Simulation:
                 total, stream, ttl = entry.size, object_name, entry.ttl_us
             else:
                 total, stream, ttl = fields["bytes"], f"session:{fields['id']}", None
-            if fields.get("session_mode", "unicast") == "pubsub":
+            if fields["session_mode"] == "pubsub":
                 subscribers = list(fields["subscribers"])
                 if self.mode == MODE_BASELINE:
                     # No shared tree in the baseline world: one independent
@@ -966,10 +947,9 @@ class Simulation:
                         now, object_name=object_name, stage_ttl_us=ttl,
                     )
             else:
-                cap = fields.get("rate_cap_mbps")
                 self._open_unicast(
                     fields["id"], fields["src"], fields["dst"], tag, total, k, stream,
-                    now, rate_cap_mbps=as_fraction(cap) if cap is not None else None,
+                    now, rate_cap_mbps=fields["rate_cap_mbps"],
                 )
         elif event.kind == "stage":
             self._stage_replica(
@@ -977,7 +957,7 @@ class Simulation:
             )
         elif event.kind == "subscribe":
             self._subscribe_object(
-                fields["gateway"], fields["object"], fields["tag"], fields.get("k_paths", 2), now
+                fields["gateway"], fields["object"], fields["tag"], fields["k_paths"], now
             )
         elif event.kind == "link_down":
             self._link_down(fields["link"], now)

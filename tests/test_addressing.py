@@ -5,7 +5,6 @@ from anchornet.addressing import (
     AddressKind,
     L3Locator,
     ResolverTable,
-    ScienceDomainTag,
     UnknownEndpoint,
     UnknownLocator,
     is_name,
@@ -104,12 +103,3 @@ label = st.text(alphabet="abcdefghijklmnopqrstuvwxyz0123456789-", min_size=1, ma
 ))
 def test_is_name_holds_exactly_when_the_reference_accepts(text):
     assert is_name(text) is reference_is_name(text)
-
-
-def test_tag_validation():
-    tag = ScienceDomainTag("atlas", 2)
-    assert tag.weight == 2
-    with pytest.raises(ValueError):
-        ScienceDomainTag("x" * 33, 1)
-    with pytest.raises(ValueError):
-        ScienceDomainTag("atlas", 0)

@@ -4,7 +4,6 @@ from anchornet.addressing import L3Locator
 from anchornet.anchor import Anchor
 from anchornet.session import Segment, SegmentKind
 
-PORT = L3Locator("core", "a-port")
 LOCATORS = {
     "anchor-b": L3Locator("core", "b-port"),
     "host.h2": L3Locator("site", "h2-port"),
@@ -12,7 +11,7 @@ LOCATORS = {
 
 
 def make_anchor():
-    return Anchor(name="anchor-a", ports=(PORT,), locators=dict(LOCATORS))
+    return Anchor(name="anchor-a", locators=dict(LOCATORS))
 
 
 # anchor-a's (successor, predecessor) on host.h1 -> anchor-a -> anchor-b -> host.h2

@@ -462,9 +462,9 @@ def _config_texts():
     return texts
 
 
-# sha256 of the configs' reprs, measured at 79fb0a7: it holds every field's
-# value and type (Fraction, float or int).
-CONFIG_DIGEST = "f93507c9c47fa71112156c2d4e142e51f28410c45fb137bfec4d7455218de23b"
+# sha256 of the configs' reprs: it holds every field's value and type (Fraction,
+# float or int), each event's defaults among its fields.
+CONFIG_DIGEST = "a281f60097f76ac904ec76f791d088c8a4bf350ad55d5658ed7dfbfdccef7d5f"
 
 
 def test_parsed_configs_are_pinned():

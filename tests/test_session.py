@@ -20,6 +20,7 @@ from oracles import acked_seqs, paced_within_rate
 
 HOP_A = L3Locator("net", "pa")
 HOP_B = L3Locator("net", "pb")
+BACK = ("mid", HOP_B)  # a receiver's reverse hop: the hop before it, and the locator of the leg there
 
 
 def ref(pid, metric=100, hop=HOP_A):
@@ -51,8 +52,8 @@ def drive(sender, until=10_000_000):
     emissions = []
     now = 0
     while not sender.complete and now <= until:
-        for segment, at in sender.schedule(now):
-            emissions.append((at, segment))
+        for segment in sender.schedule(now):
+            emissions.append((now, segment))
             ack = Segment(
                 session_id=1, seq=segment.seq, path_id=segment.path_id, tag="atlas",
                 kind=SegmentKind.ACK, is_retransmit=segment.is_retransmit,
@@ -103,7 +104,7 @@ def test_pacing_against_token_bucket_oracle():
 def test_equal_idle_paths_tie_break_lowest_pid():
     sender = make_sender(n_paths=2, rates={0: 8, 1: 8}, total=2 * SEGMENT_PAYLOAD_BYTES)
     out = sender.schedule(0)
-    assert [(s.seq, s.path_id) for s, _ in out] == [(0, 0), (1, 1)]
+    assert [(s.seq, s.path_id) for s in out] == [(0, 0), (1, 1)]
 
 
 def test_new_data_goes_to_earliest_free_slot():
@@ -111,8 +112,8 @@ def test_new_data_goes_to_earliest_free_slot():
     emitted = []
     now = 0
     while True:
-        for segment, at in sender.schedule(now):
-            emitted.append((at, segment.path_id, segment.seq))
+        for segment in sender.schedule(now):
+            emitted.append((now, segment.path_id, segment.seq))
         nxt = sender.next_wake(now)
         if nxt is None or len(emitted) >= 6:
             break
@@ -126,12 +127,12 @@ def test_new_data_goes_to_earliest_free_slot():
 
 def test_expired_retransmit_takes_priority_over_new_data():
     sender = make_sender(n_paths=1, rates={0: 8}, total=4 * SEGMENT_PAYLOAD_BYTES)
-    (first, _), = sender.schedule(0)
+    (first,) = sender.schedule(0)
     assert first.seq == 0 and not first.is_retransmit
     deadline = sender.retx_deadline[0]
     out = sender.schedule(deadline + 8192)
     assert out, "expired segment plus pending new data should emit"
-    segment, _ = out[0]
+    segment = out[0]
     assert segment.seq == 0 and segment.is_retransmit
 
 
@@ -157,11 +158,11 @@ def test_duplicate_ack_is_idempotent():
 
 def test_rtt_smoothing_seven_eighths():
     sender = make_sender(n_paths=1, rates={0: 8}, total=4 * SEGMENT_PAYLOAD_BYTES)
-    (s0, _), = sender.schedule(0)
+    (s0,) = sender.schedule(0)
     ack0 = Segment(1, 0, 0, "atlas", kind=SegmentKind.ACK, ack_cum=1)
     sender.on_ack(ack0, 1000)  # first sample initializes
     assert sender.rtt_estimate_us[0] == 1000
-    (s1, _), = sender.schedule(8192)
+    (s1,) = sender.schedule(8192)
     ack1 = Segment(1, 1, 0, "atlas", kind=SegmentKind.ACK, ack_cum=2)
     sender.on_ack(ack1, 8192 + 2000)
     assert sender.rtt_estimate_us[0] == (7 * 1000 + 2000) // 8 == 1125
@@ -184,17 +185,16 @@ def test_acknowledged_seqs_leave_the_rtt_bookkeeping():
     send is acknowledged, none is held."""
     total = 5 * SEGMENT_PAYLOAD_BYTES
     sender = make_sender(n_paths=2, rates={0: 8, 1: 8}, total=total)
-    rx = ReceiverSession(1, "atlas", {0: HOP_B, 1: HOP_B}, total)
+    rx = ReceiverSession(1, "atlas", {0: BACK, 1: BACK}, total)
     retransmitted = []
     now = 0
     while not sender.complete and now < 10_000_000:
-        for segment, _ in sender.schedule(now):
+        for segment in sender.schedule(now):
             if segment.is_retransmit:
                 retransmitted.append(segment.seq)
             elif segment.seq == 1:
                 continue  # the first copy of seq 1 is lost
-            for ack in rx.on_receive(segment, now)[1]:
-                sender.on_ack(ack, now + 1)
+            sender.on_ack(rx.on_receive(segment, now)[1], now + 1)
         now = max(sender.next_wake(now) or now, now + 1)
     assert sender.complete and retransmitted == [1]
     assert sender._last_send == {}
@@ -202,12 +202,12 @@ def test_acknowledged_seqs_leave_the_rtt_bookkeeping():
 
 def test_retransmit_deadline_is_twice_rtt_estimate():
     sender = make_sender(n_paths=1, rates={0: 8}, total=2 * SEGMENT_PAYLOAD_BYTES)
-    (s0, at), = sender.schedule(0)
-    assert sender.retx_deadline[0] == at + 2 * sender.rtt_estimate_us[0]
+    (s0,) = sender.schedule(0)
+    assert sender.retx_deadline[0] == 2 * sender.rtt_estimate_us[0]  # sent at 0
 
 
 def make_receiver(total=3 * SEGMENT_PAYLOAD_BYTES):
-    return ReceiverSession(1, "atlas", {0: HOP_B}, total)
+    return ReceiverSession(1, "atlas", {0: BACK}, total)
 
 
 def seg(seq, payload=None, pid=0):
@@ -227,18 +227,18 @@ def test_reorder_buffer_delivers_prefix():
 
 def test_duplicate_not_redelivered_but_reacked():
     rx = make_receiver()
-    d_first, acks_first = rx.on_receive(seg(0), 10)
-    d_dup, acks_dup = rx.on_receive(seg(0), 20)
+    d_first, ack_first = rx.on_receive(seg(0), 10)
+    d_dup, ack_dup = rx.on_receive(seg(0), 20)
     assert d_first and not d_dup
-    assert acks_dup and acks_dup[0].ack_cum == 1
+    assert ack_dup.ack_cum == 1
 
 
 def test_ack_carries_cumulative_and_selective_state():
     rx = make_receiver()
-    _, acks = rx.on_receive(seg(2), 10)
-    assert acks[0].ack_cum == 0
-    assert acks[0].ack_sacks == (2,)
-    assert acks[0].kind is SegmentKind.ACK and acks[0].payload == b""
+    _, ack = rx.on_receive(seg(2), 10)
+    assert ack.ack_cum == 0
+    assert ack.ack_sacks == (2,)
+    assert ack.kind is SegmentKind.ACK and ack.payload == b""
 
 
 def test_delivered_stream_matches_hash():
@@ -246,13 +246,12 @@ def test_delivered_stream_matches_hash():
     payload = bytes(range(256)) * (total // 256 + 1)
     payload = payload[:total]
     sender = make_sender(n_paths=2, rates={0: 40, 1: 40}, total=total, payload=payload)
-    rx = ReceiverSession(1, "atlas", {0: HOP_B, 1: HOP_B}, total)
+    rx = ReceiverSession(1, "atlas", {0: BACK, 1: BACK}, total)
     now = 0
     while not sender.complete:
-        for segment, at in sender.schedule(now):
-            _, acks = rx.on_receive(segment, at + 5)
-            for ack in acks:
-                sender.on_ack(ack, at + 9)
+        for segment in sender.schedule(now):
+            _, ack = rx.on_receive(segment, now + 5)
+            sender.on_ack(ack, now + 9)
         nxt = sender.next_wake(now)
         if nxt is None:
             break
@@ -267,7 +266,7 @@ def test_delivery_is_prefix_of_stream_for_any_arrival_order(order):
     total = 7 * SEGMENT_PAYLOAD_BYTES
     stream = bytes(range(7)) * SEGMENT_PAYLOAD_BYTES
     stream = b"".join(bytes([i]) * SEGMENT_PAYLOAD_BYTES for i in range(7))
-    rx = ReceiverSession(1, "atlas", {0: HOP_B}, total)
+    rx = ReceiverSession(1, "atlas", {0: BACK}, total)
     got = bytearray()
     for seq in order:
         delivered, _ = rx.on_receive(
@@ -282,13 +281,13 @@ def test_sacks_match_sorted_buffer_rule_under_random_arrivals_with_duplicates():
     for seed in range(60):
         rng = random.Random(seed)
         start, n = rng.choice([0, 3]), rng.randint(1, 40)
-        rx = ReceiverSession(1, "atlas", {0: HOP_B}, (start + n) * SEGMENT_PAYLOAD_BYTES,
+        rx = ReceiverSession(1, "atlas", {0: BACK}, (start + n) * SEGMENT_PAYLOAD_BYTES,
                              start_seq=start)
         arrivals = [seq for seq in range(start, start + n) for _ in range(rng.randint(1, 3))]
         rng.shuffle(arrivals)
         buffered, floor, got = set(), start, []
         for seq in arrivals:
-            delivered, (ack,) = rx.on_receive(seg(seq), 0)
+            delivered, ack = rx.on_receive(seg(seq), 0)
             got.extend(delivered)
             # The rule as first written: buffer what lies at or above the
             # floor, deliver the prefix, SACK the sorted remainder.
@@ -308,14 +307,13 @@ def test_mid_stream_start_seq():
     sender = granted(SenderSession(
         1, "atlas", [ref(0)], total, source=chunks(stream[3 * SEGMENT_PAYLOAD_BYTES:]), start_seq=3, now=0,
     ), {0: 80})
-    rx = ReceiverSession(1, "atlas", {0: HOP_B}, total, start_seq=3)
+    rx = ReceiverSession(1, "atlas", {0: BACK}, total, start_seq=3)
     now = 0
     while not sender.complete:
-        for segment, at in sender.schedule(now):
+        for segment in sender.schedule(now):
             assert segment.seq >= 3
-            _, acks = rx.on_receive(segment, at + 1)
-            for ack in acks:
-                sender.on_ack(ack, at + 2)
+            _, ack = rx.on_receive(segment, now + 1)
+            sender.on_ack(ack, now + 2)
         nxt = sender.next_wake(now)
         if nxt is None:
             break
@@ -363,17 +361,16 @@ def test_ack_floor_matches_rebuilt_range_under_reordering_and_loss():
             ), rates)
 
         fast, slow = open_sender(), open_sender()
-        rx = ReceiverSession(1, "atlas", {pid: HOP_B for pid in range(n_paths)}, total,
+        rx = ReceiverSession(1, "atlas", {pid: BACK for pid in range(n_paths)}, total,
                              start_seq=start)
         data, acks = [], []
         now = 0
         while not fast.complete and now < 10_000_000:
             emitted = fast.schedule(now)
             assert emitted == slow.schedule(now)
-            data.extend(seg for seg, _ in emitted if rng.random() > 0.2)
+            data.extend(seg for seg in emitted if rng.random() > 0.2)
             for _ in range(rng.randint(0, len(data))):
-                _, out = rx.on_receive(data.pop(rng.randrange(len(data))), now)
-                acks.extend(out)
+                acks.append(rx.on_receive(data.pop(rng.randrange(len(data))), now)[1])
             for _ in range(rng.randint(0, len(acks))):
                 ack = acks.pop(rng.randrange(len(acks)))
                 if rng.random() < 0.1:
@@ -484,19 +481,18 @@ def test_retransmit_heaps_match_sort_and_min_rule_on_lossy_multipath_runs():
         rates = {pid: rng.choice([40, 80, 200]) for pid in range(n_paths)}
         fast = granted(SenderSession(1, "atlas", paths, total, source=chunks(stream), now=0), rates)
         slow = granted(_SortAndMinSender(1, "atlas", paths, total, source=chunks(stream), now=0), rates)
-        rx = ReceiverSession(1, "atlas", {pid: HOP_B for pid in range(n_paths)}, total)
+        rx = ReceiverSession(1, "atlas", {pid: BACK for pid in range(n_paths)}, total)
         data, acks = [], []
         now = 0
         while not fast.complete and now < 20_000_000:
             emitted = fast.schedule(now)
             assert emitted == slow.schedule(now), seed
-            retx = sum(seg.is_retransmit for seg, _ in emitted)
+            retx = sum(seg.is_retransmit for seg in emitted)
             retransmits += retx
             batched += retx > 1
-            data.extend(seg for seg, _ in emitted if rng.random() > 0.3)
+            data.extend(seg for seg in emitted if rng.random() > 0.3)
             for _ in range(rng.randint(0, len(data))):
-                _, out = rx.on_receive(data.pop(rng.randrange(len(data))), now)
-                acks.extend(out)
+                acks.append(rx.on_receive(data.pop(rng.randrange(len(data))), now)[1])
             for _ in range(rng.randint(0, len(acks))):
                 ack = acks.pop(rng.randrange(len(acks)))
                 if rng.random() < 0.2:

@@ -275,7 +275,7 @@ def test_a_receiver_that_acknowledges_off_its_reverse_leg_is_a_violation(fixture
     assert ack.l3_dest == sim.legs[("cern.h1", "anchor-east")].dest
     assert sim.l3_dest_violations == 0
     wrong = sim.legs[("anchor-east", "cern.h1")].dest
-    sim.transfers[sid].receiver.set_reverse_hop(pid, wrong)
+    sim.transfers[sid].receiver.reverse_hops[pid] = "anchor-east", wrong
     (ack,) = _arrive(sim, sid, pid, SegmentKind.DATA, "cern.h1", "e-access")
     assert ack.l3_dest == wrong
     assert sim.l3_dest_violations == 1

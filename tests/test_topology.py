@@ -208,16 +208,16 @@ def test_transmission_bound_per_origination():
 
 
 class _ArrivalRecordingSimulation(Simulation):
-    """Notes when each anchor first accepts each origin's advertisement."""
+    """Notes when each anchor first accepts each origination."""
 
     def __init__(self, config):
         super().__init__(config)
-        self.arrivals = {}  # origin -> anchor -> time of its first acceptance
+        self.arrivals = {}  # (origin, seq) -> anchor -> time of its first acceptance
 
     def _handle_lsa(self, event, now):
-        origin = event.lsa.origin
-        if origin not in self.anchors[event.to_anchor].db.lsas:
-            self.arrivals.setdefault(origin, {})[event.to_anchor] = now
+        lsa, held = event.lsa, self.anchors[event.to_anchor].db.lsas.get(event.lsa.origin)
+        if held is None or held.seq < lsa.seq:
+            self.arrivals.setdefault((lsa.origin, lsa.seq), {})[event.to_anchor] = now
         super()._handle_lsa(event, now)
 
 
@@ -225,7 +225,7 @@ def test_each_anchor_first_accepts_an_origination_at_its_latency_distance():
     for seed in range(60):
         configs = random_connected_adjacency(random.Random(seed), max_nodes=12)
         sim = flood_run(configs, simulation=_ArrivalRecordingSimulation)
-        assert sim.arrivals == flood_arrivals(configs), seed
+        assert sim.arrivals == {(origin, 1): dist for origin, dist in flood_arrivals(configs).items()}, seed
 
 
 class _LastLsaSimulation(Simulation):
@@ -258,6 +258,41 @@ def test_databases_converge_at_the_oracles_time_and_copies_settle_within_one_lat
         sim.run()
         latest = max(adj.latency_us for adjs in configs.values() for adj in adjs)
         assert converged <= sim.last_lsa_us <= converged + latest, seed
+
+
+def test_a_failed_adjacency_floods_each_ends_new_advertisement_over_the_surviving_mesh():
+    """One adjacency fails once the bootstrap's copies have settled.  Each end
+    originates seq 2 with the adjacencies that survive it, and that flood
+    takes the oracle's count of transmissions and reaches each anchor at its
+    latency distance in the surviving mesh.  No other origin advertises
+    again.  So each database ends holding seq 2 for each end in its own
+    surviving component, and the bootstrap's seq 1 for every other origin,
+    an end that the cut separated from it included."""
+    partitioned = 0
+    for seed in range(40):
+        rng = random.Random(seed)
+        configs = random_connected_adjacency(rng, max_nodes=12)
+        failed = rng.choice(sorted({adj.domain_id for adjs in configs.values() for adj in adjs}))
+        ends = sorted(a for a, adjs in configs.items() if any(adj.domain_id == failed for adj in adjs))
+        surviving = {a: [adj for adj in adjs if adj.domain_id != failed] for a, adjs in configs.items()}
+        latest = max(adj.latency_us for adjs in configs.values() for adj in adjs)
+        at = flood_converged_us(configs) + latest + 1
+        sim = flood_run(configs, [{"time_us": at, "kind": "link_down", "link": failed}],
+                        simulation=_ArrivalRecordingSimulation)
+        arrivals, counts = flood_arrivals(surviving), flood_transmissions(surviving)
+        for end in ends:
+            assert sim.lsa_tx.get((end, 2), 0) == counts[end], seed
+            assert sim.arrivals.get((end, 2), {}) == {a: at + d for a, d in arrivals[end].items()}, seed
+        assert {key for key in sim.lsa_tx if key[1] != 1} <= {(end, 2) for end in ends}, seed
+        partitioned += ends[1] not in arrivals[ends[0]]
+        bootstrap = {origin: LinkStateAdvertisement(origin, 1, tuple(adjs)) for origin, adjs in configs.items()}
+        for name in configs:
+            lsas = dict(bootstrap)
+            for end in ends:
+                if end == name or name in arrivals[end]:
+                    lsas[end] = LinkStateAdvertisement(end, 2, tuple(surviving[end]))
+            assert sim.anchors[name].db.digest() == TopologyDatabase(lsas).digest(), (seed, name)
+    assert partitioned > 0  # some cuts leave two components
 
 
 def test_converge_is_deterministic():
@@ -322,7 +357,7 @@ def test_an_anchors_database_decides_as_receive_does_and_its_views_follow_it(rec
     fault on an equal seq with other content.  After each receipt every view is
     checked against one computed afresh, so a view cached before an accepted
     receipt must not be read after it."""
-    db, model = Anchor("a", ()).db, {}
+    db, model = Anchor("a").db, {}
     for origin, seq, variant in receipts:
         lsa = LinkStateAdvertisement(origin, seq, _VARIANTS[variant])
         stored = model.get(origin)
