@@ -33,17 +33,18 @@ WORKLOADS = ("bulk-lossy", "session-churn", "failover-flood", "fanout-join")
 TURN_S = 0.01  # each turn repeats a parse for about this much process time
 
 
-def load_parser(src: str, alias: str) -> Callable[[str], Any]:
-    """``parse_scenario`` of the ``anchornet`` package under ``src``, imported
+def load_module(src: str, alias: str, name: str) -> types.ModuleType:
+    """Module ``name`` of the ``anchornet`` package under ``src``, imported
     as package ``alias`` without running that package's ``__init__``."""
-    package = types.ModuleType(alias)
-    package.__path__ = [os.path.join(src, "anchornet")]
-    sys.modules[alias] = package
-    return importlib.import_module(f"{alias}.scenario").parse_scenario
+    if alias not in sys.modules:
+        package = types.ModuleType(alias)
+        package.__path__ = [os.path.join(src, "anchornet")]
+        sys.modules[alias] = package
+    return importlib.import_module(f"{alias}.{name}")
 
 
-def inputs(only: "str | None") -> dict[str, str]:
-    """Scenario text by input name."""
+def inputs(only: "str | None", seed: int = 1) -> dict[str, str]:
+    """Scenario text by input name, the workloads generated at ``seed``."""
     texts = {}
     for name in FIXTURES:
         if only in (None, name):
@@ -53,7 +54,7 @@ def inputs(only: "str | None") -> dict[str, str]:
         sys.path.insert(0, os.path.join(ROOT, "anchorbench"))
         from workloads import WORKLOADS as GENERATORS
 
-        texts.update((name, json.dumps(GENERATORS[name](1))) for name in WORKLOADS if only in (None, name))
+        texts.update((name, json.dumps(GENERATORS[name](seed))) for name in WORKLOADS if only in (None, name))
     return texts
 
 
@@ -89,8 +90,8 @@ def main(argv: "list[str] | None" = None) -> int:
         parser.error(f"no anchornet/scenario.py under {args.against}")
     if args.rounds < 1:
         parser.error("--rounds must be positive")
-    ours = load_parser(os.path.join(ROOT, "src"), "anchornet_here")
-    theirs = load_parser(os.path.abspath(args.against), "anchornet_against")
+    ours = load_module(os.path.join(ROOT, "src"), "anchornet_here", "scenario").parse_scenario
+    theirs = load_module(os.path.abspath(args.against), "anchornet_against", "scenario").parse_scenario
     for name, text in inputs(args.only).items():
         found = ratios(ours, theirs, text, args.rounds)
         print(json.dumps({"input": name, "median": round(statistics.median(found), 3),

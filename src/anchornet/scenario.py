@@ -307,7 +307,7 @@ EVENTS: dict[Any, tuple] = {("open_session", pubsub): _table(
     ("id", None, _new(_TEXT, "sessions", "duplicate session id {0!r}"), "open_session needs a string id"),
     ("session_mode", "unicast", lambda v, ids, f: v in ("unicast", "pubsub"), "must be unicast or pubsub, got {0!r}"),
     ("object", None, lambda v, ids, f: v is None or _NAME(v, ids, f), _DATA_NAME),  # staged: its replica gives the size
-    ("bytes", None, lambda v, ids, f: f["object"] is not None or _COUNT(v, ids, f), _POSITIVE),
+    ("bytes", None, lambda v, ids, f: v is None and f["object"] is not None or _COUNT(v, ids, f), _POSITIVE),
     ("src", None, lambda v, ids, f: _NODE(v, ids, f) and (f["object"] is None or _GATEWAY(v, ids, f) or _NOT_GATEWAY),
      "unknown endpoint {0!r}"),
     ("subscribers", [], lambda v, ids, f: _IDS(v, ids, f) and v != [], "pubsub session needs subscribers",

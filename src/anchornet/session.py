@@ -197,18 +197,18 @@ class SenderSession:
         # seq -> its original send's time, until it is acknowledged or sent again:
         # Karn's rule, only a segment sent once samples the RTT.
         self._last_send: dict[int, int] = {}
-        self._scheduled_wakes: set[int] = set()
+        # The simulator's: the instants of this sender's queued wakes, each queued once.
+        self.wakes: set[int] = set()
 
     # -- stream supply ----------------------------------------------------
 
     def feed(self, segments: Iterable[bytes]) -> None:
         """Supply the next segment payloads of the stream, in order."""
+        held, seq = self.held, self._fed_next
         for payload in segments:
-            self.held[self._fed_next] = payload
-            self._fed_next += 1
-
-    def _segment_available(self, seq: int) -> bool:
-        return self._source is not None or seq < self._fed_next
+            held[seq] = payload
+            seq += 1
+        self._fed_next = seq
 
     # -- path management --------------------------------------------------
 
@@ -233,18 +233,6 @@ class SenderSession:
 
     # -- scheduling -------------------------------------------------------
 
-    def _take_work(self) -> Optional[tuple[int, bool]]:
-        ready = self._retx_ready
-        if ready:
-            seq = next(iter(ready))
-            del ready[seq]
-            return seq, True
-        if self.send_next < self.total_segments and self._segment_available(self.send_next):
-            seq = self.send_next
-            self.send_next += 1
-            return seq, False
-        return None
-
     def expire(self, now: int) -> None:
         """Move timed-out in-flight segments onto the retransmission queue."""
         pending, heap = self.retx_deadline, self._deadline_heap
@@ -262,109 +250,110 @@ class SenderSession:
         ties broken by lowest path id.  Paths whose slot lies in the future
         emit nothing now; :meth:`next_wake` says when to come back.
         """
-        self.expire(now)
+        heap = self._deadline_heap
+        if heap and heap[0][0] <= now:
+            self.expire(now)
         out: list[Segment] = []
-        paths, next_free = self.paths, self.next_free
+        paths, next_free, ready, held, stats = self.paths, self.next_free, self._retx_ready, self.held, self.stats
+        pending, last_send, rates, rtt = self.retx_deadline, self._last_send, self.rates, self.rtt_estimate_us
+        # New data runs up to the stream's end or, at a relay, to the last segment fed.
+        send_next = self.send_next
+        end = self.total_segments if self._source is not None else min(self.total_segments, self._fed_next)
+        only = next(iter(paths)) if len(paths) == 1 else None
         while True:
-            slot, pid = min(zip(map(next_free.__getitem__, paths), paths))
+            if only is None:
+                slot, pid = min(zip(map(next_free.__getitem__, paths), paths))
+            else:
+                slot, pid = next_free[only], only
             if slot > now:
                 break
-            work = self._take_work()
-            if work is None:
+            if ready:
+                seq = next(iter(ready))
+                del ready[seq]
+                is_retx = True
+            elif send_next < end:
+                seq, is_retx = send_next, False
+                send_next += 1
+            else:
                 break
-            seq, is_retx = work
-            payload = self.held.get(seq)
+            payload = held.get(seq)
             if payload is None:  # an origin's next new segment
-                payload = self.held[seq] = next(self._source)
-            segment = Segment(self.session_id, seq, pid, self.tag, payload, is_retx)
-            num, den = self.rates[pid]
-            gap = -(-len(payload) * 8 * den // num)  # ceil(bits / rate)
-            next_free[pid] = now + gap
-            deadline = now + 2 * self.rtt_estimate_us[pid]
-            self.retx_deadline[seq] = deadline
-            heapq.heappush(self._deadline_heap, (deadline, seq))
-            st = self.stats[pid]
+                payload = held[seq] = next(self._source)
+            out.append(Segment(self.session_id, seq, pid, self.tag, payload, is_retx))
+            num, den = rates[pid]
+            next_free[pid] = now - (-len(payload) * 8 * den // num)  # plus ceil(bits / rate)
+            deadline = pending[seq] = now + 2 * rtt[pid]
+            heapq.heappush(heap, (deadline, seq))
+            st = stats[pid]
             st.emitted_segments += 1
             st.emitted_bytes += len(payload)
             if is_retx:
-                self._last_send.pop(seq, None)
+                last_send.pop(seq, None)
                 st.retransmitted_segments += 1
             else:
-                self._last_send[seq] = now
-            out.append(segment)
+                last_send[seq] = now
+        self.send_next = send_next
         return out
 
     def next_wake(self, now: int) -> Optional[int]:
         """Earliest future instant at which scheduling could make progress."""
-        if self.complete:
+        send_next, total = self.send_next, self.total_segments
+        if send_next >= total and self._ack_floor + len(self.acked) >= total:  # complete
             return None
         wake = None
-        if self._retx_ready or (self.send_next < self.total_segments
-                                and self._segment_available(self.send_next)):
+        if self._retx_ready or send_next < total and (self._source is not None or send_next < self._fed_next):
             wake = min(map(self.next_free.__getitem__, self.paths))
-        pending, heap = self.retx_deadline, self._deadline_heap
+        pending = self.retx_deadline
         if pending:
-            while pending.get(heap[0][1]) != heap[0][0]:
+            heap = self._deadline_heap
+            deadline, seq = heap[0]
+            while pending.get(seq) != deadline:
                 heapq.heappop(heap)
-            if wake is None or heap[0][0] < wake:
-                wake = heap[0][0]
-        return None if wake is None else max(wake, now)
+                deadline, seq = heap[0]
+            if wake is None or deadline < wake:
+                wake = deadline
+        return None if wake is None else wake if wake > now else now
 
     # -- acknowledgement handling ------------------------------------------
 
     def on_ack(self, ack: Segment, now: int) -> None:
         if ack.session_id != self.session_id:
             raise ValueError(f"ack for session {ack.session_id}, expected {self.session_id}")
-        floor, acked = self._ack_floor, self.acked
-        if ack.seq in self._last_send:
-            sample = now - self._last_send[ack.seq]
-            pid = ack.path_id
+        seq, last_send, rtt = ack.seq, self._last_send, self.rtt_estimate_us
+        sent = last_send.get(seq)
+        if sent is not None:
+            sample, pid = now - sent, ack.path_id
             if pid in self._rtt_sampled:
-                self.rtt_estimate_us[pid] = (7 * self.rtt_estimate_us[pid] + sample) // 8
+                sample = (7 * rtt[pid] + sample) // 8
             else:
-                self.rtt_estimate_us[pid] = sample
                 self._rtt_sampled.add(pid)
-            self.rtt_estimate_us[pid] = max(self.rtt_estimate_us[pid], 1)
-        # A SACK list repeats the seqs earlier ACKs covered: only new ones count.
-        newly = []
-        for seq in (*ack.ack_sacks, ack.seq):
-            if seq >= floor and seq not in acked:
+            rtt[pid] = sample if sample > 1 else 1
+        floor, cum, acked = self._ack_floor, ack.ack_cum, self.acked
+        held, pending, ready = self.held, self.retx_deadline, self._retx_ready
+        # Newly acknowledged: a seq at or above the new floor that is not in ``acked`` yet (a SACK
+        # list repeats the seqs earlier ACKs covered), and a seq below it that never was.
+        top = cum if cum > floor else floor
+        for seq in (*ack.ack_sacks, seq):
+            if seq >= top and seq not in acked:
                 acked.add(seq)
-                newly.append(seq)
-        if ack.ack_cum > floor:
-            for seq in range(floor, ack.ack_cum):
+                held.pop(seq, None)
+                pending.pop(seq, None)
+                ready.pop(seq, None)
+                last_send.pop(seq, None)
+        if cum > floor:
+            for seq in range(floor, cum):
                 if seq in acked:
-                    acked.discard(seq)
+                    acked.remove(seq)
                 else:
-                    newly.append(seq)
-            self._ack_floor = ack.ack_cum
-        for seq in newly:
-            self.held.pop(seq, None)
-            self.retx_deadline.pop(seq, None)
-            self._retx_ready.pop(seq, None)
-            self._last_send.pop(seq, None)
+                    held.pop(seq, None)
+                    pending.pop(seq, None)
+                    ready.pop(seq, None)
+                    last_send.pop(seq, None)
+            self._ack_floor = cum
 
     @property
     def complete(self) -> bool:
-        return (
-            self.send_next >= self.total_segments
-            and self._ack_floor + len(self.acked) >= self.total_segments
-        )
-
-    # -- wake bookkeeping (used by the event loop) --------------------------
-
-    def claim_wake(self, at: int) -> bool:
-        """True if no wake is already scheduled for this instant."""
-        if at in self._scheduled_wakes:
-            return False
-        self._scheduled_wakes.add(at)
-        return True
-
-    def release_wake(self, at: int) -> bool:
-        """Drop the wake scheduled for ``at``; whether there was one."""
-        held = at in self._scheduled_wakes
-        self._scheduled_wakes.discard(at)
-        return held
+        return self.send_next >= self.total_segments and self._ack_floor + len(self.acked) >= self.total_segments
 
     def ended(self) -> EndedSender:
         return EndedSender(self.stats, self.rates, self.start_seq, self.send_next, self.complete)
@@ -417,29 +406,27 @@ class ReceiverSession:
         """Process one data segment; returns (the payloads it newly delivers,
         in stream order, its ack)."""
         if segment.session_id != self.session_id:
-            raise ValueError(
-                f"segment for session {segment.session_id}, expected {self.session_id}"
-            )
+            raise ValueError(f"segment for session {segment.session_id}, expected {self.session_id}")
         if segment.kind is not DATA:
             raise ValueError("receiver got a non-data segment")
-        if segment.seq >= self.next_expected and segment.seq not in self.buffer:
-            self.buffer[segment.seq] = segment.payload
-            insort(self._sacks, segment.seq)
+        seq, expected, buffer, sacks = segment.seq, self.next_expected, self.buffer, self._sacks
         delivered = []
-        while self.next_expected in self.buffer:
-            chunk = self.buffer.pop(self.next_expected)
-            delivered.append(chunk)
-            self.delivered_bytes += len(chunk)
-            self._hash.update(chunk)
-            self.next_expected += 1
-        if delivered:
-            del self._sacks[: len(delivered)]
-            self.last_delivery_us = now
-        ack = Segment(
-            self.session_id, segment.seq, segment.path_id, self.tag, is_retransmit=segment.is_retransmit,
-            kind=ACK, ack_cum=self.next_expected, ack_sacks=tuple(self._sacks),
-        )
-        return delivered, ack
+        if seq == expected:  # it goes out now, with the run of buffered seqs after it
+            delivered.append(segment.payload)
+            expected += 1
+            while expected in buffer:
+                delivered.append(buffer.pop(expected))
+                expected += 1
+            del sacks[: len(delivered) - 1]
+            for chunk in delivered:
+                self._hash.update(chunk)
+                self.delivered_bytes += len(chunk)
+            self.next_expected, self.last_delivery_us = expected, now
+        elif seq > expected and seq not in buffer:
+            buffer[seq] = segment.payload
+            insort(sacks, seq)
+        return delivered, Segment(self.session_id, seq, segment.path_id, self.tag, b"", segment.is_retransmit, ACK,
+                                  expected, tuple(sacks))
 
     @property
     def complete(self) -> bool:

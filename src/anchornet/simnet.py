@@ -591,29 +591,37 @@ class Simulation:
     def _session_wake(self, event: SessionWake, now: int) -> None:
         """Pump each live sender at the node that claimed this wake: an active
         transfer's, or the uncompleted edges out of the node in ``downstream`` order."""
-        sid, node = event.sid, event.node
+        sid, node = event
         transfer = self.transfers.get(sid)
         if transfer is not None:
-            senders = [transfer.sender] if transfer.status == "active" else []
+            senders = (transfer.sender,) if transfer.status == "active" else ()
         else:
             senders = [edge.sender for edge in self.pubs[sid].downstream.get(node, ()) if not edge.sender.complete]
         for sender in senders:
-            if sender.release_wake(now):
+            wakes = sender.wakes
+            if now in wakes:
+                wakes.remove(now)
                 self._pump(sid, node, sender, now)
 
     def _pump(self, sid: int, node: str, sender: SenderSession, now: int) -> None:
-        anchor = self.anchors.get(node)
-        for segment in sender.schedule(now):
-            if anchor is not None:
-                anchor.account_relay(segment)
-            ref = sender.paths[segment.path_id]
-            self.transmit(segment, ref.first_hop, node, ref.hops[1], now)
+        segments = sender.schedule(now)
+        if segments:
+            anchor, paths, transmit = self.anchors.get(node), sender.paths, self.transmit
+            for segment in segments:
+                if anchor is not None:
+                    anchor.account_relay(segment)
+                ref = paths[segment.path_id]
+                transmit(segment, ref.first_hop, node, ref.hops[1], now)
         self._arm(sid, node, sender, now)
 
     def _arm(self, sid: int, node: str, sender: SenderSession, now: int) -> None:
+        """Queue ``sender``'s next wake at ``node``, unless one is queued for that instant."""
         wake = sender.next_wake(now)
-        if wake is not None and sender.claim_wake(wake):
-            self.queue.push(wake, SessionWake(sid, node))
+        if wake is not None:
+            wakes = sender.wakes
+            if wake not in wakes:
+                wakes.add(wake)
+                self.queue.push(wake, tuple.__new__(SessionWake, (sid, node)))
 
     def _after_sender_progress(self, sid: int, owner: Transfer | TreeEdge, now: int) -> None:
         """After an ACK: arm the sender of ``owner`` again, or end what it completed."""

@@ -44,3 +44,10 @@ def test_the_benchmark_reads_every_figure_it_reports_from_a_finished_run():
         record = drive.repetition(raw, True)
         assert record["problems"] == [] and record["failed"] == 0
         assert [name for name in names if name not in record["layers"]] == []
+    # The session layer's wrapped methods are still the ones the simulator calls, as often
+    # as when these counts were taken (fanout-join, seed 7, 1 MiB).
+    layers = record["layers"]
+    assert layers["session.schedule_calls"] == 4_844
+    assert layers["session.on_ack_calls"] == 3_435
+    assert layers["session.on_receive_calls"] == 3_457
+    assert layers["session.next_wake_s"] > 0

@@ -273,6 +273,8 @@ def test_scenario_hash_ignores_seed_and_mode():
                  id="path25-1.5-must lie in [0, 1), got 3/2"),
     pytest.param(("links", 0, "cost"), "x", "not a number: 'x'",
                  id="path26-x-not a number: 'x'"),
+    pytest.param(("events", 3, "bytes"), "junk", "must be a positive integer, got 'junk'",
+                 id="path27-junk-must be a positive integer, got 'junk'"),
 ])
 def test_value_of_the_wrong_kind_is_reported_at_its_field(path, value, message):
     raw = every_event_kind()

@@ -1,6 +1,8 @@
 import dataclasses
 import hashlib
+import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -436,19 +438,44 @@ def test_encode_digests_the_payload():
 
 class _SortAndMinSender(SenderSession):
     """The retransmit rule as first written, kept as the reference: ``expire``
-    sorts every deadline, and ``_take_work`` and ``next_wake`` scan with
-    ``min``.  Its heaps are filled by ``schedule`` but never read."""
+    sorts every deadline, and ``schedule`` and ``next_wake`` scan with
+    ``min``.  It keeps no deadline heap."""
 
-    def _take_work(self):
-        if self._retx_ready:
-            seq = min(self._retx_ready, key=lambda s: (self._retx_ready[s], s))
-            del self._retx_ready[seq]
-            return seq, True
-        if self.send_next < self.total_segments and self._segment_available(self.send_next):
-            seq = self.send_next
-            self.send_next += 1
-            return seq, False
-        return None
+    def _has_new(self):
+        return self.send_next < self.total_segments and (self._source is not None or self.send_next < self._fed_next)
+
+    def schedule(self, now):
+        self.expire(now)
+        out = []
+        while True:
+            slot, pid = min((self.next_free[pid], pid) for pid in self.paths)
+            if slot > now:
+                break
+            if self._retx_ready:
+                seq = min(self._retx_ready, key=lambda s: (self._retx_ready[s], s))
+                del self._retx_ready[seq]
+                is_retx = True
+            elif self._has_new():
+                seq, is_retx = self.send_next, False
+                self.send_next += 1
+            else:
+                break
+            if seq not in self.held:
+                self.held[seq] = next(self._source)
+            payload = self.held[seq]
+            num, den = self.rates[pid]
+            self.next_free[pid] = now + math.ceil(Fraction(len(payload) * 8 * den, num))
+            self.retx_deadline[seq] = now + 2 * self.rtt_estimate_us[pid]
+            path_stats = self.stats[pid]
+            path_stats.emitted_segments += 1
+            path_stats.emitted_bytes += len(payload)
+            if is_retx:
+                path_stats.retransmitted_segments += 1
+                self._last_send.pop(seq, None)
+            else:
+                self._last_send[seq] = now
+            out.append(Segment(self.session_id, seq, pid, self.tag, payload, is_retx))
+        return out
 
     def expire(self, now):
         for seq, deadline in sorted(self.retx_deadline.items()):
@@ -460,8 +487,7 @@ class _SortAndMinSender(SenderSession):
         if self.complete:
             return None
         candidates = []
-        has_new = self.send_next < self.total_segments and self._segment_available(self.send_next)
-        if self._retx_ready or has_new:
+        if self._retx_ready or self._has_new():
             candidates.append(min(self.next_free[pid] for pid in self.paths))
         if self.retx_deadline:
             candidates.append(min(self.retx_deadline.values()))
@@ -505,5 +531,8 @@ def test_retransmit_heaps_match_sort_and_min_rule_on_lossy_multipath_runs():
             now = max(wake, now + 1) if wake is not None and rng.random() < 0.5 else now + step
         assert fast.complete, seed
         assert fast.retx_deadline == slow.retx_deadline and fast._retx_ready == slow._retx_ready
+        # the same gaps, per-path counts and Karn samples
+        assert fast.next_free == slow.next_free and fast.stats == slow.stats, seed
+        assert fast.rtt_estimate_us == slow.rtt_estimate_us and fast._last_send == slow._last_send, seed
     # Expiries happened, and several expired segments competed for one instant.
     assert retransmits > 100 and batched > 10

@@ -1373,7 +1373,7 @@ class _PumpEverySender(_CountedPumps):
         else:
             senders = [e.sender for e in self.pubs[event.sid].downstream.get(event.node, ()) if not e.sender.complete]
         for sender in senders:
-            sender.release_wake(now)
+            sender.wakes.discard(now)
             self._pump(event.sid, event.node, sender, now)
 
 
