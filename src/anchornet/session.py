@@ -375,7 +375,9 @@ class ReceiverSession:
     """Receive side: selective-repeat reordering with prefix delivery.
 
     The delivered stream is always a contiguous extension from
-    ``start_seq``; duplicates are re-acknowledged but never re-delivered.
+    ``start_seq``; duplicates are re-acknowledged but never re-delivered, so
+    once complete it answers each with the same final ACK: the segment count
+    as floor, and no SACKs.
     ``reverse_hops`` maps each path to the hop its ACKs go back to: that
     hop's name and the locator of the leg to it.
     """
@@ -434,32 +436,6 @@ class ReceiverSession:
 
     def delivered_digest(self) -> str:
         return self._hash.hexdigest()
-
-    def ended(self) -> EndedReceiver:
-        return EndedReceiver(self.reverse_hops, self.next_expected, self.complete, self.delivered_bytes,
-                             self.last_delivery_us, self.delivered_digest())
-
-
-@dataclass(frozen=True, slots=True, eq=False)
-class EndedReceiver:
-    """What is kept of a receiver once its transfer completed or its tree ended:
-    the report's figures, and what a late duplicate's ACK needs: its reverse
-    hops, and the floor it acknowledges.  With nothing buffered, that ACK is
-    the one the live receiver would have sent."""
-
-    reverse_hops: dict[int, tuple[str, L3Locator]]
-    next_expected: int
-    complete: bool
-    delivered_bytes: int
-    last_delivery_us: Optional[int]
-    digest: str
-
-    def on_receive(self, segment: Segment, now: int) -> tuple[list[bytes], Segment]:
-        return [], Segment(segment.session_id, segment.seq, segment.path_id, segment.tag,
-                           is_retransmit=segment.is_retransmit, kind=ACK, ack_cum=self.next_expected)
-
-    def delivered_digest(self) -> str:
-        return self.digest
 
 
 def segment_count(total_bytes: int) -> int:

@@ -50,7 +50,6 @@ from .pubsub import DistributionTree, build_tree
 from .scenario import MODE_BASELINE, ScenarioConfig
 from .session import (
     ACK,
-    EndedReceiver,
     EndedSender,
     PathRef,
     ReceiverSession,
@@ -202,7 +201,7 @@ class Transfer:
     discovered: list[L5Path]
     used: list[L5Path]
     sender: SenderSession | EndedSender
-    receiver: ReceiverSession | EndedReceiver
+    receiver: ReceiverSession
     source: PayloadStream
     rate_cap_mbps: Optional[Fraction] = None
     status: str = "active"
@@ -223,7 +222,7 @@ class TreeEdge:
     src: str
     dst: str
     sender: SenderSession | EndedSender
-    receiver: ReceiverSession | EndedReceiver
+    receiver: ReceiverSession
 
 
 @dataclass
@@ -231,7 +230,7 @@ class SubscriberLeg:
     name: str
     anchor: str
     join_seq: int
-    receiver: ReceiverSession | EndedReceiver
+    receiver: ReceiverSession
     complete_at: Optional[int] = None
 
 
@@ -477,9 +476,10 @@ class Simulation:
 
     def _handle_arrival(self, event: NodeArrival, now: int) -> None:
         """Hand a segment to the transfer or tree edge that owns it: an ACK at
-        its source to its sender, data at its destination to its receiver, live
-        or ended, whose ACK goes to the path's reverse hop.  Anything else is in
-        transit: the node's anchor names its next hop and that hop's locator."""
+        its source to its sender, data at its destination to its receiver, even
+        after the session ended, whose ACK goes to the path's reverse hop.
+        Anything else is in transit: the node's anchor names its next hop and
+        that hop's locator."""
         segment, _, lid, node = event
         self.link_counters[lid].delivered += 1
         sid, pid = segment.session_id, segment.path_id
@@ -753,10 +753,10 @@ class Simulation:
     def _end(self, session: Transfer | PubTransfer, status: str, now: int) -> None:
         """Move an active transfer or tree to its terminal ``status``
         (``complete`` or ``no_path``); the only writer of a terminal status.
-        Its claims end and what its report reads is frozen: a transfer's here,
-        but for its receiver after ``no_path``, which still takes what was
-        already past the break; a tree's edge by edge as each sender completed,
-        and its receivers here."""
+        Its claims end and its senders are frozen: a transfer's here, a tree's
+        edge by edge as each completed.  Receivers stay as they are: a
+        complete one answers late duplicates with its final ACK, and after
+        ``no_path`` one still takes what was already past the break."""
         session.status = status
         del self._digests[session.sid]
         if isinstance(session, Transfer):
@@ -765,14 +765,12 @@ class Simulation:
                 self._end_claim((0, session.sid, path.path_id), path.hops)
             session.sender, session.t_end = session.sender.ended(), now
             if status == "complete":
-                session.receiver, session.t_complete = session.receiver.ended(), now
+                session.t_complete = now
                 if session.stage_ttl_us is not None:
                     self._stage_replica(
                         session.dst, session.source.name, session.total_bytes, session.stage_ttl_us, now)
         else:
             session.receivers.clear()
-            for holder in (*session.edges, *session.subscribers.values()):
-                holder.receiver = holder.receiver.ended()
         self._reallocate(now)
 
     def _repath(self, transfer: Transfer, now: int) -> None:

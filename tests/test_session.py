@@ -301,6 +301,13 @@ def test_sacks_match_sorted_buffer_rule_under_random_arrivals_with_duplicates():
             assert (ack.ack_cum, ack.ack_sacks) == (floor, tuple(sorted(buffered))), seed
         assert rx.complete
         assert got == [seg(seq).payload for seq in range(start, start + n)]
+        # Complete, it answers a late duplicate of any seq with the final ACK
+        # and delivers, buffers and counts nothing more.
+        kept = rx.delivered_bytes, rx.delivered_digest(), rx.last_delivery_us
+        for seq in range(start, start + n):
+            delivered, ack = rx.on_receive(seg(seq), 1)
+            assert (delivered, ack.seq, ack.ack_cum, ack.ack_sacks) == ([], seq, start + n, ()), seed
+            assert (rx.delivered_bytes, rx.delivered_digest(), rx.last_delivery_us) == kept
 
 
 def test_mid_stream_start_seq():

@@ -16,7 +16,7 @@ from anchornet.gateway import synth_payload
 from anchornet.metrics import allocation_summary, canonical_json, compare, database_digests, replay
 from anchornet.scenario import load_scenario, parse_scenario
 from anchornet.session import (
-    SEGMENT_PAYLOAD_BYTES, EndedReceiver, EndedSender, PathRef, Segment, SegmentKind, SenderSession, segment_count,
+    SEGMENT_PAYLOAD_BYTES, EndedSender, PathRef, Segment, SegmentKind, SenderSession, segment_count,
 )
 from anchornet.simnet import (
     TRACE_SALT,
@@ -393,7 +393,7 @@ def test_a_duplicate_at_an_ended_destination_gets_the_final_ack(fixture_paths):
     sim = Simulation(load_scenario(fixture_paths["dual-path"]))
     sim.run()
     (transfer,) = sim.transfers.values()
-    assert isinstance(transfer.receiver, EndedReceiver) and not _forwarding_entries(sim) and not sim._neighbours
+    assert _complete_and_empty(transfer.receiver) and not _forwarding_entries(sim) and not sim._neighbours
     delivered, digest = transfer.receiver.delivered_bytes, transfer.receiver.delivered_digest()
     for path in transfer.used:
         before = path.hops[-2]
@@ -433,7 +433,7 @@ def test_a_completed_tree_edge_takes_late_segments_as_before():
     duplicate_at_relay()
     sim.run()
     assert pub.status == "complete" and not pub.receivers
-    assert all(isinstance(end.receiver, EndedReceiver) for end in (*pub.edges, *pub.subscribers.values()))
+    _assert_tree_receivers_done(pub)
     duplicate_at_relay()
 
 
@@ -1149,13 +1149,27 @@ def _forwarding_entries(sim):
     return {name: a.routes for name, a in sim.anchors.items() if a.routes}
 
 
+def _complete_and_empty(receiver):
+    """The receiver is complete and holds no segment: its buffer and SACK list are empty."""
+    return receiver.complete and not receiver.buffer and not receiver._sacks
+
+
+def _assert_tree_receivers_done(pub):
+    """Every receiver of an ended tree is complete and buffers nothing, and each
+    subscriber leg's is the receiver of the tree edge into it."""
+    assert all(_complete_and_empty(edge.receiver) for edge in pub.edges)
+    into = {edge.dst: edge.receiver for edge in pub.edges}
+    assert all(leg.receiver is into[name] for name, leg in pub.subscribers.items())
+
+
 def _assert_nothing_held(sim):
     """Every session has ended and left no entry behind: no claim, neighbour,
-    forwarding entry, digest or tree receiver, and no live sender or receiver."""
+    forwarding entry, digest or tree receiver, no live sender, and no
+    complete receiver that buffers a segment."""
     assert not (sim.filling.demand or sim._neighbours or _forwarding_entries(sim) or sim._digests)
     assert not any(pub.receivers for pub in sim.pubs.values())
-    assert all(isinstance(t.sender, EndedSender) and isinstance(t.receiver, EndedReceiver)
-               for t in sim.transfers.values())
+    assert all(isinstance(t.sender, EndedSender) for t in sim.transfers.values())
+    assert all(_complete_and_empty(t.receiver) for t in sim.transfers.values() if t.status == "complete")
     assert all(isinstance(e.sender, EndedSender) for pub in sim.pubs.values() for e in pub.edges
                if e.sender.start_seq < segment_count(pub.total_bytes))  # one grafted at the stream's end never sent
 
@@ -1230,15 +1244,17 @@ class _EpochCheckedSimulation(Simulation):
         assert list(alloc.residuals_exact.items()) == list(residuals.items())
 
     def _end(self, session, status, now):
-        """What has ended is frozen: a transfer's sender and, once complete,
-        its receiver (after ``no_path`` it still takes what was past the
-        break); a tree's receivers, and its edges' senders as each completed."""
+        """A transfer's sender is frozen and its receiver stays the one it had,
+        buffering nothing once complete (after ``no_path`` it still takes what
+        was past the break); a tree's receivers are all complete, and its
+        edges' senders were frozen as each completed."""
+        receiver = getattr(session, "receiver", None)
         super()._end(session, status, now)
         if session.sid in self.transfers:
-            assert isinstance(session.sender, EndedSender)
-            assert isinstance(session.receiver, EndedReceiver) == (status == "complete")
+            assert isinstance(session.sender, EndedSender) and session.receiver is receiver
+            assert status == "no_path" or _complete_and_empty(receiver)
         else:
-            assert all(isinstance(end.receiver, EndedReceiver) for end in (*session.edges, *session.subscribers.values()))
+            _assert_tree_receivers_done(session)
             total = segment_count(session.total_bytes)  # an edge grafted at the stream's end never sent
             assert all(isinstance(edge.sender, EndedSender) for edge in session.edges if edge.sender.start_seq < total)
 
