@@ -10,7 +10,7 @@ reproduce bit for bit.
 """
 
 from .addressing import AddressKind, L3Locator, ResolverTable, ScienceDomainTag
-from .allocator import Demand, DemandMatrix, FlowAllocation, domain_shares, water_fill
+from .allocator import Demand, domain_shares, water_fill
 from .pathfinder import L5Path, k_disjoint_paths
 from .pubsub import DistributionTree, build_tree
 from .scenario import ScenarioConfig, load_scenario, parse_scenario, validate_text
@@ -24,9 +24,7 @@ __all__ = [
     "AddressKind",
     "Adjacency",
     "Demand",
-    "DemandMatrix",
     "DistributionTree",
-    "FlowAllocation",
     "L3Locator",
     "L5Path",
     "LinkStateAdvertisement",

@@ -75,35 +75,6 @@ class Demand:
             raise ValueError(f"demand {self.session_id!r}: demand cap must be >= 0")
 
 
-@dataclass(frozen=True)
-class DemandMatrix:
-    sessions: tuple[Demand, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "sessions", tuple(self.sessions))
-        seen = set()
-        for demand in self.sessions:
-            if demand.session_id in seen:
-                raise ValueError(f"duplicate session id {demand.session_id!r}")
-            seen.add(demand.session_id)
-
-
-@dataclass(frozen=True)
-class FlowAllocation:
-    """Per-claimant rates and per-link residuals, exact and as floats.
-
-    Invariant (exact): for every link, the rates of the sessions crossing it
-    plus the residual equal the link capacity.
-    """
-
-    rates_exact: Mapping[str, Fraction]
-    residuals_exact: Mapping[str, Fraction]
-
-    @property
-    def rates_mbps(self) -> dict[str, float]:
-        return {sid: float(rate) for sid, rate in self.rates_exact.items()}
-
-
 class _Level(tuple):
     """A reduced (numerator, denominator) level; ``<`` compares values."""
 
@@ -324,41 +295,30 @@ class Filling:
         self.rounds, self.touched = out, set()
         return moved
 
-    def allocation(self) -> FlowAllocation:
-        """The rates in claimant order and the residuals, as ``Fraction``s."""
-        rates, room = [self.rate[c] for c in self.demand], dict(self.capacity)
-        for c, r in zip(self.demand, rates):
-            for lid in self.demand[c].links:
-                room[lid] = _minus(room[lid], r)
-        # One Fraction per distinct value: many claimants share a rate.
-        exact = {pair: Fraction(*pair) for pair in {*rates, *room.values()}}
-        return FlowAllocation(
-            rates_exact={d.session_id: exact[r] for d, r in zip(self.demand.values(), rates)},
-            residuals_exact={lid: exact[room[lid]] for lid in self.capacity},
-        )
 
-
-def water_fill(capacities: Mapping[str, Rate], demands: DemandMatrix) -> FlowAllocation:
-    """Allocate link capacity to all demands, weighted max-min fair."""
+def water_fill(capacities: Mapping[str, Rate], demands: Iterable[Demand]) -> dict[str, Fraction]:
+    """Each demand's weighted max-min fair rate, filled from nothing, by
+    session id in demand order.  A session id names one claimant: a repeated
+    one is refused."""
     filling = Filling(capacities)
-    for i, demand in enumerate(demands.sessions):
-        filling.add(i, demand)
+    for demand in demands:
+        filling.add((demand.session_id,), demand)  # a 1-tuple is never a link id
     filling.fill()
-    return filling.allocation()
+    return {cid[0]: Fraction(*filling.rate[cid]) for cid in filling.demand}
 
 
 def domain_shares(
-    alloc: FlowAllocation,
-    demands: DemandMatrix,
+    rates: Mapping[str, Fraction],
+    demands: Iterable[Demand],
     policy: Sequence[ScienceDomainTag],
 ) -> dict[str, float]:
     """Aggregate allocated rate by science-domain tag.  Reporting only."""
     known = {entry.tag for entry in policy}
     shares: dict[str, Fraction] = {tag: Fraction(0) for tag in sorted(known)}
-    for demand in demands.sessions:
+    for demand in demands:
         if demand.tag not in known:
             raise UnknownTag(
                 f"session {demand.session_id!r} carries tag {demand.tag!r} not in policy"
             )
-        shares[demand.tag] += alloc.rates_exact[demand.session_id]
+        shares[demand.tag] += rates[demand.session_id]
     return {tag: float(total) for tag, total in shares.items()}

@@ -162,8 +162,6 @@ class SenderSession:
         start_seq: int = 0,
         now: int = 0,
     ) -> None:
-        if not paths:
-            raise NoPaths("session opened with an empty path list")
         self.session_id = session_id
         self.tag = tag
         self.total_segments = segment_count(total_bytes)
@@ -214,7 +212,7 @@ class SenderSession:
 
     def set_paths(self, paths: Sequence[PathRef], now: int) -> None:
         if not paths:
-            raise NoPaths("cannot replace path set with an empty one")
+            raise NoPaths("a session needs at least one path")
         self.paths = {p.path_id: p for p in paths}
         for pid, ref in self.paths.items():
             self.next_free.setdefault(pid, now)

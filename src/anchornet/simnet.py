@@ -306,8 +306,8 @@ class Simulation:
         self._build_substrate()
         self._build_overlay()
         self._bootstrap_control_plane()
-        for index, _ in enumerate(config.events):
-            self.queue.push(config.events[index].time_us, ScenarioAction(index))
+        for index, event in enumerate(config.events):
+            self.queue.push(event.time_us, ScenarioAction(index))
 
     # -- construction -------------------------------------------------------
 

@@ -213,6 +213,19 @@ def progressive_fill_exact(
     return rates, remaining
 
 
+def link_residuals(
+    capacities: Mapping[str, Fraction], demands: Sequence[dict], rates: Mapping[str, Fraction]
+) -> dict[str, Fraction]:
+    """Each link's capacity minus the summed rates of the demands that cross
+    it, in capacity order.  ``demands`` entries as for ``bisect_water_fill``
+    (only "id" and "links" are read); ``rates`` maps each id to its rate."""
+    room = dict(capacities)
+    for d in demands:
+        for link in d["links"]:
+            room[link] -= rates[d["id"]]
+    return room
+
+
 def random_exact_instance(rng: random.Random) -> tuple[dict[str, Fraction], list[dict]]:
     """A random exact allocation instance.
 

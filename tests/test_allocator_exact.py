@@ -11,8 +11,8 @@ from itertools import combinations, count
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from anchornet.allocator import Demand, DemandMatrix, Filling, water_fill
-from oracles import progressive_fill_exact, random_exact_instance
+from anchornet.allocator import Demand, Filling, water_fill
+from oracles import link_residuals, progressive_fill_exact, random_exact_instance
 
 F = Fraction
 THIRD = F(1, 3)
@@ -20,19 +20,14 @@ TINY = F(1, 2**40)
 
 
 def assert_matches_oracle(capacities: dict, demands: list[dict]) -> None:
-    alloc = water_fill(
+    got = water_fill(
         capacities,
-        DemandMatrix(
-            tuple(
-                Demand(d["id"], d["weight"], d["links"], demand_cap_mbps=d["cap"])
-                for d in demands
-            )
-        ),
+        (Demand(d["id"], d["weight"], d["links"], demand_cap_mbps=d["cap"]) for d in demands),
     )
     rates, residuals = progressive_fill_exact(capacities, demands)
     # equal as Fractions and in dict order
-    assert list(alloc.rates_exact.items()) == list(rates.items())
-    assert list(alloc.residuals_exact.items()) == list(residuals.items())
+    assert list(got.items()) == list(rates.items())
+    assert list(link_residuals(capacities, demands, got).items()) == list(residuals.items())
 
 
 def demand(sid, weight, links, cap=None):
@@ -101,14 +96,9 @@ def test_tie_cases_share_one_heap_lead():
 
 def test_cap_and_link_bind_in_the_same_round():
     caps, demands = EDGE_CASES["cap-binds-with-link"]
-    alloc = water_fill(
-        caps,
-        DemandMatrix(
-            tuple(Demand(d["id"], d["weight"], d["links"], d["cap"]) for d in demands)
-        ),
-    )
-    assert alloc.rates_exact == {"a": F(5), "b": F(5), "c": F(25)}
-    assert alloc.residuals_exact == {"l1": F(0), "l2": F(0)}
+    rates = water_fill(caps, (Demand(d["id"], d["weight"], d["links"], d["cap"]) for d in demands))
+    assert rates == {"a": F(5), "b": F(5), "c": F(25)}
+    assert link_residuals(caps, demands, rates) == {"l1": F(0), "l2": F(0)}
 
 
 def test_random_instances_match_oracle_exactly():
@@ -138,10 +128,11 @@ def _fill_and_check(capacities, filling, live):
     before = {cid: filling.rate.get(cid) for cid in live}
     moved = filling.fill()
     assert moved == {cid: old for cid, old in before.items() if filling.rate[cid] != old}
-    alloc = filling.allocation()
-    rates, residuals = progressive_fill_exact(capacities, list(live.values()))
-    assert list(alloc.rates_exact.items()) == list(rates.items())
-    assert list(alloc.residuals_exact.items()) == list(residuals.items())
+    got = {d.session_id: F(*filling.rate[cid]) for cid, d in filling.demand.items()}
+    rows = list(live.values())
+    rates, residuals = progressive_fill_exact(capacities, rows)
+    assert list(got.items()) == list(rates.items())
+    assert list(link_residuals(capacities, rows, got).items()) == list(residuals.items())
     return moved
 
 
@@ -218,7 +209,7 @@ def test_adding_a_held_claimant_id_is_refused():
     with pytest.raises(ValueError, match="claimant 'a' is already held"):
         filling.add("a", Demand("a", 1, {"l1"}))
     assert filling.fill() == {}
-    assert filling.allocation().rates_exact == {"a": F(5), "b": F(5)}
+    assert filling.rate == {"a": (5, 1), "b": (5, 1)}
 
 
 @pytest.mark.parametrize("name", sorted(EDGE_CASES))

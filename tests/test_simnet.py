@@ -11,7 +11,7 @@ import pytest
 
 from anchornet import gateway, simnet
 from anchornet.addressing import L3Locator
-from anchornet.allocator import Demand, DemandMatrix, domain_shares, water_fill
+from anchornet.allocator import Demand, domain_shares, water_fill
 from anchornet.gateway import synth_payload
 from anchornet.metrics import allocation_summary, canonical_json, compare, database_digests, replay
 from anchornet.scenario import load_scenario, parse_scenario
@@ -30,7 +30,7 @@ from anchornet.simnet import (
     Simulation,
 )
 from anchornet.topology import TopologyDatabase, _pstr
-from oracles import MersennePayloadStream, acked_seqs, progressive_fill_exact
+from oracles import MersennePayloadStream, acked_seqs, link_residuals, progressive_fill_exact
 from scenario_builders import build, gateway_chain, three_path_lossy
 
 
@@ -1235,13 +1235,14 @@ class _EpochCheckedSimulation(Simulation):
         for demand, (key, sender, _) in zip(demands, targets):
             assert held[key] == demand
             assert _sender(self, key) is sender
-        alloc = self._check_fresh(demands, targets)
-        rates, residuals = progressive_fill_exact(self.link_avail, [
+        fresh = self._check_fresh(demands, targets)
+        rows = [
             {"id": d.session_id, "weight": d.weight, "links": set(d.links), "cap": d.demand_cap_mbps}
             for d in demands
-        ])
-        assert list(alloc.rates_exact.items()) == list(rates.items())
-        assert list(alloc.residuals_exact.items()) == list(residuals.items())
+        ]
+        rates, residuals = progressive_fill_exact(self.link_avail, rows)
+        assert list(fresh.items()) == list(rates.items())
+        assert list(link_residuals(self.link_avail, rows, fresh).items()) == list(residuals.items())
 
     def _end(self, session, status, now):
         """A transfer's sender is frozen and its receiver stays the one it had,
@@ -1286,18 +1287,17 @@ class _EpochCheckedSimulation(Simulation):
         assert set(self._digests) == active | {sid for sid, p in self.pubs.items() if p.status == "active"}
 
     def _check_fresh(self, demands, targets):
-        matrix = DemandMatrix(tuple(demands))
-        alloc = water_fill(self.link_avail, matrix)
+        rates = water_fill(self.link_avail, demands)
         for demand, (_, sender, pid) in zip(demands, targets):
-            assert Fraction(*sender.rates[pid]) == alloc.rates_exact[demand.session_id]
-        assert self.replayed == {k: float(v) for k, v in alloc.rates_exact.items()}
+            assert Fraction(*sender.rates[pid]) == rates[demand.session_id]
+        assert self.replayed == {k: float(v) for k, v in rates.items()}
         epoch = self.alloc_epochs[-1]
         assert epoch["concurrent"] == len(demands)
-        fresh = domain_shares(alloc, matrix, self.config.policy) if demands else {}
+        fresh = domain_shares(rates, demands, self.config.policy) if demands else {}
         assert epoch["domain_shares_mbps"] == fresh
         assert list(epoch["domain_shares_mbps"]) == list(fresh)
         self.checked.append(set(self.filling.demand))
-        return alloc
+        return rates
 
 
 def _three_path_lossy_losing(*links):
